@@ -10,7 +10,6 @@ from .kernels import (
     SlsmParams,
     baseline_kernel,
     gram,
-    kernel_grad,
     lkp_kernel,
     slsm_component,
     slsm_kernel,

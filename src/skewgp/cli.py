@@ -90,17 +90,6 @@ def _parse_rows(path: str | Path):
     return data, header
 
 
-def _uniformity(t: np.ndarray) -> tuple[bool, float]:
-    if t.size < 2:
-        return True, 1.0
-    gaps = np.diff(t)
-    med = float(np.median(gaps))
-    if med <= 0.0:
-        return False, 1.0
-    uniform = float(np.max(gaps) - np.min(gaps)) <= 1e-6 * abs(med)
-    return uniform, med
-
-
 def ingest_csv(path) -> tuple[Dataset, IngestInfo]:
     """Read a CSV as (y), (t, y), or (x1..xP, y); header rows are skipped."""
     data, header = _parse_rows(path)
@@ -111,7 +100,7 @@ def ingest_csv(path) -> tuple[Dataset, IngestInfo]:
         return Dataset(t[:, None], data[:, 0], names), IngestInfo(1, True, 1.0, t)
     if cols == 2:
         t = data[:, 0]
-        uniform, dt = _uniformity(t)
+        uniform, dt = spectral.sampling_step(t)
         return Dataset(t[:, None], data[:, 1], names), IngestInfo(1, uniform, dt, t)
     X = data[:, :-1]
     return Dataset(X, data[:, -1], names), IngestInfo(cols - 1, False, 1.0, None)

@@ -114,12 +114,21 @@ class Normalization:
         return cls(0.0, 1.0, (0.0,) * p, (1.0,) * p)
 
     def apply(self, data: Dataset) -> Dataset:
-        xn = (data.X - np.array(self.x_means)) / np.array(self.x_stds)
         yn = (data.y - self.y_mean) / self.y_std
-        return Dataset(xn, yn, data.names)
+        return Dataset(self.apply_x(data.X), yn, data.names)
 
     def apply_x(self, X: np.ndarray) -> np.ndarray:
         return (X - np.array(self.x_means)) / np.array(self.x_stds)
+
+    def prediction(self, mean_n, var_n, observation_noise: bool) -> "Prediction":
+        """Target-unit prediction from normalized moments; negative variances
+        are clamped to 0 and counted."""
+        return Prediction(
+            mean=self.y_mean + self.y_std * mean_n,
+            var=self.y_std**2 * np.maximum(var_n, 0.0),
+            clamped=int(np.sum(var_n < 0.0)),
+            observation_noise=observation_noise,
+        )
 
 
 @dataclass
@@ -148,6 +157,8 @@ def chol_with_jitter(K: np.ndarray, noise_var: float):
         raise NumericalError("covariance matrix contains non-finite values")
     kt = K + noise_var * np.eye(n)
     scale = float(np.trace(kt)) / n
+    if not np.isfinite(scale):
+        raise NumericalError("covariance trace overflows; no jitter scale exists")
     if scale <= 0.0:
         scale = 1.0
     last = 0.0
@@ -167,92 +178,72 @@ def _solve_chol(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cho_solve((L, True), b)
 
 
+def factorize(data: Dataset, kind: str, params):
+    """``(L, jitter_used, alpha)``: the Cholesky factor of K + noise I at the
+    training inputs and alpha = (K + noise I)^-1 y."""
+    K = kn.gram(data.X, data.X, kind, params)
+    L, jit = chol_with_jitter(K, params.noise_var)
+    return L, jit, _solve_chol(L, data.y)
+
+
+def latent_moments(Xs_n, factors, kind: str, params):
+    """Noise-free predictive mean and variance at normalized query points
+    from the stored factors (``data``, ``chol_L``, ``alpha``) of a model or
+    an rBCM expert."""
+    ks = kn.gram(Xs_n, factors.data.X, kind, params)
+    mean = ks @ factors.alpha
+    v = solve_triangular(factors.chol_L, ks.T, lower=True)
+    return mean, kn.prior_variance(kind, params) - np.sum(v * v, axis=0)
+
+
 # ---------------------------------------------------------------------------
 # NLML and its gradient
 # ---------------------------------------------------------------------------
 
 
-def nlml_terms(data: Dataset, params, kind: str):
-    """(model_fit, complexity, constant) pieces of the NLML."""
-    K = kn.gram(data.X, data.X, kind, params)
-    L, jit = chol_with_jitter(K, params.noise_var)
-    alpha = _solve_chol(L, data.y)
-    fit = 0.5 * float(data.y @ alpha)
-    complexity = float(np.sum(np.log(np.diag(L))))
-    const = 0.5 * data.n * math.log(2.0 * math.pi)
-    return fit, complexity, const
+def nlml_from_factor(L: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
+    """Data fit + complexity + constant from a :func:`factorize` result."""
+    return (
+        0.5 * float(y @ alpha)
+        + float(np.sum(np.log(np.diag(L))))
+        + 0.5 * y.size * math.log(2.0 * math.pi)
+    )
 
 
 def nlml(data: Dataset, params, kind: str) -> float:
     """Full negative log marginal likelihood (constant included)."""
-    fit, complexity, const = nlml_terms(data, params, kind)
-    return fit + complexity + const
-
-
-def _iter_natural_partials(tau, params, kind: str):
-    """Yield natural-coordinate dK/dtheta matrices in transform slot order
-    (noise excluded).  ``tau`` is the lag matrix (n, n) or (n, n, P)."""
-    if isinstance(params, BaselineKernelParams):
-        parts = kn.baseline_partials(tau if tau.ndim == 2 else np.sqrt(np.sum(tau * tau, -1)), params)
-        for m in parts[1:]:
-            yield m
-        return
-    if isinstance(params, MultiSlsmParams):
-        for c in params.components:
-            val, d_mu, d_s2, d_ga = kn.multi_component_partials(tau, c, kind=kind)
-            yield val
-            for d in range(c.p):
-                yield c.w * d_mu[..., d]
-            for d in range(c.p):
-                yield c.w * d_s2[..., d]
-            if kind == "slsm" and d_ga is not None:
-                for d in range(c.p):
-                    yield c.w * d_ga[..., d]
-        return
-    for c in params.components:
-        if kind == "sm":
-            val, d_mu, d_sigma = kn.sm_component_partials(tau, c)
-            d_gamma = None
-        elif kind == "lkp":
-            val, d_mu, d_sigma, _ = kn.slsm_component_partials(tau, replace(c, gamma=0.0))
-            d_gamma = None
-        else:
-            val, d_mu, d_sigma, d_gamma = kn.slsm_component_partials(tau, c)
-        yield val
-        yield c.w * d_mu
-        yield c.w * d_sigma
-        if kind == "slsm" and d_gamma is not None:
-            yield c.w * d_gamma
-
-
-def _lag_tensor(X: np.ndarray, params) -> np.ndarray:
-    if X.shape[1] == 1 and not isinstance(params, MultiSlsmParams):
-        return X[:, 0][:, None] - X[:, 0][None, :]
-    return X[:, None, :] - X[None, :, :]
+    L, _, alpha = factorize(data, kind, params)
+    return nlml_from_factor(L, alpha, data.y)
 
 
 def nlml_value_and_grad(data: Dataset, tp: TransformedParams):
     """NLML and its gradient in the transformed coordinates of ``tp``."""
     params = untransform(tp)
     kind = tp.layout.kind
-    K = kn.gram(data.X, data.X, kind, params)
-    L, _ = chol_with_jitter(K, params.noise_var)
-    alpha = _solve_chol(L, data.y)
-    f = (
-        0.5 * float(data.y @ alpha)
-        + float(np.sum(np.log(np.diag(L))))
-        + 0.5 * data.n * math.log(2.0 * math.pi)
-    )
+    L, _, alpha = factorize(data, kind, params)
+    f = nlml_from_factor(L, alpha, data.y)
     # M = K~^-1 - alpha alpha^T ; dNLML/dtheta = 0.5 tr(M dK/dtheta)
     kinv = _solve_chol(L, np.eye(data.n))
     M = kinv - np.outer(alpha, alpha)
-    tau = _lag_tensor(data.X, params)
+    tau = kn.lags(data.X, data.X, kind, params)
     grad_nat = np.empty(tp.layout.size)
-    for j, dK in enumerate(_iter_natural_partials(tau, params, kind)):
+    for j, dK in enumerate(kn.natural_partials(tau, kind, params)):
         grad_nat[j] = 0.5 * float(np.sum(M * dK))
     grad_nat[-1] = 0.5 * float(np.trace(M))  # noise slot: dK/ds2 = I
     scale = np.where(tp.layout.log_mask, np.exp(tp.x), 1.0)
     return f, grad_nat * scale
+
+
+def objective_or_inf(data: Dataset, x: np.ndarray, layout):
+    """:func:`nlml_value_and_grad` at ``x``, or ``(inf, 0)`` where the NLML
+    cannot be evaluated, so the line search backs off."""
+    # DataError covers log-slot underflow to 0 during extreme line-search
+    # steps; overflow to inf is caught by the non-finite covariance guard
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return nlml_value_and_grad(data, TransformedParams(x, layout))
+    except (NumericalError, DataError):
+        return np.inf, np.zeros_like(x)
 
 
 def nlml_grad(data: Dataset, params, kind: str) -> np.ndarray:
@@ -289,16 +280,12 @@ class TrainedModel:
     @property
     def nlml_internal(self) -> float:
         """NLML of the normalized training data at the fitted parameters."""
-        return nlml(self.data, self.params, self.kind)
+        return nlml_from_factor(self.chol_L, self.alpha, self.data.y)
 
     def denormalized_params(self):
         """Parameters with weights / noise rescaled to original target units."""
         s2 = self.normalization.y_std**2
-        p = self.params
-        if isinstance(p, BaselineKernelParams):
-            return replace(p, theta_f=p.theta_f * s2, noise_var=p.noise_var * s2)
-        comps = tuple(replace(c, w=c.w * s2) for c in p.components)
-        return p.__class__(comps, noise_var=p.noise_var * s2)
+        return scale_variances(self.params, lambda v: v * s2)
 
     def predict(self, Xstar, observation_noise: bool = False) -> Prediction:
         Xs = np.asarray(Xstar, dtype=float)
@@ -309,38 +296,25 @@ class TrainedModel:
         if not np.all(np.isfinite(Xs)):
             raise DataError("prediction inputs contain non-finite values")
         Xs_n = self.normalization.apply_x(Xs)
-        ks = kn.gram(Xs_n, self.data.X, self.kind, self.params)
-        mean_n = ks @ self.alpha
-        v = solve_triangular(self.chol_L, ks.T, lower=True)
-        var_n = kn.prior_variance(self.kind, self.params) - np.sum(v * v, axis=0)
+        mean_n, var_n = latent_moments(Xs_n, self, self.kind, self.params)
         if observation_noise:
             var_n = var_n + self.params.noise_var
-        clamped = int(np.sum(var_n < 0.0))
-        var_n = np.maximum(var_n, 0.0)
-        s = self.normalization
-        return Prediction(
-            mean=s.y_mean + s.y_std * mean_n,
-            var=s.y_std**2 * var_n,
-            clamped=clamped,
-            observation_noise=observation_noise,
-        )
+        return self.normalization.prediction(mean_n, var_n, observation_noise)
 
 
-def _internal_init(init_params, normalization: Normalization):
-    """Convert raw-unit initial parameters into the normalized target space."""
-    s2 = normalization.y_std**2
-    p = init_params
-    if isinstance(p, BaselineKernelParams):
-        return replace(p, theta_f=p.theta_f / s2, noise_var=p.noise_var / s2)
-    comps = tuple(replace(c, w=c.w / s2) for c in p.components)
-    return p.__class__(comps, noise_var=p.noise_var / s2)
+def scale_variances(params, scale):
+    """``params`` with ``scale`` applied to every variance: the mixture
+    weights (``theta_f`` for baselines) and the noise variance."""
+    if isinstance(params, BaselineKernelParams):
+        return replace(params, theta_f=scale(params.theta_f),
+                       noise_var=scale(params.noise_var))
+    comps = tuple(replace(c, w=scale(c.w)) for c in params.components)
+    return params.__class__(comps, noise_var=scale(params.noise_var))
 
 
 def _model_from_params(kind, params, data_n, normalization, fingerprint,
                        opt_result=None, prune_report=None) -> TrainedModel:
-    K = kn.gram(data_n.X, data_n.X, kind, params)
-    L, jit = chol_with_jitter(K, params.noise_var)
-    alpha = _solve_chol(L, data_n.y)
+    L, jit, alpha = factorize(data_n, kind, params)
     return TrainedModel(
         kind=kind,
         params=params,
@@ -361,18 +335,10 @@ def fit(data: Dataset, init_params, kind: str, cfg: OptConfig | None = None,
     cfg = cfg or OptConfig()
     norm = Normalization.from_data(data) if normalize else Normalization.identity(data.p)
     data_n = norm.apply(data)
-    tp0 = transform(_internal_init(init_params, norm), kind)
-
-    def objective(x):
-        # DataError covers log-slot underflow to 0 during extreme line-search
-        # steps; overflow to inf is caught by the non-finite covariance guard
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return nlml_value_and_grad(data_n, TransformedParams(x, tp0.layout))
-        except (NumericalError, DataError):
-            return np.inf, np.zeros_like(x)
-
-    res = minimize(objective, tp0.x, cfg, gamma_mask=np.array(tp0.layout.gamma_mask))
+    s2 = norm.y_std**2
+    tp0 = transform(scale_variances(init_params, lambda v: v / s2), kind)
+    res = minimize(lambda x: objective_or_inf(data_n, x, tp0.layout), tp0.x, cfg,
+                   gamma_mask=np.array(tp0.layout.gamma_mask))
     params = untransform(TransformedParams(res.x, tp0.layout))
     return _model_from_params(kind, params, data_n, norm, data.fingerprint(),
                               opt_result=res)
@@ -385,13 +351,10 @@ def fit(data: Dataset, init_params, kind: str, cfg: OptConfig | None = None,
 
 def sample_prior(kind: str, params, X, n_paths: int, seed: int) -> np.ndarray:
     """Draw ``n_paths`` zero-mean functions from the kernel prior at X."""
-    Xp = np.asarray(X, dtype=float)
-    if Xp.ndim == 1:
-        Xp = Xp[:, None]
-    K = kn.gram(Xp, Xp, kind, params)
+    K = kn.gram(X, X, kind, params)
     L, _ = chol_with_jitter(K, 0.0)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_paths, Xp.shape[0]))
+    z = rng.standard_normal((n_paths, K.shape[0]))
     return z @ L.T
 
 
@@ -444,20 +407,43 @@ def params_from_dict(d: dict, kind: str):
     return cls(tuple(comps), noise_var=d["noise_var"])
 
 
-def model_to_dict(model: TrainedModel) -> dict:
-    d = {
+def record_to_dict(kind: str, params, norm: Normalization, fingerprint: str,
+                   **fields) -> dict:
+    """Keys shared by model and ensemble records; ``fields`` go between the
+    normalization and the fingerprint."""
+    return {
         "schema_version": SCHEMA_VERSION,
-        "kernel_type": model.kind,
-        **params_to_dict(model.params, model.kind),
+        "kernel_type": kind,
+        **params_to_dict(params, kind),
         "normalization": {
-            "y_mean": model.normalization.y_mean,
-            "y_std": model.normalization.y_std,
-            "x_means": list(model.normalization.x_means),
-            "x_stds": list(model.normalization.x_stds),
+            "y_mean": norm.y_mean,
+            "y_std": norm.y_std,
+            "x_means": list(norm.x_means),
+            "x_stds": list(norm.x_stds),
         },
-        "jitter_used": model.jitter_used,
-        "train_fingerprint": model.train_fingerprint,
+        **fields,
+        "train_fingerprint": fingerprint,
     }
+
+
+def record_from_dict(d: dict, data: Dataset):
+    """Check a record's schema version and fingerprint against ``data``.
+
+    Returns ``(kind, params, normalization, normalized data)``.
+    """
+    if d.get("schema_version") != SCHEMA_VERSION:
+        raise DataError(f"unsupported model schema version {d.get('schema_version')!r}")
+    if d["train_fingerprint"] != data.fingerprint():
+        raise DataError("training data does not match the model's fingerprint")
+    kind = d["kernel_type"]
+    nz = d["normalization"]
+    norm = Normalization(nz["y_mean"], nz["y_std"], tuple(nz["x_means"]), tuple(nz["x_stds"]))
+    return kind, params_from_dict(d, kind), norm, norm.apply(data)
+
+
+def model_to_dict(model: TrainedModel) -> dict:
+    d = record_to_dict(model.kind, model.params, model.normalization,
+                       model.train_fingerprint, jitter_used=model.jitter_used)
     if model.prune_report is not None:
         d["prune_report"] = model.prune_report
     return d
@@ -469,18 +455,9 @@ def model_to_json(model: TrainedModel) -> str:
 
 def model_from_dict(d: dict, data: Dataset) -> TrainedModel:
     """Rebuild a trained model from its JSON record plus the training data."""
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise DataError(f"unsupported model schema version {d.get('schema_version')!r}")
-    if d["train_fingerprint"] != data.fingerprint():
-        raise DataError("training data does not match the model's fingerprint")
-    kind = d["kernel_type"]
-    params = params_from_dict(d, kind)
-    nz = d["normalization"]
-    norm = Normalization(nz["y_mean"], nz["y_std"], tuple(nz["x_means"]), tuple(nz["x_stds"]))
-    data_n = norm.apply(data)
-    model = _model_from_params(kind, params, data_n, norm, d["train_fingerprint"],
-                               prune_report=d.get("prune_report"))
-    return model
+    kind, params, norm, data_n = record_from_dict(d, data)
+    return _model_from_params(kind, params, data_n, norm, d["train_fingerprint"],
+                              prune_report=d.get("prune_report"))
 
 
 def model_from_json(text: str, data: Dataset) -> TrainedModel:

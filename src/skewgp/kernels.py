@@ -15,8 +15,8 @@ Kernel families:
 
   with ``C = 1 + sigma^2 tau^2 / 2``.
 * ``sm``    -- Gaussian spectral mixture, ``cos(mu tau) exp(-sigma^2 tau^2 / 2)``.
-* ``lkp``   -- Laplace spectral mixture; identical to ``slsm`` with all
-  ``gamma = 0`` and implemented as that delegation.
+* ``lkp``   -- Laplace spectral mixture: ``slsm`` with every skew zeroed by
+  :func:`for_kind`, the one place that rule lives.
 * ``se``/``rq`` -- single-component squared-exponential / rational-quadratic
   baselines.
 
@@ -35,10 +35,6 @@ from .errors import DataError, DimensionMismatchError
 MIXTURE_KERNELS = ("slsm", "sm", "lkp")
 BASELINE_KERNELS = ("se", "rq")
 KERNEL_TYPES = MIXTURE_KERNELS + BASELINE_KERNELS
-
-# Above this |tau| the kernel is evaluated in a rearranged form that never
-# forms tau^4 explicitly.
-_LARGE_TAU = 1e4
 
 
 # ---------------------------------------------------------------------------
@@ -90,23 +86,6 @@ class SlsmParams:
     @property
     def q(self) -> int:
         return len(self.components)
-
-    # array views used by the vectorized evaluators
-    @property
-    def w(self) -> np.ndarray:
-        return np.array([c.w for c in self.components])
-
-    @property
-    def mu(self) -> np.ndarray:
-        return np.array([c.mu for c in self.components])
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return np.array([c.sigma for c in self.components])
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return np.array([c.gamma for c in self.components])
 
     def with_components(self, components) -> "SlsmParams":
         return replace(self, components=tuple(components))
@@ -191,36 +170,30 @@ class BaselineKernelParams:
             raise DataError(f"noise variance must be >= 0, got {self.noise_var}")
 
 
+def for_kind(params, kind: str):
+    """``params`` as kernel ``kind`` evaluates them: ``lkp`` zeroes every skew."""
+    if kind != "lkp":
+        return params
+    if isinstance(params, MultiSlsmParams):
+        return params.with_components(
+            replace(c, gamma_vec=(0.0,) * c.p) for c in params.components)
+    return params.with_components(replace(c, gamma=0.0) for c in params.components)
+
+
 # ---------------------------------------------------------------------------
 # univariate kernel evaluation
 # ---------------------------------------------------------------------------
 
 
-def _slsm_core(tau, mu, sigma, gamma):
-    """Single skewed-Laplace component at lags ``tau`` (any array shape)."""
+def slsm_component(tau, c: SlsmComponent):
+    """Unweighted skewed-Laplace component at lags ``tau`` (any array shape);
+    1 at tau = 0, bounded by 1."""
     tau = np.asarray(tau, dtype=float)
-    phase = mu * tau
+    phase = c.mu * tau
     cos_p = np.cos(phase)
     sin_p = np.sin(phase)
-    big = np.abs(tau) > _LARGE_TAU
-    if not np.any(big):
-        c = 1.0 + 0.5 * sigma**2 * tau**2
-        return (c * cos_p - gamma * tau * sin_p) / (c * c + gamma**2 * tau**2)
-    # rearranged form: divide numerator and denominator by tau^4 so no tau^4
-    # term is ever formed
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c = 1.0 + 0.5 * sigma**2 * tau**2
-        plain = (c * cos_p - gamma * tau * sin_p) / (c * c + gamma**2 * tau**2)
-        inv_t2 = 1.0 / np.square(np.where(big, tau, 1.0))
-        ct = inv_t2 + 0.5 * sigma**2          # C / tau^2
-        num = ct * cos_p * inv_t2 - gamma * sin_p * inv_t2 / np.where(big, tau, 1.0)
-        den = ct * ct + gamma**2 * inv_t2
-        return np.where(big, num / den, plain)
-
-
-def slsm_component(tau, c: SlsmComponent):
-    """Unweighted skewed-Laplace component; 1 at tau = 0, bounded by 1."""
-    return _slsm_core(tau, c.mu, c.sigma, c.gamma)
+    cc = 1.0 + 0.5 * c.sigma**2 * tau**2
+    return (cc * cos_p - c.gamma * tau * sin_p) / (cc * cc + c.gamma**2 * tau**2)
 
 
 def slsm_kernel(tau, p: SlsmParams):
@@ -228,7 +201,7 @@ def slsm_kernel(tau, p: SlsmParams):
     tau = np.asarray(tau, dtype=float)
     out = np.zeros(np.shape(tau))
     for c in p.components:
-        out += c.w * _slsm_core(tau, c.mu, c.sigma, c.gamma)
+        out += c.w * slsm_component(tau, c)
     return out if out.shape else float(out)
 
 
@@ -243,8 +216,7 @@ def sm_kernel(tau, p: SlsmParams):
 
 def lkp_kernel(tau, p: SlsmParams):
     """Laplace spectral mixture: the skew-free case of ``slsm_kernel``."""
-    zero_skew = p.with_components(replace(c, gamma=0.0) for c in p.components)
-    return slsm_kernel(tau, zero_skew)
+    return slsm_kernel(tau, for_kind(p, "lkp"))
 
 
 def baseline_kernel(tau, b: BaselineKernelParams):
@@ -264,6 +236,7 @@ def baseline_kernel(tau, b: BaselineKernelParams):
 
 
 def _skewed_laplace_pdf(s: np.ndarray, c: SlsmComponent) -> np.ndarray:
+    """Asymmetric Laplace density with location mu, scale sigma, skew gamma."""
     kap = c.kappa
     amp = math.sqrt(2.0) / c.sigma * kap / (1.0 + kap * kap)
     # exponents are clamped at 0 so the branch discarded by where() never overflows
@@ -272,33 +245,10 @@ def _skewed_laplace_pdf(s: np.ndarray, c: SlsmComponent) -> np.ndarray:
     return amp * np.where(s < c.mu, left, right)
 
 
-def skewed_laplace_pdf(s, c: SlsmComponent):
-    """Asymmetric Laplace density with location mu, scale sigma, skew gamma."""
-    out = _skewed_laplace_pdf(np.asarray(s, dtype=float), c)
-    return out if out.shape else float(out)
-
-
 def spectral_density(s, c: SlsmComponent):
     """Symmetrized component density: even, nonnegative, integrates to 1."""
     s = np.asarray(s, dtype=float)
     out = 0.5 * (_skewed_laplace_pdf(s, c) + _skewed_laplace_pdf(-s, c))
-    return out if out.shape else float(out)
-
-
-def mixture_spectral_density(s, p: SlsmParams, kind: str = "slsm"):
-    """Weighted spectral density of a whole mixture (for spectrum overlays)."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros(np.shape(s))
-    for c in p.components:
-        if kind == "sm":
-            var = c.sigma**2
-            comp = 0.5 * (
-                np.exp(-0.5 * (s - c.mu) ** 2 / var) + np.exp(-0.5 * (s + c.mu) ** 2 / var)
-            ) / math.sqrt(2.0 * math.pi * var)
-        else:
-            cc = c if kind == "slsm" else replace(c, gamma=0.0)
-            comp = spectral_density(s, cc)
-        out += c.w * comp
     return out if out.shape else float(out)
 
 
@@ -331,16 +281,13 @@ def slsm_kernel_multi_mixture(tau_vec, p: MultiSlsmParams, kind: str = "slsm"):
     if tau.shape[-1] != p.p:
         raise DimensionMismatchError(p.p, tau.shape[-1])
     out = np.zeros(tau.shape[:-1])
-    for c in p.components:
-        mu = np.asarray(c.mu_vec)
+    for c in for_kind(p, kind).components:
         if kind == "sm":
+            mu = np.asarray(c.mu_vec)
             s2 = np.asarray(c.sigma2_vec)
             comp = np.cos(tau @ mu) * np.exp(-0.5 * (tau * tau) @ s2)
         else:
-            cc = c
-            if kind == "lkp":
-                cc = replace(c, gamma_vec=(0.0,) * c.p)
-            comp = slsm_kernel_multi(tau, cc)
+            comp = slsm_kernel_multi(tau, c)
         out += c.w * comp
     return out if out.shape else float(out)
 
@@ -379,23 +326,30 @@ def prior_variance(kind: str, params) -> float:
     return float(params.theta_f)
 
 
-def gram(x, x2, kind: str, params) -> np.ndarray:
-    """Noise-free covariance matrix k(x_i - x2_j).
+def lags(xa: np.ndarray, xb: np.ndarray, kind: str, params) -> np.ndarray:
+    """Lags xa_i - xb_j between two (n, P) point sets, as the kernel takes them.
 
-    For multivariate inputs, mixture kernels use the vector-lag form and
-    baselines the Euclidean distance.
+    Univariate inputs give an (n, m) array.  For multivariate inputs, mixture
+    kernels take the (n, m, P) vector lag and baselines the (n, m) Euclidean
+    distance.
     """
+    if xa.shape[1] == 1 and not isinstance(params, MultiSlsmParams):
+        return xa[:, 0][:, None] - xb[:, 0][None, :]
+    tau = xa[:, None, :] - xb[None, :, :]
+    if kind in BASELINE_KERNELS:
+        return np.sqrt(np.sum(tau * tau, axis=-1))
+    return tau
+
+
+def gram(x, x2, kind: str, params) -> np.ndarray:
+    """Noise-free covariance matrix k(x_i - x2_j) at the :func:`lags`."""
     xa = _as_points(x)
     xb = _as_points(x2)
     if xa.shape[1] != xb.shape[1]:
         raise DimensionMismatchError(xa.shape[1], xb.shape[1])
-    if xa.shape[1] == 1 and not isinstance(params, MultiSlsmParams):
-        tau = xa[:, 0][:, None] - xb[:, 0][None, :]
+    tau = lags(xa, xb, kind, params)
+    if tau.ndim == 2:
         return np.asarray(kernel_value(tau, kind, params))
-    tau = xa[:, None, :] - xb[None, :, :]
-    if kind in BASELINE_KERNELS:
-        dist = np.sqrt(np.sum(tau * tau, axis=-1))
-        return np.asarray(baseline_kernel(dist, params))
     return np.asarray(slsm_kernel_multi_mixture(tau, params, kind=kind))
 
 
@@ -479,22 +433,35 @@ def baseline_partials(tau, b: BaselineKernelParams):
     return val, shape, d_ell, d_alpha
 
 
-def kernel_grad(tau, p: SlsmParams, kind: str = "slsm"):
-    """Flat partial-derivative vector of the mixture kernel at lag ``tau``.
-
-    Layout matches the optimizer's parameter order in *natural* coordinates:
-    [dw_1, dmu_1, dsigma_1, dgamma_1, dw_2, ...] for ``slsm`` and
-    [dw_1, dmu_1, dsigma_1, ...] for ``sm``/``lkp`` (no skew slots).
-    """
-    out = []
-    for c in p.components:
+def natural_partials(tau, kind: str, params):
+    """Yield dK/dtheta at lags ``tau`` (from :func:`lags`), one array at a
+    time, in the optimizer's natural-coordinate slot order without the noise
+    slot: per component w, mu, sigma(2) and, for ``slsm`` only, gamma (P
+    slots each for multivariate mu, sigma2, gamma); theta_f, ell(, rq_alpha)
+    for baselines."""
+    if isinstance(params, BaselineKernelParams):
+        yield from baseline_partials(tau, params)[1:]
+        return
+    params = for_kind(params, kind)
+    if isinstance(params, MultiSlsmParams):
+        for c in params.components:
+            val, d_mu, d_s2, d_ga = multi_component_partials(tau, c, kind=kind)
+            yield val
+            for d in range(c.p):
+                yield c.w * d_mu[..., d]
+            for d in range(c.p):
+                yield c.w * d_s2[..., d]
+            if kind == "slsm":
+                for d in range(c.p):
+                    yield c.w * d_ga[..., d]
+        return
+    for c in params.components:
         if kind == "sm":
             val, d_mu, d_sigma = sm_component_partials(tau, c)
-            out.extend([val, c.w * d_mu, c.w * d_sigma])
-        elif kind == "lkp":
-            val, d_mu, d_sigma, _ = slsm_component_partials(tau, replace(c, gamma=0.0))
-            out.extend([val, c.w * d_mu, c.w * d_sigma])
         else:
             val, d_mu, d_sigma, d_gamma = slsm_component_partials(tau, c)
-            out.extend([val, c.w * d_mu, c.w * d_sigma, c.w * d_gamma])
-    return np.array(out) if np.ndim(tau) == 0 else np.stack(out)
+        yield val
+        yield c.w * d_mu
+        yield c.w * d_sigma
+        if kind == "slsm":
+            yield c.w * d_gamma

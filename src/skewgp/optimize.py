@@ -163,12 +163,6 @@ def untransform(tp: TransformedParams):
     return SlsmParams(tuple(comps), noise_var=vals[i])
 
 
-def chain_to_transformed(natural_grad: np.ndarray, tp: TransformedParams) -> np.ndarray:
-    """Chain natural-coordinate partials through the transform (d theta / dx)."""
-    scale = np.where(tp.layout.log_mask, np.exp(tp.x), 1.0)
-    return natural_grad * scale
-
-
 # ---------------------------------------------------------------------------
 # L-BFGS
 # ---------------------------------------------------------------------------

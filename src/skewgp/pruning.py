@@ -8,7 +8,7 @@ largest-weight component is never pruned, so at least one survives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -53,20 +53,7 @@ class PruneReport:
         return self.rounds[-1].surviving_q if self.rounds else 0
 
     def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "rounds": [
-                {
-                    "round": r.round,
-                    "nlml_before_prune": r.nlml_before_prune,
-                    "pruned_indices": r.pruned_indices,
-                    "pruned_weights": r.pruned_weights,
-                    "surviving_q": r.surviving_q,
-                    "nlml_after_prune": r.nlml_after_prune,
-                }
-                for r in self.rounds
-            ],
-        }
+        return asdict(self)
 
 
 def _denorm_weights(model: TrainedModel) -> np.ndarray:
@@ -116,16 +103,15 @@ def lth_fit(data: Dataset, init_params, kind: str,
         ))
 
         if rnd < cfg.rounds:
-            denorm_noise = model.denormalized_params().noise_var
+            denorm = model.denormalized_params()
             if cfg.rewind == "all":
                 comps = tuple(initial_components[g] for g in surviving)
             else:
-                trained_denorm = model.denormalized_params().components
                 comps = tuple(
                     replace(c, w=initial_components[g].w)
-                    for g, c in zip(surviving, trained_denorm)
+                    for g, c in zip(surviving, denorm.components)
                 )
-            round_init = init_params.__class__(comps, noise_var=denorm_noise)
+            round_init = init_params.__class__(comps, noise_var=denorm.noise_var)
 
     model.prune_report = report.to_dict()
     return model, report

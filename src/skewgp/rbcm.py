@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DataError, NumericalError
 from . import kernels as kn
@@ -27,16 +26,15 @@ from .gp import (
     Dataset,
     Normalization,
     Prediction,
-    TransformedParams,
-    _internal_init,
-    _solve_chol,
-    chol_with_jitter,
-    nlml_value_and_grad,
-    params_from_dict,
-    params_to_dict,
+    factorize,
+    latent_moments,
+    nlml_from_factor,
+    objective_or_inf,
+    record_from_dict,
+    record_to_dict,
+    scale_variances,
 )
-from .gp import SCHEMA_VERSION
-from .optimize import OptConfig, minimize, transform, untransform
+from .optimize import OptConfig, TransformedParams, minimize, transform, untransform
 
 BETA_MODES = ("entropy", "uniform")
 
@@ -90,11 +88,7 @@ class ExpertEnsemble:
 
 
 def _expert_factors(kind, params, expert: _Expert):
-    K = kn.gram(expert.data.X, expert.data.X, kind, params)
-    L, jit = chol_with_jitter(K, params.noise_var)
-    expert.chol_L = L
-    expert.alpha = _solve_chol(L, expert.data.y)
-    expert.jitter_used = jit
+    expert.chol_L, expert.jitter_used, expert.alpha = factorize(expert.data, kind, params)
 
 
 def rbcm_fit(data: Dataset, m: int, kind: str, init_params,
@@ -117,21 +111,13 @@ def rbcm_fit(data: Dataset, m: int, kind: str, init_params,
         _Expert(indices=np.asarray(idx), data=Dataset(data_n.X[idx], data_n.y[idx]))
         for idx in subsets
     ]
-    tp0 = transform(_internal_init(init_params, norm), kind)
+    s2 = norm.y_std**2
+    tp0 = transform(scale_variances(init_params, lambda v: v / s2), kind)
     pool = ThreadPoolExecutor(max_workers=min(len(experts), 8)) if parallel else None
-
-    def one(expert, x):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return nlml_value_and_grad(expert.data, TransformedParams(x, tp0.layout))
-        except (NumericalError, DataError):
-            return np.inf, np.zeros_like(x)
+    each = pool.map if pool is not None else map
 
     def objective(x):
-        if pool is not None:
-            results = list(pool.map(lambda e: one(e, x), experts))
-        else:
-            results = [one(e, x) for e in experts]
+        results = list(each(lambda e: objective_or_inf(e.data, x, tp0.layout), experts))
         f = sum(r[0] for r in results)
         g = np.sum([r[1] for r in results], axis=0)
         if not np.isfinite(f):
@@ -160,9 +146,7 @@ def rbcm_fit(data: Dataset, m: int, kind: str, init_params,
 
 def rbcm_joint_nlml(ens: ExpertEnsemble) -> float:
     """Sum of per-expert NLMLs at the shared parameters (normalized space)."""
-    from .gp import nlml
-
-    return sum(nlml(e.data, ens.params, ens.kind) for e in ens.experts)
+    return sum(nlml_from_factor(e.chol_L, e.alpha, e.data.y) for e in ens.experts)
 
 
 def rbcm_predict(ens: ExpertEnsemble, Xstar, observation_noise: bool = False) -> Prediction:
@@ -179,10 +163,8 @@ def rbcm_predict(ens: ExpertEnsemble, Xstar, observation_noise: bool = False) ->
     means = []
     log_vars = []
     for e in ens.experts:
-        ks = kn.gram(Xs_n, e.data.X, ens.kind, params)
-        mu = ks @ e.alpha
-        v = solve_triangular(e.chol_L, ks.T, lower=True)
-        var = kn.prior_variance(ens.kind, params) - np.sum(v * v, axis=0) + noise
+        mu, var = latent_moments(Xs_n, e, ens.kind, params)
+        var = var + noise
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
             raise NumericalError("expert produced a non-finite prediction")
         var = np.clip(var, 1e-300, None)
@@ -200,18 +182,11 @@ def rbcm_predict(ens: ExpertEnsemble, Xstar, observation_noise: bool = False) ->
     var = 1.0 / prec
     mean = var * np.sum(betas * np.exp(-log_vars) * means, axis=0)
 
-    clamped = 0
+    # with observation noise var = 1 / prec > 0, so only the latent
+    # variance can need clamping
     if not observation_noise:
         var = var - noise
-        clamped = int(np.sum(var < 0.0))
-        var = np.maximum(var, 0.0)
-    s = ens.normalization
-    return Prediction(
-        mean=s.y_mean + s.y_std * mean,
-        var=s.y_std**2 * var,
-        clamped=clamped,
-        observation_noise=observation_noise,
-    )
+    return ens.normalization.prediction(mean, var, observation_noise)
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +196,7 @@ def rbcm_predict(ens: ExpertEnsemble, Xstar, observation_noise: bool = False) ->
 
 def ensemble_to_dict(ens: ExpertEnsemble) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kernel_type": ens.kind,
-        **params_to_dict(ens.params, ens.kind),
-        "normalization": {
-            "y_mean": ens.normalization.y_mean,
-            "y_std": ens.normalization.y_std,
-            "x_means": list(ens.normalization.x_means),
-            "x_stds": list(ens.normalization.x_stds),
-        },
-        "train_fingerprint": ens.train_fingerprint,
+        **record_to_dict(ens.kind, ens.params, ens.normalization, ens.train_fingerprint),
         "rbcm": {"beta_mode": ens.beta_mode, "m": ens.m},
         "experts": [
             {"indices": [int(i) for i in e.indices], "jitter_used": e.jitter_used}
@@ -240,15 +206,7 @@ def ensemble_to_dict(ens: ExpertEnsemble) -> dict:
 
 
 def ensemble_from_dict(d: dict, data: Dataset) -> ExpertEnsemble:
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise DataError(f"unsupported model schema version {d.get('schema_version')!r}")
-    if d["train_fingerprint"] != data.fingerprint():
-        raise DataError("training data does not match the ensemble's fingerprint")
-    kind = d["kernel_type"]
-    params = params_from_dict(d, kind)
-    nz = d["normalization"]
-    norm = Normalization(nz["y_mean"], nz["y_std"], tuple(nz["x_means"]), tuple(nz["x_stds"]))
-    data_n = norm.apply(data)
+    kind, params, norm, data_n = record_from_dict(d, data)
     experts = []
     for rec in d["experts"]:
         idx = np.asarray(rec["indices"], dtype=int)

@@ -64,6 +64,19 @@ class MixtureFit:
         return len(self.weights)
 
 
+def sampling_step(t: np.ndarray) -> tuple[bool, float]:
+    """``(uniform, median gap)`` of sample times ``t``: uniform when the gap
+    spread is within 1e-6 of a positive median gap."""
+    if t.size < 2:
+        return True, 1.0
+    gaps = np.diff(t)
+    med = float(np.median(gaps))
+    if med <= 0.0:
+        return False, 1.0
+    uniform = float(np.max(gaps) - np.min(gaps)) <= 1e-6 * abs(med)
+    return uniform, med
+
+
 def periodogram(series, delta_t: float = 1.0, t=None) -> SpectrumEstimate:
     """Raw one-sided periodogram of a uniformly sampled series.
 
@@ -75,13 +88,8 @@ def periodogram(series, delta_t: float = 1.0, t=None) -> SpectrumEstimate:
     n = y.size
     if n < 4:
         raise DataError(f"periodogram needs n >= 4 samples, got {n}")
-    if t is not None:
-        t = np.asarray(t, dtype=float).ravel()
-        gaps = np.diff(t)
-        if gaps.size and (np.max(gaps) - np.min(gaps)) > 1e-6 * abs(np.median(gaps)):
-            raise DataError(
-                "non-uniform sampling detected; use random initialization instead"
-            )
+    if t is not None and not sampling_step(np.asarray(t, dtype=float).ravel())[0]:
+        raise DataError("non-uniform sampling detected; use random initialization instead")
     yc = y - np.mean(y)
     spec = np.fft.rfft(yc)
     k = np.arange(1, n // 2 + 1)

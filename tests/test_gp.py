@@ -8,7 +8,7 @@ import pytest
 
 import skewgp.gp as gp
 import skewgp.kernels as kn
-from skewgp.errors import DataError, DimensionMismatchError
+from skewgp.errors import DataError, DimensionMismatchError, NumericalError
 from skewgp.gp import Dataset, Normalization, fit, nlml, nlml_grad, sample_prior
 from skewgp.kernels import SlsmComponent, SlsmParams
 from skewgp.optimize import OptConfig, transform
@@ -57,9 +57,20 @@ class TestNlml:
     def test_terms_sum_to_total(self, rng):
         data = Dataset(np.arange(20.0), rng.standard_normal(20))
         p = random_params(rng, q=2, noise=0.2)
-        fit_t, complexity, const = gp.nlml_terms(data, p, "slsm")
+        L, _, alpha = gp.factorize(data, "slsm", p)
+        fit_t = 0.5 * float(data.y @ alpha)
+        complexity = float(np.sum(np.log(np.diag(L))))
+        # zero targets and a unit factor leave only the constant term
+        const = gp.nlml_from_factor(np.eye(20), np.zeros(20), np.zeros(20))
         assert fit_t + complexity + const == nlml(data, p, "slsm")
         assert const == pytest.approx(10.0 * math.log(2 * math.pi))
+
+
+class TestCholWithJitter:
+    def test_overflowing_trace_raises_numerical_error(self):
+        # entries are finite but their trace is not, so no jitter scale exists
+        with pytest.raises(NumericalError):
+            gp.chol_with_jitter(np.diag([1e308, 1e308]), 0.0)
 
 
 class TestNlmlGrad:
@@ -165,7 +176,8 @@ class TestFit:
         data = Dataset(X, y)
         init = SlsmParams((SlsmComponent(1.0, 0.5, 0.3, 0.1),), noise_var=0.5)
         model = fit(data, init, "slsm", OptConfig(max_iters=50))
-        tp0 = transform(gp._internal_init(init, model.normalization), "slsm")
+        s2 = model.normalization.y_std**2
+        tp0 = transform(gp.scale_variances(init, lambda v: v / s2), "slsm")
         f0, _ = gp.nlml_value_and_grad(model.data, tp0)
         assert model.nlml_internal <= f0
         assert model.jitter_used >= 0.0
