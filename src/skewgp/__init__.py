@@ -4,8 +4,6 @@ mixture kernels."""
 from .errors import DataError, DimensionMismatchError, NumericalError, SkewGPError
 from .kernels import (
     BaselineKernelParams,
-    MultiSlsmComponent,
-    MultiSlsmParams,
     SlsmComponent,
     SlsmParams,
     baseline_kernel,
@@ -13,7 +11,6 @@ from .kernels import (
     lkp_kernel,
     slsm_component,
     slsm_kernel,
-    slsm_kernel_multi,
     sm_kernel,
     spectral_density,
 )

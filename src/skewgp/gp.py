@@ -23,13 +23,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .errors import DataError, DimensionMismatchError, NumericalError
 from . import kernels as kn
-from .kernels import (
-    BaselineKernelParams,
-    MultiSlsmComponent,
-    MultiSlsmParams,
-    SlsmComponent,
-    SlsmParams,
-)
+from .kernels import BaselineKernelParams, SlsmComponent, SlsmParams
 from .optimize import (
     OptConfig,
     OptResult,
@@ -119,6 +113,18 @@ class Normalization:
 
     def apply_x(self, X: np.ndarray) -> np.ndarray:
         return (X - np.array(self.x_means)) / np.array(self.x_stds)
+
+    def apply_queries(self, Xstar) -> np.ndarray:
+        """Normalized query points for prediction; they must be finite and
+        have the training inputs' width P."""
+        Xs = np.asarray(Xstar, dtype=float)
+        if Xs.ndim == 1:
+            Xs = Xs[:, None]
+        if Xs.shape[1] != len(self.x_means):
+            raise DimensionMismatchError(len(self.x_means), Xs.shape[1])
+        if not np.all(np.isfinite(Xs)):
+            raise DataError("prediction inputs contain non-finite values")
+        return self.apply_x(Xs)
 
     def prediction(self, mean_n, var_n, observation_noise: bool) -> "Prediction":
         """Target-unit prediction from normalized moments; negative variances
@@ -288,14 +294,7 @@ class TrainedModel:
         return scale_variances(self.params, lambda v: v * s2)
 
     def predict(self, Xstar, observation_noise: bool = False) -> Prediction:
-        Xs = np.asarray(Xstar, dtype=float)
-        if Xs.ndim == 1:
-            Xs = Xs[:, None]
-        if Xs.shape[1] != self.data.p:
-            raise DimensionMismatchError(self.data.p, Xs.shape[1])
-        if not np.all(np.isfinite(Xs)):
-            raise DataError("prediction inputs contain non-finite values")
-        Xs_n = self.normalization.apply_x(Xs)
+        Xs_n = self.normalization.apply_queries(Xstar)
         mean_n, var_n = latent_moments(Xs_n, self, self.kind, self.params)
         if observation_noise:
             var_n = var_n + self.params.noise_var
@@ -377,34 +376,31 @@ def params_to_dict(params, kind: str) -> dict:
         }
     comps = []
     for c in params.components:
-        if isinstance(c, MultiSlsmComponent):
-            comps.append({
-                "w": c.w,
-                "mu": list(c.mu_vec),
-                "sigma2": list(c.sigma2_vec),
-                "gamma": list(c.gamma_vec),
-            })
+        if c.p == 1:
+            mu, sigma, gamma = c.scalars()
+            comps.append({"w": c.w, "mu": mu, "sigma": sigma, "gamma": gamma})
         else:
-            comps.append({"w": c.w, "mu": c.mu, "sigma": c.sigma, "gamma": c.gamma})
+            comps.append({"w": c.w, "mu": list(c.mu), "sigma2": [s**2 for s in c.sigma],
+                          "gamma": list(c.gamma)})
     return {"components": comps, "noise_var": params.noise_var}
 
 
 def params_from_dict(d: dict, kind: str):
+    """Inverse of :func:`params_to_dict`: scalar ``mu/sigma/gamma`` entries
+    are univariate components, list ``mu/sigma2/gamma`` entries multivariate
+    ones, whose variances are stored as sigma^2."""
     if kind in kn.BASELINE_KERNELS:
         b = d["baseline"]
         return BaselineKernelParams(b["variant"], b["theta_f"], b["ell"],
                                     b["rq_alpha"], noise_var=d["noise_var"])
     comps = []
-    multi = False
     for c in d["components"]:
         if isinstance(c.get("mu"), list):
-            multi = True
-            comps.append(MultiSlsmComponent(c["w"], tuple(c["mu"]),
-                                            tuple(c["sigma2"]), tuple(c["gamma"])))
+            sigma = [math.sqrt(v) for v in c["sigma2"]]
         else:
-            comps.append(SlsmComponent(c["w"], c["mu"], c["sigma"], c.get("gamma", 0.0)))
-    cls = MultiSlsmParams if multi else SlsmParams
-    return cls(tuple(comps), noise_var=d["noise_var"])
+            sigma = c["sigma"]
+        comps.append(SlsmComponent(c["w"], c["mu"], sigma, c.get("gamma", 0.0)))
+    return SlsmParams(tuple(comps), noise_var=d["noise_var"])
 
 
 def record_to_dict(kind: str, params, norm: Normalization, fingerprint: str,

@@ -5,20 +5,29 @@ frequency ``mu`` oscillates as ``cos(mu * tau)`` where ``tau`` is the lag in
 input units.  User-facing cycles-per-sample frequencies must be converted with
 ``omega = 2 * pi * f`` before they reach this module.
 
+Every mixture kernel is a weighted sum of :class:`SlsmComponent` terms.  A
+component holds a weight ``w`` and, per input dimension d = 1..P, a location
+``mu_d``, a scale ``sigma_d`` (a standard deviation) and a skew ``gamma_d``;
+a univariate series is the case P = 1.
+
 Kernel families:
 
 * ``slsm``  -- skewed-Laplace spectral mixture.  Each component is the inverse
-  Fourier transform of a symmetrized skewed Laplace density with location
-  ``mu``, scale ``sigma`` and skewness ``gamma``:
+  Fourier transform of a symmetrized skewed Laplace density:
 
-      k_i(tau) = (C cos(mu tau) - gamma tau sin(mu tau)) / (C^2 + gamma^2 tau^2)
+      k_i(tau) = (C cos(mu.tau) - (gamma.tau) sin(mu.tau)) / (C^2 + (gamma.tau)^2)
 
-  with ``C = 1 + sigma^2 tau^2 / 2``.
-* ``sm``    -- Gaussian spectral mixture, ``cos(mu tau) exp(-sigma^2 tau^2 / 2)``.
+  with ``C = 1 + sum_d sigma_d^2 tau_d^2 / 2``; for P = 1 the dot products
+  are plain products.
+* ``sm``    -- Gaussian spectral mixture,
+  ``cos(mu.tau) exp(-sum_d sigma_d^2 tau_d^2 / 2)``.
 * ``lkp``   -- Laplace spectral mixture: ``slsm`` with every skew zeroed by
   :func:`for_kind`, the one place that rule lives.
 * ``se``/``rq`` -- single-component squared-exponential / rational-quadratic
   baselines.
+
+Lags are (n, m) arrays for P = 1 and (n, m, P) arrays for P > 1 (see
+:func:`lags`); only the elementwise formula bodies differ between the two.
 
 Every function is pure and safe to call concurrently.
 """
@@ -42,36 +51,66 @@ KERNEL_TYPES = MIXTURE_KERNELS + BASELINE_KERNELS
 # ---------------------------------------------------------------------------
 
 
+def _per_dim(value, p: int = 1) -> tuple[float, ...]:
+    """``value`` as a tuple of floats; a scalar is repeated ``p`` times."""
+    if np.ndim(value) == 0:
+        return (float(value),) * p
+    return tuple(float(v) for v in value)
+
+
 @dataclass(frozen=True)
 class SlsmComponent:
-    """One spectral-mixture component: weight, angular frequency, scale, skew."""
+    """One spectral-mixture component: weight, then per-dimension angular
+    frequency, scale and skew.  Scalars mean P = 1, except that a scalar
+    ``gamma`` applies to every dimension."""
 
     w: float
-    mu: float
-    sigma: float
-    gamma: float = 0.0
+    mu: tuple[float, ...]
+    sigma: tuple[float, ...]
+    gamma: tuple[float, ...] = 0.0
 
     def __post_init__(self):
+        mu = _per_dim(self.mu)
+        p = len(mu)
+        sigma, gamma = _per_dim(self.sigma), _per_dim(self.gamma, p)
+        if p < 1:
+            raise DataError("component needs P >= 1")
+        for v in (sigma, gamma):
+            if len(v) != p:
+                raise DimensionMismatchError(p, len(v))
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "gamma", gamma)
         if not (self.w >= 0.0):
             raise DataError(f"component weight must be >= 0, got {self.w}")
-        if not (self.mu >= 0.0):
-            raise DataError(f"component frequency must be >= 0, got {self.mu}")
-        if not (self.sigma > 0.0):
-            raise DataError(f"component scale must be > 0, got {self.sigma}")
-        if not math.isfinite(self.gamma):
-            raise DataError(f"component skew must be finite, got {self.gamma}")
+        if not all(m >= 0.0 for m in mu):
+            raise DataError(f"component frequency must be >= 0, got {mu}")
+        if not all(s > 0.0 for s in sigma):
+            raise DataError(f"component scale must be > 0, got {sigma}")
+        if not all(math.isfinite(g) for g in gamma):
+            raise DataError(f"component skew must be finite, got {gamma}")
+
+    @property
+    def p(self) -> int:
+        return len(self.mu)
+
+    def scalars(self) -> tuple[float, float, float]:
+        """``(mu, sigma, gamma)`` of a univariate component."""
+        if self.p != 1:
+            raise DimensionMismatchError(1, self.p)
+        return self.mu[0], self.sigma[0], self.gamma[0]
 
     @property
     def kappa(self) -> float:
         """Asymmetry ratio of the skewed Laplace density; > 0 for any gamma."""
-        return math.sqrt(2.0) * self.sigma / (
-            self.gamma + math.sqrt(2.0 * self.sigma**2 + self.gamma**2)
-        )
+        _, sigma, gamma = self.scalars()
+        return math.sqrt(2.0) * sigma / (gamma + math.sqrt(2.0 * sigma**2 + gamma**2))
 
 
 @dataclass(frozen=True)
 class SlsmParams:
-    """Full hyper-parameter set of a univariate mixture kernel."""
+    """Full hyper-parameter set of a mixture kernel: Q components over P
+    input dimensions, plus the observation noise variance."""
 
     components: tuple[SlsmComponent, ...]
     noise_var: float = 0.0
@@ -80,62 +119,9 @@ class SlsmParams:
         object.__setattr__(self, "components", tuple(self.components))
         if len(self.components) < 1:
             raise DataError("mixture needs at least one component")
-        if not (self.noise_var >= 0.0):
-            raise DataError(f"noise variance must be >= 0, got {self.noise_var}")
-
-    @property
-    def q(self) -> int:
-        return len(self.components)
-
-    def with_components(self, components) -> "SlsmParams":
-        return replace(self, components=tuple(components))
-
-
-@dataclass(frozen=True)
-class MultiSlsmComponent:
-    """Multivariate mixture component with diagonal scale matrix."""
-
-    w: float
-    mu_vec: tuple[float, ...]
-    sigma2_vec: tuple[float, ...]
-    gamma_vec: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu_vec", tuple(float(v) for v in self.mu_vec))
-        object.__setattr__(self, "sigma2_vec", tuple(float(v) for v in self.sigma2_vec))
-        object.__setattr__(self, "gamma_vec", tuple(float(v) for v in self.gamma_vec))
-        p = len(self.mu_vec)
-        if p < 1:
-            raise DataError("multivariate component needs P >= 1")
-        if len(self.sigma2_vec) != p or len(self.gamma_vec) != p:
-            raise DimensionMismatchError(p, min(len(self.sigma2_vec), len(self.gamma_vec)))
-        if not (self.w >= 0.0):
-            raise DataError(f"component weight must be >= 0, got {self.w}")
-        if any(m < 0.0 for m in self.mu_vec):
-            raise DataError("component frequencies must be >= 0")
-        if any(s <= 0.0 for s in self.sigma2_vec):
-            raise DataError("component variances must be > 0")
-
-    @property
-    def p(self) -> int:
-        return len(self.mu_vec)
-
-
-@dataclass(frozen=True)
-class MultiSlsmParams:
-    """Mixture of multivariate components plus observation noise."""
-
-    components: tuple[MultiSlsmComponent, ...]
-    noise_var: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if len(self.components) < 1:
-            raise DataError("mixture needs at least one component")
-        p = self.components[0].p
         for c in self.components:
-            if c.p != p:
-                raise DimensionMismatchError(p, c.p)
+            if c.p != self.p:
+                raise DimensionMismatchError(self.p, c.p)
         if not (self.noise_var >= 0.0):
             raise DataError(f"noise variance must be >= 0, got {self.noise_var}")
 
@@ -147,7 +133,7 @@ class MultiSlsmParams:
     def p(self) -> int:
         return self.components[0].p
 
-    def with_components(self, components) -> "MultiSlsmParams":
+    def with_components(self, components) -> "SlsmParams":
         return replace(self, components=tuple(components))
 
 
@@ -174,49 +160,77 @@ def for_kind(params, kind: str):
     """``params`` as kernel ``kind`` evaluates them: ``lkp`` zeroes every skew."""
     if kind != "lkp":
         return params
-    if isinstance(params, MultiSlsmParams):
-        return params.with_components(
-            replace(c, gamma_vec=(0.0,) * c.p) for c in params.components)
     return params.with_components(replace(c, gamma=0.0) for c in params.components)
 
 
 # ---------------------------------------------------------------------------
-# univariate kernel evaluation
+# kernel evaluation
 # ---------------------------------------------------------------------------
 
 
+def _vector_terms(tau: np.ndarray, c: SlsmComponent):
+    """Phase mu.tau, skew gamma.tau and half the scaled squared lag
+    sum_d sigma_d^2 tau_d^2 / 2 of a P > 1 component at (..., P) lags."""
+    if tau.shape[-1] != c.p:
+        raise DimensionMismatchError(c.p, tau.shape[-1])
+    half_sq = 0.5 * (tau * tau) @ np.square(c.sigma)
+    return tau @ np.asarray(c.mu), tau @ np.asarray(c.gamma), half_sq
+
+
 def slsm_component(tau, c: SlsmComponent):
-    """Unweighted skewed-Laplace component at lags ``tau`` (any array shape);
-    1 at tau = 0, bounded by 1."""
+    """Unweighted skewed-Laplace component at lags ``tau`` (any array shape
+    for P = 1, (..., P) for P > 1); 1 at tau = 0, bounded by 1."""
     tau = np.asarray(tau, dtype=float)
-    phase = c.mu * tau
+    if c.p > 1:
+        phase, skew, half_sq = _vector_terms(tau, c)
+        cc = 1.0 + half_sq
+        return (cc * np.cos(phase) - skew * np.sin(phase)) / (cc * cc + skew * skew)
+    mu, sigma, gamma = c.scalars()
+    phase = mu * tau
     cos_p = np.cos(phase)
     sin_p = np.sin(phase)
-    cc = 1.0 + 0.5 * c.sigma**2 * tau**2
-    return (cc * cos_p - c.gamma * tau * sin_p) / (cc * cc + c.gamma**2 * tau**2)
+    cc = 1.0 + 0.5 * sigma**2 * tau**2
+    return (cc * cos_p - gamma * tau * sin_p) / (cc * cc + gamma**2 * tau**2)
+
+
+def _weighted_component(tau: np.ndarray, c: SlsmComponent, kind: str):
+    """``w`` times the unweighted component of mixture kernel ``kind``."""
+    if kind != "sm":
+        return c.w * slsm_component(tau, c)
+    if c.p > 1:
+        phase, _, half_sq = _vector_terms(tau, c)
+        return c.w * (np.cos(phase) * np.exp(-half_sq))
+    mu, sigma, _ = c.scalars()
+    return c.w * np.cos(mu * tau) * np.exp(-0.5 * sigma**2 * tau**2)
+
+
+def kernel_value(tau, kind: str, params):
+    """Kernel ``kind`` at lags ``tau``: the weighted component sum for
+    mixtures (Sum(w) at tau = 0), the baseline formula otherwise."""
+    if kind in BASELINE_KERNELS:
+        return baseline_kernel(tau, params)
+    if kind not in MIXTURE_KERNELS:
+        raise DataError(f"unknown kernel kind {kind!r}")
+    tau = np.asarray(tau, dtype=float)
+    out = np.zeros(tau.shape if params.p == 1 else tau.shape[:-1])
+    for c in for_kind(params, kind).components:
+        out += _weighted_component(tau, c, kind)
+    return out if out.shape else float(out)
 
 
 def slsm_kernel(tau, p: SlsmParams):
     """Weighted sum of skewed-Laplace components; Sum(w) at tau = 0."""
-    tau = np.asarray(tau, dtype=float)
-    out = np.zeros(np.shape(tau))
-    for c in p.components:
-        out += c.w * slsm_component(tau, c)
-    return out if out.shape else float(out)
+    return kernel_value(tau, "slsm", p)
 
 
 def sm_kernel(tau, p: SlsmParams):
     """Gaussian spectral mixture; any skew parameters are ignored."""
-    tau = np.asarray(tau, dtype=float)
-    out = np.zeros(np.shape(tau))
-    for c in p.components:
-        out += c.w * np.cos(c.mu * tau) * np.exp(-0.5 * c.sigma**2 * tau**2)
-    return out if out.shape else float(out)
+    return kernel_value(tau, "sm", p)
 
 
 def lkp_kernel(tau, p: SlsmParams):
     """Laplace spectral mixture: the skew-free case of ``slsm_kernel``."""
-    return slsm_kernel(tau, for_kind(p, "lkp"))
+    return kernel_value(tau, "lkp", p)
 
 
 def baseline_kernel(tau, b: BaselineKernelParams):
@@ -231,64 +245,25 @@ def baseline_kernel(tau, b: BaselineKernelParams):
 
 
 # ---------------------------------------------------------------------------
-# spectral density
+# spectral density (univariate components)
 # ---------------------------------------------------------------------------
 
 
 def _skewed_laplace_pdf(s: np.ndarray, c: SlsmComponent) -> np.ndarray:
     """Asymmetric Laplace density with location mu, scale sigma, skew gamma."""
+    mu, sigma, _ = c.scalars()
     kap = c.kappa
-    amp = math.sqrt(2.0) / c.sigma * kap / (1.0 + kap * kap)
+    amp = math.sqrt(2.0) / sigma * kap / (1.0 + kap * kap)
     # exponents are clamped at 0 so the branch discarded by where() never overflows
-    left = np.exp(np.minimum(-math.sqrt(2.0) / (c.sigma * kap) * (c.mu - s), 0.0))
-    right = np.exp(np.minimum(-math.sqrt(2.0) * kap / c.sigma * (s - c.mu), 0.0))
-    return amp * np.where(s < c.mu, left, right)
+    left = np.exp(np.minimum(-math.sqrt(2.0) / (sigma * kap) * (mu - s), 0.0))
+    right = np.exp(np.minimum(-math.sqrt(2.0) * kap / sigma * (s - mu), 0.0))
+    return amp * np.where(s < mu, left, right)
 
 
 def spectral_density(s, c: SlsmComponent):
     """Symmetrized component density: even, nonnegative, integrates to 1."""
     s = np.asarray(s, dtype=float)
     out = 0.5 * (_skewed_laplace_pdf(s, c) + _skewed_laplace_pdf(-s, c))
-    return out if out.shape else float(out)
-
-
-# ---------------------------------------------------------------------------
-# multivariate evaluation
-# ---------------------------------------------------------------------------
-
-
-def slsm_kernel_multi(tau_vec, c: MultiSlsmComponent):
-    """Unweighted multivariate component.
-
-    ``tau_vec`` is either a length-P lag vector or an (..., P) array of lags.
-    """
-    tau = np.atleast_1d(np.asarray(tau_vec, dtype=float))
-    if tau.shape[-1] != c.p:
-        raise DimensionMismatchError(c.p, tau.shape[-1])
-    mu = np.asarray(c.mu_vec)
-    s2 = np.asarray(c.sigma2_vec)
-    ga = np.asarray(c.gamma_vec)
-    phase = tau @ mu
-    skew = tau @ ga
-    cmat = 1.0 + 0.5 * (tau * tau) @ s2
-    out = (cmat * np.cos(phase) - skew * np.sin(phase)) / (cmat * cmat + skew * skew)
-    return out if out.shape else float(out)
-
-
-def slsm_kernel_multi_mixture(tau_vec, p: MultiSlsmParams, kind: str = "slsm"):
-    """Weighted multivariate mixture; ``sm`` swaps in the Gaussian envelope."""
-    tau = np.atleast_1d(np.asarray(tau_vec, dtype=float))
-    if tau.shape[-1] != p.p:
-        raise DimensionMismatchError(p.p, tau.shape[-1])
-    out = np.zeros(tau.shape[:-1])
-    for c in for_kind(p, kind).components:
-        if kind == "sm":
-            mu = np.asarray(c.mu_vec)
-            s2 = np.asarray(c.sigma2_vec)
-            comp = np.cos(tau @ mu) * np.exp(-0.5 * (tau * tau) @ s2)
-        else:
-            comp = slsm_kernel_multi(tau, c)
-        out += c.w * comp
     return out if out.shape else float(out)
 
 
@@ -306,22 +281,9 @@ def _as_points(x) -> np.ndarray:
     return x
 
 
-def kernel_value(tau, kind: str, params):
-    """Dispatch a univariate-lag kernel evaluation by kind."""
-    if kind == "slsm":
-        return slsm_kernel(tau, params)
-    if kind == "sm":
-        return sm_kernel(tau, params)
-    if kind == "lkp":
-        return lkp_kernel(tau, params)
-    if kind in BASELINE_KERNELS:
-        return baseline_kernel(tau, params)
-    raise DataError(f"unknown kernel kind {kind!r}")
-
-
 def prior_variance(kind: str, params) -> float:
     """k(0): Sum(w) for mixtures, theta_f for baselines."""
-    if isinstance(params, (SlsmParams, MultiSlsmParams)):
+    if isinstance(params, SlsmParams):
         return float(sum(c.w for c in params.components))
     return float(params.theta_f)
 
@@ -331,9 +293,11 @@ def lags(xa: np.ndarray, xb: np.ndarray, kind: str, params) -> np.ndarray:
 
     Univariate inputs give an (n, m) array.  For multivariate inputs, mixture
     kernels take the (n, m, P) vector lag and baselines the (n, m) Euclidean
-    distance.
+    distance.  Mixture parameters must have the points' P.
     """
-    if xa.shape[1] == 1 and not isinstance(params, MultiSlsmParams):
+    if isinstance(params, SlsmParams) and params.p != xa.shape[1]:
+        raise DimensionMismatchError(params.p, xa.shape[1])
+    if xa.shape[1] == 1:
         return xa[:, 0][:, None] - xb[:, 0][None, :]
     tau = xa[:, None, :] - xb[None, :, :]
     if kind in BASELINE_KERNELS:
@@ -347,10 +311,7 @@ def gram(x, x2, kind: str, params) -> np.ndarray:
     xb = _as_points(x2)
     if xa.shape[1] != xb.shape[1]:
         raise DimensionMismatchError(xa.shape[1], xb.shape[1])
-    tau = lags(xa, xb, kind, params)
-    if tau.ndim == 2:
-        return np.asarray(kernel_value(tau, kind, params))
-    return np.asarray(slsm_kernel_multi_mixture(tau, params, kind=kind))
+    return np.asarray(kernel_value(lags(xa, xb, kind, params), kind, params))
 
 
 # ---------------------------------------------------------------------------
@@ -359,59 +320,59 @@ def gram(x, x2, kind: str, params) -> np.ndarray:
 
 
 def slsm_component_partials(tau, c: SlsmComponent):
-    """(value, d/dmu, d/dsigma, d/dgamma) of the unweighted component."""
+    """(value, d/dmu, d/dsigma, d/dgamma) of the unweighted P = 1 component."""
     tau = np.asarray(tau, dtype=float)
-    phase = c.mu * tau
+    mu, sigma, gamma = c.scalars()
+    phase = mu * tau
     cos_p = np.cos(phase)
     sin_p = np.sin(phase)
-    cc = 1.0 + 0.5 * c.sigma**2 * tau**2
-    den = cc * cc + c.gamma**2 * tau**2
-    val = (cc * cos_p - c.gamma * tau * sin_p) / den
-    d_mu = (-cc * tau * sin_p - c.gamma * tau**2 * cos_p) / den
-    d_sigma = c.sigma * tau**2 * (cos_p - 2.0 * cc * val) / den
-    d_gamma = (-tau * sin_p - 2.0 * c.gamma * tau**2 * val) / den
+    cc = 1.0 + 0.5 * sigma**2 * tau**2
+    den = cc * cc + gamma**2 * tau**2
+    val = (cc * cos_p - gamma * tau * sin_p) / den
+    d_mu = (-cc * tau * sin_p - gamma * tau**2 * cos_p) / den
+    d_sigma = sigma * tau**2 * (cos_p - 2.0 * cc * val) / den
+    d_gamma = (-tau * sin_p - 2.0 * gamma * tau**2 * val) / den
     return val, d_mu, d_sigma, d_gamma
 
 
 def sm_component_partials(tau, c: SlsmComponent):
-    """(value, d/dmu, d/dsigma) of the unweighted Gaussian-mixture component."""
+    """(value, d/dmu, d/dsigma) of the unweighted P = 1 Gaussian-mixture
+    component."""
     tau = np.asarray(tau, dtype=float)
-    env = np.exp(-0.5 * c.sigma**2 * tau**2)
-    cos_p = np.cos(c.mu * tau)
+    mu, sigma, _ = c.scalars()
+    env = np.exp(-0.5 * sigma**2 * tau**2)
+    cos_p = np.cos(mu * tau)
     val = cos_p * env
-    d_mu = -tau * np.sin(c.mu * tau) * env
-    d_sigma = -c.sigma * tau**2 * val
+    d_mu = -tau * np.sin(mu * tau) * env
+    d_sigma = -sigma * tau**2 * val
     return val, d_mu, d_sigma
 
 
-def multi_component_partials(tau, c: MultiSlsmComponent, kind: str = "slsm"):
-    """Value and partials of a multivariate component at lags ``tau``.
+def multi_component_partials(tau, c: SlsmComponent, kind: str = "slsm"):
+    """Value and partials of a P > 1 component at (..., P) lags ``tau``.
 
-    ``tau`` has shape (..., P).  Returns ``(value, d_mu, d_sigma2, d_gamma)``
-    where each partial block has shape (..., P); the skew block is None for
-    ``sm``.
+    Returns ``(value, d_mu, d_sigma[, d_gamma])``; each partial is a (P, ...)
+    stack holding one block per dimension, and ``sm`` has no skew partial.
     """
     tau = np.asarray(tau, dtype=float)
-    mu = np.asarray(c.mu_vec)
-    s2 = np.asarray(c.sigma2_vec)
-    phase = tau @ mu
-    if kind == "sm":
-        env = np.exp(-0.5 * (tau * tau) @ s2)
-        val = np.cos(phase) * env
-        d_mu = -np.sin(phase)[..., None] * tau * env[..., None]
-        d_s2 = -0.5 * (tau * tau) * val[..., None]
-        return val, d_mu, d_s2, None
-    ga = np.asarray(c.gamma_vec)
-    skew = tau @ ga
-    cmat = 1.0 + 0.5 * (tau * tau) @ s2
+    phase, skew, half_sq = _vector_terms(tau, c)
+    sq_sigma = (tau * tau) * np.asarray(c.sigma)
     cos_p = np.cos(phase)
     sin_p = np.sin(phase)
-    den = cmat * cmat + skew * skew
-    val = (cmat * cos_p - skew * sin_p) / den
-    d_mu = ((-cmat * sin_p - skew * cos_p) / den)[..., None] * tau
-    d_s2 = (0.5 * (cos_p - 2.0 * cmat * val) / den)[..., None] * (tau * tau)
-    d_gamma = ((-sin_p - 2.0 * skew * val) / den)[..., None] * tau
-    return val, d_mu, d_s2, d_gamma
+    if kind == "sm":
+        env = np.exp(-half_sq)
+        val = cos_p * env
+        blocks = (-(sin_p * env)[..., None] * tau, -val[..., None] * sq_sigma)
+    else:
+        cc = 1.0 + half_sq
+        den = cc * cc + skew * skew
+        val = (cc * cos_p - skew * sin_p) / den
+        blocks = (
+            ((-cc * sin_p - skew * cos_p) / den)[..., None] * tau,
+            ((cos_p - 2.0 * cc * val) / den)[..., None] * sq_sigma,
+            ((-sin_p - 2.0 * skew * val) / den)[..., None] * tau,
+        )
+    return (val,) + tuple(np.moveaxis(b, -1, 0) for b in blocks)
 
 
 def baseline_partials(tau, b: BaselineKernelParams):
@@ -436,32 +397,19 @@ def baseline_partials(tau, b: BaselineKernelParams):
 def natural_partials(tau, kind: str, params):
     """Yield dK/dtheta at lags ``tau`` (from :func:`lags`), one array at a
     time, in the optimizer's natural-coordinate slot order without the noise
-    slot: per component w, mu, sigma(2) and, for ``slsm`` only, gamma (P
-    slots each for multivariate mu, sigma2, gamma); theta_f, ell(, rq_alpha)
-    for baselines."""
+    slot: per component w, then P slots each of mu, sigma and, for ``slsm``
+    only, gamma; theta_f, ell(, rq_alpha) for baselines."""
     if isinstance(params, BaselineKernelParams):
         yield from baseline_partials(tau, params)[1:]
         return
-    params = for_kind(params, kind)
-    if isinstance(params, MultiSlsmParams):
-        for c in params.components:
-            val, d_mu, d_s2, d_ga = multi_component_partials(tau, c, kind=kind)
-            yield val
-            for d in range(c.p):
-                yield c.w * d_mu[..., d]
-            for d in range(c.p):
-                yield c.w * d_s2[..., d]
-            if kind == "slsm":
-                for d in range(c.p):
-                    yield c.w * d_ga[..., d]
-        return
-    for c in params.components:
-        if kind == "sm":
-            val, d_mu, d_sigma = sm_component_partials(tau, c)
+    for c in for_kind(params, kind).components:
+        if c.p > 1:
+            val, *blocks = multi_component_partials(tau, c, kind=kind)
         else:
-            val, d_mu, d_sigma, d_gamma = slsm_component_partials(tau, c)
+            body = sm_component_partials if kind == "sm" else slsm_component_partials
+            val, *parts = body(tau, c)
+            blocks = [(d,) for d in parts]
         yield val
-        yield c.w * d_mu
-        yield c.w * d_sigma
-        if kind == "slsm":
-            yield c.w * d_gamma
+        for block in blocks[:3 if kind == "slsm" else 2]:
+            for part in block:
+                yield c.w * part

@@ -3,8 +3,10 @@
 The hyper-parameter surface is optimized in transformed coordinates: every
 positivity-constrained parameter (weights, frequencies, scales, noise
 variance) goes through a natural log, skew parameters stay on the identity
-map.  Frequencies intended at zero are represented by 1e-8 so a single log
-transform covers every slot.
+map.  Scales are standard deviations in every input dimension, so the scale
+coordinate is log sigma_d whatever the number of dimensions P.  Frequencies
+intended at zero are represented by 1e-8 so a single log transform covers
+every slot.
 
 The line search is a bisection weak-Wolfe search (sufficient decrease with
 c1 = 1e-4, curvature with c2 = 0.9).  On a line-search failure the optimizer
@@ -20,13 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .kernels import (
-    BaselineKernelParams,
-    MultiSlsmComponent,
-    MultiSlsmParams,
-    SlsmComponent,
-    SlsmParams,
-)
+from .kernels import BaselineKernelParams, SlsmComponent, SlsmParams
 
 MU_FLOOR = 1e-8
 WOLFE_C1 = 1e-4
@@ -101,28 +97,18 @@ def transform(params, kind: str) -> TransformedParams:
         layout = ParamLayout(kind, 1, 1, tuple(logm), tuple(gamm), tuple(names))
         return TransformedParams(np.array(x), layout)
 
-    if isinstance(params, MultiSlsmParams):
-        for i, c in enumerate(params.components):
-            push(c.w, f"w[{i}]")
-            for d in range(c.p):
-                push(max(c.mu_vec[d], MU_FLOOR), f"mu[{i},{d}]")
-            for d in range(c.p):
-                push(c.sigma2_vec[d], f"sigma2[{i},{d}]")
-            if kind == "slsm":
-                for d in range(c.p):
-                    push(c.gamma_vec[d], f"gamma[{i},{d}]", log=False, gamma=True)
-        push(params.noise_var, "noise_var")
-        layout = ParamLayout(kind, params.q, params.p, tuple(logm), tuple(gamm), tuple(names))
-        return TransformedParams(np.array(x), layout)
-
     for i, c in enumerate(params.components):
         push(c.w, f"w[{i}]")
-        push(max(c.mu, MU_FLOOR), f"mu[{i}]")
-        push(c.sigma, f"sigma[{i}]")
+        dims = [f"{i}"] if c.p == 1 else [f"{i},{d}" for d in range(c.p)]
+        for at, m in zip(dims, c.mu):
+            push(max(m, MU_FLOOR), f"mu[{at}]")
+        for at, s in zip(dims, c.sigma):
+            push(s, f"sigma[{at}]")
         if kind == "slsm":
-            push(c.gamma, f"gamma[{i}]", log=False, gamma=True)
+            for at, g in zip(dims, c.gamma):
+                push(g, f"gamma[{at}]", log=False, gamma=True)
     push(params.noise_var, "noise_var")
-    layout = ParamLayout(kind, params.q, 1, tuple(logm), tuple(gamm), tuple(names))
+    layout = ParamLayout(kind, params.q, params.p, tuple(logm), tuple(gamm), tuple(names))
     return TransformedParams(np.array(x), layout)
 
 
@@ -139,26 +125,15 @@ def untransform(tp: TransformedParams):
         if kind == "rq":
             alpha = vals[i]; i += 1
         return BaselineKernelParams(kind, theta_f, ell, alpha, noise_var=vals[i])
-    if lay.p > 1:
-        comps = []
-        for _ in range(lay.q):
-            w = vals[i]; i += 1
-            mu = tuple(vals[i:i + lay.p]); i += lay.p
-            s2 = tuple(vals[i:i + lay.p]); i += lay.p
-            if kind == "slsm":
-                ga = tuple(vals[i:i + lay.p]); i += lay.p
-            else:
-                ga = (0.0,) * lay.p
-            comps.append(MultiSlsmComponent(w, mu, s2, ga))
-        return MultiSlsmParams(tuple(comps), noise_var=vals[i])
+    p = lay.p
     comps = []
     for _ in range(lay.q):
         w = vals[i]; i += 1
-        mu = vals[i]; i += 1
-        sigma = vals[i]; i += 1
+        mu = vals[i:i + p]; i += p
+        sigma = vals[i:i + p]; i += p
         gamma = 0.0
         if kind == "slsm":
-            gamma = vals[i]; i += 1
+            gamma = vals[i:i + p]; i += p
         comps.append(SlsmComponent(w, mu, sigma, gamma))
     return SlsmParams(tuple(comps), noise_var=vals[i])
 

@@ -151,10 +151,7 @@ def rbcm_joint_nlml(ens: ExpertEnsemble) -> float:
 
 def rbcm_predict(ens: ExpertEnsemble, Xstar, observation_noise: bool = False) -> Prediction:
     """Weighted product-of-experts prediction at the query points."""
-    Xs = np.asarray(Xstar, dtype=float)
-    if Xs.ndim == 1:
-        Xs = Xs[:, None]
-    Xs_n = ens.normalization.apply_x(Xs)
+    Xs_n = ens.normalization.apply_queries(Xstar)
     params = ens.params
     noise = params.noise_var
     prior_var = kn.prior_variance(ens.kind, params) + noise

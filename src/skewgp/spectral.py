@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .kernels import MultiSlsmComponent, MultiSlsmParams, SlsmComponent, SlsmParams
+from .kernels import SlsmComponent, SlsmParams
 
 EM_MAX_ITERS = 200
 EM_TOL = 1e-8
@@ -229,36 +229,22 @@ def init_params(fit: MixtureFit, kernel: str, y_var: float, seed: int = 0) -> Sl
 
 
 def random_init(q: int, kernel: str, y_var: float, freq_max: float,
-                seed: int = 0, p: int = 1):
+                seed: int = 0, p: int = 1) -> SlsmParams:
     """Seeded random fallback initialization (multivariate or non-uniform data).
 
-    Frequencies are uniform on [0, freq_max] (Nyquist-bounded for time series,
-    median-distance-bounded otherwise); scales are uniform on
-    [0.1, 1] * freq_max.
+    Per component and dimension, frequencies are uniform on [0, freq_max]
+    (Nyquist-bounded for time series, median-distance-bounded otherwise),
+    scales uniform on [0.1, 1] * freq_max and, for ``slsm``, skews uniform on
+    [-1, 1]; they are drawn in that order.
     """
     rng = np.random.default_rng(seed)
-    noise = 0.1 * y_var
-    if p == 1:
-        comps = []
-        for _ in range(q):
-            gamma = float(rng.uniform(-1.0, 1.0)) if kernel == "slsm" else 0.0
-            comps.append(SlsmComponent(
-                w=y_var / q,
-                mu=float(rng.uniform(0.0, freq_max)),
-                sigma=float(rng.uniform(0.1, 1.0) * freq_max),
-                gamma=gamma,
-            ))
-        return SlsmParams(tuple(comps), noise_var=noise)
     comps = []
     for _ in range(q):
         mu = rng.uniform(0.0, freq_max, size=p)
-        sigma2 = (rng.uniform(0.1, 1.0, size=p) * freq_max) ** 2
-        if kernel == "slsm":
-            gamma = rng.uniform(-1.0, 1.0, size=p)
-        else:
-            gamma = np.zeros(p)
-        comps.append(MultiSlsmComponent(y_var / q, tuple(mu), tuple(sigma2), tuple(gamma)))
-    return MultiSlsmParams(tuple(comps), noise_var=noise)
+        sigma = rng.uniform(0.1, 1.0, size=p) * freq_max
+        gamma = rng.uniform(-1.0, 1.0, size=p) if kernel == "slsm" else 0.0
+        comps.append(SlsmComponent(y_var / q, mu, sigma, gamma))
+    return SlsmParams(tuple(comps), noise_var=0.1 * y_var)
 
 
 def nyquist_freq_max(delta_t: float) -> float:

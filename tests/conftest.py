@@ -33,10 +33,11 @@ def quad_kernel_oracle(tau: float, c: SlsmComponent) -> float:
     +-(|mu| + 40 max(sigma, |gamma|)) bounds the truncation error far below
     the 1e-6 comparison tolerance.
     """
-    hi = abs(c.mu) + 40.0 * max(c.sigma, abs(c.gamma), 1.0)
+    mu, sigma, gamma = c.scalars()
+    hi = abs(mu) + 40.0 * max(sigma, abs(gamma), 1.0)
     val, _ = quad(
         lambda s: spectral_density(s, c) * math.cos(s * tau),
-        0.0, hi, points=[c.mu], limit=400, epsabs=1e-9, epsrel=1e-9,
+        0.0, hi, points=[mu], limit=400, epsabs=1e-9, epsrel=1e-9,
     )
     return 2.0 * val
 

@@ -1,25 +1,35 @@
-"""Every per-layer hook of the benchmark's tracer names a program attribute
-that exists, so a refactor cannot drop a layer metric unnoticed.
+"""The program keeps what the benchmark under ``perfbench/`` relies on, so a
+refactor cannot break it unnoticed:
 
-The targets are resolved the way ``perfbench/tracer.py`` resolves them; no
-hook is installed.
+* every per-layer hook of the tracer names a program attribute that exists
+  (resolved the way ``perfbench/tracer.py`` resolves them; no hook is
+  installed), so no layer metric is dropped;
+* the model record carries the keys ``perfbench/oracle.py`` reads, and the
+  oracle's closed form rebuilds the program's Gram matrix from them.
 """
 
 import importlib
 import importlib.util
+import json
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _hook_targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return [(modname, attr) for modname, attr, _, _ in tracer.HOOKS]
+    return [(modname, attr) for modname, attr, _, _ in _load("tracer").HOOKS]
 
 
 @pytest.mark.parametrize("modname, attr", _hook_targets())
@@ -33,3 +43,35 @@ def test_hook_target_resolves(modname, attr):
 def test_rbcm_pool_is_the_executor_the_tracer_replaces():
     rbcm = importlib.import_module("skewgp.rbcm")
     assert rbcm.ThreadPoolExecutor is ThreadPoolExecutor
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_model_record_has_the_keys_the_oracle_reads(p):
+    from skewgp import gp, kernels, spectral
+    from skewgp.optimize import OptConfig
+
+    rng = np.random.default_rng(4)
+    X = rng.uniform(0.0, 6.0, (20, p))
+    y = 2.0 + np.cos(X.sum(axis=1)) + 0.1 * rng.standard_normal(20)
+    data = gp.Dataset(X, y)
+    init = spectral.random_init(2, "slsm", float(np.var(y)), 2.0, seed=0, p=p)
+    model = gp.fit(data, init, "slsm", OptConfig(max_iters=5))
+    doc = json.loads(gp.model_to_json(model))
+    assert doc["schema_version"] == 1
+    scale_key = "sigma" if p == 1 else "sigma2"
+    for comp in doc["components"]:
+        assert list(comp) == ["w", "mu", scale_key, "gamma"]
+        for key in ("mu", scale_key, "gamma"):
+            if p == 1:
+                assert isinstance(comp[key], float)
+            else:
+                assert isinstance(comp[key], list) and len(comp[key]) == p
+    for key in ("noise_var", "jitter_used"):
+        assert isinstance(doc[key], float)
+    assert set(doc["normalization"]) >= {"y_mean", "y_std", "x_means", "x_stds"}
+
+    oracle = _load("oracle")
+    xn = oracle.normalize(doc, X)
+    expected = kernels.gram(model.data.X, model.data.X, "slsm", model.params)
+    np.testing.assert_allclose(oracle.slsm_gram(xn, xn, doc["components"]), expected,
+                               rtol=0, atol=1e-12 * np.max(np.abs(expected)))

@@ -18,7 +18,7 @@ from skewgp.cli import (
     read_predictions_csv,
     run_job,
 )
-from skewgp.kernels import MultiSlsmParams, SlsmParams
+from skewgp.kernels import SlsmParams
 
 from conftest import AIRLINE_CSV
 
@@ -122,7 +122,7 @@ class TestSplitAndInit:
                    "\n".join(",".join(repr(float(v)) for v in r) for r in rows) + "\n")
         data, info = ingest_csv(p)
         init, spec_pair = build_init(data, info, "slsm", 3, seed=0)
-        assert isinstance(init, MultiSlsmParams)
+        assert isinstance(init, SlsmParams) and init.p == 3
         assert spec_pair is None    # spectral init disabled off the uniform path
 
 
@@ -245,6 +245,19 @@ class TestCommands:
         assert res.exit_code == 0, res.output
         rows, header = cli._parse_rows(sample_path)
         assert rows.shape == (50, 4)
+
+    def test_sample_multivariate_model_is_data_error(self, runner, tmp_path, rng):
+        # samples are drawn on a 1-D grid, which a P=2 kernel cannot take
+        rows = np.column_stack([rng.uniform(0, 5, (30, 2)), rng.standard_normal(30)])
+        src = _write(tmp_path, "xy.csv",
+                     "".join(",".join(repr(float(v)) for v in r) + "\n" for r in rows))
+        out = tmp_path / "out"
+        res = runner.invoke(cli.main, ["fit", str(src), "--q", "2", "--max-iters", "3",
+                                       "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(cli.main, ["sample", "--model", str(out / "model.json"),
+                                       "--out", str(tmp_path / "s.csv")])
+        assert res.exit_code == 3, res.output
 
     def test_spectrum_command(self, runner, small_series, tmp_path):
         out = tmp_path / "spec"

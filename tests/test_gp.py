@@ -12,11 +12,37 @@ from skewgp.errors import DataError, DimensionMismatchError, NumericalError
 from skewgp.gp import Dataset, Normalization, fit, nlml, nlml_grad, sample_prior
 from skewgp.kernels import SlsmComponent, SlsmParams
 from skewgp.optimize import OptConfig, transform
+from skewgp.spectral import random_init
 
 from conftest import dense_nlml, dense_predict, random_params
 
 
 UNIT = SlsmParams((SlsmComponent(1.0, 0.0, 1.0, 0.0),), noise_var=0.0)
+
+
+def _fd_nlml_grad(data, tp):
+    """Central differences of the NLML over the transformed vector of ``tp``."""
+    fd = np.empty_like(tp.x)
+    for j in range(tp.x.size):
+        h = 1e-6 * max(1.0, abs(tp.x[j]))
+        xp, xm = tp.x.copy(), tp.x.copy()
+        xp[j] += h
+        xm[j] -= h
+        fp, _ = gp.nlml_value_and_grad(data, gp.TransformedParams(xp, tp.layout))
+        fm, _ = gp.nlml_value_and_grad(data, gp.TransformedParams(xm, tp.layout))
+        fd[j] = (fp - fm) / (2.0 * h)
+    return fd
+
+
+def _field_2d(rng, n):
+    """``n`` scattered 2-D points and a smooth noisy target on them."""
+    X = rng.uniform(0.0, 3.0, (n, 2))
+    y = 5.0 + np.cos(1.3 * X[:, 0]) * np.sin(0.8 * X[:, 1]) + 0.2 * rng.standard_normal(n)
+    return Dataset(X, y)
+
+
+def _rel_diff(a, b) -> float:
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
 class TestDataset:
@@ -81,17 +107,18 @@ class TestNlmlGrad:
             y = np.sin(0.7 * X) + 0.3 * rng.standard_normal(30)
             data = Dataset(X, y)
             kind = ("slsm", "sm", "lkp")[int(rng.integers(3))]
-            tp = transform(p, kind)
             g = nlml_grad(data, p, kind)
-            fd = np.empty_like(g)
-            for j in range(tp.x.size):
-                h = 1e-6 * max(1.0, abs(tp.x[j]))
-                xp, xm = tp.x.copy(), tp.x.copy()
-                xp[j] += h
-                xm[j] -= h
-                fp, _ = gp.nlml_value_and_grad(data, gp.TransformedParams(xp, tp.layout))
-                fm, _ = gp.nlml_value_and_grad(data, gp.TransformedParams(xm, tp.layout))
-                fd[j] = (fp - fm) / (2.0 * h)
+            fd = _fd_nlml_grad(data, transform(p, kind))
+            assert np.all(np.abs(g - fd) <= 1e-5 * np.maximum(1.0, np.abs(fd)))
+
+    @pytest.mark.parametrize("kind", ["slsm", "sm", "lkp"])
+    def test_multivariate_matches_finite_differences(self, rng, kind):
+        data = _field_2d(rng, 25)
+        for seed in range(3):
+            p = random_init(2, kind, y_var=1.0, freq_max=2.0, seed=seed, p=2)
+            g = nlml_grad(data, p, kind)
+            fd = _fd_nlml_grad(data, transform(p, kind))
+            assert g.size == 2 * (1 + 2 * (3 if kind == "slsm" else 2)) + 1
             assert np.all(np.abs(g - fd) <= 1e-5 * np.maximum(1.0, np.abs(fd)))
 
     def test_noise_gradient_small_at_optimum(self, rng):
@@ -168,8 +195,23 @@ class TestPredict:
         with pytest.raises(DimensionMismatchError):
             model.predict(np.zeros((3, 2)))
 
+    def test_non_finite_queries_rejected(self, rng):
+        data = Dataset(np.arange(10.0), rng.standard_normal(10))
+        model = self._model(data, random_params(rng, q=1))
+        with pytest.raises(DataError):
+            model.predict(np.array([1.0, np.inf]))
+
 
 class TestFit:
+    def test_params_width_must_match_data(self, rng):
+        data = _field_2d(rng, 12)
+        with pytest.raises(DimensionMismatchError):
+            fit(data, random_params(rng, q=2), "slsm", OptConfig(max_iters=2))
+        univariate = Dataset(data.X[:, 0], data.y)
+        init = random_init(2, "slsm", y_var=1.0, freq_max=2.0, seed=0, p=2)
+        with pytest.raises(DimensionMismatchError):
+            fit(univariate, init, "slsm", OptConfig(max_iters=2))
+
     def test_reduces_nlml_and_records_jitter(self, rng):
         X = np.arange(40.0)
         y = np.sin(0.6 * X) + 0.1 * rng.standard_normal(40)
@@ -271,6 +313,19 @@ class TestSerialization:
             assert (a.w, a.mu, a.sigma, a.gamma) == (b.w, b.mu, b.sigma, b.gamma)
         assert clone.params.noise_var == model.params.noise_var
         assert gp.model_to_json(clone) == text
+
+    def test_multivariate_round_trip(self, rng):
+        # P > 1 scales are written as sigma^2 and read back as sigma
+        data = _field_2d(rng, 30)
+        init = random_init(2, "slsm", float(np.var(data.y)), freq_max=2.0, seed=1, p=2)
+        model = fit(data, init, "slsm", OptConfig(max_iters=15))
+        clone = gp.model_from_json(gp.model_to_json(model), data)
+        Xq = rng.uniform(0.0, 4.0, (17, 2))
+        for obs in (False, True):
+            a = model.predict(Xq, observation_noise=obs)
+            b = clone.predict(Xq, observation_noise=obs)
+            assert _rel_diff(b.mean, a.mean) <= 1e-12
+            assert _rel_diff(b.var, a.var) <= 1e-12
 
     def test_fingerprint_mismatch_rejected(self, rng):
         data = Dataset(np.arange(10.0), rng.standard_normal(10))

@@ -8,13 +8,7 @@ from scipy.integrate import quad
 
 import skewgp.kernels as kn
 from skewgp.errors import DataError, DimensionMismatchError
-from skewgp.kernels import (
-    BaselineKernelParams,
-    MultiSlsmComponent,
-    MultiSlsmParams,
-    SlsmComponent,
-    SlsmParams,
-)
+from skewgp.kernels import BaselineKernelParams, SlsmComponent, SlsmParams
 
 from conftest import quad_kernel_oracle, quad_sm_oracle, random_component, random_params
 
@@ -33,7 +27,7 @@ class TestSlsmComponent:
     def test_zero_skew_closed_form(self):
         c = SlsmComponent(w=1.0, mu=0.7, sigma=1.3, gamma=0.0)
         for tau in np.linspace(-5, 5, 41):
-            expected = math.cos(c.mu * tau) / (1.0 + 0.5 * c.sigma**2 * tau**2)
+            expected = math.cos(c.mu[0] * tau) / (1.0 + 0.5 * c.sigma[0]**2 * tau**2)
             assert kn.slsm_component(tau, c) == pytest.approx(expected, abs=1e-15)
 
     def test_zero_skew_zero_freq_is_rq_alpha_one(self):
@@ -117,38 +111,52 @@ class TestSlsmKernel:
 
 class TestMultivariate:
     def test_unit_at_zero_lag(self):
-        c = MultiSlsmComponent(1.0, (0.3, 0.4), (1.0, 2.0), (0.1, -0.2))
-        assert kn.slsm_kernel_multi(np.zeros(2), c) == 1.0
+        c = SlsmComponent(1.0, (0.3, 0.4), (1.0, math.sqrt(2.0)), (0.1, -0.2))
+        assert kn.slsm_component(np.zeros(2), c) == 1.0
 
     def test_p1_matches_univariate(self, rng):
-        cu = random_component(rng)
-        cm = MultiSlsmComponent(cu.w, (cu.mu,), (cu.sigma**2,), (cu.gamma,))
+        # the (..., P) vector body at P = 1 against the scalar body
+        c = random_component(rng)
         for tau in np.linspace(-4, 4, 17):
-            assert kn.slsm_kernel_multi(np.array([tau]), cm) == pytest.approx(
-                kn.slsm_component(tau, cu), abs=1e-15)
+            assert kn.multi_component_partials(np.array([tau]), c)[0] == pytest.approx(
+                kn.slsm_component(tau, c), abs=1e-15)
 
     def test_cancelling_skew_recomputation(self):
         # tau . gamma = 0, so the skew terms drop out of the closed form
-        c = MultiSlsmComponent(1.0, (0.3, 0.4), (1.0, 1.0), (0.1, -0.1))
+        c = SlsmComponent(1.0, (0.3, 0.4), (1.0, 1.0), (0.1, -0.1))
         tau = np.array([1.0, 1.0])
         phase = 0.3 + 0.4
         cmat = 1.0 + 0.5 * (1.0 + 1.0)
         expected = cmat * math.cos(phase) / cmat**2
-        assert kn.slsm_kernel_multi(tau, c) == pytest.approx(expected, abs=1e-15)
-        assert kn.slsm_kernel_multi(tau, c) == pytest.approx(
+        assert kn.slsm_component(tau, c) == pytest.approx(expected, abs=1e-15)
+        assert kn.slsm_component(tau, c) == pytest.approx(
             math.cos(phase) / cmat, abs=1e-15)
 
     def test_dimension_mismatch(self):
-        c = MultiSlsmComponent(1.0, (0.3, 0.4), (1.0, 1.0), (0.0, 0.0))
+        c = SlsmComponent(1.0, (0.3, 0.4), (1.0, 1.0), (0.0, 0.0))
         with pytest.raises(DimensionMismatchError):
-            kn.slsm_kernel_multi(np.zeros(3), c)
+            kn.slsm_component(np.zeros(3), c)
+
+    def test_per_dimension_fields_checked(self):
+        c = SlsmComponent(1.0, (0.3, 0.4), (1.0, 2.0))
+        assert c.p == 2 and c.gamma == (0.0, 0.0)    # a scalar skew fills every P
+        with pytest.raises(DimensionMismatchError):
+            SlsmComponent(1.0, (0.3, 0.4), 1.0)
+        with pytest.raises(DataError):
+            SlsmComponent(1.0, (0.3, -0.4), (1.0, 1.0))
+        with pytest.raises(DataError):
+            SlsmComponent(1.0, (0.3, 0.4), (1.0, 0.0))
+        with pytest.raises(DimensionMismatchError):
+            SlsmParams((SlsmComponent(1.0, 0.3, 1.0), c))
+        with pytest.raises(DimensionMismatchError):
+            c.kappa    # the spectral density is univariate
 
     def test_mixture_weighting(self):
-        c = MultiSlsmComponent(2.5, (0.3, 0.4), (1.0, 1.0), (0.1, -0.1))
-        p = MultiSlsmParams((c,))
+        c = SlsmComponent(2.5, (0.3, 0.4), (1.0, 1.0), (0.1, -0.1))
+        p = SlsmParams((c,))
         tau = np.array([0.5, -0.5])
-        assert kn.slsm_kernel_multi_mixture(tau, p) == pytest.approx(
-            2.5 * kn.slsm_kernel_multi(tau, c), rel=1e-15)
+        assert kn.slsm_kernel(tau, p) == pytest.approx(
+            2.5 * kn.slsm_component(tau, c), rel=1e-15)
 
 
 class TestSmKernel:
@@ -232,9 +240,10 @@ class TestSpectralDensity:
     def test_unit_normalization(self, rng):
         for _ in range(5):
             c = random_component(rng)
-            hi = abs(c.mu) + 40.0 * max(c.sigma, abs(c.gamma), 1.0)
+            mu, sigma, gamma = c.scalars()
+            hi = abs(mu) + 40.0 * max(sigma, abs(gamma), 1.0)
             total, _ = quad(lambda s: kn.spectral_density(s, c), -hi, hi,
-                            points=[-c.mu, c.mu], limit=400, epsabs=1e-10)
+                            points=[-mu, mu], limit=400, epsabs=1e-10)
             assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_even_and_nonnegative(self, rng):
@@ -276,15 +285,23 @@ class TestGram:
         with pytest.raises(DataError):
             kn.gram(np.array([0.0, np.inf]), np.array([0.0]), "slsm", p)
 
+    def test_params_must_match_point_width(self, rng):
+        X = rng.uniform(0, 3, (5, 2))
+        with pytest.raises(DimensionMismatchError):
+            kn.gram(X, X, "slsm", random_params(rng, q=2))
+        p2 = SlsmParams((SlsmComponent(1.0, (0.3, 0.4), (1.0, 1.0), (0.1, -0.1)),))
+        with pytest.raises(DimensionMismatchError):
+            kn.gram(X[:, 0], X[:, 0], "sm", p2)
+
     def test_multivariate_gram_matches_pointwise(self, rng):
         X = rng.uniform(0, 3, (6, 2))
-        c = MultiSlsmComponent(1.3, (0.3, 0.9), (1.0, 0.5), (0.2, -0.4))
-        p = MultiSlsmParams((c,))
+        c = SlsmComponent(1.3, (0.3, 0.9), (1.0, math.sqrt(0.5)), (0.2, -0.4))
+        p = SlsmParams((c,))
         G = kn.gram(X, X, "slsm", p)
         for i in range(6):
             for j in range(6):
                 assert G[i, j] == pytest.approx(
-                    kn.slsm_kernel_multi_mixture(X[i] - X[j], p), abs=1e-14)
+                    kn.slsm_kernel(X[i] - X[j], p), abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +318,7 @@ def _fd_kernel_grad(tau, p: SlsmParams, kind: str):
         for name in ("w", "mu", "sigma", "gamma"):
             if name == "gamma" and kind != "slsm":
                 continue
-            theta = getattr(c, name)
+            theta = c.w if name == "w" else getattr(c, name)[0]
             h = 1e-6 * max(1.0, abs(theta))
             lo, hi_v = theta - h, theta + h
             if name in ("mu", "sigma") and lo <= 0:

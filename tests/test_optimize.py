@@ -48,7 +48,7 @@ class TestTransforms:
     def test_zero_frequency_floored(self):
         p = SlsmParams((SlsmComponent(1.0, 0.0, 1.0, 0.0),), noise_var=0.1)
         q = untransform(transform(p, "slsm"))
-        assert q.components[0].mu == pytest.approx(1e-8)
+        assert q.components[0].mu[0] == pytest.approx(1e-8)
 
     def test_baseline_round_trip(self):
         b = BaselineKernelParams("rq", theta_f=2.0, ell=0.5, rq_alpha=1.5,

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import skewgp.rbcm as rbcm
-from skewgp.errors import DataError
+from skewgp.errors import DataError, DimensionMismatchError
 from skewgp.gp import Dataset, Normalization, fit, nlml, sample_prior
 from skewgp.kernels import SlsmComponent, SlsmParams
 from skewgp.optimize import OptConfig
+from skewgp.spectral import random_init
 from skewgp.rbcm import (
     ExpertEnsemble,
     _Expert,
@@ -30,6 +31,14 @@ def series():
     y = sample_prior("slsm", gen, X, 1, seed=13)[0]
     y = y + 0.05**0.5 * np.random.default_rng(14).standard_normal(200)
     return Dataset(X, y)
+
+
+def _ensemble_2d(rng, n=30, m=2, max_iters=3):
+    X = rng.uniform(0.0, 5.0, (n, 2))
+    y = 3.0 + np.cos(X[:, 0]) * np.sin(0.7 * X[:, 1]) + 0.1 * rng.standard_normal(n)
+    data = Dataset(X, y)
+    init = random_init(2, "slsm", float(np.var(y)), freq_max=2.0, seed=0, p=2)
+    return data, rbcm_fit(data, m, "slsm", init, OptConfig(max_iters=max_iters))
 
 
 def _manual_ensemble(data, params, subsets, beta_mode="entropy"):
@@ -150,6 +159,17 @@ class TestRbcmPredict:
         assert np.isfinite(pred.var[0]) and pred.var[0] > 0
 
 
+class TestQueryChecks:
+    def test_width_and_values_checked(self, rng):
+        _, ens = _ensemble_2d(rng)
+        for width in (1, 3):
+            with pytest.raises(DimensionMismatchError):
+                rbcm_predict(ens, np.zeros((4, width)))
+        with pytest.raises(DataError):
+            rbcm_predict(ens, np.array([[0.0, np.nan]]))
+        assert rbcm_predict(ens, np.zeros((4, 2))).mean.shape == (4,)
+
+
 class TestEnsembleSerialization:
     def test_round_trip(self, series):
         init = SlsmParams((SlsmComponent(np.var(series.y), 0.6, 0.2, 0.1),),
@@ -164,6 +184,16 @@ class TestEnsembleSerialization:
         grid = np.linspace(0, 40, 23)
         np.testing.assert_allclose(clone.predict(grid).mean,
                                    ens.predict(grid).mean, atol=1e-12)
+
+    def test_multivariate_round_trip(self, rng):
+        data, ens = _ensemble_2d(rng, n=40, m=3, max_iters=8)
+        clone = ensemble_from_dict(ensemble_to_dict(ens), data)
+        Xq = rng.uniform(0.0, 6.0, (19, 2))
+        for obs in (False, True):
+            a = ens.predict(Xq, observation_noise=obs)
+            b = clone.predict(Xq, observation_noise=obs)
+            assert np.max(np.abs(b.mean - a.mean)) <= 1e-12 * np.max(np.abs(a.mean))
+            assert np.max(np.abs(b.var - a.var)) <= 1e-12 * np.max(np.abs(a.var))
 
     def test_fingerprint_checked(self, series, rng):
         init = SlsmParams((SlsmComponent(1.0, 0.6, 0.2, 0.0),), noise_var=0.1)

@@ -8,7 +8,7 @@ import pytest
 import skewgp.spectral as sp
 from skewgp.errors import DataError
 from skewgp.gp import Dataset, fit, nlml, sample_prior
-from skewgp.kernels import MultiSlsmParams, SlsmComponent, SlsmParams
+from skewgp.kernels import SlsmComponent, SlsmParams
 from skewgp.optimize import OptConfig
 
 
@@ -103,13 +103,13 @@ class TestInitParams:
         a = sp.init_params(mix, "slsm", y_var=2.0, seed=9)
         b = sp.init_params(mix, "slsm", y_var=2.0, seed=9)
         assert [c.gamma for c in a.components] == [c.gamma for c in b.components]
-        assert all(-1.0 <= c.gamma <= 1.0 for c in a.components)
+        assert all(-1.0 <= c.gamma[0] <= 1.0 for c in a.components)
         c = sp.init_params(mix, "slsm", y_var=2.0, seed=10)
         assert [x.gamma for x in a.components] != [x.gamma for x in c.components]
 
     def test_non_skew_kernels_get_zero_gamma(self, rng):
         init = sp.init_params(self._fit(rng), "sm", y_var=1.0, seed=0)
-        assert all(c.gamma == 0.0 for c in init.components)
+        assert all(c.gamma[0] == 0.0 for c in init.components)
 
     def test_scale_equivariance(self, rng):
         y = np.cos(0.8 * np.arange(256.0)) + 0.2 * rng.standard_normal(256)
@@ -145,13 +145,13 @@ class TestRandomFallback:
     def test_univariate_ranges(self):
         init = sp.random_init(4, "slsm", y_var=2.0, freq_max=math.pi, seed=3)
         assert isinstance(init, SlsmParams)
-        assert all(0.0 <= c.mu <= math.pi for c in init.components)
+        assert all(0.0 <= c.mu[0] <= math.pi for c in init.components)
         assert all(c.w == pytest.approx(0.5) for c in init.components)
         assert init.noise_var == pytest.approx(0.2)
 
     def test_multivariate_fallback(self):
         init = sp.random_init(3, "slsm", y_var=1.0, freq_max=2.0, seed=0, p=4)
-        assert isinstance(init, MultiSlsmParams)
+        assert isinstance(init, SlsmParams)
         assert init.p == 4 and init.q == 3
 
     def test_deterministic(self):
