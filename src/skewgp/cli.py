@@ -19,7 +19,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -135,6 +134,10 @@ class ForecastJob:
             raise DataError("Q must be >= 1")
         if self.kernel not in KERNEL_CHOICES:
             raise DataError(f"unknown kernel {self.kernel!r}")
+        if self.runs < 1:
+            raise DataError(f"runs must be >= 1, got {self.runs}")
+        if self.rbcm_m < 0:
+            raise DataError(f"rBCM expert count must be >= 0, got {self.rbcm_m}")
 
 
 def chronological_split(data: Dataset, train_frac: float) -> tuple[Dataset, Dataset]:
@@ -174,13 +177,11 @@ def build_init(train: Dataset, info: IngestInfo, kernel: str, q: int, seed: int)
 def _train(job: ForecastJob, train: Dataset, init, seed: int):
     cfg = OptConfig(max_iters=job.max_iters, restarts=job.restarts, seed=seed)
     if job.rbcm_m > 0:
-        ens = rbcm.rbcm_fit(train, job.rbcm_m, job.kernel, init, cfg)
-        return ens, None
+        return rbcm.rbcm_fit(train, job.rbcm_m, job.kernel, init, cfg), None
     if job.prune:
         pcfg = pruning.PruneConfig(threshold=job.prune_threshold, rounds=job.rounds,
                                    opt=cfg)
-        model, report = pruning.lth_fit(train, init, job.kernel, pcfg)
-        return model, report
+        return pruning.lth_fit(train, init, job.kernel, pcfg)
     return gp.fit(train, init, job.kernel, cfg), None
 
 
@@ -234,7 +235,6 @@ def _write_spectrum(out_dir: Path, prefix: str, spec, fit_mix):
 def _single_run(job: ForecastJob, data: Dataset, info: IngestInfo, seed: int,
                 prefix: str) -> dict:
     out_dir = Path(job.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train, test = chronological_split(data, job.train_frac)
     init, spec_pair = build_init(train, info, job.kernel, job.q, seed)
 
@@ -272,20 +272,14 @@ def run_job(job: ForecastJob) -> dict:
     out_dir = Path(job.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    seeds = [job.seed + i for i in range(job.runs)]
-    prefixes = ["" if job.runs == 1 else f"run{i}_" for i in range(job.runs)]
-    if job.runs == 1:
-        results = [_single_run(job, data, info, seeds[0], prefixes[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=min(job.runs, 4)) as pool:
-            results = list(pool.map(
-                lambda sp: _single_run(job, data, info, sp[0], sp[1]),
-                zip(seeds, prefixes),
-            ))
-
+    results = [
+        _single_run(job, data, info, job.seed + i, "" if job.runs == 1 else f"run{i}_")
+        for i in range(job.runs)
+    ]
+    n_train = int(math.floor(data.n * job.train_frac))
     report = {
-        "n_train": int(math.floor(data.n * job.train_frac)),
-        "n_test": data.n - int(math.floor(data.n * job.train_frac)),
+        "n_train": n_train,
+        "n_test": data.n - n_train,
         "kernel": job.kernel,
         "runs": job.runs,
     }
@@ -343,17 +337,9 @@ def main():
 @click.option("--observation-noise", is_flag=True)
 @click.option("--out", "out_dir", type=click.Path(), default="out")
 @_exit_codes
-def fit_cmd(input_path, kernel, q, train_frac, prune, prune_threshold, rounds,
-            rbcm_m, runs, seed, max_iters, restarts, observation_noise, out_dir):
+def fit_cmd(**options):
     """Train on the first part of a series and score the held-out remainder."""
-    job = ForecastJob(
-        input_path=input_path, out_dir=out_dir, kernel=kernel, q=q,
-        train_frac=train_frac, seed=seed, runs=runs, prune=prune,
-        prune_threshold=prune_threshold, rounds=rounds, rbcm_m=rbcm_m,
-        observation_noise=observation_noise, max_iters=max_iters,
-        restarts=restarts,
-    )
-    report = run_job(job)
+    report = run_job(ForecastJob(**options))
     click.echo(json.dumps(report, indent=2))
 
 

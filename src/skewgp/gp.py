@@ -89,13 +89,11 @@ class Normalization:
     x_stds: tuple[float, ...]
 
     @classmethod
-    def from_data(cls, data: Dataset, normalize_x: bool | None = None) -> "Normalization":
+    def from_data(cls, data: Dataset) -> "Normalization":
         y_std = float(np.std(data.y))
         if y_std <= 0.0:
             y_std = 1.0
-        if normalize_x is None:
-            normalize_x = data.p > 1
-        if normalize_x:
+        if data.p > 1:
             xm = tuple(float(v) for v in np.mean(data.X, axis=0))
             xs = tuple(float(v) if v > 0 else 1.0 for v in np.std(data.X, axis=0))
         else:
@@ -199,7 +197,7 @@ def latent_moments(Xs_n, factors, kind: str, params):
     ks = kn.gram(Xs_n, factors.data.X, kind, params)
     mean = ks @ factors.alpha
     v = solve_triangular(factors.chol_L, ks.T, lower=True)
-    return mean, kn.prior_variance(kind, params) - np.sum(v * v, axis=0)
+    return mean, kn.prior_variance(params) - np.sum(v * v, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +326,31 @@ def _model_from_params(kind, params, data_n, normalization, fingerprint,
     )
 
 
+def optimize_parts(parts, init_params, kind: str, cfg: OptConfig,
+                   norm: Normalization, each=map):
+    """``(params, OptResult)`` minimizing the summed NLML of the normalized
+    datasets ``parts`` from ``init_params`` (raw target units, rescaled by
+    ``norm``); ``each`` maps the per-part objective (``map`` or a pool's)."""
+    s2 = norm.y_std**2
+    tp0 = transform(scale_variances(init_params, lambda v: v / s2), kind)
+
+    def objective(x):
+        results = list(each(lambda part: objective_or_inf(part, x, tp0.layout), parts))
+        f = sum(r[0] for r in results)
+        if not np.isfinite(f):
+            return np.inf, np.zeros_like(x)
+        return f, np.sum([r[1] for r in results], axis=0)
+
+    res = minimize(objective, tp0.x, cfg, gamma_mask=np.array(tp0.layout.gamma_mask))
+    return untransform(TransformedParams(res.x, tp0.layout)), res
+
+
 def fit(data: Dataset, init_params, kind: str, cfg: OptConfig | None = None,
         normalize: bool = True) -> TrainedModel:
     """Optimize the NLML from ``init_params`` (given in raw target units)."""
-    cfg = cfg or OptConfig()
     norm = Normalization.from_data(data) if normalize else Normalization.identity(data.p)
     data_n = norm.apply(data)
-    s2 = norm.y_std**2
-    tp0 = transform(scale_variances(init_params, lambda v: v / s2), kind)
-    res = minimize(lambda x: objective_or_inf(data_n, x, tp0.layout), tp0.x, cfg,
-                   gamma_mask=np.array(tp0.layout.gamma_mask))
-    params = untransform(TransformedParams(res.x, tp0.layout))
+    params, res = optimize_parts([data_n], init_params, kind, cfg or OptConfig(), norm)
     return _model_from_params(kind, params, data_n, norm, data.fingerprint(),
                               opt_result=res)
 

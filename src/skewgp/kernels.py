@@ -281,7 +281,7 @@ def _as_points(x) -> np.ndarray:
     return x
 
 
-def prior_variance(kind: str, params) -> float:
+def prior_variance(params) -> float:
     """k(0): Sum(w) for mixtures, theta_f for baselines."""
     if isinstance(params, SlsmParams):
         return float(sum(c.w for c in params.components))

@@ -219,7 +219,6 @@ def _lbfgs_direction(g, s_hist, y_hist):
 def _minimize_single(fun, x0, cfg: OptConfig) -> OptResult:
     x = np.asarray(x0, dtype=float).copy()
     f, g = fun(x)
-    n_evals = 1
     if not np.isfinite(f):
         raise NumericalError("objective is non-finite at the starting point")
     res = OptResult(x=x.copy(), f=float(f))
@@ -237,8 +236,7 @@ def _minimize_single(fun, x0, cfg: OptConfig) -> OptResult:
             d = -g
             s_hist.clear()
             y_hist.clear()
-        t, f_new, g_new, ok, ne = _weak_wolfe(fun, x, f, g, d)
-        n_evals += ne
+        t, f_new, g_new, ok, _ = _weak_wolfe(fun, x, f, g, d)
         if not ok:
             if fallback_used:
                 break
@@ -246,8 +244,7 @@ def _minimize_single(fun, x0, cfg: OptConfig) -> OptResult:
             s_hist.clear()
             y_hist.clear()
             d = -g / max(1.0, float(np.max(np.abs(g))))
-            t, f_new, g_new, ok, ne = _weak_wolfe(fun, x, f, g, d)
-            n_evals += ne
+            t, f_new, g_new, ok, _ = _weak_wolfe(fun, x, f, g, d)
             if not ok:
                 break
         else:
@@ -276,7 +273,6 @@ def _minimize_single(fun, x0, cfg: OptConfig) -> OptResult:
         x, f, g = x_new, float(f_new), g_new
         if f < res.f:
             res.x, res.f = x.copy(), f
-    res.n_evals = n_evals
     return res
 
 
@@ -293,15 +289,23 @@ def minimize(fun, x0, cfg: OptConfig, gamma_mask=None) -> OptResult:
 
     With ``cfg.restarts > 1``, additional runs start from perturbed copies of
     ``x0`` (Gaussian in log slots, uniform in skew slots) and the best final
-    value wins; ties keep the earliest run.
+    value wins; ties keep the earliest run.  ``n_evals`` of the result counts
+    every call of ``fun`` over all restarts, failed ones included.
     """
     x0 = np.asarray(x0, dtype=float)
     rng = np.random.default_rng(cfg.seed)
+    n_evals = 0
+
+    def counted(x):
+        nonlocal n_evals
+        n_evals += 1
+        return fun(x)
+
     best: OptResult | None = None
     for r in range(cfg.restarts):
         start = x0 if r == 0 else _perturb(x0, gamma_mask, rng)
         try:
-            res = _minimize_single(fun, start, cfg)
+            res = _minimize_single(counted, start, cfg)
         except NumericalError:
             if r == 0:
                 raise
@@ -309,4 +313,5 @@ def minimize(fun, x0, cfg: OptConfig, gamma_mask=None) -> OptResult:
         if best is None or res.f < best.f:
             best = res
     assert best is not None
+    best.n_evals = n_evals
     return best

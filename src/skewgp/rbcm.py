@@ -9,14 +9,15 @@ a prior-precision correction:
     prec_* = sum_i beta_i / var_i + (1 - sum_i beta_i) / prior_var
     mean_* = (sum_i beta_i mean_i / var_i) / prec_*
 
-Experts train and predict concurrently; the aggregation is a deterministic,
-order-invariant reduction.
+The per-expert NLMLs of a training step are evaluated concurrently; the
+aggregation is a deterministic, order-invariant reduction.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +30,11 @@ from .gp import (
     factorize,
     latent_moments,
     nlml_from_factor,
-    objective_or_inf,
+    optimize_parts,
     record_from_dict,
     record_to_dict,
-    scale_variances,
 )
-from .optimize import OptConfig, TransformedParams, minimize, transform, untransform
+from .optimize import OptConfig, OptResult
 
 BETA_MODES = ("entropy", "uniform")
 
@@ -77,7 +77,7 @@ class ExpertEnsemble:
     experts: list[_Expert]
     beta_mode: str = "entropy"
     train_fingerprint: str = ""
-    opt_trace: list = field(default_factory=list)
+    opt_result: OptResult | None = None
 
     @property
     def m(self) -> int:
@@ -87,61 +87,37 @@ class ExpertEnsemble:
         return rbcm_predict(self, Xstar, observation_noise=observation_noise)
 
 
+def _experts(data_n: Dataset, index_sets) -> list[_Expert]:
+    return [_Expert(idx, Dataset(data_n.X[idx], data_n.y[idx])) for idx in index_sets]
+
+
 def _expert_factors(kind, params, expert: _Expert):
     expert.chol_L, expert.jitter_used, expert.alpha = factorize(expert.data, kind, params)
 
 
-def rbcm_fit(data: Dataset, m: int, kind: str, init_params,
-             cfg: OptConfig | None = None, strategy: str = "contiguous",
-             beta_mode: str = "entropy", normalize: bool = True,
-             parallel: bool = True, subsets=None) -> ExpertEnsemble:
-    """Fit M local experts with a shared hyper-parameter vector.
-
-    ``subsets`` overrides the partition (used by the shared-full-data
-    validation mode, where every expert may hold all indices).
-    """
-    if beta_mode not in BETA_MODES:
-        raise DataError(f"beta_mode must be one of {BETA_MODES}, got {beta_mode!r}")
-    cfg = cfg or OptConfig()
-    norm = Normalization.from_data(data) if normalize else Normalization.identity(data.p)
-    data_n = norm.apply(data)
-    if subsets is None:
-        subsets = partition(data.n, m, strategy=strategy, seed=cfg.seed)
-    experts = [
-        _Expert(indices=np.asarray(idx), data=Dataset(data_n.X[idx], data_n.y[idx]))
-        for idx in subsets
-    ]
-    s2 = norm.y_std**2
-    tp0 = transform(scale_variances(init_params, lambda v: v / s2), kind)
-    pool = ThreadPoolExecutor(max_workers=min(len(experts), 8)) if parallel else None
-    each = pool.map if pool is not None else map
-
-    def objective(x):
-        results = list(each(lambda e: objective_or_inf(e.data, x, tp0.layout), experts))
-        f = sum(r[0] for r in results)
-        g = np.sum([r[1] for r in results], axis=0)
-        if not np.isfinite(f):
-            return np.inf, np.zeros_like(x)
-        return f, g
-
-    try:
-        res = minimize(objective, tp0.x, cfg, gamma_mask=np.array(tp0.layout.gamma_mask))
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    params = untransform(TransformedParams(res.x, tp0.layout))
-    ens = ExpertEnsemble(
-        kind=kind,
-        params=params,
-        normalization=norm,
-        experts=experts,
-        beta_mode=beta_mode,
-        train_fingerprint=data.fingerprint(),
-        opt_trace=res.trace,
-    )
+def _ensemble_from_params(kind, params, norm, experts, beta_mode, fingerprint,
+                          opt_result=None) -> ExpertEnsemble:
     for e in experts:
         _expert_factors(kind, params, e)
-    return ens
+    return ExpertEnsemble(kind=kind, params=params, normalization=norm, experts=experts,
+                          beta_mode=beta_mode, train_fingerprint=fingerprint,
+                          opt_result=opt_result)
+
+
+def rbcm_fit(data: Dataset, m: int, kind: str, init_params,
+             cfg: OptConfig | None = None, beta_mode: str = "entropy") -> ExpertEnsemble:
+    """Fit M experts on contiguous blocks of ``data`` with a shared
+    hyper-parameter vector; their NLMLs are evaluated on a pool of
+    min(M, CPUs) threads."""
+    if beta_mode not in BETA_MODES:
+        raise DataError(f"beta_mode must be one of {BETA_MODES}, got {beta_mode!r}")
+    norm = Normalization.from_data(data)
+    experts = _experts(norm.apply(data), partition(data.n, m))
+    with ThreadPoolExecutor(max_workers=min(len(experts), os.cpu_count() or 1)) as pool:
+        params, res = optimize_parts([e.data for e in experts], init_params, kind,
+                                     cfg or OptConfig(), norm, each=pool.map)
+    return _ensemble_from_params(kind, params, norm, experts, beta_mode,
+                                 data.fingerprint(), opt_result=res)
 
 
 def rbcm_joint_nlml(ens: ExpertEnsemble) -> float:
@@ -154,7 +130,7 @@ def rbcm_predict(ens: ExpertEnsemble, Xstar, observation_noise: bool = False) ->
     Xs_n = ens.normalization.apply_queries(Xstar)
     params = ens.params
     noise = params.noise_var
-    prior_var = kn.prior_variance(ens.kind, params) + noise
+    prior_var = kn.prior_variance(params) + noise
     log_prior = np.log(prior_var)
 
     means = []
@@ -204,18 +180,7 @@ def ensemble_to_dict(ens: ExpertEnsemble) -> dict:
 
 def ensemble_from_dict(d: dict, data: Dataset) -> ExpertEnsemble:
     kind, params, norm, data_n = record_from_dict(d, data)
-    experts = []
-    for rec in d["experts"]:
-        idx = np.asarray(rec["indices"], dtype=int)
-        experts.append(_Expert(indices=idx, data=Dataset(data_n.X[idx], data_n.y[idx])))
-    ens = ExpertEnsemble(
-        kind=kind,
-        params=params,
-        normalization=norm,
-        experts=experts,
-        beta_mode=d["rbcm"]["beta_mode"],
-        train_fingerprint=d["train_fingerprint"],
-    )
-    for e in experts:
-        _expert_factors(kind, params, e)
-    return ens
+    experts = _experts(data_n, [np.asarray(rec["indices"], dtype=int)
+                                for rec in d["experts"]])
+    return _ensemble_from_params(kind, params, norm, experts, d["rbcm"]["beta_mode"],
+                                 d["train_fingerprint"])

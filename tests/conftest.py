@@ -96,7 +96,7 @@ def dense_predict(data: Dataset, params, kind: str, Xstar,
     Kinv = np.linalg.inv(K)
     ks = kn.gram(Xs, data.X, kind, params)
     mean = ks @ Kinv @ data.y
-    var = kn.prior_variance(kind, params) - np.sum((ks @ Kinv) * ks, axis=1)
+    var = kn.prior_variance(params) - np.sum((ks @ Kinv) * ks, axis=1)
     if observation_noise:
         var = var + params.noise_var
     return mean, var

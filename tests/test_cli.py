@@ -148,6 +148,14 @@ class TestRunJob:
         assert (out / "run0_predictions.csv").exists()
         assert (out / "run2_model.json").exists()
 
+    def test_runs_are_independent_seeds(self, small_series, tmp_path):
+        common = dict(kernel="slsm", q=2, max_iters=5)
+        run_job(ForecastJob(str(small_series), str(tmp_path / "multi"), seed=4, runs=3,
+                            **common))
+        run_job(ForecastJob(str(small_series), str(tmp_path / "one"), seed=5, **common))
+        assert ((tmp_path / "multi" / "run1_model.json").read_text()
+                == (tmp_path / "one" / "model.json").read_text())
+
     def test_deterministic_metrics(self, small_series, tmp_path):
         reports = []
         for d in ("o1", "o2"):
@@ -285,6 +293,13 @@ class TestCommands:
     def test_exit_code_data_error(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["fit", str(tmp_path / "nope.csv")])
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize("flag, value", [("--runs", "0"), ("--rbcm", "-2")])
+    def test_out_of_range_counts_are_data_errors(self, runner, small_series, tmp_path,
+                                                 flag, value):
+        res = runner.invoke(cli.main, ["fit", str(small_series), flag, value,
+                                       "--max-iters", "3", "--out", str(tmp_path / "o")])
+        assert res.exit_code == 3, res.output
 
     def test_exit_code_usage_error(self, runner):
         res = runner.invoke(cli.main, ["fit", "x.csv", "--kernel", "nonsense"])

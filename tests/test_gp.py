@@ -186,7 +186,7 @@ class TestPredict:
         p = random_params(rng, q=3, noise=0.1)
         model = self._model(data, p)
         pred = model.predict(rng.uniform(-50, 80, 100))
-        prior = kn.prior_variance("slsm", p)
+        prior = kn.prior_variance(p)
         assert np.all(pred.var <= prior + 1e-8)
 
     def test_dimension_mismatch(self, rng):

@@ -121,6 +121,21 @@ class TestMinimize:
                          OptConfig(max_iters=60, restarts=8, seed=1))
         assert multi.f <= single.f
 
+    def test_n_evals_counts_every_restart(self):
+        # f is infinite where x[1] > 0: at seed 1 the second restart starts
+        # there and raises, the third runs to the end
+        calls = []
+
+        def half_bowl(x):
+            calls.append(x.copy())
+            if x[1] > 0.0:
+                return np.inf, np.zeros_like(x)
+            return _quadratic(x - np.array([1.0, -1.0]))
+
+        res = minimize(half_bowl, np.zeros(2), OptConfig(max_iters=30, restarts=3, seed=1))
+        assert any(x[1] > 0.0 for x in calls)
+        assert res.n_evals == len(calls)
+
     def test_trace_csv_format(self):
         res = minimize(_quadratic, np.array([1.0, -2.0]), OptConfig(max_iters=20))
         csv_text = trace_to_csv(res.trace)

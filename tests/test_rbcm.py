@@ -1,5 +1,7 @@
 """Partitioned training and robust product-of-experts prediction."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,25 @@ class TestRbcmFit:
         oracle = sum(
             nlml(Dataset(series.X[idx], series.y[idx]), p, "slsm") for idx in subsets)
         assert total == pytest.approx(oracle, abs=1e-10)
+
+    def test_pool_sized_to_cpus_and_results_unchanged(self, series, monkeypatch):
+        workers = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(rbcm, "ThreadPoolExecutor", RecordingPool)
+        init = SlsmParams((SlsmComponent(np.var(series.y), 0.6, 0.2, 0.1),),
+                          noise_var=0.1 * np.var(series.y))
+        fits = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(rbcm.os, "cpu_count", lambda: cpus)
+            fits.append(rbcm_fit(series, 4, "slsm", init, OptConfig(max_iters=5, seed=0)))
+        assert workers == [1, 3]
+        assert fits[0].params == fits[1].params
+        np.testing.assert_array_equal(fits[0].opt_result.x, fits[1].opt_result.x)
 
     def test_invalid_beta_mode_rejected(self, series):
         init = SlsmParams((SlsmComponent(1.0, 0.6, 0.2, 0.0),), noise_var=0.1)
