@@ -138,6 +138,8 @@ class ForecastJob:
             raise DataError(f"runs must be >= 1, got {self.runs}")
         if self.rbcm_m < 0:
             raise DataError(f"rBCM expert count must be >= 0, got {self.rbcm_m}")
+        if self.prune and self.kernel in kernels.BASELINE_KERNELS:
+            raise DataError(f"pruning needs a mixture kernel, got {self.kernel!r}")
 
 
 def chronological_split(data: Dataset, train_frac: float) -> tuple[Dataset, Dataset]:
@@ -198,23 +200,36 @@ def _model_nlml(model) -> tuple[float, float]:
 
 
 def _write_predictions(path: Path, t_or_x: np.ndarray, pred: gp.Prediction):
+    """Write one row per query point: its input columns (``t`` for a 1-D
+    array or P = 1, ``x1..xP`` otherwise), then mean, var and the 95% band."""
     mode = "observation" if pred.observation_noise else "latent"
+    x = np.asarray(t_or_x, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    names = ["t"] if x.shape[1] == 1 else [f"x{d + 1}" for d in range(x.shape[1])]
     sd = np.sqrt(pred.var)
     with open(path, "w", newline="") as fh:
         fh.write(f"# variance_mode: {mode}\n")
-        fh.write("t,mean,var,lower95,upper95\n")
-        for t, m, v, s in zip(t_or_x, pred.mean, pred.var, sd):
+        fh.write(",".join(names + ["mean", "var", "lower95", "upper95"]) + "\n")
+        for row, m, v, s in zip(x, pred.mean, pred.var, sd):
             # plain-float repr: shortest round-trip form, no numpy scalar wrapper
-            fh.write(f"{float(t)!r},{float(m)!r},{float(v)!r},"
+            fh.write("".join(f"{float(c)!r}," for c in row)
+                     + f"{float(m)!r},{float(v)!r},"
                      f"{float(m - 1.96 * s)!r},{float(m + 1.96 * s)!r}\n")
 
 
 def read_predictions_csv(path) -> dict:
+    """Columns of a predictions file: ``x`` holds the P input columns
+    ((m, P); also ``t`` when P = 1), then mean, var and the 95% band."""
     data, _ = _parse_rows(path)
-    if data.shape[1] != 5:
-        raise DataError(f"predictions file must have 5 columns, got {data.shape[1]}")
-    return {"t": data[:, 0], "mean": data[:, 1], "var": data[:, 2],
-            "lower95": data[:, 3], "upper95": data[:, 4]}
+    if data.shape[1] < 5:
+        raise DataError(f"predictions file must have 4 + P >= 5 columns, "
+                        f"got {data.shape[1]}")
+    out = {"x": data[:, :-4], "mean": data[:, -4], "var": data[:, -3],
+           "lower95": data[:, -2], "upper95": data[:, -1]}
+    if out["x"].shape[1] == 1:
+        out["t"] = out["x"][:, 0]
+    return out
 
 
 def _write_spectrum(out_dir: Path, prefix: str, spec, fit_mix):
@@ -260,7 +275,7 @@ def _single_run(job: ForecastJob, data: Dataset, info: IngestInfo, seed: int,
     else:
         model_doc = gp.model_to_dict(model)
     (out_dir / f"{prefix}model.json").write_text(json.dumps(model_doc, indent=2))
-    _write_predictions(out_dir / f"{prefix}predictions.csv", test.X[:, 0], pred)
+    _write_predictions(out_dir / f"{prefix}predictions.csv", test.X, pred)
     if spec_pair is not None:
         _write_spectrum(out_dir, prefix, *spec_pair)
     return result
@@ -368,7 +383,7 @@ def predict_cmd(model_path, train_data, train_frac, at_path, observation_noise,
     qdata, _ = _parse_rows(at_path)
     Xs = qdata[:, : data.p] if qdata.shape[1] >= data.p else qdata
     pred = model.predict(Xs, observation_noise=observation_noise)
-    _write_predictions(Path(out_path), Xs[:, 0], pred)
+    _write_predictions(Path(out_path), Xs, pred)
     click.echo(f"wrote {out_path}")
 
 

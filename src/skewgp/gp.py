@@ -182,10 +182,14 @@ def _solve_chol(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cho_solve((L, True), b)
 
 
-def factorize(data: Dataset, kind: str, params):
+def factorize(data: Dataset, kind: str, params, table=None):
     """``(L, jitter_used, alpha)``: the Cholesky factor of K + noise I at the
-    training inputs and alpha = (K + noise I)^-1 y."""
-    K = kn.gram(data.X, data.X, kind, params)
+    training inputs and alpha = (K + noise I)^-1 y.  K is evaluated on the
+    inputs' :func:`~skewgp.kernels.lag_table`, built here unless given."""
+    # left unnamed, a table built here is freed before the Cholesky, which
+    # keeps the lag array out of the peak memory
+    K = kn.table_gram(kn.lag_table(data.X, kind, params) if table is None else table,
+                      kind, params)
     L, jit = chol_with_jitter(K, params.noise_var)
     return L, jit, _solve_chol(L, data.y)
 
@@ -220,32 +224,37 @@ def nlml(data: Dataset, params, kind: str) -> float:
     return nlml_from_factor(L, alpha, data.y)
 
 
-def nlml_value_and_grad(data: Dataset, tp: TransformedParams):
-    """NLML and its gradient in the transformed coordinates of ``tp``."""
+def nlml_value_and_grad(data: Dataset, tp: TransformedParams, table=None):
+    """NLML and its gradient in the transformed coordinates of ``tp``, with
+    K and every dK/dtheta evaluated on ``table`` (the inputs'
+    :func:`~skewgp.kernels.lag_table`, built here unless given)."""
     params = untransform(tp)
     kind = tp.layout.kind
-    L, _, alpha = factorize(data, kind, params)
+    if table is None:
+        table = kn.lag_table(data.X, kind, params)
+    values, index = table
+    L, _, alpha = factorize(data, kind, params, table)
     f = nlml_from_factor(L, alpha, data.y)
     # M = K~^-1 - alpha alpha^T ; dNLML/dtheta = 0.5 tr(M dK/dtheta)
     kinv = _solve_chol(L, np.eye(data.n))
     M = kinv - np.outer(alpha, alpha)
-    tau = kn.lags(data.X, data.X, kind, params)
     grad_nat = np.empty(tp.layout.size)
-    for j, dK in enumerate(kn.natural_partials(tau, kind, params)):
-        grad_nat[j] = 0.5 * float(np.sum(M * dK))
+    for j, dk in enumerate(kn.natural_partials(values, kind, params)):
+        grad_nat[j] = 0.5 * float(np.sum(M * kn.on_table(dk, index)))
     grad_nat[-1] = 0.5 * float(np.trace(M))  # noise slot: dK/ds2 = I
     scale = np.where(tp.layout.log_mask, np.exp(tp.x), 1.0)
     return f, grad_nat * scale
 
 
-def objective_or_inf(data: Dataset, x: np.ndarray, layout):
-    """:func:`nlml_value_and_grad` at ``x``, or ``(inf, 0)`` where the NLML
-    cannot be evaluated, so the line search backs off."""
+def objective_or_inf(data: Dataset, x: np.ndarray, layout, table):
+    """:func:`nlml_value_and_grad` at ``x`` on the lag ``table`` of ``data``,
+    or ``(inf, 0)`` where the NLML cannot be evaluated, so the line search
+    backs off."""
     # DataError covers log-slot underflow to 0 during extreme line-search
     # steps; overflow to inf is caught by the non-finite covariance guard
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return nlml_value_and_grad(data, TransformedParams(x, layout))
+            return nlml_value_and_grad(data, TransformedParams(x, layout), table)
     except (NumericalError, DataError):
         return np.inf, np.zeros_like(x)
 
@@ -330,12 +339,15 @@ def optimize_parts(parts, init_params, kind: str, cfg: OptConfig,
                    norm: Normalization, each=map):
     """``(params, OptResult)`` minimizing the summed NLML of the normalized
     datasets ``parts`` from ``init_params`` (raw target units, rescaled by
-    ``norm``); ``each`` maps the per-part objective (``map`` or a pool's)."""
+    ``norm``); ``each`` maps the per-part objective (``map`` or a pool's).
+    Each part's lag table is built once here and freed on return."""
     s2 = norm.y_std**2
     tp0 = transform(scale_variances(init_params, lambda v: v / s2), kind)
+    tables = [kn.lag_table(part.X, kind, init_params) for part in parts]
 
     def objective(x):
-        results = list(each(lambda part: objective_or_inf(part, x, tp0.layout), parts))
+        results = list(each(lambda part, table: objective_or_inf(part, x, tp0.layout, table),
+                            parts, tables))
         f = sum(r[0] for r in results)
         if not np.isfinite(f):
             return np.inf, np.zeros_like(x)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.integrate import quad
 
 from skewgp.gp import Dataset
@@ -18,6 +19,10 @@ from skewgp.kernels import SlsmComponent, SlsmParams, spectral_density
 
 DATA_DIR = Path(__file__).parent / "data"
 AIRLINE_CSV = DATA_DIR / "airline.csv"
+
+# property tests draw the same bounded set of examples on every run
+settings.register_profile("skewgp", derandomize=True, max_examples=60, deadline=None)
+settings.load_profile("skewgp")
 
 
 # ---------------------------------------------------------------------------

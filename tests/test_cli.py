@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import skewgp.cli as cli
+import skewgp.gp as gp
 from skewgp.errors import DataError
 from skewgp.cli import (
     ForecastJob,
@@ -300,6 +301,46 @@ class TestCommands:
         res = runner.invoke(cli.main, ["fit", str(small_series), flag, value,
                                        "--max-iters", "3", "--out", str(tmp_path / "o")])
         assert res.exit_code == 3, res.output
+
+    @pytest.mark.parametrize("kernel", ["se", "rq"])
+    def test_pruning_a_baseline_kernel_is_data_error(self, runner, small_series, tmp_path,
+                                                     kernel):
+        res = runner.invoke(cli.main, ["fit", str(small_series), "--kernel", kernel,
+                                       "--prune", "--q", "2", "--max-iters", "3",
+                                       "--out", str(tmp_path / "o")])
+        assert res.exit_code == 3, res.output
+        assert "mixture kernel" in res.output
+
+    def test_multivariate_predictions_keep_every_coordinate(self, runner, tmp_path, rng):
+        rows = np.column_stack([rng.uniform(0, 5, (30, 2)), rng.standard_normal(30)])
+        src = _write(tmp_path, "xy.csv", "x1,x2,y\n" + "".join(
+            ",".join(repr(float(v)) for v in r) + "\n" for r in rows))
+        out = tmp_path / "out"
+        res = runner.invoke(cli.main, ["fit", str(src), "--q", "2", "--max-iters", "3",
+                                       "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        fitted = out / "predictions.csv"
+        assert fitted.read_text().splitlines()[1] == "x1,x2,mean,var,lower95,upper95"
+        pred = read_predictions_csv(fitted)
+        assert np.array_equal(pred["x"], rows[18:, :2]) and "t" not in pred
+        res = runner.invoke(cli.main, ["predict", "--model", str(out / "model.json"),
+                                       "--train-data", str(src), "--at", str(src),
+                                       "--out", str(tmp_path / "p.csv")])
+        assert res.exit_code == 0, res.output
+        again = read_predictions_csv(tmp_path / "p.csv")
+        assert np.array_equal(again["x"], rows[:, :2])
+        assert np.array_equal(again["mean"][18:], pred["mean"])
+
+    def test_univariate_predictions_keep_the_t_column(self, small_series, tmp_path):
+        pred = gp.Prediction(np.array([1.0, 2.0]), np.array([0.5, 0.25]))
+        for x in (np.array([3.0, 4.0]), np.array([[3.0], [4.0]])):
+            cli._write_predictions(tmp_path / "p.csv", x, pred)
+            assert (tmp_path / "p.csv").read_text().splitlines()[1] == (
+                "t,mean,var,lower95,upper95")
+            back = read_predictions_csv(tmp_path / "p.csv")
+            assert np.array_equal(back["t"], [3.0, 4.0])
+            assert np.array_equal(back["x"], [[3.0], [4.0]])
+            assert np.array_equal(back["mean"], pred.mean)
 
     def test_exit_code_usage_error(self, runner):
         res = runner.invoke(cli.main, ["fit", "x.csv", "--kernel", "nonsense"])
