@@ -29,7 +29,7 @@ Kernel families:
 Lags are (n, m) arrays for P = 1 and (n, m, P) arrays for P > 1 (see
 :func:`lags`); only the elementwise formula bodies differ between the two.
 Training covariances and their partials are evaluated on a
-:func:`lag_table`, which on a regular 1-D grid holds each distinct lag once.
+:func:`lag_table`, which for P = 1 holds each distinct lag once.
 
 Every function is pure and safe to call concurrently.
 """
@@ -313,18 +313,14 @@ def lag_table(x, kind: str, params):
 
     For P = 1, ``values`` holds the sorted distinct signed lags and ``index``
     the (n, n) position of each entry among them, so a stationary kernel and
-    its partials are evaluated once per distinct lag.  For P > 1, and for
-    1-D points whose distinct lags are not fewer than half the entries
-    (scattered inputs), ``values`` is the plain lag array and ``index`` is
-    None.
+    its partials are evaluated once per distinct lag.  For P > 1, ``values``
+    is the plain lag array and ``index`` is None.
     """
     xa = _as_points(x)
     tau = lags(xa, xa, kind, params)
     if xa.shape[1] > 1:
         return tau, None
     values, index = np.unique(tau, return_inverse=True)
-    if 2 * values.size >= tau.size:
-        return tau, None
     return values, index.reshape(tau.shape)
 
 
@@ -332,13 +328,6 @@ def on_table(values: np.ndarray, index) -> np.ndarray:
     """A kernel quantity evaluated at a :func:`lag_table`'s ``values``,
     spread to one entry per pair of points."""
     return values if index is None else values[index]
-
-
-def table_gram(table, kind: str, params) -> np.ndarray:
-    """Noise-free covariance matrix of the points a :func:`lag_table` was
-    built from; equal to their :func:`gram` bit for bit."""
-    values, index = table
-    return on_table(kernel_value(values, kind, params), index)
 
 
 def gram(x, x2, kind: str, params) -> np.ndarray:

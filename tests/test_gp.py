@@ -22,14 +22,15 @@ UNIT = SlsmParams((SlsmComponent(1.0, 0.0, 1.0, 0.0),), noise_var=0.0)
 
 def _fd_nlml_grad(data, tp):
     """Central differences of the NLML over the transformed vector of ``tp``."""
+    table = kn.lag_table(data.X, tp.layout.kind, gp.untransform(tp))
     fd = np.empty_like(tp.x)
     for j in range(tp.x.size):
         h = 1e-6 * max(1.0, abs(tp.x[j]))
         xp, xm = tp.x.copy(), tp.x.copy()
         xp[j] += h
         xm[j] -= h
-        fp, _ = gp.nlml_value_and_grad(data, gp.TransformedParams(xp, tp.layout))
-        fm, _ = gp.nlml_value_and_grad(data, gp.TransformedParams(xm, tp.layout))
+        fp, _ = gp.nlml_value_and_grad(data, gp.TransformedParams(xp, tp.layout), table)
+        fm, _ = gp.nlml_value_and_grad(data, gp.TransformedParams(xm, tp.layout), table)
         fd[j] = (fp - fm) / (2.0 * h)
     return fd
 
@@ -220,7 +221,8 @@ class TestFit:
         model = fit(data, init, "slsm", OptConfig(max_iters=50))
         s2 = model.normalization.y_std**2
         tp0 = transform(gp.scale_variances(init, lambda v: v / s2), "slsm")
-        f0, _ = gp.nlml_value_and_grad(model.data, tp0)
+        f0, _ = gp.nlml_value_and_grad(model.data, tp0,
+                                        kn.lag_table(model.data.X, "slsm", init))
         assert model.nlml_internal <= f0
         assert model.jitter_used >= 0.0
 

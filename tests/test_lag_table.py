@@ -58,13 +58,14 @@ def dense_value_and_grad(data, tp):
 
 def _assert_table_path_exact(data, params, kind):
     tp = transform(params, kind)
+    table = kn.lag_table(data.X, kind, params)
     try:
         f_ref, g_ref, jit_ref = dense_value_and_grad(data, tp)
     except NumericalError:
         with pytest.raises(NumericalError):
-            gp.nlml_value_and_grad(data, tp)
+            gp.nlml_value_and_grad(data, tp, table)
         return
-    f, g = gp.nlml_value_and_grad(data, tp)
+    f, g = gp.nlml_value_and_grad(data, tp, table)
     assert f == f_ref
     assert np.array_equal(g, g_ref)
     assert gp.factorize(data, kind, untransform(tp))[1] == jit_ref
@@ -76,24 +77,29 @@ class TestLagTable:
         X = _grids(rng, 120)[grid]
         for kind in KINDS:
             p = _params(rng, kind, p=1 if X.ndim == 1 else 2)
-            K = kn.table_gram(kn.lag_table(X, kind, p), kind, p)
+            values, index = kn.lag_table(X, kind, p)
+            K = kn.on_table(kn.kernel_value(values, kind, p), index)
             assert np.array_equal(K, kn.gram(X, X, kind, p))
 
-    def test_collapses_only_regular_univariate_grids(self, rng):
+    def test_collapses_every_univariate_input(self, rng):
         grids = _grids(rng, 120)
-        for grid in ("unit", "tenth", "linspace"):
-            values, index = kn.lag_table(grids[grid], "slsm", random_params(rng))
-            assert index.shape == (120, 120) and 2 * values.size < 120 * 120
-            assert np.array_equal(values, np.unique(values))
-            if grid == "unit":
-                assert values.size == 2 * 120 - 1
-        for grid in ("scattered", "p2"):
+        for grid in ("unit", "tenth", "linspace", "scattered"):
             X = grids[grid]
-            p = random_params(rng) if X.ndim == 1 else _params(rng, "slsm", p=2)
-            values, index = kn.lag_table(X, "slsm", p)
-            assert index is None
-            assert np.array_equal(values, kn.lags(kn._as_points(X), kn._as_points(X),
-                                                  "slsm", p))
+            values, index = kn.lag_table(X, "slsm", random_params(rng))
+            assert index.shape == (120, 120)
+            assert np.array_equal(values, np.unique(values))
+            assert np.array_equal(values[index], X[:, None] - X[None, :])
+        assert kn.lag_table(grids["unit"], "slsm", random_params(rng))[0].size == 2 * 120 - 1
+        # scattered points share only the zero lag of the diagonal
+        assert kn.lag_table(grids["scattered"], "slsm",
+                            random_params(rng))[0].size == 120 * 119 + 1
+
+    def test_multivariate_input_keeps_the_lag_array(self, rng):
+        X = _grids(rng, 120)["p2"]
+        p = _params(rng, "slsm", p=2)
+        values, index = kn.lag_table(X, "slsm", p)
+        assert index is None
+        assert np.array_equal(values, kn.lags(X, X, "slsm", p))
 
     def test_large_linspace_grid_collapses_exactly(self):
         X = np.linspace(0.0, 400.0, 2000)
