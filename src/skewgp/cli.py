@@ -45,7 +45,6 @@ class IngestInfo:
     p: int
     uniform: bool
     delta_t: float
-    t: np.ndarray | None      # time column for univariate series
 
 
 def _parse_rows(path: str | Path):
@@ -96,13 +95,13 @@ def ingest_csv(path) -> tuple[Dataset, IngestInfo]:
     cols = data.shape[1]
     if cols == 1:
         t = np.arange(data.shape[0], dtype=float)
-        return Dataset(t[:, None], data[:, 0], names), IngestInfo(1, True, 1.0, t)
+        return Dataset(t[:, None], data[:, 0], names), IngestInfo(1, True, 1.0)
     if cols == 2:
         t = data[:, 0]
         uniform, dt = spectral.sampling_step(t)
-        return Dataset(t[:, None], data[:, 1], names), IngestInfo(1, uniform, dt, t)
+        return Dataset(t[:, None], data[:, 1], names), IngestInfo(1, uniform, dt)
     X = data[:, :-1]
-    return Dataset(X, data[:, -1], names), IngestInfo(cols - 1, False, 1.0, None)
+    return Dataset(X, data[:, -1], names), IngestInfo(cols - 1, False, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +397,8 @@ def predict_cmd(model_path, train_data, train_frac, at_path, observation_noise,
 @_exit_codes
 def sample_cmd(model_path, n_points, t_max, n_paths, seed, out_path):
     """Draw prior sample paths from a saved model's kernel."""
+    if n_points < 1 or n_paths < 1:
+        raise DataError(f"n-points and n-paths must be >= 1, got {n_points} and {n_paths}")
     doc = json.loads(Path(model_path).read_text())
     kind = doc["kernel_type"]
     params = gp.params_from_dict(doc, kind)

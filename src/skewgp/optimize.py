@@ -8,10 +8,12 @@ coordinate is log sigma_d whatever the number of dimensions P.  Frequencies
 intended at zero are represented by 1e-8 so a single log transform covers
 every slot.
 
-The line search is a bisection weak-Wolfe search (sufficient decrease with
-c1 = 1e-4, curvature with c2 = 0.9).  On a line-search failure the optimizer
-falls back to one steepest-descent step and resumes; a second failure
-terminates with the best point so far.
+The optimizer is L-BFGS with a memory of 10 curvature pairs; a run stops
+once the largest gradient entry falls below 1e-6 or its iteration budget is
+spent.  The line search is a bisection weak-Wolfe search (sufficient
+decrease with c1 = 1e-4, curvature with c2 = 0.9, at most 50 trial steps).
+On a line-search failure the optimizer falls back to one steepest-descent
+step and resumes; a second failure terminates with the best point so far.
 """
 
 from __future__ import annotations
@@ -27,19 +29,20 @@ from .kernels import BaselineKernelParams, SlsmComponent, SlsmParams
 MU_FLOOR = 1e-8
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
+MAX_BISECT = 50
+LBFGS_MEMORY = 10
+GRAD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class OptConfig:
     max_iters: int = 100
-    memory: int = 10
-    grad_tol: float = 1e-6
     restarts: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.memory < 1 or self.restarts < 1:
-            raise DataError("max_iters, memory and restarts must all be >= 1")
+        if self.max_iters < 1 or self.restarts < 1:
+            raise DataError("max_iters and restarts must both be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +173,14 @@ def trace_to_csv(trace) -> str:
     return buf.getvalue()
 
 
-def _weak_wolfe(fun, x, f0, g0, d, max_bisect=50):
+def _weak_wolfe(fun, x, f0, g0, d):
     """Bisection weak-Wolfe line search.  Returns (t, f, g, ok, n_evals)."""
     dg0 = float(g0 @ d)
     lo, hi = 0.0, np.inf
     t = 1.0
     best = None
     n_evals = 0
-    for _ in range(max_bisect):
+    for _ in range(MAX_BISECT):
         f, g = fun(x + t * d)
         n_evals += 1
         if not np.isfinite(f):
@@ -228,7 +231,7 @@ def _minimize_single(fun, x0, cfg: OptConfig) -> OptResult:
     fallback_used = False
     for it in range(1, cfg.max_iters + 1):
         gnorm = float(np.max(np.abs(g)))
-        if gnorm < cfg.grad_tol:
+        if gnorm < GRAD_TOL:
             res.converged = True
             break
         d = _lbfgs_direction(g, s_hist, y_hist)
@@ -267,7 +270,7 @@ def _minimize_single(fun, x0, cfg: OptConfig) -> OptResult:
         if float(s @ yv) > 1e-10 * np.linalg.norm(s) * np.linalg.norm(yv):
             s_hist.append(s)
             y_hist.append(yv)
-            if len(s_hist) > cfg.memory:
+            if len(s_hist) > LBFGS_MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
         x, f, g = x_new, float(f_new), g_new

@@ -8,7 +8,7 @@ largest-weight component is never pruned, so at least one survives.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,15 +22,12 @@ class PruneConfig:
     threshold: float = 1.0         # applied to denormalized weights
     rounds: int = 2
     opt: OptConfig = field(default_factory=lambda: OptConfig(max_iters=100))
-    rewind: str = "all"            # "all": full rewind; "weights": weights only
 
     def __post_init__(self):
         if not (self.threshold >= 0.0):
             raise DataError(f"threshold must be >= 0, got {self.threshold}")
         if self.rounds < 1:
             raise DataError("rounds must be >= 1")
-        if self.rewind not in ("all", "weights"):
-            raise DataError(f"rewind must be 'all' or 'weights', got {self.rewind!r}")
 
 
 @dataclass
@@ -103,15 +100,9 @@ def lth_fit(data: Dataset, init_params, kind: str,
         ))
 
         if rnd < cfg.rounds:
-            denorm = model.denormalized_params()
-            if cfg.rewind == "all":
-                comps = tuple(initial_components[g] for g in surviving)
-            else:
-                comps = tuple(
-                    replace(c, w=initial_components[g].w)
-                    for g, c in zip(surviving, denorm.components)
-                )
-            round_init = init_params.__class__(comps, noise_var=denorm.noise_var)
+            comps = tuple(initial_components[g] for g in surviving)
+            noise_var = model.denormalized_params().noise_var
+            round_init = init_params.__class__(comps, noise_var=noise_var)
 
     model.prune_report = report.to_dict()
     return model, report

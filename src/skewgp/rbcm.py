@@ -1,7 +1,8 @@
 """Robust Bayesian committee machine: partitioned training and
 product-of-experts prediction.
 
-Training minimizes the sum of per-expert NLMLs under one shared
+The training series is split into M contiguous blocks in time order, one
+per expert.  Training minimizes the sum of per-expert NLMLs under one shared
 hyper-parameter vector; prediction recombines per-expert Gaussians with
 entropy-difference weights (uniform 1/M weights are available as a mode) and
 a prior-precision correction:
@@ -39,23 +40,14 @@ from .optimize import OptConfig, OptResult
 BETA_MODES = ("entropy", "uniform")
 
 
-def partition(n: int, m: int, strategy: str = "contiguous", seed: int = 0):
-    """Split indices 0..n-1 into M disjoint covering subsets (sizes differ <= 1).
-
-    ``contiguous`` keeps time order (the default for series); ``random``
-    shuffles with the given seed.
-    """
+def partition(n: int, m: int):
+    """Split indices 0..n-1 into M contiguous blocks in time order (sizes
+    differ by at most 1)."""
     if m > n:
         raise DataError(f"cannot split n={n} points into M={m} subsets")
     if m < 1:
         raise DataError("M must be >= 1")
-    if strategy == "contiguous":
-        idx = np.arange(n)
-    elif strategy == "random":
-        idx = np.random.default_rng(seed).permutation(n)
-    else:
-        raise DataError(f"unknown partition strategy {strategy!r}")
-    return [np.sort(part) for part in np.array_split(idx, m)]
+    return np.array_split(np.arange(n), m)
 
 
 @dataclass
@@ -79,6 +71,10 @@ class ExpertEnsemble:
     train_fingerprint: str = ""
     opt_result: OptResult | None = None
 
+    def __post_init__(self):
+        if self.beta_mode not in BETA_MODES:
+            raise DataError(f"beta_mode must be one of {BETA_MODES}, got {self.beta_mode!r}")
+
     @property
     def m(self) -> int:
         return len(self.experts)
@@ -95,29 +91,27 @@ def _expert_factors(kind, params, expert: _Expert):
     expert.chol_L, expert.jitter_used, expert.alpha = factorize(expert.data, kind, params)
 
 
-def _ensemble_from_params(kind, params, norm, experts, beta_mode, fingerprint,
-                          opt_result=None) -> ExpertEnsemble:
+def _ensemble_from_params(kind, params, norm, experts, fingerprint,
+                          **fields) -> ExpertEnsemble:
+    ens = ExpertEnsemble(kind=kind, params=params, normalization=norm, experts=experts,
+                         train_fingerprint=fingerprint, **fields)
     for e in experts:
         _expert_factors(kind, params, e)
-    return ExpertEnsemble(kind=kind, params=params, normalization=norm, experts=experts,
-                          beta_mode=beta_mode, train_fingerprint=fingerprint,
-                          opt_result=opt_result)
+    return ens
 
 
 def rbcm_fit(data: Dataset, m: int, kind: str, init_params,
-             cfg: OptConfig | None = None, beta_mode: str = "entropy") -> ExpertEnsemble:
+             cfg: OptConfig | None = None) -> ExpertEnsemble:
     """Fit M experts on contiguous blocks of ``data`` with a shared
     hyper-parameter vector; their NLMLs are evaluated on a pool of
-    min(M, CPUs) threads."""
-    if beta_mode not in BETA_MODES:
-        raise DataError(f"beta_mode must be one of {BETA_MODES}, got {beta_mode!r}")
+    min(M, CPUs) threads.  Predictions use entropy weights."""
     norm = Normalization.from_data(data)
     experts = _experts(norm.apply(data), partition(data.n, m))
     with ThreadPoolExecutor(max_workers=min(len(experts), os.cpu_count() or 1)) as pool:
         params, res = optimize_parts([e.data for e in experts], init_params, kind,
                                      cfg or OptConfig(), norm, each=pool.map)
-    return _ensemble_from_params(kind, params, norm, experts, beta_mode,
-                                 data.fingerprint(), opt_result=res)
+    return _ensemble_from_params(kind, params, norm, experts, data.fingerprint(),
+                                 opt_result=res)
 
 
 def rbcm_joint_nlml(ens: ExpertEnsemble) -> float:
@@ -180,7 +174,8 @@ def ensemble_to_dict(ens: ExpertEnsemble) -> dict:
 
 def ensemble_from_dict(d: dict, data: Dataset) -> ExpertEnsemble:
     kind, params, norm, data_n = record_from_dict(d, data)
-    experts = _experts(data_n, [np.asarray(rec["indices"], dtype=int)
-                                for rec in d["experts"]])
-    return _ensemble_from_params(kind, params, norm, experts, d["rbcm"]["beta_mode"],
-                                 d["train_fingerprint"])
+    index_sets = [np.asarray(rec["indices"], dtype=int) for rec in d["experts"]]
+    if any(np.any((idx < 0) | (idx >= data_n.n)) for idx in index_sets):
+        raise DataError(f"expert indices must lie in [0, {data_n.n})")
+    return _ensemble_from_params(kind, params, norm, _experts(data_n, index_sets),
+                                 d["train_fingerprint"], beta_mode=d["rbcm"]["beta_mode"])

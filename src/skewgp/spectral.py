@@ -22,6 +22,7 @@ EM_MAX_ITERS = 200
 EM_TOL = 1e-8
 _SCALE_FLOOR = 1e-8
 _WEIGHT_FLOOR = 1e-10
+MEDIAN_MAX_POINTS = 2000
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,6 @@ class SpectrumEstimate:
 
     freqs: np.ndarray
     powers: np.ndarray
-    delta_t: float
 
     def __post_init__(self):
         f = np.asarray(self.freqs, dtype=float)
@@ -77,7 +77,7 @@ def sampling_step(t: np.ndarray) -> tuple[bool, float]:
     return uniform, med
 
 
-def periodogram(series, delta_t: float = 1.0, t=None) -> SpectrumEstimate:
+def periodogram(series, delta_t: float = 1.0) -> SpectrumEstimate:
     """Raw one-sided periodogram of a uniformly sampled series.
 
     The mean is removed, the DC bin is excluded, and powers are scaled so that
@@ -88,14 +88,12 @@ def periodogram(series, delta_t: float = 1.0, t=None) -> SpectrumEstimate:
     n = y.size
     if n < 4:
         raise DataError(f"periodogram needs n >= 4 samples, got {n}")
-    if t is not None and not sampling_step(np.asarray(t, dtype=float).ravel())[0]:
-        raise DataError("non-uniform sampling detected; use random initialization instead")
     yc = y - np.mean(y)
     spec = np.fft.rfft(yc)
     k = np.arange(1, n // 2 + 1)
     freqs = 2.0 * math.pi * k / (n * delta_t)
     powers = np.abs(spec[k]) ** 2 * delta_t / (math.pi * n)
-    return SpectrumEstimate(freqs, powers, delta_t)
+    return SpectrumEstimate(freqs, powers)
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +249,15 @@ def nyquist_freq_max(delta_t: float) -> float:
     return math.pi / delta_t
 
 
-def median_distance_freq_max(X: np.ndarray, max_pairs: int = 2000, seed: int = 0) -> float:
-    """pi / median pairwise distance, subsampled for large n."""
+def median_distance_freq_max(X: np.ndarray) -> float:
+    """pi / median pairwise distance, over a seeded subsample of
+    MEDIAN_MAX_POINTS points for larger n."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     n = X.shape[0]
-    rng = np.random.default_rng(seed)
-    if n > max_pairs:
-        idx = rng.choice(n, size=max_pairs, replace=False)
+    if n > MEDIAN_MAX_POINTS:
+        idx = np.random.default_rng(0).choice(n, size=MEDIAN_MAX_POINTS, replace=False)
         X = X[idx]
     d = np.sqrt(np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1))
     med = float(np.median(d[np.triu_indices_from(d, k=1)]))

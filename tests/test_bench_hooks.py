@@ -4,10 +4,15 @@ refactor cannot break it unnoticed:
 * every per-layer hook of the tracer names a program attribute that exists
   (resolved the way ``perfbench/tracer.py`` resolves them; no hook is
   installed), so no layer metric is dropped;
+* every program name ``perfbench/job.py`` imports or reads off an imported
+  ``skewgp`` module exists, and every ``OptConfig`` keyword it passes is a
+  field, so a deletion the benchmark needs fails here and not in its run;
 * the model record carries the keys ``perfbench/oracle.py`` reads, and the
   oracle's closed form rebuilds the program's Gram matrix from them.
 """
 
+import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -30,6 +35,51 @@ def _load(name):
 
 def _hook_targets():
     return [(modname, attr) for modname, attr, _, _ in _load("tracer").HOOKS]
+
+
+def _job_program_uses():
+    """``(module, attribute)`` for every ``skewgp`` name ``perfbench/job.py``
+    imports or reads as ``module.attr``, and the ``OptConfig`` keywords it
+    passes."""
+    tree = ast.parse((PERFBENCH / "job.py").read_text())
+    modules, uses, opt_keywords = {}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("skewgp"):
+            for alias in node.names:
+                uses.add((node.module, alias.name))
+                if node.module == "skewgp":
+                    modules[alias.asname or alias.name] = f"skewgp.{alias.name}"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            uses.add((modules[node.value.id], node.attr))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "OptConfig"):
+            opt_keywords.update(k.arg for k in node.keywords)
+    return sorted(uses), sorted(opt_keywords)
+
+
+def test_job_reads_the_modules_it_imports():
+    uses, opt_keywords = _job_program_uses()
+    # the parse must see the pipeline, not come back empty
+    assert {("skewgp.cli", "build_init"), ("skewgp.gp", "fit"),
+            ("skewgp.rbcm", "rbcm_fit")} <= set(uses)
+    assert "max_iters" in opt_keywords
+
+
+@pytest.mark.parametrize("modname, attr", _job_program_uses()[0])
+def test_job_program_name_resolves(modname, attr):
+    module = importlib.import_module(modname)
+    # ``from package import name`` also finds a submodule of that name
+    assert hasattr(module, attr) or (hasattr(module, "__path__") and
+                                     importlib.util.find_spec(f"{modname}.{attr}"))
+
+
+@pytest.mark.parametrize("keyword", _job_program_uses()[1])
+def test_job_opt_config_keyword_is_a_field(keyword):
+    from skewgp.optimize import OptConfig
+
+    assert keyword in {f.name for f in dataclasses.fields(OptConfig)}
 
 
 @pytest.mark.parametrize("modname, attr", _hook_targets())

@@ -302,6 +302,39 @@ class TestCommands:
                                        "--max-iters", "3", "--out", str(tmp_path / "o")])
         assert res.exit_code == 3, res.output
 
+    @pytest.mark.parametrize("flag, value", [("--n-points", "0"), ("--n-paths", "0"),
+                                             ("--n-paths", "-1")])
+    def test_out_of_range_sample_counts_are_data_errors(self, runner, small_series,
+                                                        tmp_path, flag, value):
+        out = tmp_path / "out"
+        runner.invoke(cli.main, ["fit", str(small_series), "--q", "2",
+                                 "--max-iters", "3", "--out", str(out)])
+        sample_path = tmp_path / "s.csv"
+        res = runner.invoke(cli.main, ["sample", "--model", str(out / "model.json"),
+                                       flag, value, "--out", str(sample_path)])
+        assert res.exit_code == 3, res.output
+        assert not sample_path.exists()
+
+    @pytest.mark.parametrize("field, value", [("beta_mode", "softmax"), ("index", 99),
+                                              ("index", -1)])
+    def test_bad_ensemble_record_is_data_error(self, runner, small_series, tmp_path,
+                                               field, value):
+        out = tmp_path / "out"
+        res = runner.invoke(cli.main, ["fit", str(small_series), "--q", "2", "--rbcm", "2",
+                                       "--max-iters", "3", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        doc = json.loads((out / "model.json").read_text())
+        if field == "beta_mode":
+            doc["rbcm"]["beta_mode"] = value
+        else:
+            doc["experts"][0]["indices"][0] = value
+        (out / "model.json").write_text(json.dumps(doc))
+        res = runner.invoke(cli.main, ["predict", "--model", str(out / "model.json"),
+                                       "--train-data", str(small_series),
+                                       "--at", str(small_series),
+                                       "--out", str(tmp_path / "p.csv")])
+        assert res.exit_code == 3, res.output
+
     @pytest.mark.parametrize("kernel", ["se", "rq"])
     def test_pruning_a_baseline_kernel_is_data_error(self, runner, small_series, tmp_path,
                                                      kernel):

@@ -150,4 +150,4 @@ class TestMinimize:
         with pytest.raises(DataError):
             OptConfig(max_iters=0)
         with pytest.raises(DataError):
-            OptConfig(memory=0)
+            OptConfig(restarts=0)

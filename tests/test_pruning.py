@@ -38,8 +38,6 @@ class TestConfig:
             PruneConfig(threshold=-1.0)
         with pytest.raises(DataError):
             PruneConfig(rounds=0)
-        with pytest.raises(DataError):
-            PruneConfig(rewind="sometimes")
 
 
 class TestPruning:
@@ -120,27 +118,12 @@ class TestRewindContract:
     def test_full_rewind_restores_all_hyperparameters(self, synth, monkeypatch):
         recorded = self._record_inits(monkeypatch)
         init = _init(6, synth)
-        lth_fit(synth, init, "slsm", PruneConfig(opt=FAST, rewind="all"))
+        lth_fit(synth, init, "slsm", PruneConfig(opt=FAST))
         assert len(recorded) == 2
         survivors = {(c.mu, c.sigma, c.gamma): c for c in init.components}
         for c in recorded[1].components:
             orig = survivors[(c.mu, c.sigma, c.gamma)]
             assert c.w == orig.w    # bit-identical rewind to round-0 values
-
-    def test_weights_only_rewind_keeps_trained_shape(self, synth, monkeypatch):
-        recorded = self._record_inits(monkeypatch)
-        init = _init(6, synth)
-        model, report = lth_fit(synth, init, "slsm",
-                                PruneConfig(opt=FAST, rewind="weights"))
-        assert len(recorded) == 2
-        init_ws = {c.w for c in init.components}
-        for c in recorded[1].components:
-            assert c.w in init_ws    # weight rewound
-        if report.rounds[0].surviving_q == 6:
-            # shape params must be the trained ones, not the initial ones
-            trained = {(c.mu, c.sigma) for c in recorded[1].components}
-            original = {(c.mu, c.sigma) for c in init.components}
-            assert trained != original
 
     def test_noise_is_never_rewound(self, synth, monkeypatch):
         recorded = self._record_inits(monkeypatch)

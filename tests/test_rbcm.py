@@ -64,27 +64,17 @@ class TestPartition:
         np.testing.assert_array_equal(parts[1], np.arange(5, 10))
 
     def test_disjoint_cover(self):
-        for strategy in ("contiguous", "random"):
-            parts = partition(103, 7, strategy=strategy, seed=3)
-            merged = np.concatenate(parts)
-            assert len(merged) == 103
-            np.testing.assert_array_equal(np.sort(merged), np.arange(103))
-            sizes = [len(p) for p in parts]
-            assert max(sizes) - min(sizes) <= 1
-
-    def test_random_seeded_reproducible(self):
-        a = partition(50, 4, strategy="random", seed=9)
-        b = partition(50, 4, strategy="random", seed=9)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
+        parts = partition(103, 7)
+        # consecutive blocks in time order cover every index exactly once
+        np.testing.assert_array_equal(np.concatenate(parts), np.arange(103))
+        sizes = [len(p) for p in parts]
+        assert max(sizes) - min(sizes) <= 1
 
     def test_too_many_subsets_rejected(self):
         with pytest.raises(DataError):
             partition(3, 4)
         with pytest.raises(DataError):
             partition(3, 0)
-        with pytest.raises(DataError):
-            partition(10, 2, strategy="striped")
 
 
 class TestRbcmFit:
@@ -125,11 +115,6 @@ class TestRbcmFit:
         assert workers == [1, 3]
         assert fits[0].params == fits[1].params
         np.testing.assert_array_equal(fits[0].opt_result.x, fits[1].opt_result.x)
-
-    def test_invalid_beta_mode_rejected(self, series):
-        init = SlsmParams((SlsmComponent(1.0, 0.6, 0.2, 0.0),), noise_var=0.1)
-        with pytest.raises(DataError):
-            rbcm_fit(series, 2, "slsm", init, beta_mode="softmax")
 
 
 class TestRbcmPredict:
@@ -215,6 +200,24 @@ class TestEnsembleSerialization:
             b = clone.predict(Xq, observation_noise=obs)
             assert np.max(np.abs(b.mean - a.mean)) <= 1e-12 * np.max(np.abs(a.mean))
             assert np.max(np.abs(b.var - a.var)) <= 1e-12 * np.max(np.abs(a.var))
+
+    def test_invalid_beta_mode_rejected(self, series, rng):
+        p = random_params(rng, q=1, noise=0.2)
+        with pytest.raises(DataError):
+            _manual_ensemble(series, p, partition(series.n, 2), beta_mode="softmax")
+        data, ens = _ensemble_2d(rng)
+        doc = ensemble_to_dict(ens)
+        doc["rbcm"]["beta_mode"] = "softmax"
+        with pytest.raises(DataError, match="beta_mode"):
+            ensemble_from_dict(doc, data)
+
+    @pytest.mark.parametrize("bad", [99, 40, -1])
+    def test_expert_indices_out_of_range_rejected(self, rng, bad):
+        data, ens = _ensemble_2d(rng, n=40)
+        doc = ensemble_to_dict(ens)
+        doc["experts"][1]["indices"][-1] = bad
+        with pytest.raises(DataError, match="indices"):
+            ensemble_from_dict(doc, data)
 
     def test_fingerprint_checked(self, series, rng):
         init = SlsmParams((SlsmComponent(1.0, 0.6, 0.2, 0.0),), noise_var=0.1)

@@ -42,12 +42,6 @@ class TestPeriodogram:
         with pytest.raises(DataError):
             sp.periodogram(np.ones(3), 1.0)
 
-    def test_non_uniform_sampling_rejected(self, rng):
-        y = rng.standard_normal(32)
-        t = np.cumsum(rng.uniform(0.5, 1.5, 32))
-        with pytest.raises(DataError):
-            sp.periodogram(y, 1.0, t=t)
-
 
 class TestEmMixture:
     def _two_tone_spec(self):
@@ -82,7 +76,7 @@ class TestEmMixture:
         assert sum(fit_mix.weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_power_rejected(self):
-        spec = sp.SpectrumEstimate(np.array([1.0, 2.0]), np.zeros(2), 1.0)
+        spec = sp.SpectrumEstimate(np.array([1.0, 2.0]), np.zeros(2))
         with pytest.raises(DataError):
             sp.em_mixture(spec, 2)
 
