@@ -6,9 +6,31 @@ Training minimizes the negative log marginal likelihood (NLML)
 
 with the full constant included.  Targets are centered and scaled to unit
 variance before training; weights and the noise variance are reported back in
-the original units.  Cholesky failures walk a jitter ladder eps * (tr/n) with
-eps in {1e-10, 1e-8, 1e-6, 1e-4, 1e-2} and the jitter actually used is part of
-the model record, never silent.
+the original units.
+
+The optimization objective takes one of two paths per dataset
+(:func:`objective_groups`).  They agree to 1e-8 on the NLML and 1e-5
+relative on the gradient while the noise variance is at least 1e-6 of the
+prior variance; closer to singular, both are limited by the conditioning of
+K:
+
+* Toeplitz: P = 1 inputs with at least :data:`~skewgp.toeplitz.MIN_N`
+  points that pass the uniformity rule of
+  :func:`~skewgp.kernels.uniform_step` (|t_i - (t_0 + i h)| within a few
+  ulps of max|t|).  K + s2 I is then symmetric Toeplitz; the NLML and its
+  gradient come from one Levinson--Durbin factor of its first column and
+  FFT convolutions, with no n x n matrix.  Datasets on the same grid, such
+  as equal rBCM blocks, share one factor per evaluation.  The crossover
+  MIN_N is measured, not an option.
+* Dense: every other input, including short uniform series such as the
+  96-month airline fit.  K and its partials are evaluated on the inputs'
+  :func:`~skewgp.kernels.lag_table` and factorized by Cholesky.
+
+Either factorization walks a jitter ladder eps * (tr/n), with eps in
+{0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2}: a Cholesky rung fails when the
+factorization does, a Levinson--Durbin rung when a prediction-error variance
+is <= 0.  The fitted model and rBCM experts are always factorized densely,
+and the jitter actually used is part of the model record, never silent.
 """
 
 from __future__ import annotations
@@ -23,6 +45,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .errors import DataError, DimensionMismatchError, NumericalError
 from . import kernels as kn
+from . import toeplitz as tz
 from .kernels import BaselineKernelParams, SlsmComponent, SlsmParams
 from .optimize import (
     OptConfig,
@@ -150,17 +173,11 @@ class Prediction:
 # ---------------------------------------------------------------------------
 
 
-def chol_with_jitter(K: np.ndarray, noise_var: float):
-    """Lower Cholesky of K + noise I, escalating jitter on failure.
-
-    Returns ``(L, jitter_used)``; raises :class:`NumericalError` naming the
-    final jitter tried when the whole ladder fails.
-    """
-    n = K.shape[0]
-    if not (np.all(np.isfinite(K)) and np.isfinite(noise_var)):
-        raise NumericalError("covariance matrix contains non-finite values")
-    kt = K + noise_var * np.eye(n)
-    scale = float(np.trace(kt)) / n
+def _walk_ladder(scale: float, attempt, what: str):
+    """``(attempt(jitter), jitter)`` at the first jitter eps * ``scale``,
+    eps in :data:`JITTER_LADDER`, where ``attempt`` does not return None;
+    raises :class:`NumericalError` naming the final jitter tried when every
+    rung fails."""
     if not np.isfinite(scale):
         raise NumericalError("covariance trace overflows; no jitter scale exists")
     if scale <= 0.0:
@@ -168,14 +185,48 @@ def chol_with_jitter(K: np.ndarray, noise_var: float):
     last = 0.0
     for eps in JITTER_LADDER:
         last = eps * scale
+        out = attempt(last)
+        if out is not None:
+            return out, last
+    raise NumericalError(f"{what} failed after jitter escalation up to {last:.3e}")
+
+
+def chol_with_jitter(K: np.ndarray, noise_var: float):
+    """Lower Cholesky of K + noise I, escalating jitter on failure.
+
+    Returns ``(L, jitter_used)``; the jitter scale is tr(K + noise I) / n.
+    """
+    n = K.shape[0]
+    if not (np.all(np.isfinite(K)) and np.isfinite(noise_var)):
+        raise NumericalError("covariance matrix contains non-finite values")
+    kt = K + noise_var * np.eye(n)
+
+    def attempt(jitter):
         try:
-            L = cholesky(kt + last * np.eye(n), lower=True)
-            return L, last
+            return cholesky(kt + jitter * np.eye(n), lower=True)
         except np.linalg.LinAlgError:
-            continue
-    raise NumericalError(
-        f"Cholesky factorization failed after jitter escalation up to {last:.3e}"
-    )
+            return None
+
+    return _walk_ladder(float(np.trace(kt)) / n, attempt, "Cholesky factorization")
+
+
+def levinson_with_jitter(r: np.ndarray, noise_var: float):
+    """Levinson--Durbin on the Toeplitz first column ``r`` of K plus noise
+    I, on the same jitter ladder and scale (r_0 + noise = tr / n) as
+    :func:`chol_with_jitter`; a rung fails when a prediction-error variance
+    is <= 0.  Returns ``(factor, jitter_used)`` with a
+    :class:`~skewgp.toeplitz.Factor`."""
+    if not (np.all(np.isfinite(r)) and np.isfinite(noise_var)):
+        raise NumericalError("covariance matrix contains non-finite values")
+    rt = np.array(r, dtype=float)
+    rt[0] += noise_var
+
+    def attempt(jitter):
+        rj = rt.copy()
+        rj[0] += jitter
+        return tz.levinson(rj)
+
+    return _walk_ladder(float(rt[0]), attempt, "Levinson-Durbin recursion")
 
 
 def _solve_chol(L: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -223,28 +274,59 @@ def nlml(data: Dataset, params, kind: str) -> float:
     return nlml_from_factor(L, alpha, data.y)
 
 
-def nlml_value_and_grad(data: Dataset, tp: TransformedParams, table):
-    """NLML and its gradient in the transformed coordinates of ``tp``, with
-    K and every dK/dtheta evaluated on ``table``, the inputs'
-    :func:`~skewgp.kernels.lag_table`."""
+def nlml_value_and_grad(data, tp: TransformedParams, table):
+    """NLML and its gradient in the transformed coordinates of ``tp``.
+
+    With a lag ``table`` (:func:`~skewgp.kernels.lag_table` of the one
+    Dataset ``data``), K and every dK/dtheta are evaluated on it and the
+    gradient is 0.5 tr((K^-1 - alpha alpha^T) dK/dtheta) from a Cholesky
+    factor.  With a :class:`~skewgp.toeplitz.Grid`, ``data`` is the list of
+    datasets on that grid and the result is the sum of their NLMLs, from
+    one Levinson--Durbin factor of the Toeplitz K (:func:`_toeplitz_terms`).
+    """
     params = untransform(tp)
     kind = tp.layout.kind
+    terms = _toeplitz_terms if isinstance(table, tz.Grid) else _dense_terms
+    f, grad_nat = terms(data, kind, params, table)
+    scale = np.where(tp.layout.log_mask, np.exp(tp.x), 1.0)
+    return f, np.array(grad_nat) * scale
+
+
+def _dense_terms(data: Dataset, kind: str, params, table):
+    """NLML and natural-coordinate gradient (noise slot last) of ``data``
+    on its lag table."""
     L, _, alpha = factorize(data, kind, params, table)
     values, index = table
     f = nlml_from_factor(L, alpha, data.y)
     # M = K~^-1 - alpha alpha^T ; dNLML/dtheta = 0.5 tr(M dK/dtheta)
     kinv = _solve_chol(L, np.eye(data.n))
     M = kinv - np.outer(alpha, alpha)
-    grad_nat = np.empty(tp.layout.size)
-    for j, dk in enumerate(kn.natural_partials(values, kind, params)):
-        grad_nat[j] = 0.5 * float(np.sum(M * kn.on_table(dk, index)))
-    grad_nat[-1] = 0.5 * float(np.trace(M))  # noise slot: dK/ds2 = I
-    scale = np.where(tp.layout.log_mask, np.exp(tp.x), 1.0)
-    return f, grad_nat * scale
+    grad_nat = [0.5 * float(np.sum(M * kn.on_table(dk, index)))
+                for dk in kn.natural_partials(values, kind, params)]
+    return f, grad_nat + [0.5 * float(np.trace(M))]  # noise slot: dK/ds2 = I
 
 
-def objective_or_inf(data: Dataset, x: np.ndarray, layout, table):
-    """:func:`nlml_value_and_grad` at ``x`` on the lag ``table`` of ``data``,
+def _toeplitz_terms(parts, kind: str, params, grid: tz.Grid):
+    """Summed NLML and natural-coordinate gradient of the datasets ``parts``
+    on ``grid``.  K~ is symmetric Toeplitz, so with S_k the k-th diagonal
+    sum of M = m K~^-1 - sum_e alpha_e alpha_e^T, every slot is
+    0.5 (dk_0 S_0 + 2 sum_{k>0} dk_k S_k) over the n lags h k."""
+    lags = grid.lags()
+    factor, _ = levinson_with_jitter(kn.kernel_value(lags, kind, params),
+                                     params.noise_var)
+    Y = np.column_stack([part.y for part in parts])
+    alpha = factor.solve(Y)
+    f = 0.5 * (float(np.sum(Y * alpha))
+               + len(parts) * (factor.logdet + grid.n * math.log(2.0 * math.pi)))
+    S = factor.diag_sums(alpha)
+    noise_slot = 0.5 * float(S[0])  # dK/ds2 = I
+    S[1:] *= 2.0  # each lag k > 0 sits on two diagonals
+    grad_nat = [0.5 * float(dk @ S) for dk in kn.natural_partials(lags, kind, params)]
+    return f, grad_nat + [noise_slot]
+
+
+def objective_or_inf(data, x: np.ndarray, layout, table):
+    """:func:`nlml_value_and_grad` at ``x`` on the ``table`` of ``data``,
     or ``(inf, 0)`` where the NLML cannot be evaluated, so the line search
     backs off."""
     # DataError covers log-slot underflow to 0 during extreme line-search
@@ -332,21 +414,42 @@ def _model_from_params(kind, params, data_n, normalization, fingerprint,
     )
 
 
+def objective_groups(parts, kind: str, params):
+    """``(data, table)`` for each :func:`nlml_value_and_grad` call of one
+    objective evaluation over the datasets ``parts``.  Parts on one uniform
+    grid of at least :data:`~skewgp.toeplitz.MIN_N` points form a group
+    ``([parts], Grid)``; every other part is ``(part, lag table)``."""
+    groups = []
+    for part in parts:
+        grid = tz.Grid.of(part.X)
+        if grid is None:
+            groups.append((part, kn.lag_table(part.X, kind, params)))
+            continue
+        for members, table in groups:
+            if isinstance(table, tz.Grid) and table.holds(part.X):
+                members.append(part)
+                break
+        else:
+            groups.append(([part], grid))
+    return groups
+
+
 def optimize_parts(parts, init_params, kind: str, cfg: OptConfig,
                    norm: Normalization, each=map):
     """``(params, OptResult)`` minimizing the summed NLML of the normalized
     datasets ``parts`` from ``init_params`` (raw target units, rescaled by
-    ``norm``); ``each`` maps the per-part objective (``map`` or a pool's).
-    Each part's lag table is built once here and freed on return."""
+    ``norm``); ``each`` maps the objective over the
+    :func:`objective_groups` (``map`` or a pool's).  The groups' lag tables
+    are built once here and freed on return."""
     s2 = norm.y_std**2
     tp0 = transform(scale_variances(init_params, lambda v: v / s2), kind)
     # the final factors build their own table: holding these through their
     # Cholesky raised uniform2000's peak RSS by 30 MB and scatter2d's by 5 MB
-    tables = [kn.lag_table(part.X, kind, init_params) for part in parts]
+    groups = objective_groups(parts, kind, init_params)
 
     def objective(x):
-        results = list(each(lambda part, table: objective_or_inf(part, x, tp0.layout, table),
-                            parts, tables))
+        results = list(each(lambda group: objective_or_inf(group[0], x, tp0.layout, group[1]),
+                            groups))
         f = sum(r[0] for r in results)
         if not np.isfinite(f):
             return np.inf, np.zeros_like(x)

@@ -29,7 +29,8 @@ Kernel families:
 Lags are (n, m) arrays for P = 1 and (n, m, P) arrays for P > 1 (see
 :func:`lags`); only the elementwise formula bodies differ between the two.
 Training covariances and their partials are evaluated on a
-:func:`lag_table`, which for P = 1 holds each distinct lag once.
+:func:`lag_table`, which for uniformly spaced P = 1 inputs (the
+:func:`uniform_step` rule) holds each distinct lag once.
 
 Every function is pure and safe to call concurrently.
 """
@@ -307,18 +308,44 @@ def lags(xa: np.ndarray, xb: np.ndarray, kind: str, params) -> np.ndarray:
     return tau
 
 
+# rounding allowance of the uniformity rule, in units of eps * max|t|
+UNIFORM_ULPS = 8.0
+
+
+def uniform_step(x, step: float | None = None):
+    """The step h of 1-D points ``x`` that lie on t_0 + i h up to rounding,
+    or None.
+
+    The rule is |t_i - (t_0 + i h)| <= UNIFORM_ULPS * eps * max|t| for every
+    i, in the given order, with h = (t_{n-1} - t_0) / (n - 1) unless ``step``
+    is given.  It accepts ``np.arange``, ``0.1 * np.arange`` and
+    ``np.linspace`` grids and rejects one gap moved by 1e-9 h.  Fewer than two
+    points, or P > 1, have no step.
+    """
+    xa = _as_points(x)
+    if xa.shape[1] != 1 or xa.shape[0] < 2:
+        return None
+    t = xa[:, 0]
+    h = (t[-1] - t[0]) / (t.size - 1) if step is None else step
+    tol = UNIFORM_ULPS * np.finfo(float).eps * float(np.max(np.abs(t)))
+    on_grid = np.max(np.abs(t - (t[0] + h * np.arange(t.size)))) <= tol
+    return float(h) if on_grid else None
+
+
 def lag_table(x, kind: str, params):
     """The training lags of the points ``x`` against themselves as a table
     ``(values, index)``: ``values[index]`` is :func:`lags` of ``x`` with ``x``.
 
-    For P = 1, ``values`` holds the sorted distinct signed lags and ``index``
+    For P = 1 inputs that pass the :func:`uniform_step` rule, ``values``
+    holds the sorted distinct signed lags (about 2n of them) and ``index``
     the (n, n) position of each entry among them, so a stationary kernel and
-    its partials are evaluated once per distinct lag.  For P > 1, ``values``
-    is the plain lag array and ``index`` is None.
+    its partials are evaluated once per distinct lag.  Every other input
+    (scattered 1-D, where nearly every lag is distinct, and P > 1) gets the
+    plain lag array as ``values`` and None as ``index``.
     """
     xa = _as_points(x)
     tau = lags(xa, xa, kind, params)
-    if xa.shape[1] > 1:
+    if uniform_step(xa) is None:
         return tau, None
     values, index = np.unique(tau, return_inverse=True)
     return values, index.reshape(tau.shape)

@@ -10,8 +10,10 @@ a prior-precision correction:
     prec_* = sum_i beta_i / var_i + (1 - sum_i beta_i) / prior_var
     mean_* = (sum_i beta_i mean_i / var_i) / prec_*
 
-The per-expert NLMLs of a training step are evaluated concurrently; the
-aggregation is a deterministic, order-invariant reduction.
+The NLMLs of a training step are evaluated concurrently, one call per
+objective group of :func:`~skewgp.gp.objective_groups` (experts on one
+uniform grid share a Toeplitz factor); the aggregation is a deterministic,
+order-invariant reduction.
 """
 
 from __future__ import annotations
@@ -103,8 +105,8 @@ def _ensemble_from_params(kind, params, norm, experts, fingerprint,
 def rbcm_fit(data: Dataset, m: int, kind: str, init_params,
              cfg: OptConfig | None = None) -> ExpertEnsemble:
     """Fit M experts on contiguous blocks of ``data`` with a shared
-    hyper-parameter vector; their NLMLs are evaluated on a pool of
-    min(M, CPUs) threads.  Predictions use entropy weights."""
+    hyper-parameter vector; their objective groups are evaluated on a pool
+    of min(M, CPUs) threads.  Predictions use entropy weights."""
     norm = Normalization.from_data(data)
     experts = _experts(norm.apply(data), partition(data.n, m))
     with ThreadPoolExecutor(max_workers=min(len(experts), os.cpu_count() or 1)) as pool:
@@ -172,10 +174,26 @@ def ensemble_to_dict(ens: ExpertEnsemble) -> dict:
     }
 
 
+def _index_sets(records, n: int) -> list[np.ndarray]:
+    """The experts' index arrays from their records: integers in [0, n),
+    each used by at most one expert."""
+    try:
+        raw = [np.asarray(rec, dtype=float) for rec in records]
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"expert indices must be integers: {exc}") from None
+    if any(r.ndim != 1 or not np.array_equal(r, np.trunc(r)) for r in raw):
+        raise DataError("expert indices must be integers")
+    index_sets = [r.astype(int) for r in raw]
+    used = np.concatenate(index_sets) if index_sets else np.zeros(0, dtype=int)
+    if np.any((used < 0) | (used >= n)):
+        raise DataError(f"expert indices must lie in [0, {n})")
+    if np.unique(used).size != used.size:
+        raise DataError("expert indices must be disjoint: an index is used twice")
+    return index_sets
+
+
 def ensemble_from_dict(d: dict, data: Dataset) -> ExpertEnsemble:
     kind, params, norm, data_n = record_from_dict(d, data)
-    index_sets = [np.asarray(rec["indices"], dtype=int) for rec in d["experts"]]
-    if any(np.any((idx < 0) | (idx >= data_n.n)) for idx in index_sets):
-        raise DataError(f"expert indices must lie in [0, {data_n.n})")
+    index_sets = _index_sets([rec["indices"] for rec in d["experts"]], data_n.n)
     return _ensemble_from_params(kind, params, norm, _experts(data_n, index_sets),
                                  d["train_fingerprint"], beta_mode=d["rbcm"]["beta_mode"])

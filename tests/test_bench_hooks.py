@@ -125,3 +125,47 @@ def test_model_record_has_the_keys_the_oracle_reads(p):
     expected = kernels.gram(model.data.X, model.data.X, "slsm", model.params)
     np.testing.assert_allclose(oracle.slsm_gram(xn, xn, doc["components"]), expected,
                                rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_eval_hook_sees_one_call_per_evaluation_per_group(monkeypatch):
+    """``gp.evals`` and ``gp.evals_failed`` count calls of
+    ``gp.nlml_value_and_grad``: above the Toeplitz crossover a fit makes one
+    call per objective evaluation, and rBCM experts on one grid share it; a
+    failed Toeplitz call still reaches the hook and the optimizer sees inf."""
+    from skewgp import gp, rbcm, toeplitz
+    from skewgp.errors import NumericalError
+    from skewgp.kernels import SlsmComponent, SlsmParams
+    from skewgp.optimize import OptConfig, transform
+
+    calls, failures = [], []
+    evaluate = gp.nlml_value_and_grad
+
+    def counting(data, tp, table):
+        calls.append(table)
+        try:
+            return evaluate(data, tp, table)
+        except Exception as exc:
+            failures.append(exc)
+            raise
+
+    monkeypatch.setattr(gp, "nlml_value_and_grad", counting)
+    X = np.arange(8 * toeplitz.MIN_N, dtype=float)
+    data = gp.Dataset(X, np.sin(0.3 * X) + 0.1 * np.random.default_rng(5).standard_normal(X.size))
+    init = SlsmParams((SlsmComponent(1.0, 0.3, 0.2, 0.0),), noise_var=0.1)
+
+    model = gp.fit(data, init, "slsm", OptConfig(max_iters=3))
+    assert model.opt_result.n_evals >= 4
+    assert len(calls) == model.opt_result.n_evals
+    assert all(t == toeplitz.Grid(X.size, 1.0) for t in calls)
+
+    calls.clear()
+    ens = rbcm.rbcm_fit(data, 8, "slsm", init, OptConfig(max_iters=3))
+    assert len(calls) == ens.opt_result.n_evals
+    assert all(t == toeplitz.Grid(toeplitz.MIN_N, 1.0) for t in calls)
+
+    calls.clear()
+    monkeypatch.setattr(toeplitz, "levinson", lambda r: None)
+    tp = transform(init, "slsm")
+    f, g = gp.objective_or_inf([data], tp.x, tp.layout, toeplitz.Grid(X.size, 1.0))
+    assert f == np.inf and not np.any(g)
+    assert len(calls) == 1 and isinstance(failures[-1], NumericalError)

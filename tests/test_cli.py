@@ -316,7 +316,8 @@ class TestCommands:
         assert not sample_path.exists()
 
     @pytest.mark.parametrize("field, value", [("beta_mode", "softmax"), ("index", 99),
-                                              ("index", -1)])
+                                              ("index", -1), ("index", 1.7),
+                                              ("overlap", None)])
     def test_bad_ensemble_record_is_data_error(self, runner, small_series, tmp_path,
                                                field, value):
         out = tmp_path / "out"
@@ -326,6 +327,8 @@ class TestCommands:
         doc = json.loads((out / "model.json").read_text())
         if field == "beta_mode":
             doc["rbcm"]["beta_mode"] = value
+        elif field == "overlap":
+            doc["experts"][1]["indices"][0] = doc["experts"][0]["indices"][0]
         else:
             doc["experts"][0]["indices"][0] = value
         (out / "model.json").write_text(json.dumps(doc))

@@ -219,6 +219,20 @@ class TestEnsembleSerialization:
         with pytest.raises(DataError, match="indices"):
             ensemble_from_dict(doc, data)
 
+    def test_non_integral_expert_index_rejected(self, rng):
+        data, ens = _ensemble_2d(rng, n=40)
+        doc = ensemble_to_dict(ens)
+        doc["experts"][0]["indices"][0] = 1.7
+        with pytest.raises(DataError, match="integers"):
+            ensemble_from_dict(doc, data)
+
+    def test_index_used_by_two_experts_rejected(self, rng):
+        data, ens = _ensemble_2d(rng, n=40)
+        doc = ensemble_to_dict(ens)
+        doc["experts"][1]["indices"][0] = doc["experts"][0]["indices"][0]
+        with pytest.raises(DataError, match="disjoint"):
+            ensemble_from_dict(doc, data)
+
     def test_fingerprint_checked(self, series, rng):
         init = SlsmParams((SlsmComponent(1.0, 0.6, 0.2, 0.0),), noise_var=0.1)
         ens = rbcm_fit(series, 2, "slsm", init, OptConfig(max_iters=5, seed=0))
