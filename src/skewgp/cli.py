@@ -265,6 +265,7 @@ def _single_run(job: ForecastJob, data: Dataset, info: IngestInfo, seed: int,
         "nlml": nlml_total,
         "nlml_no_const": nlml_no_const,
         "pruned_q": prune_report.final_q if prune_report else None,
+        "clamped_var": pred.clamped,
         "runtime_ms": runtime_ms,
         "seed": seed,
     }
@@ -305,6 +306,8 @@ def run_job(job: ForecastJob) -> dict:
             "mean": float(np.mean([r["pruned_q"] for r in results])),
             "values": [r["pruned_q"] for r in results],
         }
+    clamped = [r["clamped_var"] for r in results]
+    report["clamped_var"] = {"sum": int(np.sum(clamped)), "values": clamped}
     report["runtime_ms"] = float(np.sum([r["runtime_ms"] for r in results]))
     (out_dir / "metrics.json").write_text(json.dumps(report, indent=2))
     return report

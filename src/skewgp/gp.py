@@ -30,7 +30,18 @@ Either factorization walks a jitter ladder eps * (tr/n), with eps in
 {0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2}: a Cholesky rung fails when the
 factorization does, a Levinson--Durbin rung when a prediction-error variance
 is <= 0.  The fitted model and rBCM experts are always factorized densely,
-and the jitter actually used is part of the model record, never silent.
+and the jitter actually used is part of the model record, never silent:
+rebuilding a model or ensemble from its record refactorizes it and raises
+:class:`DataError` if the recomputed jitter differs from the recorded one.
+
+Prediction (:func:`latent_moments`) takes the cross-covariance of the
+queries with the training inputs from :func:`~skewgp.kernels.gram`.  When
+the training inputs are a uniform P = 1 grid, the queries fall into a few
+offset groups against it (on-grid points, half-steps) and the matrix is a
+few Toeplitz bands: the kernel is evaluated once per lag of those bands and
+gathered, bit for bit the same matrix.  Scattered queries, grids whose lag
+differences round (``linspace``) and P > 1 inputs are evaluated at every
+lag, as before.
 """
 
 from __future__ import annotations
@@ -247,7 +258,8 @@ def factorize(data: Dataset, kind: str, params, table=None):
 def latent_moments(Xs_n, factors, kind: str, params):
     """Noise-free predictive mean and variance at normalized query points
     from the stored factors (``data``, ``chol_L``, ``alpha``) of a model or
-    an rBCM expert."""
+    an rBCM expert: one :func:`~skewgp.kernels.gram` and one triangular
+    solve."""
     ks = kn.gram(Xs_n, factors.data.X, kind, params)
     mean = ks @ factors.alpha
     v = solve_triangular(factors.chol_L, ks.T, lower=True)
@@ -575,11 +587,22 @@ def model_to_json(model: TrainedModel) -> str:
     return json.dumps(model_to_dict(model), indent=2)
 
 
+def check_jitter(recorded, recomputed: float, what: str):
+    """Raise :class:`DataError` unless the refactorized ``what`` used the
+    jitter its record states."""
+    if recorded != recomputed:
+        raise DataError(f"{what} records jitter {recorded!r} but refactorizing "
+                        f"it takes {recomputed!r}")
+
+
 def model_from_dict(d: dict, data: Dataset) -> TrainedModel:
-    """Rebuild a trained model from its JSON record plus the training data."""
+    """Rebuild a trained model from its JSON record plus the training data;
+    its recomputed jitter must equal the recorded one."""
     kind, params, norm, data_n = record_from_dict(d, data)
-    return _model_from_params(kind, params, data_n, norm, d["train_fingerprint"],
-                              prune_report=d.get("prune_report"))
+    model = _model_from_params(kind, params, data_n, norm, d["train_fingerprint"],
+                               prune_report=d.get("prune_report"))
+    check_jitter(d.get("jitter_used"), model.jitter_used, "the model")
+    return model
 
 
 def model_from_json(text: str, data: Dataset) -> TrainedModel:

@@ -32,6 +32,17 @@ Training covariances and their partials are evaluated on a
 :func:`lag_table`, which for uniformly spaced P = 1 inputs (the
 :func:`uniform_step` rule) holds each distinct lag once.
 
+Against a uniform P = 1 grid the lags of any point set form one band of
+consecutive lags per exact offset from the grid (:func:`_grid_table`, no
+sort).  :func:`gram` evaluates the kernel on those bands and gathers it
+wherever they hold fewer values than the matrix, and :func:`lag_table`
+takes them as the training table on an exact grid.  The bands are kept
+only if reading them back reproduces every lag bit for bit, so both results
+are exactly those of direct evaluation.  Fallbacks: ``np.unique`` for the
+training table, and direct evaluation at every lag for :func:`gram`, on
+grids whose lag differences round (``linspace``, ``1949 + i / 12``), on
+scattered points and for P > 1.
+
 Every function is pure and safe to call concurrently.
 """
 
@@ -332,6 +343,53 @@ def uniform_step(x, step: float | None = None):
     return float(h) if on_grid else None
 
 
+def _grid_table(xa: np.ndarray, xb: np.ndarray, tau: np.ndarray, limit: int):
+    """The P = 1 lags ``tau`` of ``xa`` against ``xb`` as a table
+    ``(values, index)`` of fewer than ``limit`` values with ``values[index]``
+    equal to ``tau`` bit for bit, or None.
+
+    ``xb`` must pass the :func:`uniform_step` rule with a step h != 0.  Each
+    point of ``xa`` sits at s = (xa - xb_0) / h; the rows are grouped by the
+    exact offset s - floor(s), and each group gets one block of consecutive
+    lags in ascending order, so row i reads its block at a fixed position
+    minus (h > 0) or plus (h < 0) the column j.  The blocks are filled from
+    ``tau`` and read back: the table is kept only if every entry reads back
+    its own lag, so a kernel evaluated on ``values`` and gathered by
+    ``index`` is the kernel evaluated on ``tau``.  None when that check fails
+    (grids whose differences round, such as ``linspace``) or when the blocks
+    would hold ``limit`` values or more (scattered queries).  No lag is
+    sorted.
+    """
+    h = uniform_step(xb) if xa.shape[1] == 1 else None
+    if not h:  # None, or repeated points
+        return None
+    n = tau.shape[1]
+    s = (xa[:, 0] - xb[0, 0]) / h
+    if not np.all(np.isfinite(s)):
+        return None
+    r = np.floor(s)
+    offsets, group = np.unique(s - r, return_inverse=True)
+    lo = np.full(offsets.size, np.inf)
+    hi = np.full(offsets.size, -np.inf)
+    np.minimum.at(lo, group, r)
+    np.maximum.at(hi, group, r)
+    sizes = hi - lo + n
+    if np.sum(sizes) >= limit:
+        return None
+    start = np.cumsum(sizes) - sizes
+    # lags grow with r_i - j for h > 0 and shrink with it for h < 0
+    if h > 0:
+        base, sign = start[group] + r - lo[group] + (n - 1), -1
+    else:
+        base, sign = start[group] + hi[group] - r, 1
+    index = base.astype(np.intp)[:, None] + sign * np.arange(n)
+    values = np.zeros(int(np.sum(sizes)))
+    values[index] = tau
+    if not np.array_equal(values[index], tau):
+        return None
+    return values, index
+
+
 def lag_table(x, kind: str, params):
     """The training lags of the points ``x`` against themselves as a table
     ``(values, index)``: ``values[index]`` is :func:`lags` of ``x`` with ``x``.
@@ -339,12 +397,20 @@ def lag_table(x, kind: str, params):
     For P = 1 inputs that pass the :func:`uniform_step` rule, ``values``
     holds the sorted distinct signed lags (about 2n of them) and ``index``
     the (n, n) position of each entry among them, so a stationary kernel and
-    its partials are evaluated once per distinct lag.  Every other input
-    (scattered 1-D, where nearly every lag is distinct, and P > 1) gets the
-    plain lag array as ``values`` and None as ``index``.
+    its partials are evaluated once per distinct lag.  On an exact grid
+    (every (t_i - t_0) / h an integer, as for ``np.arange``) the table is
+    one :func:`_grid_table` block of 2n - 1 lags, built without a sort; on
+    other uniform grids (``linspace``, ``1949 + i / 12``), whose differences
+    round, ``np.unique`` builds it.  Every other input (scattered 1-D, where
+    nearly every lag is distinct, and P > 1) gets the plain lag array as
+    ``values`` and None as ``index``.
     """
     xa = _as_points(x)
     tau = lags(xa, xa, kind, params)
+    # below 2n values the table is one block: the 2n - 1 distinct lags
+    table = _grid_table(xa, xa, tau, limit=2 * xa.shape[0])
+    if table is not None:
+        return table
     if uniform_step(xa) is None:
         return tau, None
     values, index = np.unique(tau, return_inverse=True)
@@ -358,12 +424,22 @@ def on_table(values: np.ndarray, index) -> np.ndarray:
 
 
 def gram(x, x2, kind: str, params) -> np.ndarray:
-    """Noise-free covariance matrix k(x_i - x2_j) at the :func:`lags`."""
+    """Noise-free covariance matrix k(x_i - x2_j) at the :func:`lags`.
+
+    For P = 1 against uniform ``x2`` the kernel is evaluated once per entry
+    of the :func:`_grid_table` and gathered, bit for bit the same matrix;
+    elsewhere it is evaluated at every lag."""
     xa = _as_points(x)
     xb = _as_points(x2)
     if xa.shape[1] != xb.shape[1]:
         raise DimensionMismatchError(xa.shape[1], xb.shape[1])
-    return np.asarray(kernel_value(lags(xa, xb, kind, params), kind, params))
+    tau = lags(xa, xb, kind, params)
+    table = _grid_table(xa, xb, tau, limit=tau.size)
+    if table is None:
+        return np.asarray(kernel_value(tau, kind, params))
+    del tau  # not held while the kernel is evaluated
+    values, index = table
+    return on_table(kernel_value(values, kind, params), index)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .gp import (
     Dataset,
     Normalization,
     Prediction,
+    check_jitter,
     factorize,
     latent_moments,
     nlml_from_factor,
@@ -193,7 +194,12 @@ def _index_sets(records, n: int) -> list[np.ndarray]:
 
 
 def ensemble_from_dict(d: dict, data: Dataset) -> ExpertEnsemble:
+    """Rebuild an ensemble from its JSON record plus the training data; each
+    expert's recomputed jitter must equal the recorded one."""
     kind, params, norm, data_n = record_from_dict(d, data)
     index_sets = _index_sets([rec["indices"] for rec in d["experts"]], data_n.n)
-    return _ensemble_from_params(kind, params, norm, _experts(data_n, index_sets),
-                                 d["train_fingerprint"], beta_mode=d["rbcm"]["beta_mode"])
+    ens = _ensemble_from_params(kind, params, norm, _experts(data_n, index_sets),
+                                d["train_fingerprint"], beta_mode=d["rbcm"]["beta_mode"])
+    for i, (rec, e) in enumerate(zip(d["experts"], ens.experts)):
+        check_jitter(rec.get("jitter_used"), e.jitter_used, f"expert {i}")
+    return ens

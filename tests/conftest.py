@@ -77,10 +77,16 @@ def central_fd(f, x0: float, h: float | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def dense_nlml(data: Dataset, params, kind: str) -> float:
+def _direct_gram(xa, xb, kind: str, params) -> np.ndarray:
+    """The kernel formula at every lag of the (n, P) point sets, without the
+    lag tables ``kn.gram`` may gather from."""
     import skewgp.kernels as kn
 
-    K = kn.gram(data.X, data.X, kind, params) + params.noise_var * np.eye(data.n)
+    return np.asarray(kn.kernel_value(kn.lags(xa, xb, kind, params), kind, params))
+
+
+def dense_nlml(data: Dataset, params, kind: str) -> float:
+    K = _direct_gram(data.X, data.X, kind, params) + params.noise_var * np.eye(data.n)
     Kinv = np.linalg.inv(K)
     sign, logdet = np.linalg.slogdet(K)
     assert sign > 0
@@ -97,9 +103,9 @@ def dense_predict(data: Dataset, params, kind: str, Xstar,
     Xs = np.asarray(Xstar, dtype=float)
     if Xs.ndim == 1:
         Xs = Xs[:, None]
-    K = kn.gram(data.X, data.X, kind, params) + params.noise_var * np.eye(data.n)
+    K = _direct_gram(data.X, data.X, kind, params) + params.noise_var * np.eye(data.n)
     Kinv = np.linalg.inv(K)
-    ks = kn.gram(Xs, data.X, kind, params)
+    ks = _direct_gram(Xs, data.X, kind, params)
     mean = ks @ Kinv @ data.y
     var = kn.prior_variance(params) - np.sum((ks @ Kinv) * ks, axis=1)
     if observation_noise:

@@ -169,3 +169,35 @@ def test_eval_hook_sees_one_call_per_evaluation_per_group(monkeypatch):
     f, g = gp.objective_or_inf([data], tp.x, tp.layout, toeplitz.Grid(X.size, 1.0))
     assert f == np.inf and not np.any(g)
     assert len(calls) == 1 and isinstance(failures[-1], NumericalError)
+
+
+def test_predict_calls_the_hooked_gram_and_solve_once_per_factor(monkeypatch):
+    """``gp.predict_self_s`` and ``rbcm.aggregate_s`` subtract the time of
+    the ``kernels.gram`` and ``gp.solve_triangular`` hooks, so a batch
+    predict must reach both: once for a model, once per rBCM expert."""
+    from skewgp import gp, kernels, rbcm
+    from skewgp.kernels import SlsmComponent, SlsmParams
+    from skewgp.optimize import OptConfig
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    X = np.arange(60.0)
+    data = gp.Dataset(X, np.sin(0.3 * X) + 0.1 * np.random.default_rng(6).standard_normal(60))
+    init = SlsmParams((SlsmComponent(1.0, 0.3, 0.2, 0.0),), noise_var=0.1)
+    model = gp.fit(data, init, "slsm", OptConfig(max_iters=2))
+    ens = rbcm.rbcm_fit(data, 3, "slsm", init, OptConfig(max_iters=2))
+    xq = np.arange(0.0, 80.0, 0.5)
+    monkeypatch.setattr(kernels, "gram", counted("gram", kernels.gram))
+    monkeypatch.setattr(gp, "solve_triangular", counted("solve", gp.solve_triangular))
+
+    model.predict(xq)
+    assert calls == ["gram", "solve"]
+    calls.clear()
+    ens.predict(xq)
+    assert calls == ["gram", "solve"] * 3

@@ -204,6 +204,26 @@ class TestRunJob:
         doc = json.loads((out / "model.json").read_text())
         assert "prune_report" in doc
 
+    def test_clamped_variances_reach_metrics(self, small_series, tmp_path, monkeypatch):
+        common = dict(kernel="slsm", q=2, max_iters=3)
+        report = run_job(ForecastJob(str(small_series), str(tmp_path / "ok"), **common))
+        assert report["clamped_var"] == {"sum": 0, "values": [0]}
+
+        moments = gp.latent_moments
+
+        def negative_variance(*args):
+            mean, var = moments(*args)
+            var[:3] = -1.0
+            return mean, var
+
+        monkeypatch.setattr(gp, "latent_moments", negative_variance)
+        out = tmp_path / "out"
+        report = run_job(ForecastJob(str(small_series), str(out), runs=2, **common))
+        assert report["clamped_var"] == {"sum": 6, "values": [3, 3]}
+        doc = json.loads((out / "metrics.json").read_text())
+        assert doc["clamped_var"] == report["clamped_var"]
+        assert np.all(read_predictions_csv(out / "run1_predictions.csv")["var"][:3] == 0.0)
+
     def test_rbcm_job_writes_ensemble(self, small_series, tmp_path):
         out = tmp_path / "out"
         job = ForecastJob(str(small_series), str(out), kernel="slsm", q=2,
@@ -337,6 +357,27 @@ class TestCommands:
                                        "--at", str(small_series),
                                        "--out", str(tmp_path / "p.csv")])
         assert res.exit_code == 3, res.output
+
+    @pytest.mark.parametrize("rbcm_m", [0, 2])
+    def test_tampered_jitter_record_is_data_error(self, runner, small_series, tmp_path,
+                                                   rbcm_m):
+        out = tmp_path / "out"
+        res = runner.invoke(cli.main, ["fit", str(small_series), "--q", "2",
+                                       "--rbcm", str(rbcm_m), "--max-iters", "3",
+                                       "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        doc = json.loads((out / "model.json").read_text())
+        record = doc["experts"][1] if rbcm_m else doc
+        recomputed = record["jitter_used"]
+        record["jitter_used"] = recomputed + 1e-6
+        (out / "model.json").write_text(json.dumps(doc))
+        res = runner.invoke(cli.main, ["predict", "--model", str(out / "model.json"),
+                                       "--train-data", str(small_series),
+                                       "--at", str(small_series),
+                                       "--out", str(tmp_path / "p.csv")])
+        assert res.exit_code == 3, res.output
+        assert repr(recomputed + 1e-6) in res.output and repr(recomputed) in res.output
+        assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("kernel", ["se", "rq"])
     def test_pruning_a_baseline_kernel_is_data_error(self, runner, small_series, tmp_path,
