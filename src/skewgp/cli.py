@@ -332,6 +332,14 @@ def _exit_codes(fn):
     return wrapper
 
 
+def _read_record(path) -> dict:
+    """The JSON model record at ``path``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read a model record from {path}: {exc}") from None
+
+
 @click.group()
 def main():
     """Gaussian-process long-horizon forecasting with spectral mixture kernels."""
@@ -374,11 +382,11 @@ def fit_cmd(**options):
 def predict_cmd(model_path, train_data, train_frac, at_path, observation_noise,
                 out_path):
     """Predict at new inputs from a saved model."""
-    doc = json.loads(Path(model_path).read_text())
+    doc = _read_record(model_path)
     data, info = ingest_csv(train_data)
     if train_frac < 1.0:
         data, _ = chronological_split(data, train_frac)
-    if "experts" in doc:
+    if isinstance(doc, dict) and "experts" in doc:
         model = rbcm.ensemble_from_dict(doc, data)
     else:
         model = gp.model_from_dict(doc, data)
@@ -402,13 +410,10 @@ def sample_cmd(model_path, n_points, t_max, n_paths, seed, out_path):
     """Draw prior sample paths from a saved model's kernel."""
     if n_points < 1 or n_paths < 1:
         raise DataError(f"n-points and n-paths must be >= 1, got {n_points} and {n_paths}")
-    doc = json.loads(Path(model_path).read_text())
-    kind = doc["kernel_type"]
-    params = gp.params_from_dict(doc, kind)
-    nz = doc["normalization"]
+    kind, params, norm = gp.record_model(_read_record(model_path))
     grid = np.linspace(0.0, t_max if t_max is not None else float(n_points), n_points)
     paths = gp.sample_prior(kind, params, grid, n_paths, seed)
-    paths = nz["y_mean"] + nz["y_std"] * paths
+    paths = norm.y_mean + norm.y_std * paths
     with open(out_path, "w", newline="") as fh:
         fh.write("t," + ",".join(f"path{i}" for i in range(n_paths)) + "\n")
         for j, t in enumerate(grid):

@@ -14,17 +14,17 @@ relative on the gradient while the noise variance is at least 1e-6 of the
 prior variance; closer to singular, both are limited by the conditioning of
 K:
 
-* Toeplitz: P = 1 inputs with at least :data:`~skewgp.toeplitz.MIN_N`
-  points that pass the uniformity rule of
-  :func:`~skewgp.kernels.uniform_step` (|t_i - (t_0 + i h)| within a few
-  ulps of max|t|).  K + s2 I is then symmetric Toeplitz; the NLML and its
-  gradient come from one Levinson--Durbin factor of its first column and
-  FFT convolutions, with no n x n matrix.  Datasets on the same grid, such
-  as equal rBCM blocks, share one factor per evaluation.  The crossover
-  MIN_N is measured, not an option.
+* Toeplitz: P = 1 inputs of at least :data:`~skewgp.toeplitz.MIN_N`
+  points that form a :class:`~skewgp.kernels.Grid` (|t_i - (t_0 + i h)|
+  within a few ulps of max|t|).  K + s2 I is then symmetric Toeplitz; the
+  NLML and its gradient come from one Levinson--Durbin factor of its first
+  column and FFT convolutions, with no n x n matrix.  Datasets on the same
+  grid, such as equal rBCM blocks, share one factor per evaluation.  The
+  crossover MIN_N is measured, not an option.
 * Dense: every other input, including short uniform series such as the
   96-month airline fit.  K and its partials are evaluated on the inputs'
-  :func:`~skewgp.kernels.lag_table` and factorized by Cholesky.
+  :func:`~skewgp.kernels.lag_table`, which on a grid holds the same lags
+  h (i - j) as the Toeplitz path, and factorized by Cholesky.
 
 Either factorization walks a jitter ladder eps * (tr/n), with eps in
 {0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2}: a Cholesky rung fails when the
@@ -35,13 +35,10 @@ rebuilding a model or ensemble from its record refactorizes it and raises
 :class:`DataError` if the recomputed jitter differs from the recorded one.
 
 Prediction (:func:`latent_moments`) takes the cross-covariance of the
-queries with the training inputs from :func:`~skewgp.kernels.gram`.  When
-the training inputs are a uniform P = 1 grid, the queries fall into a few
-offset groups against it (on-grid points, half-steps) and the matrix is a
-few Toeplitz bands: the kernel is evaluated once per lag of those bands and
-gathered, bit for bit the same matrix.  Scattered queries, grids whose lag
-differences round (``linspace``) and P > 1 inputs are evaluated at every
-lag, as before.
+queries with the training inputs, at the exact lags x*_i - t_j, from
+:func:`~skewgp.kernels.gram`, which on a grid evaluates the kernel once per
+lag of a few Toeplitz bands (on-grid points, half-steps) where these
+reproduce every lag bit for bit.
 """
 
 from __future__ import annotations
@@ -49,7 +46,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -262,7 +260,7 @@ def latent_moments(Xs_n, factors, kind: str, params):
     solve."""
     ks = kn.gram(Xs_n, factors.data.X, kind, params)
     mean = ks @ factors.alpha
-    v = solve_triangular(factors.chol_L, ks.T, lower=True)
+    v = solve_triangular(factors.chol_L, ks.T, lower=True, overwrite_b=True)  # ks is spent
     return mean, kn.prior_variance(params) - np.sum(v * v, axis=0)
 
 
@@ -292,13 +290,13 @@ def nlml_value_and_grad(data, tp: TransformedParams, table):
     With a lag ``table`` (:func:`~skewgp.kernels.lag_table` of the one
     Dataset ``data``), K and every dK/dtheta are evaluated on it and the
     gradient is 0.5 tr((K^-1 - alpha alpha^T) dK/dtheta) from a Cholesky
-    factor.  With a :class:`~skewgp.toeplitz.Grid`, ``data`` is the list of
+    factor.  With a :class:`~skewgp.kernels.Grid`, ``data`` is the list of
     datasets on that grid and the result is the sum of their NLMLs, from
     one Levinson--Durbin factor of the Toeplitz K (:func:`_toeplitz_terms`).
     """
     params = untransform(tp)
     kind = tp.layout.kind
-    terms = _toeplitz_terms if isinstance(table, tz.Grid) else _dense_terms
+    terms = _toeplitz_terms if isinstance(table, kn.Grid) else _dense_terms
     f, grad_nat = terms(data, kind, params, table)
     scale = np.where(tp.layout.log_mask, np.exp(tp.x), 1.0)
     return f, np.array(grad_nat) * scale
@@ -318,7 +316,7 @@ def _dense_terms(data: Dataset, kind: str, params, table):
     return f, grad_nat + [0.5 * float(np.trace(M))]  # noise slot: dK/ds2 = I
 
 
-def _toeplitz_terms(parts, kind: str, params, grid: tz.Grid):
+def _toeplitz_terms(parts, kind: str, params, grid: kn.Grid):
     """Summed NLML and natural-coordinate gradient of the datasets ``parts``
     on ``grid``.  K~ is symmetric Toeplitz, so with S_k the k-th diagonal
     sum of M = m K~^-1 - sum_e alpha_e alpha_e^T, every slot is
@@ -433,12 +431,12 @@ def objective_groups(parts, kind: str, params):
     ``([parts], Grid)``; every other part is ``(part, lag table)``."""
     groups = []
     for part in parts:
-        grid = tz.Grid.of(part.X)
+        grid = kn.Grid.of(part.X) if part.n >= tz.MIN_N else None
         if grid is None:
             groups.append((part, kn.lag_table(part.X, kind, params)))
             continue
         for members, table in groups:
-            if isinstance(table, tz.Grid) and table.holds(part.X):
+            if isinstance(table, kn.Grid) and table.holds(part.X):
                 members.append(part)
                 break
         else:
@@ -560,19 +558,36 @@ def record_to_dict(kind: str, params, norm: Normalization, fingerprint: str,
     }
 
 
-def record_from_dict(d: dict, data: Dataset):
-    """Check a record's schema version and fingerprint against ``data``.
+@contextmanager
+def record_fields(what: str):
+    """A missing key, or a field of the wrong type or value, read from a
+    ``what`` record raises :class:`DataError`."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{what} record has a missing or malformed field: {exc!r}") from None
 
-    Returns ``(kind, params, normalization, normalized data)``.
-    """
+
+def record_model(d: dict):
+    """``(kind, params, normalization)`` of a model or ensemble record of the
+    current schema version."""
+    if not isinstance(d, dict):
+        raise DataError("a model record must be a JSON object")
     if d.get("schema_version") != SCHEMA_VERSION:
         raise DataError(f"unsupported model schema version {d.get('schema_version')!r}")
-    if d["train_fingerprint"] != data.fingerprint():
+    with record_fields("model"):
+        nz = d["normalization"]
+        norm = Normalization(float(nz["y_mean"]), float(nz["y_std"]),
+                             tuple(map(float, nz["x_means"])), tuple(map(float, nz["x_stds"])))
+        return d["kernel_type"], params_from_dict(d, d["kernel_type"]), norm
+
+
+def record_from_dict(d: dict, data: Dataset):
+    """``(kind, params, normalization, normalized data)`` of a record of ``data``."""
+    kind, params, norm = record_model(d)
+    if d.get("train_fingerprint") != data.fingerprint():
         raise DataError("training data does not match the model's fingerprint")
-    kind = d["kernel_type"]
-    nz = d["normalization"]
-    norm = Normalization(nz["y_mean"], nz["y_std"], tuple(nz["x_means"]), tuple(nz["x_stds"]))
-    return kind, params_from_dict(d, kind), norm, norm.apply(data)
+    return kind, params, norm, norm.apply(data)
 
 
 def model_to_dict(model: TrainedModel) -> dict:

@@ -28,20 +28,12 @@ Kernel families:
 
 Lags are (n, m) arrays for P = 1 and (n, m, P) arrays for P > 1 (see
 :func:`lags`); only the elementwise formula bodies differ between the two.
-Training covariances and their partials are evaluated on a
-:func:`lag_table`, which for uniformly spaced P = 1 inputs (the
-:func:`uniform_step` rule) holds each distinct lag once.
-
-Against a uniform P = 1 grid the lags of any point set form one band of
-consecutive lags per exact offset from the grid (:func:`_grid_table`, no
-sort).  :func:`gram` evaluates the kernel on those bands and gathers it
-wherever they hold fewer values than the matrix, and :func:`lag_table`
-takes them as the training table on an exact grid.  The bands are kept
-only if reading them back reproduces every lag bit for bit, so both results
-are exactly those of direct evaluation.  Fallbacks: ``np.unique`` for the
-training table, and direct evaluation at every lag for :func:`gram`, on
-grids whose lag differences round (``linspace``, ``1949 + i / 12``), on
-scattered points and for P > 1.
+A uniform P = 1 input is read one way, as a :class:`Grid` t_0 + i h whose
+training lags are h (i - j), in :func:`lag_table` and the Toeplitz
+objective alike; where the grid's differences round (``linspace``) they
+differ from t_i - t_j by rounding.  :func:`gram` keeps the exact lags
+xa_i - xb_j, evaluated once per band of consecutive lags against a grid
+(:func:`_grid_table`) where the bands reproduce them bit for bit.
 
 Every function is pure and safe to call concurrently.
 """
@@ -302,6 +294,11 @@ def prior_variance(params) -> float:
     return float(params.theta_f)
 
 
+def _check_width(params, p: int):
+    if isinstance(params, SlsmParams) and params.p != p:
+        raise DimensionMismatchError(params.p, p)
+
+
 def lags(xa: np.ndarray, xb: np.ndarray, kind: str, params) -> np.ndarray:
     """Lags xa_i - xb_j between two (n, P) point sets, as the kernel takes them.
 
@@ -309,8 +306,7 @@ def lags(xa: np.ndarray, xb: np.ndarray, kind: str, params) -> np.ndarray:
     kernels take the (n, m, P) vector lag and baselines the (n, m) Euclidean
     distance.  Mixture parameters must have the points' P.
     """
-    if isinstance(params, SlsmParams) and params.p != xa.shape[1]:
-        raise DimensionMismatchError(params.p, xa.shape[1])
+    _check_width(params, xa.shape[1])
     if xa.shape[1] == 1:
         return xa[:, 0][:, None] - xb[:, 0][None, :]
     tau = xa[:, None, :] - xb[None, :, :]
@@ -323,46 +319,57 @@ def lags(xa: np.ndarray, xb: np.ndarray, kind: str, params) -> np.ndarray:
 UNIFORM_ULPS = 8.0
 
 
-def uniform_step(x, step: float | None = None):
-    """The step h of 1-D points ``x`` that lie on t_0 + i h up to rounding,
-    or None.
+@dataclass(frozen=True)
+class Grid:
+    """n points t_0 + i h, ``step`` h < 0 when descending: the one reading of
+    a uniform P = 1 input, whose training lags are h k, |k| < n."""
 
-    The rule is |t_i - (t_0 + i h)| <= UNIFORM_ULPS * eps * max|t| for every
-    i, in the given order, with h = (t_{n-1} - t_0) / (n - 1) unless ``step``
-    is given.  It accepts ``np.arange``, ``0.1 * np.arange`` and
-    ``np.linspace`` grids and rejects one gap moved by 1e-9 h.  Fewer than two
-    points, or P > 1, have no step.
+    n: int
+    step: float
+
+    @classmethod
+    def of(cls, x):
+        """The grid with h = (t_{n-1} - t_0) / (n - 1) of the 1-D points ``x``
+        if it :meth:`holds` them, else None (also for n < 2 or P > 1)."""
+        t = _as_points(x)
+        if t.shape[1] != 1 or t.shape[0] < 2:
+            return None
+        grid = cls(t.shape[0], float((t[-1, 0] - t[0, 0]) / (t.shape[0] - 1)))
+        return grid if grid.holds(t) else None
+
+    def holds(self, x) -> bool:
+        """Whether the points ``x`` lie, in order, on this grid up to rounding:
+        |t_i - (t_0 + i h)| <= UNIFORM_ULPS eps max|t|.  This accepts
+        ``np.arange``, ``0.1 * np.arange`` and ``np.linspace`` grids and
+        rejects one gap moved by 1e-9 h."""
+        t = _as_points(x)
+        if t.shape != (self.n, 1):
+            return False
+        tol = UNIFORM_ULPS * np.finfo(float).eps * float(np.max(np.abs(t)))
+        return bool(np.max(np.abs(t[:, 0] - (t[0, 0] + self.lags()))) <= tol)
+
+    def lags(self) -> np.ndarray:
+        """h k, k = 0..n-1: the first column of a Toeplitz covariance."""
+        return self.step * np.arange(self.n)
+
+
+def _grid_table(xa: np.ndarray, xb: np.ndarray, tau: np.ndarray):
+    """The P = 1 lags ``tau`` of ``xa`` against the :class:`Grid` ``xb`` as a
+    table ``(values, index)`` of fewer values than ``tau`` with
+    ``values[index]`` equal to ``tau`` bit for bit, or None.
+
+    Each point of ``xa`` sits at s = (xa - xb_0) / h; the rows are grouped
+    by the exact offset s - floor(s), and each group gets one block of
+    consecutive lags in ascending order, so row i reads its block at a fixed
+    position minus (h > 0) or plus (h < 0) the column j.  None when a lag
+    does not read back bit for bit (grids whose differences round), when the
+    blocks are as large as ``tau`` (scattered queries) or when ``xb`` is no
+    grid with h != 0.  No lag is sorted.
     """
-    xa = _as_points(x)
-    if xa.shape[1] != 1 or xa.shape[0] < 2:
+    grid = Grid.of(xb) if xa.shape[1] == 1 else None
+    if grid is None or not grid.step:  # no grid, or repeated points
         return None
-    t = xa[:, 0]
-    h = (t[-1] - t[0]) / (t.size - 1) if step is None else step
-    tol = UNIFORM_ULPS * np.finfo(float).eps * float(np.max(np.abs(t)))
-    on_grid = np.max(np.abs(t - (t[0] + h * np.arange(t.size)))) <= tol
-    return float(h) if on_grid else None
-
-
-def _grid_table(xa: np.ndarray, xb: np.ndarray, tau: np.ndarray, limit: int):
-    """The P = 1 lags ``tau`` of ``xa`` against ``xb`` as a table
-    ``(values, index)`` of fewer than ``limit`` values with ``values[index]``
-    equal to ``tau`` bit for bit, or None.
-
-    ``xb`` must pass the :func:`uniform_step` rule with a step h != 0.  Each
-    point of ``xa`` sits at s = (xa - xb_0) / h; the rows are grouped by the
-    exact offset s - floor(s), and each group gets one block of consecutive
-    lags in ascending order, so row i reads its block at a fixed position
-    minus (h > 0) or plus (h < 0) the column j.  The blocks are filled from
-    ``tau`` and read back: the table is kept only if every entry reads back
-    its own lag, so a kernel evaluated on ``values`` and gathered by
-    ``index`` is the kernel evaluated on ``tau``.  None when that check fails
-    (grids whose differences round, such as ``linspace``) or when the blocks
-    would hold ``limit`` values or more (scattered queries).  No lag is
-    sorted.
-    """
-    h = uniform_step(xb) if xa.shape[1] == 1 else None
-    if not h:  # None, or repeated points
-        return None
+    h = grid.step
     n = tau.shape[1]
     s = (xa[:, 0] - xb[0, 0]) / h
     if not np.all(np.isfinite(s)):
@@ -374,7 +381,7 @@ def _grid_table(xa: np.ndarray, xb: np.ndarray, tau: np.ndarray, limit: int):
     np.minimum.at(lo, group, r)
     np.maximum.at(hi, group, r)
     sizes = hi - lo + n
-    if np.sum(sizes) >= limit:
+    if np.sum(sizes) >= tau.size:
         return None
     start = np.cumsum(sizes) - sizes
     # lags grow with r_i - j for h > 0 and shrink with it for h < 0
@@ -385,36 +392,32 @@ def _grid_table(xa: np.ndarray, xb: np.ndarray, tau: np.ndarray, limit: int):
     index = base.astype(np.intp)[:, None] + sign * np.arange(n)
     values = np.zeros(int(np.sum(sizes)))
     values[index] = tau
-    if not np.array_equal(values[index], tau):
+    rows = 1 + (1 << 20) // n  # read back in row blocks: no third (m, n) array
+    if not all(np.array_equal(values[index[i:i + rows]], tau[i:i + rows])
+               for i in range(0, len(tau), rows)):
         return None
     return values, index
 
 
 def lag_table(x, kind: str, params):
     """The training lags of the points ``x`` against themselves as a table
-    ``(values, index)``: ``values[index]`` is :func:`lags` of ``x`` with ``x``.
+    ``(values, index)``: ``values[index]`` is the (n, n) array of lags.
 
-    For P = 1 inputs that pass the :func:`uniform_step` rule, ``values``
-    holds the sorted distinct signed lags (about 2n of them) and ``index``
-    the (n, n) position of each entry among them, so a stationary kernel and
-    its partials are evaluated once per distinct lag.  On an exact grid
-    (every (t_i - t_0) / h an integer, as for ``np.arange``) the table is
-    one :func:`_grid_table` block of 2n - 1 lags, built without a sort; on
-    other uniform grids (``linspace``, ``1949 + i / 12``), whose differences
-    round, ``np.unique`` builds it.  Every other input (scattered 1-D, where
-    nearly every lag is distinct, and P > 1) gets the plain lag array as
-    ``values`` and None as ``index``.
+    On a :class:`Grid`, ``values`` holds |h| k for k = 1-n..n-1, ascending,
+    and ``index`` is (n - 1) + sign(h) (i - j): the entry (i, j) is h (i - j),
+    the Toeplitz objective's lag, and a kernel is evaluated once per lag.
+    On an exact grid these are the sorted distinct t_i - t_j; where the
+    differences round (``linspace``) they differ from them by rounding.
+    Other inputs get the plain :func:`lags` array and None.
     """
     xa = _as_points(x)
-    tau = lags(xa, xa, kind, params)
-    # below 2n values the table is one block: the 2n - 1 distinct lags
-    table = _grid_table(xa, xa, tau, limit=2 * xa.shape[0])
-    if table is not None:
-        return table
-    if uniform_step(xa) is None:
-        return tau, None
-    values, index = np.unique(tau, return_inverse=True)
-    return values, index.reshape(tau.shape)
+    grid = Grid.of(xa)
+    if grid is None:
+        return lags(xa, xa, kind, params), None
+    _check_width(params, 1)
+    n = grid.n
+    k = np.arange(n) if grid.step >= 0 else -np.arange(n)
+    return abs(grid.step) * np.arange(1 - n, n), np.subtract.outer(k + (n - 1), k)
 
 
 def on_table(values: np.ndarray, index) -> np.ndarray:
@@ -434,7 +437,7 @@ def gram(x, x2, kind: str, params) -> np.ndarray:
     if xa.shape[1] != xb.shape[1]:
         raise DimensionMismatchError(xa.shape[1], xb.shape[1])
     tau = lags(xa, xb, kind, params)
-    table = _grid_table(xa, xb, tau, limit=tau.size)
+    table = _grid_table(xa, xb, tau)
     if table is None:
         return np.asarray(kernel_value(tau, kind, params))
     del tau  # not held while the kernel is evaluated

@@ -35,6 +35,7 @@ from .gp import (
     latent_moments,
     nlml_from_factor,
     optimize_parts,
+    record_fields,
     record_from_dict,
     record_to_dict,
 )
@@ -177,11 +178,8 @@ def ensemble_to_dict(ens: ExpertEnsemble) -> dict:
 
 def _index_sets(records, n: int) -> list[np.ndarray]:
     """The experts' index arrays from their records: integers in [0, n),
-    each used by at most one expert."""
-    try:
-        raw = [np.asarray(rec, dtype=float) for rec in records]
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"expert indices must be integers: {exc}") from None
+    each used by at most one expert; read under :func:`record_fields`."""
+    raw = [np.asarray(rec, dtype=float) for rec in records]
     if any(r.ndim != 1 or not np.array_equal(r, np.trunc(r)) for r in raw):
         raise DataError("expert indices must be integers")
     index_sets = [r.astype(int) for r in raw]
@@ -197,9 +195,13 @@ def ensemble_from_dict(d: dict, data: Dataset) -> ExpertEnsemble:
     """Rebuild an ensemble from its JSON record plus the training data; each
     expert's recomputed jitter must equal the recorded one."""
     kind, params, norm, data_n = record_from_dict(d, data)
-    index_sets = _index_sets([rec["indices"] for rec in d["experts"]], data_n.n)
+    with record_fields("ensemble"):
+        beta_mode, m = d["rbcm"]["beta_mode"], d["rbcm"]["m"]
+        index_sets = _index_sets([rec["indices"] for rec in d["experts"]], data_n.n)
+    if m != len(index_sets) or m < 1:
+        raise DataError(f"ensemble record states m = {m!r} but holds {len(index_sets)} experts")
     ens = _ensemble_from_params(kind, params, norm, _experts(data_n, index_sets),
-                                d["train_fingerprint"], beta_mode=d["rbcm"]["beta_mode"])
+                                d["train_fingerprint"], beta_mode=beta_mode)
     for i, (rec, e) in enumerate(zip(d["experts"], ens.experts)):
         check_jitter(rec.get("jitter_used"), e.jitter_used, f"expert {i}")
     return ens

@@ -1,8 +1,9 @@
 """Symmetric Toeplitz algebra for the NLML of uniformly sampled series.
 
-On a :class:`Grid` of n points spaced h apart, a stationary covariance
-K + s2 I is the symmetric Toeplitz matrix T whose first column is
-r_j = k(h j) (+ s2 at j = 0).  Nothing here forms an n x n matrix:
+On a :class:`~skewgp.kernels.Grid` of n points spaced h apart, a
+stationary covariance K + s2 I is the symmetric Toeplitz matrix T whose
+first column is r_j = k(h j) (+ s2 at j = 0), at the grid lags h j that
+:func:`~skewgp.kernels.lag_table` holds too.  No n x n matrix is formed:
 
 * :func:`levinson` runs Levinson--Durbin on r in O(n^2) time.  Its
   :class:`Factor` holds x = T^-1 e_1, the first column of the inverse, and
@@ -21,41 +22,14 @@ Gohberg & Semencul 1972; Cybenko 1980 (stability of Levinson--Durbin).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy import fft
-
-from . import kernels as kn
 
 # Smallest n that takes this path.  Per NLML+gradient evaluation it is
 # faster than the dense lag-table path from here up at every Q measured
 # (1, 2, 10), under default and single-thread OpenBLAS; airline (n = 96)
 # stays dense.  Measurement table in CHANGES.md.
 MIN_N = 144
-
-
-@dataclass(frozen=True)
-class Grid:
-    """n points spaced ``step`` apart: the inputs of a Toeplitz covariance."""
-
-    n: int
-    step: float
-
-    @classmethod
-    def of(cls, X):
-        """The grid of (n, 1) inputs ``X`` if they are uniformly spaced (the
-        :func:`~skewgp.kernels.uniform_step` rule) with n >= MIN_N, else None."""
-        step = kn.uniform_step(X) if X.shape[0] >= MIN_N else None
-        return None if step is None else cls(X.shape[0], step)
-
-    def holds(self, X) -> bool:
-        """Whether the inputs ``X`` lie on this grid up to rounding."""
-        return X.shape[0] == self.n and kn.uniform_step(X, self.step) is not None
-
-    def lags(self) -> np.ndarray:
-        """The lags h j, j = 0..n-1, of the covariance's first column."""
-        return self.step * np.arange(self.n)
 
 
 class Factor:

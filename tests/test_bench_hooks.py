@@ -132,7 +132,7 @@ def test_eval_hook_sees_one_call_per_evaluation_per_group(monkeypatch):
     ``gp.nlml_value_and_grad``: above the Toeplitz crossover a fit makes one
     call per objective evaluation, and rBCM experts on one grid share it; a
     failed Toeplitz call still reaches the hook and the optimizer sees inf."""
-    from skewgp import gp, rbcm, toeplitz
+    from skewgp import gp, kernels, rbcm, toeplitz
     from skewgp.errors import NumericalError
     from skewgp.kernels import SlsmComponent, SlsmParams
     from skewgp.optimize import OptConfig, transform
@@ -156,17 +156,17 @@ def test_eval_hook_sees_one_call_per_evaluation_per_group(monkeypatch):
     model = gp.fit(data, init, "slsm", OptConfig(max_iters=3))
     assert model.opt_result.n_evals >= 4
     assert len(calls) == model.opt_result.n_evals
-    assert all(t == toeplitz.Grid(X.size, 1.0) for t in calls)
+    assert all(t == kernels.Grid(X.size, 1.0) for t in calls)
 
     calls.clear()
     ens = rbcm.rbcm_fit(data, 8, "slsm", init, OptConfig(max_iters=3))
     assert len(calls) == ens.opt_result.n_evals
-    assert all(t == toeplitz.Grid(toeplitz.MIN_N, 1.0) for t in calls)
+    assert all(t == kernels.Grid(toeplitz.MIN_N, 1.0) for t in calls)
 
     calls.clear()
     monkeypatch.setattr(toeplitz, "levinson", lambda r: None)
     tp = transform(init, "slsm")
-    f, g = gp.objective_or_inf([data], tp.x, tp.layout, toeplitz.Grid(X.size, 1.0))
+    f, g = gp.objective_or_inf([data], tp.x, tp.layout, kernels.Grid(X.size, 1.0))
     assert f == np.inf and not np.any(g)
     assert len(calls) == 1 and isinstance(failures[-1], NumericalError)
 

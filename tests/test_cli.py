@@ -337,7 +337,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("field, value", [("beta_mode", "softmax"), ("index", 99),
                                               ("index", -1), ("index", 1.7),
-                                              ("overlap", None)])
+                                              ("overlap", None), ("m", 7),
+                                              ("no_experts", None)])
     def test_bad_ensemble_record_is_data_error(self, runner, small_series, tmp_path,
                                                field, value):
         out = tmp_path / "out"
@@ -345,8 +346,10 @@ class TestCommands:
                                        "--max-iters", "3", "--out", str(out)])
         assert res.exit_code == 0, res.output
         doc = json.loads((out / "model.json").read_text())
-        if field == "beta_mode":
-            doc["rbcm"]["beta_mode"] = value
+        if field in ("beta_mode", "m"):
+            doc["rbcm"][field] = value
+        elif field == "no_experts":
+            doc["experts"] = []
         elif field == "overlap":
             doc["experts"][1]["indices"][0] = doc["experts"][0]["indices"][0]
         else:
@@ -357,6 +360,30 @@ class TestCommands:
                                        "--at", str(small_series),
                                        "--out", str(tmp_path / "p.csv")])
         assert res.exit_code == 3, res.output
+
+    @pytest.mark.parametrize("command", ["predict", "sample"])
+    @pytest.mark.parametrize("case", ["no_normalization", "w_not_a_number", "not_json",
+                                      "not_an_object"])
+    def test_malformed_model_record_is_data_error(self, runner, small_series, tmp_path,
+                                                  command, case):
+        out = tmp_path / "out"
+        res = runner.invoke(cli.main, ["fit", str(small_series), "--q", "2",
+                                       "--max-iters", "3", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        path = out / "model.json"
+        doc = json.loads(path.read_text())
+        if case == "no_normalization":
+            del doc["normalization"]
+        elif case == "w_not_a_number":
+            doc["components"][0]["w"] = "abc"
+        path.write_text({"not_json": "{", "not_an_object": "5"}.get(case, json.dumps(doc)))
+        args = ["sample"] if command == "sample" else [
+            "predict", "--train-data", str(small_series), "--at", str(small_series)]
+        res = runner.invoke(cli.main, args + ["--model", str(path),
+                                              "--out", str(tmp_path / "o.csv")])
+        assert res.exit_code == 3, res.output
+        assert "data error" in res.output
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("rbcm_m", [0, 2])
     def test_tampered_jitter_record_is_data_error(self, runner, small_series, tmp_path,

@@ -92,7 +92,7 @@ class TestPaths:
     def _table(self, xq, x):
         xq, x = np.asarray(xq, float)[:, None], np.asarray(x, float)[:, None]
         tau = xq - x.T
-        return kn._grid_table(xq, x, tau, tau.size)
+        return kn._grid_table(xq, x, tau)
 
     def test_benchmark_queries_take_two_bands(self):
         """Half-step interpolation plus on-grid forecasts against an integer
@@ -107,6 +107,9 @@ class TestPaths:
     def test_rounding_and_scattered_inputs_fall_back(self, rng):
         x = np.linspace(0.0, 400.0, 500)
         assert self._table(x, x) is None                        # differences round
+        # copies of one point fill the first block of read-back rows
+        x = 0.1 * np.arange(1000)
+        assert self._table(np.concatenate([np.full(1100, 0.05), x]), x) is None
         assert self._table(rng.uniform(0.0, 50.0, 300), np.arange(50.0)) is None
         assert self._table(np.full(10, 3.0), np.full(5, 3.0)) is None  # no step
         moved = np.arange(100.0)
@@ -117,7 +120,7 @@ class TestPaths:
         def no_grid(*args, **kwargs):
             raise AssertionError("the uniformity rule ran for P > 1")
 
-        monkeypatch.setattr(kn, "uniform_step", no_grid)
+        monkeypatch.setattr(kn.Grid, "of", no_grid)
         X = rng.uniform(0.0, 5.0, (30, 2))
         p = SlsmParams((SlsmComponent(1.0, (0.3, 0.4), (0.5, 0.6), (0.1, -0.1)),))
         assert np.array_equal(kn.gram(X[:10], X, "slsm", p), _direct(X[:10], X, "slsm", p))

@@ -1,5 +1,7 @@
 """The per-fit lag table: K and every dK/dtheta evaluated once per distinct
-lag must equal the dense n x n evaluation bit for bit."""
+lag must equal the dense n x n evaluation at the same lags bit for bit.  On a
+uniform grid those lags are h (i - j); where the grid's differences round
+they stay within a stated bound of the exact t_i - t_j."""
 
 import numpy as np
 import pytest
@@ -17,6 +19,15 @@ from skewgp.optimize import OptConfig, transform, untransform
 from conftest import random_params
 
 KINDS = ("slsm", "sm", "lkp", "se", "rq")
+ROUNDING = ("tenth", "linspace")  # grids whose differences round
+
+# On a grid whose differences round, h (i - j) is t_i - t_j up to LAG_ULPS
+# ulps of max|t| (each point lies within UNIFORM_ULPS of the grid, plus two
+# roundings); K then moves by at most K_DRIFT of the prior variance, the NLML
+# by F_DRIFT and the gradient by G_DRIFT, relative.  Measured: 0.7 ulps,
+# 1e-14, 4e-14 and 7e-13.
+LAG_ULPS = 2.0 * kn.UNIFORM_ULPS + 2.0
+K_DRIFT, F_DRIFT, G_DRIFT = 1e-13, 1e-12, 1e-10
 
 
 def _grids(rng, n):
@@ -40,13 +51,30 @@ def _params(rng, kind, p=1, q=3, noise=0.1):
     return SlsmParams(comps, noise_var=noise)
 
 
-def dense_value_and_grad(data, tp):
-    """NLML, gradient and jitter from the full n x n lag array: ``kn.lags``
-    -> ``kn.kernel_value`` for K, ``kn.natural_partials`` ->
-    ``np.sum(M * dK)`` for the gradient."""
+def grid_lags(X):
+    """h (i - j) on the :class:`~skewgp.kernels.Grid` of the points ``X``,
+    computed directly, or None when they make no grid."""
+    grid = kn.Grid.of(X)
+    if grid is None:
+        return None
+    k = np.arange(grid.n)
+    return grid.step * np.subtract.outer(k, k)
+
+
+def assert_near_exact_lags(tau, X):
+    """``tau`` is the lag array of the 1-D points ``X`` up to rounding."""
+    exact = X[:, None] - X[None, :]
+    assert np.max(np.abs(tau - exact)) <= LAG_ULPS * np.finfo(float).eps * np.max(np.abs(X))
+
+
+def dense_value_and_grad(data, tp, tau=None):
+    """NLML, gradient and jitter from a full n x n lag array (``kn.lags``
+    unless ``tau`` is given): ``kn.kernel_value`` for K,
+    ``kn.natural_partials`` -> ``np.sum(M * dK)`` for the gradient."""
     params = untransform(tp)
     kind = tp.layout.kind
-    tau = kn.lags(data.X, data.X, kind, params)
+    if tau is None:
+        tau = kn.lags(data.X, data.X, kind, params)
     K = kn.kernel_value(tau, kind, params)
     L, jit = gp.chol_with_jitter(K, params.noise_var)
     alpha = cho_solve((L, True), data.y)
@@ -58,10 +86,13 @@ def dense_value_and_grad(data, tp):
 
 
 def _assert_table_path_exact(data, params, kind):
+    """Bitwise against the dense evaluation at the table's lags (h (i - j)
+    on a grid), and within the drift bounds of the exact lags."""
     tp = transform(params, kind)
     table = kn.lag_table(data.X, kind, params)
+    tau = grid_lags(data.X)
     try:
-        f_ref, g_ref, jit_ref = dense_value_and_grad(data, tp)
+        f_ref, g_ref, jit_ref = dense_value_and_grad(data, tp, tau)
     except NumericalError:
         with pytest.raises(NumericalError):
             gp.nlml_value_and_grad(data, tp, table)
@@ -70,19 +101,32 @@ def _assert_table_path_exact(data, params, kind):
     assert f == f_ref
     assert np.array_equal(g, g_ref)
     assert gp.factorize(data, kind, untransform(tp))[1] == jit_ref
+    if tau is not None:
+        f_exact, g_exact, _ = dense_value_and_grad(data, tp)
+        assert abs(f - f_exact) <= F_DRIFT * max(1.0, abs(f_exact))
+        assert np.max(np.abs(g - g_exact)) <= G_DRIFT * max(1.0, np.max(np.abs(g_exact)))
 
 
 class TestLagTable:
     @pytest.mark.parametrize("grid", ["unit", "tenth", "linspace", "scattered", "p2"])
     def test_covariance_equals_gram_bitwise(self, rng, grid):
+        """K from the table is the kernel at the table's lags bit for bit:
+        ``gram``'s matrix, except on grids whose differences round, where it
+        is within K_DRIFT of it."""
         X = _grids(rng, 120)[grid]
         for kind in KINDS:
             p = _params(rng, kind, p=1 if X.ndim == 1 else 2)
             values, index = kn.lag_table(X, kind, p)
             K = kn.on_table(kn.kernel_value(values, kind, p), index)
-            assert np.array_equal(K, kn.gram(X, X, kind, p))
             pts = X.reshape(120, -1)
-            assert np.array_equal(K, kn.kernel_value(kn.lags(pts, pts, kind, p), kind, p))
+            tau = grid_lags(pts)
+            tau = kn.lags(pts, pts, kind, p) if tau is None else tau
+            assert np.array_equal(K, kn.kernel_value(tau, kind, p))
+            G = kn.gram(X, X, kind, p)
+            if grid in ROUNDING:
+                assert np.max(np.abs(K - G)) <= K_DRIFT * kn.prior_variance(p)
+            else:
+                assert np.array_equal(K, G)
 
     def test_collapses_only_uniform_univariate_input(self, rng):
         grids = _grids(rng, 120)
@@ -90,9 +134,13 @@ class TestLagTable:
             X = grids[grid]
             values, index = kn.lag_table(X, "slsm", random_params(rng))
             assert index.shape == (120, 120)
+            assert values.size == 2 * 120 - 1
             assert np.array_equal(values, np.unique(values))
-            assert np.array_equal(values[index], X[:, None] - X[None, :])
-        assert kn.lag_table(grids["unit"], "slsm", random_params(rng))[0].size == 2 * 120 - 1
+            assert np.array_equal(values[index], grid_lags(X))
+            assert_near_exact_lags(values[index], X)
+        X = grids["unit"]
+        values, index = kn.lag_table(X, "slsm", random_params(rng))
+        assert np.array_equal(values[index], X[:, None] - X[None, :])
         # scattered points share only the zero lag of the diagonal, so a
         # sort would buy nothing: they keep the plain lag array
         X = grids["scattered"]
@@ -110,14 +158,18 @@ class TestLagTable:
     def test_large_linspace_grid_collapses_exactly(self):
         X = np.linspace(0.0, 400.0, 2000)
         values, index = kn.lag_table(X, "slsm", SlsmParams((SlsmComponent(1.0, 0.3, 0.5),)))
-        assert values.size == 15059
-        assert np.array_equal(values[index], X[:, None] - X[None, :])
-        # the sort-free grid table fails its read-back here: np.unique's table
+        # h (i - j) for |i - j| < 2000, where the exact t_i - t_j hold
+        # 15,059 distinct values
+        assert values.size == 2 * 2000 - 1
         assert np.array_equal(values, np.unique(values))
+        assert np.array_equal(values[index], grid_lags(X))
+        assert_near_exact_lags(values[index], X)
 
     def test_width_checked(self, rng):
         with pytest.raises(DimensionMismatchError):
             kn.lag_table(rng.uniform(size=(10, 2)), "slsm", random_params(rng))
+        with pytest.raises(DimensionMismatchError):  # a grid builds no lag array
+            kn.lag_table(np.arange(10.0), "slsm", _params(rng, "slsm", p=2))
 
     @pytest.mark.parametrize("grid", ["unit", "tenth", "linspace", "scattered", "p2"])
     @pytest.mark.parametrize("kind", KINDS)

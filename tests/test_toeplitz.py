@@ -53,8 +53,8 @@ class TestUniformityRule:
         (np.linspace(0.0, 400.0, 2000), 400.0 / 1999.0),
     ])
     def test_accepts_grids_up_to_rounding(self, X, step):
-        assert kn.uniform_step(X) == pytest.approx(step, rel=1e-14)
-        assert kn.uniform_step(X[::-1]) == pytest.approx(-step, rel=1e-14)
+        assert kn.Grid.of(X).step == pytest.approx(step, rel=1e-14)
+        assert kn.Grid.of(X[::-1]).step == pytest.approx(-step, rel=1e-14)
 
     @pytest.mark.parametrize("X", [np.arange(2000, dtype=float), 0.1 * np.arange(2000),
                                    np.linspace(0.0, 400.0, 2000), np.arange(200) / 12.0])
@@ -63,18 +63,19 @@ class TestUniformityRule:
         h = (X[-1] - X[0]) / (X.size - 1)
         Y = X.copy()
         Y[where % X.size + 1:] += 1e-9 * h
-        assert kn.uniform_step(Y) is None
+        assert kn.Grid.of(Y) is None
 
     def test_scattered_repeated_and_multivariate_inputs_have_no_step(self, rng):
-        assert kn.uniform_step(np.sort(rng.uniform(0.0, 50.0, 300))) is None
-        assert kn.uniform_step(np.repeat(np.arange(100.0), 2)) is None
-        assert kn.uniform_step(rng.uniform(size=(300, 2))) is None
-        assert kn.uniform_step(np.array([3.0])) is None
+        assert kn.Grid.of(np.sort(rng.uniform(0.0, 50.0, 300))) is None
+        assert kn.Grid.of(np.repeat(np.arange(100.0), 2)) is None
+        assert kn.Grid.of(rng.uniform(size=(300, 2))) is None
+        assert kn.Grid.of(np.array([3.0])) is None
 
     def test_given_step_is_checked_against_the_points(self):
         X = np.arange(300, dtype=float)
-        assert kn.uniform_step(X, 1.0) == 1.0
-        assert kn.uniform_step(X, 1.0 + 1e-9) is None
+        assert kn.Grid(300, 1.0).holds(X)
+        assert not kn.Grid(300, 1.0 + 1e-9).holds(X)
+        assert not kn.Grid(299, 1.0).holds(X)
 
 
 class TestPathSelection:
@@ -86,11 +87,39 @@ class TestPathSelection:
         below, = self._tables(np.arange(tz.MIN_N - 1, dtype=float), rng)
         at, = self._tables(np.arange(tz.MIN_N, dtype=float), rng)
         assert isinstance(below, tuple) and below[1] is not None
-        assert at == tz.Grid(tz.MIN_N, 1.0)
+        assert at == kn.Grid(tz.MIN_N, 1.0)
+
+    @pytest.mark.parametrize("family", ["unit", "descending", "tenth", "linspace", "monthly"])
+    def test_dense_table_and_toeplitz_grid_hold_the_same_lags(self, rng, family):
+        """A series of MIN_N points takes the Toeplitz Grid and the same
+        series one point shorter the dense table; both evaluate the kernel
+        at the grid lags h k, bit for bit."""
+        at = {"unit": np.arange(tz.MIN_N, dtype=float),
+              "descending": tz.MIN_N - np.arange(tz.MIN_N, dtype=float),
+              "tenth": 0.1 * np.arange(tz.MIN_N),
+              "linspace": np.linspace(0.0, 400.0, tz.MIN_N),
+              "monthly": 1949.0 + np.arange(tz.MIN_N) / 12.0}[family]
+        below = at[:-1]
+        grid, = self._tables(at, rng)
+        (values, index), = self._tables(below, rng)
+        assert grid == kn.Grid.of(at)
+        n = below.size
+        s = 1 if grid.step > 0 else -1
+        k = np.arange(n)
+        # the dense table mirrors the first column of the Toeplitz K
+        assert np.array_equal(index, (n - 1) + s * np.subtract.outer(k, k))
+        assert np.array_equal(values[(n - 1) + s * k], kn.Grid.of(below).lags())
+        values_at, _ = kn.lag_table(at, "slsm", SlsmParams((SlsmComponent(1.0, 0.3, 0.5),)))
+        assert np.array_equal(values_at[n + s * np.arange(tz.MIN_N)], grid.lags())
+        if family == "monthly":
+            # h is read from the end points: 1949 + 143/12 rounds unlike 1949 + 142/12
+            assert kn.Grid.of(below).step != grid.step
+        else:
+            assert np.array_equal(values[(n - 1) + s * k], grid.lags()[:n])
 
     def test_airline_size_stays_dense(self, rng):
         table, = self._tables(np.arange(96, dtype=float), rng)
-        assert not isinstance(table, tz.Grid)
+        assert not isinstance(table, kn.Grid)
 
     def test_one_gap_moved_takes_the_dense_path(self, rng):
         table, = self._tables(_one_gap_moved(np.arange(400, dtype=float)), rng)
@@ -147,7 +176,7 @@ def _problems(draw):
 def test_toeplitz_objective_matches_dense(problem):
     data, params, kind = problem
     tp = transform(params, kind)
-    grid = tz.Grid.of(data.X)
+    grid = kn.Grid.of(data.X)
     assert grid is not None
     _assert_close(gp.nlml_value_and_grad([data], tp, grid), _dense(data, tp))
 
@@ -162,7 +191,7 @@ def test_large_linspace_grid_matches_dense(rng, kind):
                           SlsmComponent(0.7, 1.1, 0.2, -0.1)), noise_var=0.1))
     tp = transform(params, kind)
     (_, grid), = gp.objective_groups([data], kind, params)
-    assert grid == tz.Grid(2000, kn.uniform_step(X))
+    assert grid == kn.Grid.of(X)
     _assert_close(gp.nlml_value_and_grad([data], tp, grid), _dense(data, tp))
 
 
@@ -174,7 +203,7 @@ def test_grouped_experts_equal_the_per_expert_dense_sum(rng, n):
                          SlsmComponent(0.7, 1.1, 0.2, -0.1)), noise_var=0.2)
     tp = transform(params, "slsm")
     groups = gp.objective_groups(parts, "slsm", params)
-    assert all(isinstance(t, tz.Grid) for _, t in groups)
+    assert all(isinstance(t, kn.Grid) for _, t in groups)
     results = [gp.nlml_value_and_grad(members, tp, grid) for members, grid in groups]
     f = sum(r[0] for r in results)
     g = np.sum([r[1] for r in results], axis=0)
@@ -228,7 +257,7 @@ class TestJitterLadder:
         huge = SlsmParams((SlsmComponent(1e308, 0.3, 0.5), SlsmComponent(1e308, 0.5, 0.5)),
                           noise_var=0.1)
         tp = transform(huge, "slsm")
-        grid = tz.Grid.of(data.X)
+        grid = kn.Grid.of(data.X)
         with pytest.raises(NumericalError, match="non-finite"), np.errstate(over="ignore"):
             gp.nlml_value_and_grad([data], tp, grid)
         f, g = gp.objective_or_inf([data], tp.x, tp.layout, grid)
