@@ -139,6 +139,8 @@ class ForecastJob:
             raise DataError(f"rBCM expert count must be >= 0, got {self.rbcm_m}")
         if self.prune and self.kernel in kernels.BASELINE_KERNELS:
             raise DataError(f"pruning needs a mixture kernel, got {self.kernel!r}")
+        if self.prune and self.rbcm_m > 0:
+            raise DataError("pruning is not available with rBCM experts (--rbcm)")
 
 
 def chronological_split(data: Dataset, train_frac: float) -> tuple[Dataset, Dataset]:
@@ -356,7 +358,7 @@ def main():
 @click.option("--rbcm", "rbcm_m", type=int, default=0,
               help="Train M partitioned experts instead of one full GP.")
 @click.option("--runs", type=int, default=1)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--max-iters", type=int, default=100)
 @click.option("--restarts", type=int, default=1)
 @click.option("--observation-noise", is_flag=True)
@@ -403,7 +405,7 @@ def predict_cmd(model_path, train_data, train_frac, at_path, observation_noise,
 @click.option("--t-max", type=float, default=None,
               help="Grid end (default: n-points input units).")
 @click.option("--n-paths", type=int, default=5)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--out", "out_path", type=click.Path(), default="samples.csv")
 @_exit_codes
 def sample_cmd(model_path, n_points, t_max, n_paths, seed, out_path):
@@ -426,7 +428,7 @@ def sample_cmd(model_path, n_points, t_max, n_paths, seed, out_path):
 @click.argument("input_path", type=click.Path())
 @click.option("--q", type=int, default=10)
 @click.option("--kind", type=click.Choice(["laplace", "gaussian"]), default="laplace")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--out", "out_dir", type=click.Path(), default="out")
 @_exit_codes
 def spectrum_cmd(input_path, q, kind, seed, out_dir):

@@ -8,23 +8,21 @@ with the full constant included.  Targets are centered and scaled to unit
 variance before training; weights and the noise variance are reported back in
 the original units.
 
-The optimization objective takes one of two paths per dataset
-(:func:`objective_groups`).  They agree to 1e-8 on the NLML and 1e-5
-relative on the gradient while the noise variance is at least 1e-6 of the
-prior variance; closer to singular, both are limited by the conditioning of
-K:
+The optimization objective sums one factorization per group of datasets
+on one :class:`~skewgp.kernels.Grid`, such as equal rBCM blocks, or per
+dataset on no grid (:func:`objective_groups`), on one of two paths.  They
+agree to 1e-8 on the NLML and 1e-5 relative on the gradient while the noise
+variance is at least 1e-6 of the prior variance; closer to singular, both
+are limited by the conditioning of K:
 
-* Toeplitz: P = 1 inputs of at least :data:`~skewgp.toeplitz.MIN_N`
-  points that form a :class:`~skewgp.kernels.Grid` (|t_i - (t_0 + i h)|
-  within a few ulps of max|t|).  K + s2 I is then symmetric Toeplitz; the
-  NLML and its gradient come from one Levinson--Durbin factor of its first
-  column and FFT convolutions, with no n x n matrix.  Datasets on the same
-  grid, such as equal rBCM blocks, share one factor per evaluation.  The
-  crossover MIN_N is measured, not an option.
-* Dense: every other input, including short uniform series such as the
-  96-month airline fit.  K and its partials are evaluated on the inputs'
-  :func:`~skewgp.kernels.lag_table`, which on a grid holds the same lags
-  h (i - j) as the Toeplitz path, and factorized by Cholesky.
+* Toeplitz: grids of at least :data:`~skewgp.toeplitz.MIN_N` points, a
+  measured crossover.  K + s2 I is symmetric Toeplitz; the NLML and its
+  gradient come from one Levinson--Durbin factor of its first column and
+  FFT convolutions, with no n x n matrix.
+* Dense: every other group, including short grids such as the 96-month
+  airline fit.  K and its partials are evaluated on a
+  :func:`~skewgp.kernels.lag_table`, which on a grid holds the Toeplitz
+  path's lags h (i - j), and factorized by Cholesky.
 
 Either factorization walks a jitter ladder eps * (tr/n), with eps in
 {0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2}: a Cholesky rung fails when the
@@ -242,13 +240,13 @@ def _solve_chol(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cho_solve((L, True), b)
 
 
-def factorize(data: Dataset, kind: str, params, table=None):
+def factorize(data: Dataset, kind: str, params):
     """``(L, jitter_used, alpha)``: the Cholesky factor of K + noise I at the
     training inputs and alpha = (K + noise I)^-1 y.  K is evaluated on the
-    inputs' :func:`~skewgp.kernels.lag_table`, built here unless given."""
-    values, index = kn.lag_table(data.X, kind, params) if table is None else table
+    inputs' :func:`~skewgp.kernels.lag_table`."""
+    values, index = kn.lag_table(data.X, kind, params)
     K = kn.on_table(kn.kernel_value(values, kind, params), index)
-    del values, index  # a table built here is not held through the Cholesky
+    del values, index  # the table is not held through the Cholesky
     L, jit = chol_with_jitter(K, params.noise_var)
     return L, jit, _solve_chol(L, data.y)
 
@@ -284,33 +282,34 @@ def nlml(data: Dataset, params, kind: str) -> float:
     return nlml_from_factor(L, alpha, data.y)
 
 
-def nlml_value_and_grad(data, tp: TransformedParams, table):
-    """NLML and its gradient in the transformed coordinates of ``tp``.
-
-    With a lag ``table`` (:func:`~skewgp.kernels.lag_table` of the one
-    Dataset ``data``), K and every dK/dtheta are evaluated on it and the
-    gradient is 0.5 tr((K^-1 - alpha alpha^T) dK/dtheta) from a Cholesky
-    factor.  With a :class:`~skewgp.kernels.Grid`, ``data`` is the list of
-    datasets on that grid and the result is the sum of their NLMLs, from
-    one Levinson--Durbin factor of the Toeplitz K (:func:`_toeplitz_terms`).
-    """
+def nlml_value_and_grad(parts, tp: TransformedParams, table):
+    """Summed NLML of the datasets ``parts`` of one :func:`objective_groups`
+    group and its gradient in the transformed coordinates of ``tp``, from
+    one factor: Cholesky on a lag ``table`` (:func:`_dense_terms`), or
+    Levinson--Durbin on a :class:`~skewgp.kernels.Grid` (:func:`_toeplitz_terms`)."""
     params = untransform(tp)
     kind = tp.layout.kind
     terms = _toeplitz_terms if isinstance(table, kn.Grid) else _dense_terms
-    f, grad_nat = terms(data, kind, params, table)
+    f, grad_nat = terms(parts, kind, params, table)
     scale = np.where(tp.layout.log_mask, np.exp(tp.x), 1.0)
     return f, np.array(grad_nat) * scale
 
 
-def _dense_terms(data: Dataset, kind: str, params, table):
-    """NLML and natural-coordinate gradient (noise slot last) of ``data``
-    on its lag table."""
-    L, _, alpha = factorize(data, kind, params, table)
+def _dense_terms(parts, kind: str, params, table):
+    """Summed NLML and natural-coordinate gradient (noise slot last) of the
+    datasets ``parts`` on their lag ``table``, from one Cholesky factor of
+    K~: with M = m K~^-1 - sum_e alpha_e alpha_e^T, every slot is
+    0.5 tr(M dK/dtheta)."""
     values, index = table
-    f = nlml_from_factor(L, alpha, data.y)
-    # M = K~^-1 - alpha alpha^T ; dNLML/dtheta = 0.5 tr(M dK/dtheta)
-    kinv = _solve_chol(L, np.eye(data.n))
-    M = kinv - np.outer(alpha, alpha)
+    L, _ = chol_with_jitter(kn.on_table(kn.kernel_value(values, kind, params), index),
+                            params.noise_var)
+    # m K~^-1 in C order, the partials' order, so the products below stream
+    M = np.multiply(_solve_chol(L, np.eye(L.shape[0])), len(parts), order="C")
+    f = 0.0
+    for part in parts:
+        alpha = _solve_chol(L, part.y)
+        f += nlml_from_factor(L, alpha, part.y)
+        M -= np.outer(alpha, alpha)
     grad_nat = [0.5 * float(np.sum(M * kn.on_table(dk, index)))
                 for dk in kn.natural_partials(values, kind, params)]
     return f, grad_nat + [0.5 * float(np.trace(M))]  # noise slot: dK/ds2 = I
@@ -335,24 +334,23 @@ def _toeplitz_terms(parts, kind: str, params, grid: kn.Grid):
     return f, grad_nat + [noise_slot]
 
 
-def objective_or_inf(data, x: np.ndarray, layout, table):
-    """:func:`nlml_value_and_grad` at ``x`` on the ``table`` of ``data``,
+def objective_or_inf(parts, x: np.ndarray, layout, table):
+    """:func:`nlml_value_and_grad` at ``x`` of the group ``(parts, table)``,
     or ``(inf, 0)`` where the NLML cannot be evaluated, so the line search
     backs off."""
     # DataError covers log-slot underflow to 0 during extreme line-search
     # steps; overflow to inf is caught by the non-finite covariance guard
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return nlml_value_and_grad(data, TransformedParams(x, layout), table)
+            return nlml_value_and_grad(parts, TransformedParams(x, layout), table)
     except (NumericalError, DataError):
         return np.inf, np.zeros_like(x)
 
 
 def nlml_grad(data: Dataset, params, kind: str) -> np.ndarray:
     """Gradient of the NLML over the transformed hyper-parameter vector."""
-    tp = transform(params, kind)
-    _, g = nlml_value_and_grad(data, tp, kn.lag_table(data.X, kind, params))
-    return g
+    return nlml_value_and_grad([data], transform(params, kind),
+                               kn.lag_table(data.X, kind, params))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -425,22 +423,22 @@ def _model_from_params(kind, params, data_n, normalization, fingerprint,
 
 
 def objective_groups(parts, kind: str, params):
-    """``(data, table)`` for each :func:`nlml_value_and_grad` call of one
-    objective evaluation over the datasets ``parts``.  Parts on one uniform
-    grid of at least :data:`~skewgp.toeplitz.MIN_N` points form a group
-    ``([parts], Grid)``; every other part is ``(part, lag table)``."""
-    groups = []
+    """``(members, table)`` for each :func:`nlml_value_and_grad` call of one
+    objective evaluation over the datasets ``parts``: the parts on the first
+    member's :class:`~skewgp.kernels.Grid` at any n, or one part on no grid,
+    with that Grid from :data:`~skewgp.toeplitz.MIN_N` points up and else
+    the first member's :func:`~skewgp.kernels.lag_table`."""
+    groups, grids = [], []
     for part in parts:
-        grid = kn.Grid.of(part.X) if part.n >= tz.MIN_N else None
-        if grid is None:
-            groups.append((part, kn.lag_table(part.X, kind, params)))
-            continue
-        for members, table in groups:
-            if isinstance(table, kn.Grid) and table.holds(part.X):
+        grid = kn.Grid.of(part.X)
+        for (members, _), g in zip(groups, grids):
+            if grid is not None and g is not None and g.holds(part.X):
                 members.append(part)
                 break
         else:
-            groups.append(([part], grid))
+            grids.append(grid)
+            groups.append(([part], grid if grid is not None and grid.n >= tz.MIN_N
+                           else kn.lag_table(part.X, kind, params)))
     return groups
 
 

@@ -10,10 +10,10 @@ a prior-precision correction:
     prec_* = sum_i beta_i / var_i + (1 - sum_i beta_i) / prior_var
     mean_* = (sum_i beta_i mean_i / var_i) / prec_*
 
-The NLMLs of a training step are evaluated concurrently, one call per
-objective group of :func:`~skewgp.gp.objective_groups` (experts on one
-uniform grid share a Toeplitz factor); the aggregation is a deterministic,
-order-invariant reduction.
+The NLMLs of a training step are evaluated on a thread pool, one call per
+objective group of :func:`~skewgp.gp.objective_groups` (experts on one grid
+share one factor, so the pool pays only where groups differ); the
+aggregation is a deterministic, order-invariant reduction.
 """
 
 from __future__ import annotations

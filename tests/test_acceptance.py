@@ -117,8 +117,8 @@ def test_criterion_4_gradient_suite():
             xp, xm = tp.x.copy(), tp.x.copy()
             xp[j] += h
             xm[j] -= h
-            fp, _ = nlml_value_and_grad(data, TransformedParams(xp, tp.layout), table)
-            fm, _ = nlml_value_and_grad(data, TransformedParams(xm, tp.layout), table)
+            fp, _ = nlml_value_and_grad([data], TransformedParams(xp, tp.layout), table)
+            fm, _ = nlml_value_and_grad([data], TransformedParams(xm, tp.layout), table)
             fd = (fp - fm) / (2.0 * h)
             worst = max(worst, abs(g[j] - fd) / max(1.0, abs(fd)))
     ok = worst < 1e-5

@@ -130,8 +130,9 @@ def test_model_record_has_the_keys_the_oracle_reads(p):
 def test_eval_hook_sees_one_call_per_evaluation_per_group(monkeypatch):
     """``gp.evals`` and ``gp.evals_failed`` count calls of
     ``gp.nlml_value_and_grad``: above the Toeplitz crossover a fit makes one
-    call per objective evaluation, and rBCM experts on one grid share it; a
-    failed Toeplitz call still reaches the hook and the optimizer sees inf."""
+    call per objective evaluation, and rBCM experts on one grid share it, on
+    either side of the crossover; a failed Toeplitz call still reaches the
+    hook and the optimizer sees inf."""
     from skewgp import gp, kernels, rbcm, toeplitz
     from skewgp.errors import NumericalError
     from skewgp.kernels import SlsmComponent, SlsmParams
@@ -162,6 +163,13 @@ def test_eval_hook_sees_one_call_per_evaluation_per_group(monkeypatch):
     ens = rbcm.rbcm_fit(data, 8, "slsm", init, OptConfig(max_iters=3))
     assert len(calls) == ens.opt_result.n_evals
     assert all(t == kernels.Grid(toeplitz.MIN_N, 1.0) for t in calls)
+
+    # below the crossover the experts share one dense lag table
+    calls.clear()
+    short = gp.Dataset(X[:8 * (toeplitz.MIN_N - 1)], data.y[:8 * (toeplitz.MIN_N - 1)])
+    ens = rbcm.rbcm_fit(short, 8, "slsm", init, OptConfig(max_iters=3))
+    assert len(calls) == ens.opt_result.n_evals
+    assert all(t[1].shape == (toeplitz.MIN_N - 1,) * 2 for t in calls)
 
     calls.clear()
     monkeypatch.setattr(toeplitz, "levinson", lambda r: None)

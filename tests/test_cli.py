@@ -415,6 +415,29 @@ class TestCommands:
         assert res.exit_code == 3, res.output
         assert "mixture kernel" in res.output
 
+    def test_pruning_an_rbcm_fit_is_data_error(self, runner, small_series, tmp_path):
+        out = tmp_path / "o"
+        res = runner.invoke(cli.main, ["fit", str(small_series), "--rbcm", "2", "--prune",
+                                       "--q", "2", "--max-iters", "3", "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert "rBCM" in res.output
+        assert not out.exists()  # rejected before any training
+
+    @pytest.mark.parametrize("command", ["fit", "sample", "spectrum"])
+    def test_negative_seed_is_usage_error(self, runner, small_series, tmp_path, command):
+        out = tmp_path / "out"
+        fit = ["fit", str(small_series), "--q", "2", "--max-iters", "3", "--out", str(out)]
+        if command == "sample":
+            assert runner.invoke(cli.main, fit).exit_code == 0
+        args = {"fit": fit,
+                "sample": ["sample", "--model", str(out / "model.json"),
+                           "--out", str(tmp_path / "s.csv")],
+                "spectrum": ["spectrum", str(small_series), "--q", "2",
+                             "--out", str(tmp_path / "spec")]}[command]
+        res = runner.invoke(cli.main, args + ["--seed", "-1"])
+        assert res.exit_code == 2, res.output
+        assert "--seed" in res.output
+
     def test_multivariate_predictions_keep_every_coordinate(self, runner, tmp_path, rng):
         rows = np.column_stack([rng.uniform(0, 5, (30, 2)), rng.standard_normal(30)])
         src = _write(tmp_path, "xy.csv", "x1,x2,y\n" + "".join(

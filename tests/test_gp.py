@@ -29,8 +29,8 @@ def _fd_nlml_grad(data, tp):
         xp, xm = tp.x.copy(), tp.x.copy()
         xp[j] += h
         xm[j] -= h
-        fp, _ = gp.nlml_value_and_grad(data, gp.TransformedParams(xp, tp.layout), table)
-        fm, _ = gp.nlml_value_and_grad(data, gp.TransformedParams(xm, tp.layout), table)
+        fp, _ = gp.nlml_value_and_grad([data], gp.TransformedParams(xp, tp.layout), table)
+        fm, _ = gp.nlml_value_and_grad([data], gp.TransformedParams(xm, tp.layout), table)
         fd[j] = (fp - fm) / (2.0 * h)
     return fd
 
@@ -221,7 +221,7 @@ class TestFit:
         model = fit(data, init, "slsm", OptConfig(max_iters=50))
         s2 = model.normalization.y_std**2
         tp0 = transform(gp.scale_variances(init, lambda v: v / s2), "slsm")
-        f0, _ = gp.nlml_value_and_grad(model.data, tp0,
+        f0, _ = gp.nlml_value_and_grad([model.data], tp0,
                                         kn.lag_table(model.data.X, "slsm", init))
         assert model.nlml_internal <= f0
         assert model.jitter_used >= 0.0

@@ -95,9 +95,9 @@ def _assert_table_path_exact(data, params, kind):
         f_ref, g_ref, jit_ref = dense_value_and_grad(data, tp, tau)
     except NumericalError:
         with pytest.raises(NumericalError):
-            gp.nlml_value_and_grad(data, tp, table)
+            gp.nlml_value_and_grad([data], tp, table)
         return
-    f, g = gp.nlml_value_and_grad(data, tp, table)
+    f, g = gp.nlml_value_and_grad([data], tp, table)
     assert f == f_ref
     assert np.array_equal(g, g_ref)
     assert gp.factorize(data, kind, untransform(tp))[1] == jit_ref
@@ -209,14 +209,18 @@ class TestOncePerFit:
         assert log["at_minimize"] == [1, 1]
         assert log["builds"] == 2          # the second factorizes the fitted model
 
-    def test_rbcm_fit_builds_one_table_per_expert(self, rng, monkeypatch):
+    @pytest.mark.parametrize("grid", [True, False], ids=["grid", "scattered"])
+    def test_rbcm_fit_builds_one_table_per_group(self, rng, monkeypatch, grid):
+        """Three experts on one grid share one table; scattered experts
+        build one each."""
         log = self._count_builds(monkeypatch)
-        X = np.arange(60.0)
+        X = np.arange(60.0) if grid else np.sort(rng.uniform(0.0, 60.0, 60))
         ens = rbcm.rbcm_fit(Dataset(X, np.sin(0.6 * X) + 0.1 * rng.standard_normal(60)), 3,
                             "slsm", random_params(rng, q=2), OptConfig(max_iters=3))
         assert ens.opt_result.n_evals >= 4
-        assert log["at_minimize"] == [3, 3]
-        assert log["builds"] == 6          # then one per expert's final factors
+        tables = 1 if grid else 3
+        assert log["at_minimize"] == [tables, tables]
+        assert log["builds"] == tables + 3  # then one per expert's final factors
 
 
 @st.composite

@@ -23,8 +23,8 @@ STEPS = (1.0, 0.1, 1.0 / 12.0)
 
 
 def _dense(data, tp):
-    return gp.nlml_value_and_grad(data, tp, kn.lag_table(data.X, tp.layout.kind,
-                                                         untransform(tp)))
+    return gp.nlml_value_and_grad([data], tp, kn.lag_table(data.X, tp.layout.kind,
+                                                           untransform(tp)))
 
 
 def _assert_close(got, ref, f_tol=1e-8, g_tol=1e-5):
@@ -143,10 +143,22 @@ class TestPathSelection:
         assert members == parts and grid.n == 250
 
     def test_two_block_sizes_form_two_groups(self, rng):
+        """Blocks of two sizes on one grid form two groups, also below the
+        crossover, where each group holds its first member's lag table."""
+        p = SlsmParams((SlsmComponent(1.0, 0.3, 0.5),))
         data = _series(np.arange(2003, dtype=float), rng)
         parts = [Dataset(data.X[i], data.y[i]) for i in rbcm.partition(data.n, 8)]
-        groups = gp.objective_groups(parts, "slsm", SlsmParams((SlsmComponent(1.0, 0.3, 0.5),)))
+        groups = gp.objective_groups(parts, "slsm", p)
         assert [(len(m), g.n) for m, g in groups] == [(3, 251), (5, 250)]
+
+        data = _series(np.arange(1003, dtype=float), rng)
+        parts = [Dataset(data.X[i], data.y[i]) for i in rbcm.partition(data.n, 8)]
+        groups = gp.objective_groups(parts, "slsm", p)
+        assert [m for m, _ in groups] == [parts[:3], parts[3:]]
+        for (members, (values, index)), size in zip(groups, (126, 125)):
+            ref_values, ref_index = kn.lag_table(members[0].X, "slsm", p)
+            assert index.shape == (size, size)
+            assert np.array_equal(values, ref_values) and np.array_equal(index, ref_index)
 
 
 @st.composite
@@ -195,22 +207,29 @@ def test_large_linspace_grid_matches_dense(rng, kind):
     _assert_close(gp.nlml_value_and_grad([data], tp, grid), _dense(data, tp))
 
 
-@pytest.mark.parametrize("n", [2000, 2003])
+@pytest.mark.parametrize("n", [1000, 1003, 2000, 2003])
 def test_grouped_experts_equal_the_per_expert_dense_sum(rng, n):
-    data = _series(np.linspace(0.0, 0.2 * n, n), rng)
-    parts = [Dataset(data.X[i], data.y[i]) for i in rbcm.partition(n, 8)]
+    """Eight experts on one grid form one group per block size, on the
+    Toeplitz path from MIN_N points up and on one Cholesky below; either
+    way the groups' summed NLML and gradient equal the per-expert dense
+    sum, on a rounding (linspace), an exact and a monthly grid."""
     params = SlsmParams((SlsmComponent(1.0, 0.3, 0.15, 0.2),
                          SlsmComponent(0.7, 1.1, 0.2, -0.1)), noise_var=0.2)
     tp = transform(params, "slsm")
-    groups = gp.objective_groups(parts, "slsm", params)
-    assert all(isinstance(t, kn.Grid) for _, t in groups)
-    results = [gp.nlml_value_and_grad(members, tp, grid) for members, grid in groups]
-    f = sum(r[0] for r in results)
-    g = np.sum([r[1] for r in results], axis=0)
-    dense = [_dense(part, tp) for part in parts]
-    f_ref = sum(r[0] for r in dense)
-    g_ref = np.sum([r[1] for r in dense], axis=0)
-    _assert_close((f, g), (f_ref, g_ref), f_tol=1e-8, g_tol=1e-8)
+    for X in (np.linspace(0.0, 0.2 * n, n), np.arange(n, dtype=float),
+              1949.0 + np.arange(n) / 12.0):
+        data = _series(X, rng)
+        parts = [Dataset(data.X[i], data.y[i]) for i in rbcm.partition(n, 8)]
+        groups = gp.objective_groups(parts, "slsm", params)
+        assert [len(m) for m, _ in groups] == ([8] if n % 8 == 0 else [3, 5])
+        assert all(isinstance(t, kn.Grid) == (n // 8 >= tz.MIN_N) for _, t in groups)
+        results = [gp.nlml_value_and_grad(members, tp, table) for members, table in groups]
+        f = sum(r[0] for r in results)
+        g = np.sum([r[1] for r in results], axis=0)
+        dense = [_dense(part, tp) for part in parts]
+        f_ref = sum(r[0] for r in dense)
+        g_ref = np.sum([r[1] for r in dense], axis=0)
+        _assert_close((f, g), (f_ref, g_ref), f_tol=1e-8, g_tol=1e-8)
 
 
 class TestJitterLadder:
