@@ -22,7 +22,8 @@ are limited by the conditioning of K:
 * Dense: every other group, including short grids such as the 96-month
   airline fit.  K and its partials are evaluated on a
   :func:`~skewgp.kernels.lag_table`, which on a grid holds the Toeplitz
-  path's lags h (i - j), and factorized by Cholesky.
+  path's lags h (i - j), or for a P > 1 mixture from per-point
+  projections, and factorized by Cholesky.
 
 Either factorization walks a jitter ladder eps * (tr/n), with eps in
 {0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2}: a Cholesky rung fails when the
@@ -103,10 +104,7 @@ class Dataset:
         return self.X.shape[1]
 
     def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.X.tobytes())
-        h.update(self.y.tobytes())
-        return h.hexdigest()[:16]
+        return hashlib.sha256(self.X.tobytes() + self.y.tobytes()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -157,12 +155,9 @@ class Normalization:
     def prediction(self, mean_n, var_n, observation_noise: bool) -> "Prediction":
         """Target-unit prediction from normalized moments; negative variances
         are clamped to 0 and counted."""
-        return Prediction(
-            mean=self.y_mean + self.y_std * mean_n,
-            var=self.y_std**2 * np.maximum(var_n, 0.0),
-            clamped=int(np.sum(var_n < 0.0)),
-            observation_noise=observation_noise,
-        )
+        return Prediction(mean=self.y_mean + self.y_std * mean_n,
+                          var=self.y_std**2 * np.maximum(var_n, 0.0),
+                          clamped=int(np.sum(var_n < 0.0)), observation_noise=observation_noise)
 
 
 @dataclass
@@ -243,10 +238,12 @@ def _solve_chol(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 def factorize(data: Dataset, kind: str, params):
     """``(L, jitter_used, alpha)``: the Cholesky factor of K + noise I at the
     training inputs and alpha = (K + noise I)^-1 y.  K is evaluated on the
-    inputs' :func:`~skewgp.kernels.lag_table`."""
-    values, index = kn.lag_table(data.X, kind, params)
-    K = kn.on_table(kn.kernel_value(values, kind, params), index)
-    del values, index  # the table is not held through the Cholesky
+    inputs' :func:`~skewgp.kernels.lag_table`, or from the points where
+    there is none (P > 1 mixtures)."""
+    table = kn.lag_table(data.X, kind, params)
+    K = kn.gram(data.X, data.X, kind, params) if table is None else \
+        kn.on_table(kn.kernel_value(table[0], kind, params), table[1])
+    del table  # the table is not held through the Cholesky
     L, jit = chol_with_jitter(K, params.noise_var)
     return L, jit, _solve_chol(L, data.y)
 
@@ -257,7 +254,7 @@ def latent_moments(Xs_n, factors, kind: str, params):
     an rBCM expert: one :func:`~skewgp.kernels.gram` and one triangular
     solve."""
     ks = kn.gram(Xs_n, factors.data.X, kind, params)
-    mean = ks @ factors.alpha
+    mean = np.einsum("ij,j->i", ks, factors.alpha)  # each row alone: no batch-sized GEMV
     v = solve_triangular(factors.chol_L, ks.T, lower=True, overwrite_b=True)  # ks is spent
     return mean, kn.prior_variance(params) - np.sum(v * v, axis=0)
 
@@ -269,11 +266,8 @@ def latent_moments(Xs_n, factors, kind: str, params):
 
 def nlml_from_factor(L: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
     """Data fit + complexity + constant from a :func:`factorize` result."""
-    return (
-        0.5 * float(y @ alpha)
-        + float(np.sum(np.log(np.diag(L))))
-        + 0.5 * y.size * math.log(2.0 * math.pi)
-    )
+    return (0.5 * float(y @ alpha) + float(np.sum(np.log(np.diag(L))))
+            + 0.5 * y.size * math.log(2.0 * math.pi))
 
 
 def nlml(data: Dataset, params, kind: str) -> float:
@@ -299,10 +293,17 @@ def _dense_terms(parts, kind: str, params, table):
     """Summed NLML and natural-coordinate gradient (noise slot last) of the
     datasets ``parts`` on their lag ``table``, from one Cholesky factor of
     K~: with M = m K~^-1 - sum_e alpha_e alpha_e^T, every slot is
-    0.5 tr(M dK/dtheta)."""
-    values, index = table
-    L, _ = chol_with_jitter(kn.on_table(kn.kernel_value(values, kind, params), index),
-                            params.noise_var)
+    0.5 tr(M dK/dtheta).  With no table (one part, a P > 1 mixture), K and
+    the slots come from :func:`~skewgp.kernels.multi_component_partials`."""
+    if table is None:
+        X, comps = parts[0].X, kn.for_kind(params, kind).components
+        factors = [kn.multi_component_partials(X, X, c, kind) for c in comps]
+        K = sum(c.w * f[0] for c, f in zip(comps, factors))  # as kn.gram sums
+    else:
+        values, index = table
+        K = kn.on_table(kn.kernel_value(values, kind, params), index)
+    L, _ = chol_with_jitter(K, params.noise_var)
+    del K
     # m K~^-1 in C order, the partials' order, so the products below stream
     M = np.multiply(_solve_chol(L, np.eye(L.shape[0])), len(parts), order="C")
     f = 0.0
@@ -310,8 +311,19 @@ def _dense_terms(parts, kind: str, params, table):
         alpha = _solve_chol(L, part.y)
         f += nlml_from_factor(L, alpha, part.y)
         M -= np.outer(alpha, alpha)
-    grad_nat = [0.5 * float(np.sum(M * kn.on_table(dk, index)))
-                for dk in kn.natural_partials(values, kind, params)]
+    if table is not None:
+        grad_nat = [0.5 * float(np.sum(M * kn.on_table(dk, index)))
+                    for dk in kn.natural_partials(values, kind, params)]
+    else:  # M symmetric, g odd and h even in tau, B = M o h: 0.5 sum M o g tau_d
+        # is x_d . rowsum(M o g) and 0.5 sum B tau_d^2 is x_d^2 . rowsum(B) - x_d^T B x_d
+        grad_nat = []
+        for c, (val, g_mu, g_sigma, *g_gamma) in zip(comps, factors):
+            B = M * g_sigma
+            sigma = np.asarray(c.sigma) * ((X * X).T @ B.sum(axis=1)
+                                           - np.einsum("id,id->d", X, B @ X))
+            odd = [X.T @ np.einsum("ij,ij->i", M, g) for g in [g_mu] + g_gamma]
+            grad_nat += [0.5 * float(np.sum(M * val)),
+                         *c.w * np.concatenate([odd[0], sigma] + odd[1:])]
     return f, grad_nat + [0.5 * float(np.trace(M))]  # noise slot: dK/ds2 = I
 
 
@@ -408,18 +420,9 @@ def scale_variances(params, scale):
 def _model_from_params(kind, params, data_n, normalization, fingerprint,
                        opt_result=None, prune_report=None) -> TrainedModel:
     L, jit, alpha = factorize(data_n, kind, params)
-    return TrainedModel(
-        kind=kind,
-        params=params,
-        data=data_n,
-        normalization=normalization,
-        chol_L=L,
-        alpha=alpha,
-        jitter_used=jit,
-        train_fingerprint=fingerprint,
-        opt_result=opt_result,
-        prune_report=prune_report,
-    )
+    return TrainedModel(kind=kind, params=params, data=data_n, normalization=normalization,
+                        chol_L=L, alpha=alpha, jitter_used=jit, train_fingerprint=fingerprint,
+                        opt_result=opt_result, prune_report=prune_report)
 
 
 def objective_groups(parts, kind: str, params):
@@ -452,7 +455,7 @@ def optimize_parts(parts, init_params, kind: str, cfg: OptConfig,
     s2 = norm.y_std**2
     tp0 = transform(scale_variances(init_params, lambda v: v / s2), kind)
     # the final factors build their own table: holding these through their
-    # Cholesky raised uniform2000's peak RSS by 30 MB and scatter2d's by 5 MB
+    # Cholesky raised uniform2000's peak RSS by 30 MB
     groups = objective_groups(parts, kind, init_params)
 
     def objective(x):
@@ -484,11 +487,8 @@ def fit(data: Dataset, init_params, kind: str, cfg: OptConfig | None = None,
 
 def sample_prior(kind: str, params, X, n_paths: int, seed: int) -> np.ndarray:
     """Draw ``n_paths`` zero-mean functions from the kernel prior at X."""
-    K = kn.gram(X, X, kind, params)
-    L, _ = chol_with_jitter(K, 0.0)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_paths, K.shape[0]))
-    return z @ L.T
+    L, _ = chol_with_jitter(kn.gram(X, X, kind, params), 0.0)
+    return np.random.default_rng(seed).standard_normal((n_paths, L.shape[0])) @ L.T
 
 
 # ---------------------------------------------------------------------------
@@ -498,16 +498,9 @@ def sample_prior(kind: str, params, X, n_paths: int, seed: int) -> np.ndarray:
 
 def params_to_dict(params, kind: str) -> dict:
     if isinstance(params, BaselineKernelParams):
-        return {
-            "baseline": {
-                "variant": params.variant,
-                "theta_f": params.theta_f,
-                "ell": params.ell,
-                "rq_alpha": params.rq_alpha,
-            },
-            "components": [],
-            "noise_var": params.noise_var,
-        }
+        fields = ("variant", "theta_f", "ell", "rq_alpha")
+        return {"baseline": {k: getattr(params, k) for k in fields},
+                "components": [], "noise_var": params.noise_var}
     comps = []
     for c in params.components:
         if c.p == 1:
@@ -545,12 +538,8 @@ def record_to_dict(kind: str, params, norm: Normalization, fingerprint: str,
         "schema_version": SCHEMA_VERSION,
         "kernel_type": kind,
         **params_to_dict(params, kind),
-        "normalization": {
-            "y_mean": norm.y_mean,
-            "y_std": norm.y_std,
-            "x_means": list(norm.x_means),
-            "x_stds": list(norm.x_stds),
-        },
+        "normalization": {"y_mean": norm.y_mean, "y_std": norm.y_std,
+                          "x_means": list(norm.x_means), "x_stds": list(norm.x_stds)},
         **fields,
         "train_fingerprint": fingerprint,
     }

@@ -26,8 +26,9 @@ Kernel families:
 * ``se``/``rq`` -- single-component squared-exponential / rational-quadratic
   baselines.
 
-Lags are (n, m) arrays for P = 1 and (n, m, P) arrays for P > 1 (see
-:func:`lags`); only the elementwise formula bodies differ between the two.
+P = 1 kernels and baselines take (n, m) lags (:func:`lags`).  A P > 1
+mixture takes the points, never an (n, m, P) lag array: its components are
+evaluated from per-point projections (:func:`multi_component_partials`).
 A uniform P = 1 input is read one way, as a :class:`Grid` t_0 + i h whose
 training lags are h (i - j), in :func:`lag_table` and the Toeplitz
 objective alike; where the grid's differences round (``linspace``) they
@@ -174,23 +175,12 @@ def for_kind(params, kind: str):
 # ---------------------------------------------------------------------------
 
 
-def _vector_terms(tau: np.ndarray, c: SlsmComponent):
-    """Phase mu.tau, skew gamma.tau and half the scaled squared lag
-    sum_d sigma_d^2 tau_d^2 / 2 of a P > 1 component at (..., P) lags."""
-    if tau.shape[-1] != c.p:
-        raise DimensionMismatchError(c.p, tau.shape[-1])
-    half_sq = 0.5 * (tau * tau) @ np.square(c.sigma)
-    return tau @ np.asarray(c.mu), tau @ np.asarray(c.gamma), half_sq
-
-
 def slsm_component(tau, c: SlsmComponent):
     """Unweighted skewed-Laplace component at lags ``tau`` (any array shape
     for P = 1, (..., P) for P > 1); 1 at tau = 0, bounded by 1."""
     tau = np.asarray(tau, dtype=float)
     if c.p > 1:
-        phase, skew, half_sq = _vector_terms(tau, c)
-        cc = 1.0 + half_sq
-        return (cc * np.cos(phase) - skew * np.sin(phase)) / (cc * cc + skew * skew)
+        return kernel_value(tau, "slsm", SlsmParams((replace(c, w=1.0),)))
     mu, sigma, gamma = c.scalars()
     phase = mu * tau
     cos_p = np.cos(phase)
@@ -199,28 +189,25 @@ def slsm_component(tau, c: SlsmComponent):
     return (cc * cos_p - gamma * tau * sin_p) / (cc * cc + gamma**2 * tau**2)
 
 
-def _weighted_component(tau: np.ndarray, c: SlsmComponent, kind: str):
-    """``w`` times the unweighted component of mixture kernel ``kind``."""
-    if kind != "sm":
-        return c.w * slsm_component(tau, c)
-    if c.p > 1:
-        phase, _, half_sq = _vector_terms(tau, c)
-        return c.w * (np.cos(phase) * np.exp(-half_sq))
-    mu, sigma, _ = c.scalars()
-    return c.w * np.cos(mu * tau) * np.exp(-0.5 * sigma**2 * tau**2)
-
-
 def kernel_value(tau, kind: str, params):
     """Kernel ``kind`` at lags ``tau``: the weighted component sum for
-    mixtures (Sum(w) at tau = 0), the baseline formula otherwise."""
+    mixtures (Sum(w) at tau = 0), the baseline formula otherwise.  P > 1
+    lags (..., P) are evaluated as points against the origin (:func:`gram`)."""
     if kind in BASELINE_KERNELS:
         return baseline_kernel(tau, params)
     if kind not in MIXTURE_KERNELS:
         raise DataError(f"unknown kernel kind {kind!r}")
     tau = np.asarray(tau, dtype=float)
-    out = np.zeros(tau.shape if params.p == 1 else tau.shape[:-1])
-    for c in for_kind(params, kind).components:
-        out += _weighted_component(tau, c, kind)
+    if params.p > 1:
+        _check_width(params, tau.shape[-1] if tau.ndim else 1)
+        out = gram(tau.reshape(-1, params.p), np.zeros((1, params.p)), kind, params)
+        out = out.reshape(tau.shape[:-1])
+    else:
+        out = np.zeros(tau.shape)
+        for c in for_kind(params, kind).components:
+            mu, sigma, _ = c.scalars()
+            out += c.w * slsm_component(tau, c) if kind != "sm" else \
+                c.w * np.cos(mu * tau) * np.exp(-0.5 * sigma**2 * tau**2)
     return out if out.shape else float(out)
 
 
@@ -299,20 +286,25 @@ def _check_width(params, p: int):
         raise DimensionMismatchError(params.p, p)
 
 
+def _sum_sq_diff(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """sum_d (xa_id - xb_jd)^2 of two (n, P) point sets, added in dimension
+    order from per-dimension outer differences: no (n, m, P) array."""
+    return sum(np.subtract.outer(xa[:, d], xb[:, d]) ** 2 for d in range(xa.shape[1]))
+
+
 def lags(xa: np.ndarray, xb: np.ndarray, kind: str, params) -> np.ndarray:
     """Lags xa_i - xb_j between two (n, P) point sets, as the kernel takes them.
 
-    Univariate inputs give an (n, m) array.  For multivariate inputs, mixture
-    kernels take the (n, m, P) vector lag and baselines the (n, m) Euclidean
-    distance.  Mixture parameters must have the points' P.
+    Univariate inputs give an (n, m) array, multivariate inputs the (n, m)
+    Euclidean distance for baselines; a P > 1 mixture takes the points
+    instead (:func:`gram`).  Mixture parameters must have the points' P.
     """
     _check_width(params, xa.shape[1])
     if xa.shape[1] == 1:
         return xa[:, 0][:, None] - xb[:, 0][None, :]
-    tau = xa[:, None, :] - xb[None, :, :]
-    if kind in BASELINE_KERNELS:
-        return np.sqrt(np.sum(tau * tau, axis=-1))
-    return tau
+    if kind not in BASELINE_KERNELS:
+        raise DataError(f"a P > 1 {kind!r} kernel takes points, not lags")
+    return np.sqrt(_sum_sq_diff(xa, xb))
 
 
 # rounding allowance of the uniformity rule, in units of eps * max|t|
@@ -363,8 +355,9 @@ def _grid_table(xa: np.ndarray, xb: np.ndarray, tau: np.ndarray):
     consecutive lags in ascending order, so row i reads its block at a fixed
     position minus (h > 0) or plus (h < 0) the column j.  None when a lag
     does not read back bit for bit (grids whose differences round), when the
-    blocks are as large as ``tau`` (scattered queries) or when ``xb`` is no
-    grid with h != 0.  No lag is sorted.
+    blocks hold more than half as many lags as ``tau`` (scattered queries,
+    near-singleton groups) or when ``xb`` is no grid with h != 0.  No lag
+    is sorted.
     """
     grid = Grid.of(xb) if xa.shape[1] == 1 else None
     if grid is None or not grid.step:  # no grid, or repeated points
@@ -381,7 +374,9 @@ def _grid_table(xa: np.ndarray, xb: np.ndarray, tau: np.ndarray):
     np.minimum.at(lo, group, r)
     np.maximum.at(hi, group, r)
     sizes = hi - lo + n
-    if np.sum(sizes) >= tau.size:
+    # only rows sharing a band save evaluations (a lone row reads its own n
+    # lags); the gather and read-back pay once the bands hold half the lags
+    if 2 * np.sum(sizes) > tau.size:
         return None
     start = np.cumsum(sizes) - sizes
     # lags grow with r_i - j for h > 0 and shrink with it for h < 0
@@ -408,12 +403,15 @@ def lag_table(x, kind: str, params):
     the Toeplitz objective's lag, and a kernel is evaluated once per lag.
     On an exact grid these are the sorted distinct t_i - t_j; where the
     differences round (``linspace``) they differ from them by rounding.
-    Other inputs get the plain :func:`lags` array and None.
+    Other inputs get the plain :func:`lags` array and None, except a P > 1
+    mixture, which has no table (None): it is evaluated from the points.
     """
     xa = _as_points(x)
     grid = Grid.of(xa)
     if grid is None:
-        return lags(xa, xa, kind, params), None
+        _check_width(params, xa.shape[1])
+        return None if xa.shape[1] > 1 and kind in MIXTURE_KERNELS else (
+            lags(xa, xa, kind, params), None)
     _check_width(params, 1)
     n = grid.n
     k = np.arange(n) if grid.step >= 0 else -np.arange(n)
@@ -427,15 +425,17 @@ def on_table(values: np.ndarray, index) -> np.ndarray:
 
 
 def gram(x, x2, kind: str, params) -> np.ndarray:
-    """Noise-free covariance matrix k(x_i - x2_j) at the :func:`lags`.
-
-    For P = 1 against uniform ``x2`` the kernel is evaluated once per entry
-    of the :func:`_grid_table` and gathered, bit for bit the same matrix;
-    elsewhere it is evaluated at every lag."""
+    """Noise-free covariance matrix k(x_i - x2_j): for a P > 1 mixture the
+    weighted sum of its :func:`_multi_component` values; for P = 1 against
+    uniform ``x2`` evaluated once per entry of the :func:`_grid_table` and
+    gathered, bit for bit the same matrix; else at every one of the :func:`lags`."""
     xa = _as_points(x)
     xb = _as_points(x2)
     if xa.shape[1] != xb.shape[1]:
         raise DimensionMismatchError(xa.shape[1], xb.shape[1])
+    if xa.shape[1] > 1 and kind in MIXTURE_KERNELS:
+        return sum(c.w * _multi_component(xa, xb, c, kind)[0]
+                   for c in for_kind(params, kind).components)
     tau = lags(xa, xb, kind, params)
     table = _grid_table(xa, xb, tau)
     if table is None:
@@ -479,31 +479,45 @@ def sm_component_partials(tau, c: SlsmComponent):
     return val, d_mu, d_sigma
 
 
-def multi_component_partials(tau, c: SlsmComponent, kind: str = "slsm"):
-    """Value and partials of a P > 1 component at (..., P) lags ``tau``.
-
-    Returns ``(value, d_mu, d_sigma[, d_gamma])``; each partial is a (P, ...)
-    stack holding one block per dimension, and ``sm`` has no skew partial.
-    """
-    tau = np.asarray(tau, dtype=float)
-    phase, skew, half_sq = _vector_terms(tau, c)
-    sq_sigma = (tau * tau) * np.asarray(c.sigma)
-    cos_p = np.cos(phase)
-    sin_p = np.sin(phase)
+def _multi_component(xa: np.ndarray, xb: np.ndarray, c: SlsmComponent, kind: str):
+    """Unweighted P > 1 component at the lags tau = xa_i - xb_j, (n, m), and
+    the terms its partials reuse, from per-point quantities: cos and sin of
+    the phase mu.tau = a_i - b_j from those of a = xa mu and b = xb mu, the
+    skew gamma.tau as an outer difference, and sum_d sigma_d^2 tau_d^2 / 2
+    from per-dimension outer differences.  Centring on the mean of ``xb``
+    keeps the points' offset out of the phases' rounding; each entry
+    depends only on its own pair of points (and ``xb``), whatever the batch."""
+    if xa.shape[1] != c.p:
+        raise DimensionMismatchError(c.p, xa.shape[1])
+    xa, xb = xa - np.mean(xb, axis=0), xb - np.mean(xb, axis=0)
+    # sum_d v_d x_d added in dimension order, per point
+    a, b, ga, gb = (sum(x[:, d] * v[d] for d in range(c.p))
+                    for v in (c.mu, c.gamma) for x in (xa, xb))
+    cos_p = np.multiply.outer(np.cos(a), np.cos(b)) + np.multiply.outer(np.sin(a), np.sin(b))
+    sin_p = np.multiply.outer(np.sin(a), np.cos(b)) - np.multiply.outer(np.cos(a), np.sin(b))
+    scale = np.asarray(c.sigma) / math.sqrt(2.0)
+    half_sq = _sum_sq_diff(xa * scale, xb * scale)
     if kind == "sm":
         env = np.exp(-half_sq)
-        val = cos_p * env
-        blocks = (-(sin_p * env)[..., None] * tau, -val[..., None] * sq_sigma)
-    else:
-        cc = 1.0 + half_sq
-        den = cc * cc + skew * skew
-        val = (cc * cos_p - skew * sin_p) / den
-        blocks = (
-            ((-cc * sin_p - skew * cos_p) / den)[..., None] * tau,
-            ((cos_p - 2.0 * cc * val) / den)[..., None] * sq_sigma,
-            ((-sin_p - 2.0 * skew * val) / den)[..., None] * tau,
-        )
-    return (val,) + tuple(np.moveaxis(b, -1, 0) for b in blocks)
+        return cos_p * env, (sin_p, env)
+    skew = np.subtract.outer(ga, gb)
+    cc = 1.0 + half_sq
+    den = cc * cc + skew * skew
+    return (cc * cos_p - skew * sin_p) / den, (cos_p, sin_p, skew, cc, den)
+
+
+def multi_component_partials(xa, xb, c: SlsmComponent, kind: str = "slsm"):
+    """``(value, g_mu, g_sigma[, g_gamma])``, each (n, m), of a P > 1
+    component at the lags tau = xa_i - xb_j from one :func:`_multi_component`:
+    d/dmu_d = g_mu tau_d, d/dsigma_d = g_sigma sigma_d tau_d^2, d/dgamma_d =
+    g_gamma tau_d (``slsm`` only); g_mu, g_gamma are odd in tau, g_sigma even."""
+    val, terms = _multi_component(xa, xb, c, kind)
+    if kind == "sm":
+        sin_p, env = terms
+        return val, -sin_p * env, -val
+    cos_p, sin_p, skew, cc, den = terms
+    out = (val, -(cc * sin_p + skew * cos_p) / den, (cos_p - 2.0 * cc * val) / den)
+    return out + ((-(sin_p + 2.0 * skew * val) / den,) if kind == "slsm" else ())
 
 
 def baseline_partials(tau, b: BaselineKernelParams):
@@ -528,19 +542,15 @@ def baseline_partials(tau, b: BaselineKernelParams):
 def natural_partials(tau, kind: str, params):
     """Yield dK/dtheta at lags ``tau`` (from :func:`lags`), one array at a
     time, in the optimizer's natural-coordinate slot order without the noise
-    slot: per component w, then P slots each of mu, sigma and, for ``slsm``
-    only, gamma; theta_f, ell(, rq_alpha) for baselines."""
+    slot: per component w, mu, sigma and, for ``slsm`` only, gamma of a
+    univariate mixture; theta_f, ell(, rq_alpha) for baselines.  A P > 1
+    mixture has no lags; its factors come from :func:`multi_component_partials`."""
     if isinstance(params, BaselineKernelParams):
         yield from baseline_partials(tau, params)[1:]
         return
+    body = sm_component_partials if kind == "sm" else slsm_component_partials
     for c in for_kind(params, kind).components:
-        if c.p > 1:
-            val, *blocks = multi_component_partials(tau, c, kind=kind)
-        else:
-            body = sm_component_partials if kind == "sm" else slsm_component_partials
-            val, *parts = body(tau, c)
-            blocks = [(d,) for d in parts]
+        val, *parts = body(tau, c)
         yield val
-        for block in blocks[:3 if kind == "slsm" else 2]:
-            for part in block:
-                yield c.w * part
+        for part in parts[:3 if kind == "slsm" else 2]:
+            yield c.w * part

@@ -13,9 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from scipy.integrate import quad
+from scipy.linalg import cho_solve
 
+import skewgp.gp as gp
+import skewgp.kernels as kn
 from skewgp.gp import Dataset
 from skewgp.kernels import SlsmComponent, SlsmParams, spectral_density
+from skewgp.optimize import transform, untransform
 
 DATA_DIR = Path(__file__).parent / "data"
 AIRLINE_CSV = DATA_DIR / "airline.csv"
@@ -77,12 +81,86 @@ def central_fd(f, x0: float, h: float | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
+# The vector-lag oracle of a P > 1 mixture: the closed form at the (n, m, P)
+# lag array, independent of the per-point projections the library uses.
+# Agreement bounds, about 100 times the measured error: K entries within
+# P_K_TOL of the prior variance, the NLML within P_F_TOL and the gradient
+# within P_G_TOL of its largest slot, relative.
+P_K_TOL, P_F_TOL, P_G_TOL = 1e-13, 1e-12, 1e-10
+
+
+def vector_lags(xa, xb) -> np.ndarray:
+    """The (n, m, P) lag vectors xa_i - xb_j."""
+    return xa[:, None, :] - xb[None, :, :]
+
+
+def _vector_component(tau, c: SlsmComponent, kind: str):
+    """Value and (P, n, m) partial stacks of one P > 1 component at the
+    vector lags ``tau``: ``(value, d_mu, d_sigma[, d_gamma])``."""
+    phase, skew = tau @ np.asarray(c.mu), tau @ np.asarray(c.gamma)
+    half_sq = 0.5 * (tau * tau) @ np.square(c.sigma)
+    sq_sigma = (tau * tau) * np.asarray(c.sigma)
+    cos_p, sin_p = np.cos(phase), np.sin(phase)
+    if kind == "sm":
+        env = np.exp(-half_sq)
+        val = cos_p * env
+        blocks = (-(sin_p * env)[..., None] * tau, -val[..., None] * sq_sigma)
+    else:
+        cc = 1.0 + half_sq
+        den = cc * cc + skew * skew
+        val = (cc * cos_p - skew * sin_p) / den
+        blocks = (((-cc * sin_p - skew * cos_p) / den)[..., None] * tau,
+                  ((cos_p - 2.0 * cc * val) / den)[..., None] * sq_sigma,
+                  ((-sin_p - 2.0 * skew * val) / den)[..., None] * tau)
+    return (val,) + tuple(np.moveaxis(b, -1, 0) for b in blocks)
+
+
+def vector_kernel(tau, kind: str, params) -> np.ndarray:
+    """A P > 1 mixture at the vector lags ``tau``."""
+    return sum(c.w * _vector_component(tau, c, kind)[0]
+               for c in kn.for_kind(params, kind).components)
+
+
+def vector_partials(tau, kind: str, params):
+    """dK/dtheta of a P > 1 mixture at the vector lags ``tau`` in the
+    optimizer's natural slot order: per component w, then P slots each of
+    mu, sigma and, for ``slsm`` only, gamma."""
+    for c in kn.for_kind(params, kind).components:
+        val, *blocks = _vector_component(tau, c, kind)
+        yield val
+        for block in blocks[:3 if kind == "slsm" else 2]:
+            for part in block:
+                yield c.w * part
+
+
+def direct_lags(xa, xb, kind: str, params):
+    """The lags the direct oracles take: :func:`vector_lags` for a P > 1
+    mixture, ``kn.lags`` otherwise."""
+    if xa.shape[1] > 1 and kind in kn.MIXTURE_KERNELS:
+        return vector_lags(xa, xb)
+    return kn.lags(xa, xb, kind, params)
+
+
+def direct_kernel(tau, kind: str, params):
+    """The kernel at :func:`direct_lags`."""
+    if isinstance(params, SlsmParams) and params.p > 1:
+        return vector_kernel(tau, kind, params)
+    return kn.kernel_value(tau, kind, params)
+
+
+def direct_partials(tau, kind: str, params):
+    """Every dK/dtheta at :func:`direct_lags`."""
+    if isinstance(params, SlsmParams) and params.p > 1:
+        return vector_partials(tau, kind, params)
+    return kn.natural_partials(tau, kind, params)
+
+
 def _direct_gram(xa, xb, kind: str, params) -> np.ndarray:
     """The kernel formula at every lag of the (n, P) point sets, without the
-    lag tables ``kn.gram`` may gather from."""
-    import skewgp.kernels as kn
-
-    return np.asarray(kn.kernel_value(kn.lags(xa, xb, kind, params), kind, params))
+    lag tables or per-point projections ``kn.gram`` may use."""
+    xa, xb = np.asarray(xa, dtype=float), np.asarray(xb, dtype=float)
+    xa, xb = (x[:, None] if x.ndim == 1 else x for x in (xa, xb))
+    return np.asarray(direct_kernel(direct_lags(xa, xb, kind, params), kind, params))
 
 
 def dense_nlml(data: Dataset, params, kind: str) -> float:
@@ -98,8 +176,6 @@ def dense_nlml(data: Dataset, params, kind: str) -> float:
 
 def dense_predict(data: Dataset, params, kind: str, Xstar,
                   observation_noise: bool = False):
-    import skewgp.kernels as kn
-
     Xs = np.asarray(Xstar, dtype=float)
     if Xs.ndim == 1:
         Xs = Xs[:, None]
@@ -111,6 +187,43 @@ def dense_predict(data: Dataset, params, kind: str, Xstar,
     if observation_noise:
         var = var + params.noise_var
     return mean, var
+
+
+def dense_value_and_grad(data, tp, tau=None):
+    """NLML, gradient and jitter from a full lag array (:func:`direct_lags`
+    unless ``tau`` is given): :func:`direct_kernel` for K,
+    :func:`direct_partials` -> ``np.sum(M * dK)`` for the gradient."""
+    params = untransform(tp)
+    kind = tp.layout.kind
+    if tau is None:
+        tau = direct_lags(data.X, data.X, kind, params)
+    K = direct_kernel(tau, kind, params)
+    L, jit = gp.chol_with_jitter(K, params.noise_var)
+    alpha = cho_solve((L, True), data.y)
+    f = gp.nlml_from_factor(L, alpha, data.y)
+    M = cho_solve((L, True), np.eye(data.n)) - np.outer(alpha, alpha)
+    g = [0.5 * float(np.sum(M * dK)) for dK in direct_partials(tau, kind, params)]
+    g.append(0.5 * float(np.trace(M)))
+    return f, np.array(g) * np.where(tp.layout.log_mask, np.exp(tp.x), 1.0), jit
+
+
+def assert_near_dense(data, params, kind, parts=None):
+    """The objective of ``parts`` (``[data]``) on the objective path against
+    the vector-lag oracle: NLML within P_F_TOL, gradient within P_G_TOL of
+    its largest slot.  The final factors see the same K as the objective."""
+    tp = transform(params, kind)
+    parts = parts or [data]
+    refs = [dense_value_and_grad(part, tp) for part in parts]
+    f_ref, g_ref = sum(r[0] for r in refs), sum(r[1] for r in refs)
+    f, g = 0.0, 0.0
+    for members, table in gp.objective_groups(parts, kind, params):
+        f_group, g_group = gp.nlml_value_and_grad(members, tp, table)
+        f, g = f + f_group, g + g_group
+    assert abs(f - f_ref) <= P_F_TOL * abs(f_ref)
+    assert np.max(np.abs(g - g_ref)) <= P_G_TOL * np.max(np.abs(g_ref))
+    if len(parts) == 1:
+        assert gp.nlml(data, untransform(tp), kind) == f
+        assert gp.factorize(data, kind, untransform(tp))[1] == refs[0][2]
 
 
 # ---------------------------------------------------------------------------

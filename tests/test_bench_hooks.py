@@ -179,6 +179,34 @@ def test_eval_hook_sees_one_call_per_evaluation_per_group(monkeypatch):
     assert len(calls) == 1 and isinstance(failures[-1], NumericalError)
 
 
+def test_multivariate_evaluation_calls_the_hooked_partials_once_per_component(monkeypatch):
+    """``kernels.partials`` times the P > 1 body through the module
+    attribute ``multi_component_partials``: one call per component and
+    evaluation, which builds K as well as the gradient."""
+    from skewgp import gp, kernels
+    from skewgp.kernels import SlsmComponent, SlsmParams
+    from skewgp.optimize import transform
+
+    calls = []
+    body = kernels.multi_component_partials
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return body(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "multi_component_partials", counting)
+    rng = np.random.default_rng(7)
+    X = rng.uniform(-2.0, 2.0, (40, 2))
+    data = gp.Dataset(X, np.sin(X.sum(axis=1)))
+    comps = tuple(SlsmComponent(1.0, (0.3 * q + 0.2, 0.5), (0.4, 0.6), (0.1, -0.2))
+                  for q in range(3))
+    params = SlsmParams(comps, noise_var=0.1)
+    for kind in kernels.MIXTURE_KERNELS:
+        calls.clear()
+        gp.nlml_value_and_grad([data], transform(params, kind), kernels.lag_table(X, kind, params))
+        assert np.allclose([c.mu for c in calls], [c.mu for c in comps], rtol=1e-12)
+
+
 def test_predict_calls_the_hooked_gram_and_solve_once_per_factor(monkeypatch):
     """``gp.predict_self_s`` and ``rbcm.aggregate_s`` subtract the time of
     the ``kernels.gram`` and ``gp.solve_triangular`` hooks, so a batch

@@ -115,11 +115,12 @@ class TestMultivariate:
         assert kn.slsm_component(np.zeros(2), c) == 1.0
 
     def test_p1_matches_univariate(self, rng):
-        # the (..., P) vector body at P = 1 against the scalar body
+        # the per-point body at P = 1, the lag as a point against the
+        # origin, against the scalar body
         c = random_component(rng)
         for tau in np.linspace(-4, 4, 17):
-            assert kn.multi_component_partials(np.array([tau]), c)[0] == pytest.approx(
-                kn.slsm_component(tau, c), abs=1e-15)
+            value = kn.multi_component_partials(np.array([[tau]]), np.zeros((1, 1)), c)[0]
+            assert value == pytest.approx(kn.slsm_component(tau, c), abs=1e-15)
 
     def test_cancelling_skew_recomputation(self):
         # tau . gamma = 0, so the skew terms drop out of the closed form

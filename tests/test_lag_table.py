@@ -1,12 +1,13 @@
 """The per-fit lag table: K and every dK/dtheta evaluated once per distinct
 lag must equal the dense n x n evaluation at the same lags bit for bit.  On a
 uniform grid those lags are h (i - j); where the grid's differences round
-they stay within a stated bound of the exact t_i - t_j."""
+they stay within a stated bound of the exact t_i - t_j.  A P > 1 mixture
+has no table: its objective, evaluated from per-point projections, must
+agree with the vector-lag oracle within the ``P_*_TOL`` bounds."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.linalg import cho_solve
 
 import skewgp.gp as gp
 import skewgp.kernels as kn
@@ -16,7 +17,8 @@ from skewgp.gp import Dataset
 from skewgp.kernels import BaselineKernelParams, SlsmComponent, SlsmParams
 from skewgp.optimize import OptConfig, transform, untransform
 
-from conftest import random_params
+from conftest import (P_K_TOL, _direct_gram, assert_near_dense, dense_value_and_grad,
+                      random_params)
 
 KINDS = ("slsm", "sm", "lkp", "se", "rq")
 ROUNDING = ("tenth", "linspace")  # grids whose differences round
@@ -67,27 +69,14 @@ def assert_near_exact_lags(tau, X):
     assert np.max(np.abs(tau - exact)) <= LAG_ULPS * np.finfo(float).eps * np.max(np.abs(X))
 
 
-def dense_value_and_grad(data, tp, tau=None):
-    """NLML, gradient and jitter from a full n x n lag array (``kn.lags``
-    unless ``tau`` is given): ``kn.kernel_value`` for K,
-    ``kn.natural_partials`` -> ``np.sum(M * dK)`` for the gradient."""
-    params = untransform(tp)
-    kind = tp.layout.kind
-    if tau is None:
-        tau = kn.lags(data.X, data.X, kind, params)
-    K = kn.kernel_value(tau, kind, params)
-    L, jit = gp.chol_with_jitter(K, params.noise_var)
-    alpha = cho_solve((L, True), data.y)
-    f = gp.nlml_from_factor(L, alpha, data.y)
-    M = cho_solve((L, True), np.eye(data.n)) - np.outer(alpha, alpha)
-    g = [0.5 * float(np.sum(M * dK)) for dK in kn.natural_partials(tau, kind, params)]
-    g.append(0.5 * float(np.trace(M)))
-    return f, np.array(g) * np.where(tp.layout.log_mask, np.exp(tp.x), 1.0), jit
-
-
 def _assert_table_path_exact(data, params, kind):
     """Bitwise against the dense evaluation at the table's lags (h (i - j)
-    on a grid), and within the drift bounds of the exact lags."""
+    on a grid), and within the drift bounds of the exact lags; a P > 1
+    mixture within the oracle bounds (:func:`assert_near_dense`)."""
+    if data.p > 1 and kind in kn.MIXTURE_KERNELS:
+        assert kn.lag_table(data.X, kind, params) is None
+        assert_near_dense(data, params, kind)
+        return
     tp = transform(params, kind)
     table = kn.lag_table(data.X, kind, params)
     tau = grid_lags(data.X)
@@ -112,10 +101,17 @@ class TestLagTable:
     def test_covariance_equals_gram_bitwise(self, rng, grid):
         """K from the table is the kernel at the table's lags bit for bit:
         ``gram``'s matrix, except on grids whose differences round, where it
-        is within K_DRIFT of it."""
+        is within K_DRIFT of it.  A P > 1 mixture has no table, and its
+        ``gram`` is within P_K_TOL of the vector-lag oracle."""
         X = _grids(rng, 120)[grid]
         for kind in KINDS:
             p = _params(rng, kind, p=1 if X.ndim == 1 else 2)
+            if X.ndim > 1 and kind in kn.MIXTURE_KERNELS:
+                assert kn.lag_table(X, kind, p) is None
+                G = kn.gram(X, X, kind, p)
+                assert np.max(np.abs(G - _direct_gram(X, X, kind, p))) <= \
+                    P_K_TOL * kn.prior_variance(p)
+                continue
             values, index = kn.lag_table(X, kind, p)
             K = kn.on_table(kn.kernel_value(values, kind, p), index)
             pts = X.reshape(120, -1)
@@ -148,12 +144,19 @@ class TestLagTable:
         assert index is None
         assert np.array_equal(values, X[:, None] - X[None, :])
 
-    def test_multivariate_input_keeps_the_lag_array(self, rng):
+    def test_multivariate_mixture_has_no_lag_table(self, rng):
+        """A P > 1 mixture holds no lag array; a P > 1 baseline keeps its
+        (n, n) distances, summed over dimensions in order, as a sum over
+        the last axis of the vector lags adds them."""
         X = _grids(rng, 120)["p2"]
-        p = _params(rng, "slsm", p=2)
-        values, index = kn.lag_table(X, "slsm", p)
-        assert index is None
-        assert np.array_equal(values, kn.lags(X, X, "slsm", p))
+        for kind in kn.MIXTURE_KERNELS:
+            assert kn.lag_table(X, kind, _params(rng, kind, p=2)) is None
+        for p in (2, 3, 4, 5, 7):
+            X = rng.uniform(0.0, 5.0, (120, p))
+            tau = X[:, None, :] - X[None, :, :]
+            values, index = kn.lag_table(X, "se", _params(rng, "se"))
+            assert index is None
+            assert np.array_equal(values, np.sqrt(np.sum(tau * tau, axis=-1)))
 
     def test_large_linspace_grid_collapses_exactly(self):
         X = np.linspace(0.0, 400.0, 2000)
