@@ -20,10 +20,10 @@ are limited by the conditioning of K:
   gradient come from one Levinson--Durbin factor of its first column and
   FFT convolutions, with no n x n matrix.
 * Dense: every other group, including short grids such as the 96-month
-  airline fit.  K and its partials are evaluated on a
-  :func:`~skewgp.kernels.lag_table`, which on a grid holds the Toeplitz
-  path's lags h (i - j), or for a P > 1 mixture from per-point
-  projections, and factorized by Cholesky.
+  airline fit.  K is factorized by Cholesky and evaluated with its partials
+  on a :func:`~skewgp.kernels.lag_table`, or for a P > 1 mixture from
+  per-point projections.  On a grid the table holds the Toeplitz path's n
+  lags |h| k, and each slot reads M's sums over the index |i - j|.
 
 Either factorization walks a jitter ladder eps * (tr/n), with eps in
 {0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2}: a Cholesky rung fails when the
@@ -242,7 +242,8 @@ def factorize(data: Dataset, kind: str, params):
     there is none (P > 1 mixtures)."""
     table = kn.lag_table(data.X, kind, params)
     K = kn.gram(data.X, data.X, kind, params) if table is None else \
-        kn.on_table(kn.kernel_value(table[0], kind, params), table[1])
+        kn.kernel_value(table[0], kind, params)
+    K = K if table is None or table[1] is None else K[table[1]]
     del table  # the table is not held through the Cholesky
     L, jit = chol_with_jitter(K, params.noise_var)
     return L, jit, _solve_chol(L, data.y)
@@ -293,27 +294,31 @@ def _dense_terms(parts, kind: str, params, table):
     """Summed NLML and natural-coordinate gradient (noise slot last) of the
     datasets ``parts`` on their lag ``table``, from one Cholesky factor of
     K~: with M = m K~^-1 - sum_e alpha_e alpha_e^T, every slot is
-    0.5 tr(M dK/dtheta).  With no table (one part, a P > 1 mixture), K and
-    the slots come from :func:`~skewgp.kernels.multi_component_partials`."""
+    0.5 tr(M dK/dtheta), on a grid 0.5 dk . S with S the sums of M over the
+    table's index.  With no table (one part, a P > 1 mixture), K and the
+    slots come from :func:`~skewgp.kernels.multi_component_partials`."""
     if table is None:
         X, comps = parts[0].X, kn.for_kind(params, kind).components
         factors = [kn.multi_component_partials(X, X, c, kind) for c in comps]
         K = sum(c.w * f[0] for c, f in zip(comps, factors))  # as kn.gram sums
-    else:
-        values, index = table
-        K = kn.on_table(kn.kernel_value(values, kind, params), index)
+    elif table[1] is None:  # scattered lags: each (n, n) partial streams once M is known
+        K, partials = kn.kernel_value(table[0], kind, params), \
+            kn.natural_partials(table[0], kind, params)
+    else:  # a grid's n lags: K and every partial from one pass
+        K, partials = kn.value_and_partials(table[0], kind, params)
+        K = K[table[1]]
     L, _ = chol_with_jitter(K, params.noise_var)
     del K
-    # m K~^-1 in C order, the partials' order, so the products below stream
+    # m K~^-1 in C order, the order of the index and the partials
     M = np.multiply(_solve_chol(L, np.eye(L.shape[0])), len(parts), order="C")
     f = 0.0
     for part in parts:
         alpha = _solve_chol(L, part.y)
         f += nlml_from_factor(L, alpha, part.y)
         M -= np.outer(alpha, alpha)
-    if table is not None:
-        grad_nat = [0.5 * float(np.sum(M * kn.on_table(dk, index)))
-                    for dk in kn.natural_partials(values, kind, params)]
+    if table is not None:  # S: M itself, or folded once into its sums over a grid's index
+        S = M if table[1] is None else np.bincount(table[1].ravel(), M.ravel())
+        grad_nat = [0.5 * float(dk @ S if S.ndim == 1 else np.sum(S * dk)) for dk in partials]
     else:  # M symmetric, g odd and h even in tau, B = M o h: 0.5 sum M o g tau_d
         # is x_d . rowsum(M o g) and 0.5 sum B tau_d^2 is x_d^2 . rowsum(B) - x_d^T B x_d
         grad_nat = []
@@ -332,18 +337,15 @@ def _toeplitz_terms(parts, kind: str, params, grid: kn.Grid):
     on ``grid``.  K~ is symmetric Toeplitz, so with S_k the k-th diagonal
     sum of M = m K~^-1 - sum_e alpha_e alpha_e^T, every slot is
     0.5 (dk_0 S_0 + 2 sum_{k>0} dk_k S_k) over the n lags h k."""
-    lags = grid.lags()
-    factor, _ = levinson_with_jitter(kn.kernel_value(lags, kind, params),
-                                     params.noise_var)
+    r, partials = kn.value_and_partials(grid.lags(), kind, params)
+    factor, _ = levinson_with_jitter(r, params.noise_var)
     Y = np.column_stack([part.y for part in parts])
     alpha = factor.solve(Y)
     f = 0.5 * (float(np.sum(Y * alpha))
                + len(parts) * (factor.logdet + grid.n * math.log(2.0 * math.pi)))
     S = factor.diag_sums(alpha)
-    noise_slot = 0.5 * float(S[0])  # dK/ds2 = I
-    S[1:] *= 2.0  # each lag k > 0 sits on two diagonals
-    grad_nat = [0.5 * float(dk @ S) for dk in kn.natural_partials(lags, kind, params)]
-    return f, grad_nat + [noise_slot]
+    S[1:] *= 2.0  # each lag k > 0 sits on two diagonals; dK/ds2 = I reads S_0
+    return f, [0.5 * float(dk @ S) for dk in partials] + [0.5 * float(S[0])]
 
 
 def objective_or_inf(parts, x: np.ndarray, layout, table):

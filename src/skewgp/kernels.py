@@ -30,11 +30,12 @@ P = 1 kernels and baselines take (n, m) lags (:func:`lags`).  A P > 1
 mixture takes the points, never an (n, m, P) lag array: its components are
 evaluated from per-point projections (:func:`multi_component_partials`).
 A uniform P = 1 input is read one way, as a :class:`Grid` t_0 + i h whose
-training lags are h (i - j), in :func:`lag_table` and the Toeplitz
-objective alike; where the grid's differences round (``linspace``) they
-differ from t_i - t_j by rounding.  :func:`gram` keeps the exact lags
-xa_i - xb_j, evaluated once per band of consecutive lags against a grid
-(:func:`_grid_table`) where the bands reproduce them bit for bit.
+training lags are the Toeplitz first column |h| k (every kernel is even in
+tau), taken with every partial in one pass (:func:`value_and_partials`) on
+a :func:`lag_table` and on the Toeplitz path alike; where the grid's
+differences round (``linspace``) they differ from |t_i - t_j| by rounding.
+:func:`gram` keeps the exact lags xa_i - xb_j, once per band of consecutive
+lags against a grid (:func:`_grid_table`) where they read back bit for bit.
 
 Every function is pure and safe to call concurrently.
 """
@@ -182,9 +183,7 @@ def slsm_component(tau, c: SlsmComponent):
     if c.p > 1:
         return kernel_value(tau, "slsm", SlsmParams((replace(c, w=1.0),)))
     mu, sigma, gamma = c.scalars()
-    phase = mu * tau
-    cos_p = np.cos(phase)
-    sin_p = np.sin(phase)
+    cos_p, sin_p = np.cos(mu * tau), np.sin(mu * tau)
     cc = 1.0 + 0.5 * sigma**2 * tau**2
     return (cc * cos_p - gamma * tau * sin_p) / (cc * cc + gamma**2 * tau**2)
 
@@ -207,7 +206,7 @@ def kernel_value(tau, kind: str, params):
         for c in for_kind(params, kind).components:
             mu, sigma, _ = c.scalars()
             out += c.w * slsm_component(tau, c) if kind != "sm" else \
-                c.w * np.cos(mu * tau) * np.exp(-0.5 * sigma**2 * tau**2)
+                c.w * (np.cos(mu * tau) * np.exp(-0.5 * sigma**2 * tau**2))
     return out if out.shape else float(out)
 
 
@@ -398,30 +397,21 @@ def lag_table(x, kind: str, params):
     """The training lags of the points ``x`` against themselves as a table
     ``(values, index)``: ``values[index]`` is the (n, n) array of lags.
 
-    On a :class:`Grid`, ``values`` holds |h| k for k = 1-n..n-1, ascending,
-    and ``index`` is (n - 1) + sign(h) (i - j): the entry (i, j) is h (i - j),
-    the Toeplitz objective's lag, and a kernel is evaluated once per lag.
-    On an exact grid these are the sorted distinct t_i - t_j; where the
-    differences round (``linspace``) they differ from them by rounding.
-    Other inputs get the plain :func:`lags` array and None, except a P > 1
-    mixture, which has no table (None): it is evaluated from the points.
+    On a :class:`Grid` these are the Toeplitz first column |h| k, k < n,
+    and the index |i - j|: every kernel, even in tau, evaluates (i, j) once
+    per lag as at the Toeplitz lag h (i - j), the sorted distinct |t_i - t_j|
+    up to rounding where the grid's differences round (``linspace``).  Other
+    inputs get the plain :func:`lags` array and None; a P > 1 mixture has no
+    table (None): it is evaluated from the points.
     """
     xa = _as_points(x)
+    _check_width(params, xa.shape[1])
     grid = Grid.of(xa)
     if grid is None:
-        _check_width(params, xa.shape[1])
         return None if xa.shape[1] > 1 and kind in MIXTURE_KERNELS else (
             lags(xa, xa, kind, params), None)
-    _check_width(params, 1)
-    n = grid.n
-    k = np.arange(n) if grid.step >= 0 else -np.arange(n)
-    return abs(grid.step) * np.arange(1 - n, n), np.subtract.outer(k + (n - 1), k)
-
-
-def on_table(values: np.ndarray, index) -> np.ndarray:
-    """A kernel quantity evaluated at a :func:`lag_table`'s ``values``,
-    spread to one entry per pair of points."""
-    return values if index is None else values[index]
+    k = np.arange(grid.n)
+    return abs(grid.step) * k, np.abs(np.subtract.outer(k, k))
 
 
 def gram(x, x2, kind: str, params) -> np.ndarray:
@@ -429,8 +419,7 @@ def gram(x, x2, kind: str, params) -> np.ndarray:
     weighted sum of its :func:`_multi_component` values; for P = 1 against
     uniform ``x2`` evaluated once per entry of the :func:`_grid_table` and
     gathered, bit for bit the same matrix; else at every one of the :func:`lags`."""
-    xa = _as_points(x)
-    xb = _as_points(x2)
+    xa, xb = _as_points(x), _as_points(x2)
     if xa.shape[1] != xb.shape[1]:
         raise DimensionMismatchError(xa.shape[1], xb.shape[1])
     if xa.shape[1] > 1 and kind in MIXTURE_KERNELS:
@@ -441,8 +430,7 @@ def gram(x, x2, kind: str, params) -> np.ndarray:
     if table is None:
         return np.asarray(kernel_value(tau, kind, params))
     del tau  # not held while the kernel is evaluated
-    values, index = table
-    return on_table(kernel_value(values, kind, params), index)
+    return kernel_value(table[0], kind, params)[table[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +442,7 @@ def slsm_component_partials(tau, c: SlsmComponent):
     """(value, d/dmu, d/dsigma, d/dgamma) of the unweighted P = 1 component."""
     tau = np.asarray(tau, dtype=float)
     mu, sigma, gamma = c.scalars()
-    phase = mu * tau
-    cos_p = np.cos(phase)
-    sin_p = np.sin(phase)
+    cos_p, sin_p = np.cos(mu * tau), np.sin(mu * tau)
     cc = 1.0 + 0.5 * sigma**2 * tau**2
     den = cc * cc + gamma**2 * tau**2
     val = (cc * cos_p - gamma * tau * sin_p) / den
@@ -472,8 +458,7 @@ def sm_component_partials(tau, c: SlsmComponent):
     tau = np.asarray(tau, dtype=float)
     mu, sigma, _ = c.scalars()
     env = np.exp(-0.5 * sigma**2 * tau**2)
-    cos_p = np.cos(mu * tau)
-    val = cos_p * env
+    val = np.cos(mu * tau) * env
     d_mu = -tau * np.sin(mu * tau) * env
     d_sigma = -sigma * tau**2 * val
     return val, d_mu, d_sigma
@@ -540,11 +525,10 @@ def baseline_partials(tau, b: BaselineKernelParams):
 
 
 def natural_partials(tau, kind: str, params):
-    """Yield dK/dtheta at lags ``tau`` (from :func:`lags`), one array at a
-    time, in the optimizer's natural-coordinate slot order without the noise
-    slot: per component w, mu, sigma and, for ``slsm`` only, gamma of a
-    univariate mixture; theta_f, ell(, rq_alpha) for baselines.  A P > 1
-    mixture has no lags; its factors come from :func:`multi_component_partials`."""
+    """Yield dK/dtheta at P = 1 or baseline lags ``tau``, one array at a time,
+    in the optimizer's natural-coordinate slot order without the noise slot:
+    per component w, mu, sigma and, for ``slsm`` only, gamma; theta_f,
+    ell(, rq_alpha) for baselines (P > 1: :func:`multi_component_partials`)."""
     if isinstance(params, BaselineKernelParams):
         yield from baseline_partials(tau, params)[1:]
         return
@@ -554,3 +538,14 @@ def natural_partials(tau, kind: str, params):
         yield val
         for part in parts[:3 if kind == "slsm" else 2]:
             yield c.w * part
+
+
+def value_and_partials(tau, kind: str, params):
+    """The kernel and the list of :func:`natural_partials` at lags ``tau``
+    from one pass, the value summed from the weight slots (theta_f times the
+    shape for baselines) in component order, as :func:`kernel_value` adds it."""
+    partials = list(natural_partials(tau, kind, params))
+    if isinstance(params, BaselineKernelParams):
+        return params.theta_f * partials[0], partials
+    w_slots = partials[::len(partials) // params.q]  # the unweighted components
+    return sum(c.w * val for c, val in zip(params.components, w_slots)), partials

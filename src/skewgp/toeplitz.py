@@ -2,8 +2,8 @@
 
 On a :class:`~skewgp.kernels.Grid` of n points spaced h apart, a
 stationary covariance K + s2 I is the symmetric Toeplitz matrix T whose
-first column is r_j = k(h j) (+ s2 at j = 0), at the grid lags h j that
-:func:`~skewgp.kernels.lag_table` holds too.  No n x n matrix is formed:
+first column is r_j = k(h j) (+ s2 at j = 0), at the grid lags h j, whose
+magnitudes :func:`~skewgp.kernels.lag_table` holds.  No n x n matrix is formed:
 
 * :func:`levinson` runs Levinson--Durbin on r in O(n^2) time.  Its
   :class:`Factor` holds x = T^-1 e_1, the first column of the inverse, and

@@ -237,3 +237,32 @@ def test_predict_calls_the_hooked_gram_and_solve_once_per_factor(monkeypatch):
     calls.clear()
     ens.predict(xq)
     assert calls == ["gram", "solve"] * 3
+
+
+@pytest.mark.parametrize("n", [96, "MIN_N"], ids=["dense", "toeplitz"])
+def test_grid_evaluation_takes_the_value_from_the_hooked_partials(monkeypatch, n):
+    """On a grid, dense or Toeplitz, one evaluation reaches the hooked
+    ``slsm_component_partials`` once per component, which gives K as well
+    as the gradient: no second value pass through ``slsm_component``."""
+    from skewgp import gp, kernels, toeplitz
+    from skewgp.kernels import SlsmComponent, SlsmParams
+    from skewgp.optimize import transform
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("slsm_component", "slsm_component_partials"):
+        monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
+    X = np.arange(toeplitz.MIN_N if n == "MIN_N" else n, dtype=float)
+    data = gp.Dataset(X, np.sin(0.3 * X))
+    params = SlsmParams(tuple(SlsmComponent(1.0, 0.2 * q, 0.3, 0.1) for q in range(4)),
+                        noise_var=0.1)
+    (members, table), = gp.objective_groups([data], "slsm", params)
+    assert isinstance(table, kernels.Grid) == (n == "MIN_N")
+    gp.nlml_value_and_grad(members, transform(params, "slsm"), table)
+    assert calls == ["slsm_component_partials"] * params.q

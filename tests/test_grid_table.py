@@ -29,7 +29,7 @@ def _assert_gram_is_direct(xq, x, kind, params):
 
 
 def _unique_table(x):
-    tau = x[:, None] - x[None, :]
+    tau = np.abs(x[:, None] - x[None, :])
     values, index = np.unique(tau, return_inverse=True)
     return values, index.reshape(tau.shape)
 
@@ -86,7 +86,8 @@ def test_gram_equals_direct_evaluation_bitwise(case):
        st.integers(-500, 2000), st.booleans())
 def test_exact_grid_table_is_the_unique_table(kind, n, step, t0, descending):
     """On a grid whose differences are exact the self table is built without
-    a sort and is the sorted distinct lags, ascending or descending grid."""
+    a sort and is the sorted distinct |t_i - t_j|, the Toeplitz first column,
+    with the index |i - j|, ascending or descending grid."""
     x = t0 + (-step if descending else step) * np.arange(n)
     params = BaselineKernelParams(kind, 1.0, 2.0) if kind in kn.BASELINE_KERNELS else \
         SlsmParams((SlsmComponent(1.0, 0.4, 0.3, 0.2),))

@@ -1,9 +1,12 @@
-"""The per-fit lag table: K and every dK/dtheta evaluated once per distinct
-lag must equal the dense n x n evaluation at the same lags bit for bit.  On a
-uniform grid those lags are h (i - j); where the grid's differences round
-they stay within a stated bound of the exact t_i - t_j.  A P > 1 mixture
-has no table: its objective, evaluated from per-point projections, must
-agree with the vector-lag oracle within the ``P_*_TOL`` bounds."""
+"""The per-fit lag table: K evaluated once per distinct lag must equal the
+dense n x n evaluation at the same lags bit for bit, and so must the NLML;
+the gradient, folded into per-lag sums on a grid, agrees within P_G_TOL.  On
+a uniform grid the table is the Toeplitz first column |h| k with the index
+|i - j|, which every kernel, even in tau, evaluates as h (i - j); where the
+grid's differences round they stay within a stated bound of the exact
+t_i - t_j.  A P > 1 mixture has no table: its objective, evaluated from
+per-point projections, must agree with the vector-lag oracle within the
+``P_*_TOL`` bounds."""
 
 import numpy as np
 import pytest
@@ -17,8 +20,8 @@ from skewgp.gp import Dataset
 from skewgp.kernels import BaselineKernelParams, SlsmComponent, SlsmParams
 from skewgp.optimize import OptConfig, transform, untransform
 
-from conftest import (P_K_TOL, _direct_gram, assert_near_dense, dense_value_and_grad,
-                      random_params)
+from conftest import (P_G_TOL, P_K_TOL, _direct_gram, assert_near_dense,
+                      dense_value_and_grad, random_params)
 
 KINDS = ("slsm", "sm", "lkp", "se", "rq")
 ROUNDING = ("tenth", "linspace")  # grids whose differences round
@@ -64,15 +67,18 @@ def grid_lags(X):
 
 
 def assert_near_exact_lags(tau, X):
-    """``tau`` is the lag array of the 1-D points ``X`` up to rounding."""
-    exact = X[:, None] - X[None, :]
+    """``tau`` is the array |t_i - t_j| of the 1-D points ``X`` up to rounding."""
+    exact = np.abs(X[:, None] - X[None, :])
     assert np.max(np.abs(tau - exact)) <= LAG_ULPS * np.finfo(float).eps * np.max(np.abs(X))
 
 
 def _assert_table_path_exact(data, params, kind):
-    """Bitwise against the dense evaluation at the table's lags (h (i - j)
-    on a grid), and within the drift bounds of the exact lags; a P > 1
-    mixture within the oracle bounds (:func:`assert_near_dense`)."""
+    """Against the dense evaluation at the table's lags (h (i - j) on a
+    grid): the NLML bitwise, the gradient bitwise on scattered points and
+    within P_G_TOL of its largest slot on a grid, whose slots fold M into
+    per-lag sums; within the drift bounds of the exact lags; the final
+    factor's NLML equal to the objective's.  A P > 1 mixture within the
+    oracle bounds (:func:`assert_near_dense`)."""
     if data.p > 1 and kind in kn.MIXTURE_KERNELS:
         assert kn.lag_table(data.X, kind, params) is None
         assert_near_dense(data, params, kind)
@@ -88,8 +94,12 @@ def _assert_table_path_exact(data, params, kind):
         return
     f, g = gp.nlml_value_and_grad([data], tp, table)
     assert f == f_ref
-    assert np.array_equal(g, g_ref)
+    if tau is None:
+        assert np.array_equal(g, g_ref)
+    else:
+        assert np.max(np.abs(g - g_ref)) <= P_G_TOL * np.max(np.abs(g_ref))
     assert gp.factorize(data, kind, untransform(tp))[1] == jit_ref
+    assert gp.nlml(data, untransform(tp), kind) == f
     if tau is not None:
         f_exact, g_exact, _ = dense_value_and_grad(data, tp)
         assert abs(f - f_exact) <= F_DRIFT * max(1.0, abs(f_exact))
@@ -113,7 +123,8 @@ class TestLagTable:
                     P_K_TOL * kn.prior_variance(p)
                 continue
             values, index = kn.lag_table(X, kind, p)
-            K = kn.on_table(kn.kernel_value(values, kind, p), index)
+            K = kn.kernel_value(values, kind, p)
+            K = K if index is None else K[index]
             pts = X.reshape(120, -1)
             tau = grid_lags(pts)
             tau = kn.lags(pts, pts, kind, p) if tau is None else tau
@@ -130,13 +141,14 @@ class TestLagTable:
             X = grids[grid]
             values, index = kn.lag_table(X, "slsm", random_params(rng))
             assert index.shape == (120, 120)
-            assert values.size == 2 * 120 - 1
-            assert np.array_equal(values, np.unique(values))
-            assert np.array_equal(values[index], grid_lags(X))
+            k = np.arange(120)
+            assert np.array_equal(index, np.abs(np.subtract.outer(k, k)))
+            assert np.array_equal(values, kn.Grid.of(X).lags())  # the first column
+            assert np.array_equal(values[index], np.abs(grid_lags(X)))
             assert_near_exact_lags(values[index], X)
         X = grids["unit"]
         values, index = kn.lag_table(X, "slsm", random_params(rng))
-        assert np.array_equal(values[index], X[:, None] - X[None, :])
+        assert np.array_equal(values[index], np.abs(X[:, None] - X[None, :]))
         # scattered points share only the zero lag of the diagonal, so a
         # sort would buy nothing: they keep the plain lag array
         X = grids["scattered"]
@@ -161,11 +173,11 @@ class TestLagTable:
     def test_large_linspace_grid_collapses_exactly(self):
         X = np.linspace(0.0, 400.0, 2000)
         values, index = kn.lag_table(X, "slsm", SlsmParams((SlsmComponent(1.0, 0.3, 0.5),)))
-        # h (i - j) for |i - j| < 2000, where the exact t_i - t_j hold
-        # 15,059 distinct values
-        assert values.size == 2 * 2000 - 1
+        # |h| k for k < 2000, where the exact |t_i - t_j| hold 7,530
+        # distinct values
+        assert np.array_equal(values, kn.Grid.of(X).lags())
         assert np.array_equal(values, np.unique(values))
-        assert np.array_equal(values[index], grid_lags(X))
+        assert np.array_equal(values[index], np.abs(grid_lags(X)))
         assert_near_exact_lags(values[index], X)
 
     def test_width_checked(self, rng):

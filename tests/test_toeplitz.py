@@ -92,8 +92,9 @@ class TestPathSelection:
     @pytest.mark.parametrize("family", ["unit", "descending", "tenth", "linspace", "monthly"])
     def test_dense_table_and_toeplitz_grid_hold_the_same_lags(self, rng, family):
         """A series of MIN_N points takes the Toeplitz Grid and the same
-        series one point shorter the dense table; both evaluate the kernel
-        at the grid lags h k, bit for bit."""
+        series one point shorter the dense table; the table is the first
+        column |h| k of the Toeplitz K, bit for bit, which every kernel (even
+        in tau) evaluates as the grid lags h k."""
         at = {"unit": np.arange(tz.MIN_N, dtype=float),
               "descending": tz.MIN_N - np.arange(tz.MIN_N, dtype=float),
               "tenth": 0.1 * np.arange(tz.MIN_N),
@@ -104,18 +105,22 @@ class TestPathSelection:
         (values, index), = self._tables(below, rng)
         assert grid == kn.Grid.of(at)
         n = below.size
-        s = 1 if grid.step > 0 else -1
         k = np.arange(n)
-        # the dense table mirrors the first column of the Toeplitz K
-        assert np.array_equal(index, (n - 1) + s * np.subtract.outer(k, k))
-        assert np.array_equal(values[(n - 1) + s * k], kn.Grid.of(below).lags())
+        # the dense table is the first column of the Toeplitz K
+        assert np.array_equal(index, np.abs(np.subtract.outer(k, k)))
+        assert np.array_equal(values, np.abs(kn.Grid.of(below).lags()))
         values_at, _ = kn.lag_table(at, "slsm", SlsmParams((SlsmComponent(1.0, 0.3, 0.5),)))
-        assert np.array_equal(values_at[n + s * np.arange(tz.MIN_N)], grid.lags())
+        assert np.array_equal(values_at, np.abs(grid.lags()))
         if family == "monthly":
             # h is read from the end points: 1949 + 143/12 rounds unlike 1949 + 142/12
             assert kn.Grid.of(below).step != grid.step
         else:
-            assert np.array_equal(values[(n - 1) + s * k], grid.lags()[:n])
+            assert np.array_equal(values, np.abs(grid.lags()[:n]))
+        for kind in KINDS:  # even kernels: |h| k evaluates as h k, bit for bit
+            params = BaselineKernelParams(kind, 1.0, 2.0, 0.7) if kind in kn.BASELINE_KERNELS \
+                else SlsmParams((SlsmComponent(1.0, 0.3, 0.5, 0.1),))
+            assert np.array_equal(kn.kernel_value(values, kind, params),
+                                  kn.kernel_value(kn.Grid.of(below).lags(), kind, params))
 
     def test_airline_size_stays_dense(self, rng):
         table, = self._tables(np.arange(96, dtype=float), rng)
@@ -288,7 +293,7 @@ def test_levinson_factor_against_dense_inverse(rng):
     r = kn.kernel_value(0.5 * np.arange(n), "slsm",
                         SlsmParams((SlsmComponent(1.0, 0.7, 0.3, 0.4),)))
     r[0] += 0.05
-    T = kn.on_table(r, np.abs(np.subtract.outer(np.arange(n), np.arange(n))))
+    T = r[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
     inv = np.linalg.inv(T)
     factor = tz.levinson(r)
     np.testing.assert_allclose(factor.x, inv[:, 0], rtol=0, atol=1e-10 * np.max(np.abs(inv)))
