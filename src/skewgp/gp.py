@@ -8,28 +8,28 @@ with the full constant included.  Targets are centered and scaled to unit
 variance before training; weights and the noise variance are reported back in
 the original units.
 
-The optimization objective sums one factorization per group of datasets
-on one :class:`~skewgp.kernels.Grid`, such as equal rBCM blocks, or per
-dataset on no grid (:func:`objective_groups`), on one of two paths.  They
-agree to 1e-8 on the NLML and 1e-5 relative on the gradient while the noise
-variance is at least 1e-6 of the prior variance; closer to singular, both
-are limited by the conditioning of K:
+The objective sums one factorization per group of datasets on one
+:class:`~skewgp.kernels.Grid`, such as equal rBCM blocks, or per dataset on
+no grid (:func:`objective_groups`), on one of two paths.  They agree to
+1e-8 on the NLML and 1e-5 relative on the gradient while the noise variance
+is at least 1e-6 of the prior variance; closer to singular, both are
+limited by the conditioning of K:
 
 * Toeplitz: grids of at least :data:`~skewgp.toeplitz.MIN_N` points, a
-  measured crossover.  K + s2 I is symmetric Toeplitz; the NLML and its
-  gradient come from one Levinson--Durbin factor of its first column and
-  FFT convolutions, with no n x n matrix.
-* Dense: every other group, including short grids such as the 96-month
-  airline fit.  K is factorized by Cholesky and evaluated with its partials
-  on a :func:`~skewgp.kernels.lag_table`, or for a P > 1 mixture from
-  per-point projections.  On a grid the table holds the Toeplitz path's n
-  lags |h| k, and each slot reads M's sums over the index |i - j|.
+  measured crossover: one Levinson--Durbin factor of K + s2 I's first
+  column and FFT convolutions, with no n x n matrix.
+* Dense: every other group, such as the 96-month airline fit: one Cholesky
+  factor, and on a grid each slot reads M's sums over the index |i - j| of
+  its :func:`~skewgp.kernels.lag_table`.
 
+On a grid both take K and every partial of a P = 1 mixture from one (Q, n)
+pass over its n lags |h| k, with the parameters read as arrays from the
+optimizer's vector; scattered 1-D inputs stream one component at a time.
 Either factorization walks a jitter ladder eps * (tr/n), with eps in
 {0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2}: a Cholesky rung fails when the
-factorization does, a Levinson--Durbin rung when a prediction-error variance
-is <= 0.  The fitted model and rBCM experts are always factorized densely,
-and the jitter actually used is part of the model record, never silent:
+factorization does, a Levinson--Durbin rung when a prediction-error
+variance is <= 0.  The fitted model and rBCM experts are always factorized
+densely, and the jitter used is part of the model record, never silent:
 rebuilding a model or ensemble from its record refactorizes it and raises
 :class:`DataError` if the recomputed jitter differs from the recorded one.
 
@@ -203,9 +203,9 @@ def chol_with_jitter(K: np.ndarray, noise_var: float):
         raise NumericalError("covariance matrix contains non-finite values")
     kt = K + noise_var * np.eye(n)
 
-    def attempt(jitter):
+    def attempt(jitter):  # K and the noise are checked above: no second scan
         try:
-            return cholesky(kt + jitter * np.eye(n), lower=True)
+            return cholesky(kt + jitter * np.eye(n), lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             return None
 
@@ -232,7 +232,7 @@ def levinson_with_jitter(r: np.ndarray, noise_var: float):
 
 
 def _solve_chol(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return cho_solve((L, True), b)
+    return cho_solve((L, True), b, check_finite=False)  # L is a checked factor
 
 
 def factorize(data: Dataset, kind: str, params):
@@ -281,16 +281,21 @@ def nlml_value_and_grad(parts, tp: TransformedParams, table):
     """Summed NLML of the datasets ``parts`` of one :func:`objective_groups`
     group and its gradient in the transformed coordinates of ``tp``, from
     one factor: Cholesky on a lag ``table`` (:func:`_dense_terms`), or
-    Levinson--Durbin on a :class:`~skewgp.kernels.Grid` (:func:`_toeplitz_terms`)."""
-    params = untransform(tp)
-    kind = tp.layout.kind
+    Levinson--Durbin on a :class:`~skewgp.kernels.Grid` (:func:`_toeplitz_terms`).
+    A P = 1 mixture on a grid reads its parameters as the rows of
+    :meth:`~skewgp.optimize.ParamLayout.natural`, unless a scale underflowed
+    to 0: :func:`untransform` rejects that, and gives every other evaluation's."""
+    lay = tp.layout
+    rows, vals = lay.natural(tp.x)
+    on_grid = isinstance(table, kn.Grid) or table is not None and table[1] is not None
+    as_rows = on_grid and lay.kind in kn.MIXTURE_KERNELS and np.all(rows[:, 2] > 0.0)
+    params = rows if as_rows else untransform(tp)
     terms = _toeplitz_terms if isinstance(table, kn.Grid) else _dense_terms
-    f, grad_nat = terms(parts, kind, params, table)
-    scale = np.where(tp.layout.log_mask, np.exp(tp.x), 1.0)
-    return f, np.array(grad_nat) * scale
+    f, grad_nat = terms(parts, lay.kind, params, vals[-1], table)
+    return f, np.array(grad_nat) * np.where(lay.log_mask, vals, 1.0)
 
 
-def _dense_terms(parts, kind: str, params, table):
+def _dense_terms(parts, kind: str, params, noise_var, table):
     """Summed NLML and natural-coordinate gradient (noise slot last) of the
     datasets ``parts`` on their lag ``table``, from one Cholesky factor of
     K~: with M = m K~^-1 - sum_e alpha_e alpha_e^T, every slot is
@@ -307,7 +312,7 @@ def _dense_terms(parts, kind: str, params, table):
     else:  # a grid's n lags: K and every partial from one pass
         K, partials = kn.value_and_partials(table[0], kind, params)
         K = K[table[1]]
-    L, _ = chol_with_jitter(K, params.noise_var)
+    L, _ = chol_with_jitter(K, noise_var)
     del K
     # m K~^-1 in C order, the order of the index and the partials
     M = np.multiply(_solve_chol(L, np.eye(L.shape[0])), len(parts), order="C")
@@ -316,9 +321,10 @@ def _dense_terms(parts, kind: str, params, table):
         alpha = _solve_chol(L, part.y)
         f += nlml_from_factor(L, alpha, part.y)
         M -= np.outer(alpha, alpha)
-    if table is not None:  # S: M itself, or folded once into its sums over a grid's index
-        S = M if table[1] is None else np.bincount(table[1].ravel(), M.ravel())
-        grad_nat = [0.5 * float(dk @ S if S.ndim == 1 else np.sum(S * dk)) for dk in partials]
+    if table is not None and table[1] is None:  # each streamed partial against M
+        grad_nat = [0.5 * float(np.sum(M * dk)) for dk in partials]
+    elif table is not None:  # M folded once into its sums over the grid's index
+        grad_nat = list(_half_dots(partials, np.bincount(table[1].ravel(), M.ravel())))
     else:  # M symmetric, g odd and h even in tau, B = M o h: 0.5 sum M o g tau_d
         # is x_d . rowsum(M o g) and 0.5 sum B tau_d^2 is x_d^2 . rowsum(B) - x_d^T B x_d
         grad_nat = []
@@ -332,20 +338,24 @@ def _dense_terms(parts, kind: str, params, table):
     return f, grad_nat + [0.5 * float(np.trace(M))]  # noise slot: dK/ds2 = I
 
 
-def _toeplitz_terms(parts, kind: str, params, grid: kn.Grid):
+def _toeplitz_terms(parts, kind: str, params, noise_var, grid: kn.Grid):
     """Summed NLML and natural-coordinate gradient of the datasets ``parts``
     on ``grid``.  K~ is symmetric Toeplitz, so with S_k the k-th diagonal
     sum of M = m K~^-1 - sum_e alpha_e alpha_e^T, every slot is
     0.5 (dk_0 S_0 + 2 sum_{k>0} dk_k S_k) over the n lags h k."""
     r, partials = kn.value_and_partials(grid.lags(), kind, params)
-    factor, _ = levinson_with_jitter(r, params.noise_var)
+    factor, _ = levinson_with_jitter(r, noise_var)
     Y = np.column_stack([part.y for part in parts])
     alpha = factor.solve(Y)
     f = 0.5 * (float(np.sum(Y * alpha))
                + len(parts) * (factor.logdet + grid.n * math.log(2.0 * math.pi)))
     S = factor.diag_sums(alpha)
     S[1:] *= 2.0  # each lag k > 0 sits on two diagonals; dK/ds2 = I reads S_0
-    return f, [0.5 * float(dk @ S) for dk in partials] + [0.5 * float(S[0])]
+    return f, [*_half_dots(partials, S), 0.5 * float(S[0])]
+
+
+def _half_dots(G, S):  # 0.5 g @ S per row g of G, bit for bit (a GEMV G @ S is not)
+    return 0.5 * np.matmul(G[:, None, :], S[:, None])[:, 0, 0]
 
 
 def objective_or_inf(parts, x: np.ndarray, layout, table):

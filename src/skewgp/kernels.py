@@ -22,20 +22,21 @@ Kernel families:
 * ``sm``    -- Gaussian spectral mixture,
   ``cos(mu.tau) exp(-sum_d sigma_d^2 tau_d^2 / 2)``.
 * ``lkp``   -- Laplace spectral mixture: ``slsm`` with every skew zeroed by
-  :func:`for_kind`, the one place that rule lives.
+  :func:`for_kind`; an ``lkp`` parameter row has no skew (gamma 0).
 * ``se``/``rq`` -- single-component squared-exponential / rational-quadratic
   baselines.
 
-P = 1 kernels and baselines take (n, m) lags (:func:`lags`).  A P > 1
-mixture takes the points, never an (n, m, P) lag array: its components are
-evaluated from per-point projections (:func:`multi_component_partials`).
-A uniform P = 1 input is read one way, as a :class:`Grid` t_0 + i h whose
-training lags are the Toeplitz first column |h| k (every kernel is even in
-tau), taken with every partial in one pass (:func:`value_and_partials`) on
-a :func:`lag_table` and on the Toeplitz path alike; where the grid's
-differences round (``linspace``) they differ from |t_i - t_j| by rounding.
-:func:`gram` keeps the exact lags xa_i - xb_j, once per band of consecutive
-lags against a grid (:func:`_grid_table`) where they read back bit for bit.
+P = 1 kernels and baselines take (n, m) lags (:func:`lags`); a P > 1
+mixture takes the points and is evaluated from per-point projections
+(:func:`multi_component_partials`).  A uniform P = 1 input is read as a
+:class:`Grid` t_0 + i h whose training lags are the Toeplitz first column
+|h| k (every kernel is even in tau).  There one call of the family's array
+body evaluates all Q components of a mixture, (Q, 1) parameter columns
+against the n lags, giving K and every partial as (Q, n) stacks
+(:func:`value_and_partials`); scattered lags stream one component at a
+time (:func:`natural_partials`).  :func:`gram` keeps the exact lags
+xa_i - xb_j, once per band of consecutive lags against a grid
+(:func:`_grid_table`) where they read back bit for bit.
 
 Every function is pure and safe to call concurrently.
 """
@@ -438,26 +439,31 @@ def gram(x, x2, kind: str, params) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def slsm_component_partials(tau, c: SlsmComponent):
-    """(value, d/dmu, d/dsigma, d/dgamma) of the unweighted P = 1 component."""
+def slsm_component_partials(tau, mu, sigma, gamma=0.0):
+    """(value, d/dmu, d/dsigma, d/dgamma) of unweighted P = 1 components:
+    (Q, 1) parameter columns against a grid's n lags ``tau`` give (Q, n)
+    stacks, scalars against (n, m) lags (n, m) arrays; ``gamma`` 0 is lkp."""
     tau = np.asarray(tau, dtype=float)
-    mu, sigma, gamma = c.scalars()
-    cos_p, sin_p = np.cos(mu * tau), np.sin(mu * tau)
-    cc = 1.0 + 0.5 * sigma**2 * tau**2
-    den = cc * cc + gamma**2 * tau**2
+    phase, tau2 = mu * tau, tau**2
+    cos_p, sin_p = np.cos(phase), np.sin(phase)
+    # sigma^2 and gamma^2 by C pow, as kernel_value's float ** 2 squares them:
+    # numpy's arr**2 is x * x, which differs from pow in the last bit for
+    # some x, and the objective's K must be the final factor's bit for bit
+    cc = 1.0 + 0.5 * np.float_power(sigma, 2) * tau2
+    den = cc * cc + np.float_power(gamma, 2) * tau2
+    g_tau2 = gamma * tau2  # (2 gamma) tau^2 is 2 g_tau2: doubling is exact
     val = (cc * cos_p - gamma * tau * sin_p) / den
-    d_mu = (-cc * tau * sin_p - gamma * tau**2 * cos_p) / den
-    d_sigma = sigma * tau**2 * (cos_p - 2.0 * cc * val) / den
-    d_gamma = (-tau * sin_p - 2.0 * gamma * tau**2 * val) / den
+    d_mu = (-cc * tau * sin_p - g_tau2 * cos_p) / den
+    d_sigma = sigma * tau2 * (cos_p - 2.0 * cc * val) / den
+    d_gamma = (-tau * sin_p - 2.0 * g_tau2 * val) / den
     return val, d_mu, d_sigma, d_gamma
 
 
-def sm_component_partials(tau, c: SlsmComponent):
-    """(value, d/dmu, d/dsigma) of the unweighted P = 1 Gaussian-mixture
-    component."""
+def sm_component_partials(tau, mu, sigma):
+    """(value, d/dmu, d/dsigma) of unweighted P = 1 Gaussian-mixture
+    components, broadcast as in :func:`slsm_component_partials`."""
     tau = np.asarray(tau, dtype=float)
-    mu, sigma, _ = c.scalars()
-    env = np.exp(-0.5 * sigma**2 * tau**2)
+    env = np.exp(-0.5 * np.float_power(sigma, 2) * tau**2)  # pow: see slsm
     val = np.cos(mu * tau) * env
     d_mu = -tau * np.sin(mu * tau) * env
     d_sigma = -sigma * tau**2 * val
@@ -525,27 +531,34 @@ def baseline_partials(tau, b: BaselineKernelParams):
 
 
 def natural_partials(tau, kind: str, params):
-    """Yield dK/dtheta at P = 1 or baseline lags ``tau``, one array at a time,
-    in the optimizer's natural-coordinate slot order without the noise slot:
-    per component w, mu, sigma and, for ``slsm`` only, gamma; theta_f,
-    ell(, rq_alpha) for baselines (P > 1: :func:`multi_component_partials`)."""
+    """Yield dK/dtheta at P = 1 or baseline lags ``tau``, one array at a time
+    and one component per body call (no (Q, n, m) stack), in the optimizer's
+    natural slot order without the noise slot: per component w, mu, sigma
+    and, for ``slsm`` only, gamma; theta_f, ell(, rq_alpha) for baselines."""
     if isinstance(params, BaselineKernelParams):
         yield from baseline_partials(tau, params)[1:]
         return
     body = sm_component_partials if kind == "sm" else slsm_component_partials
-    for c in for_kind(params, kind).components:
-        val, *parts = body(tau, c)
+    for c in params.components:  # lkp: the body's gamma 0, no skew slot
+        val, *parts = body(tau, *c.scalars()[:3 if kind == "slsm" else 2])
         yield val
         for part in parts[:3 if kind == "slsm" else 2]:
             yield c.w * part
 
 
 def value_and_partials(tau, kind: str, params):
-    """The kernel and the list of :func:`natural_partials` at lags ``tau``
-    from one pass, the value summed from the weight slots (theta_f times the
-    shape for baselines) in component order, as :func:`kernel_value` adds it."""
-    partials = list(natural_partials(tau, kind, params))
+    """``(K, G)`` at a grid's n lags ``tau``: the kernel and the (slots, n)
+    matrix of every dK/dtheta in :func:`natural_partials`' order.  A P = 1
+    mixture's (Q, 1 + k) rows w, mu, sigma(, gamma) go through one body
+    call; K adds w_q val_q in component order, as :func:`kernel_value` does."""
     if isinstance(params, BaselineKernelParams):
-        return params.theta_f * partials[0], partials
-    w_slots = partials[::len(partials) // params.q]  # the unweighted components
-    return sum(c.w * val for c, val in zip(params.components, w_slots)), partials
+        val, *partials = baseline_partials(tau, params)
+        return val, np.array(partials)
+    w, *cols = params.T[:, :, None]  # (Q, 1) columns
+    body = sm_component_partials if kind == "sm" else slsm_component_partials
+    val, *parts = body(tau, *cols)
+    K, *terms = w * val
+    for term in terms:
+        K = K + term
+    G = np.stack([val] + [w * part for part in parts[:len(cols)]], axis=1)
+    return K, G.reshape(-1, val.shape[1])

@@ -61,9 +61,13 @@ class ParamLayout:
     gamma_mask: tuple[bool, ...]
     names: tuple[str, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.log_mask)
+    def natural(self, x: np.ndarray):
+        """``(rows, vals)``: the natural values ``vals`` of the transformed
+        vector ``x`` and their (Q, 1 + k P) view ``rows``, one per component:
+        w, then P each of mu, sigma and, for ``slsm``, gamma (a baseline's
+        one row: theta_f, ell(, rq_alpha)); the noise variance is vals[-1]."""
+        vals = np.where(self.log_mask, np.exp(x), x)
+        return vals[:-1].reshape(self.q, -1), vals
 
 
 @dataclass(frozen=True)
@@ -79,66 +83,39 @@ def _log_slot(value: float, name: str) -> float:
 
 
 def transform(params, kind: str) -> TransformedParams:
-    """Map kernel parameters to the unconstrained optimization vector."""
-    x: list[float] = []
-    logm: list[bool] = []
-    gamm: list[bool] = []
-    names: list[str] = []
-
-    def push(value, name, log=True, gamma=False):
-        x.append(_log_slot(value, name) if log else float(value))
-        logm.append(log)
-        gamm.append(gamma)
-        names.append(name)
-
+    """Map kernel parameters to the unconstrained optimization vector: one
+    named slot per parameter in the row order of :meth:`ParamLayout.natural`,
+    the noise variance last; every slot but a skew is logged."""
     if isinstance(params, BaselineKernelParams):
-        push(params.theta_f, "theta_f")
-        push(params.ell, "ell")
-        if params.variant == "rq":
-            push(params.rq_alpha, "rq_alpha")
-        push(params.noise_var, "noise_var")
-        layout = ParamLayout(kind, 1, 1, tuple(logm), tuple(gamm), tuple(names))
-        return TransformedParams(np.array(x), layout)
-
-    for i, c in enumerate(params.components):
-        push(c.w, f"w[{i}]")
-        dims = [f"{i}"] if c.p == 1 else [f"{i},{d}" for d in range(c.p)]
-        for at, m in zip(dims, c.mu):
-            push(max(m, MU_FLOOR), f"mu[{at}]")
-        for at, s in zip(dims, c.sigma):
-            push(s, f"sigma[{at}]")
-        if kind == "slsm":
-            for at, g in zip(dims, c.gamma):
-                push(g, f"gamma[{at}]", log=False, gamma=True)
-    push(params.noise_var, "noise_var")
-    layout = ParamLayout(kind, params.q, params.p, tuple(logm), tuple(gamm), tuple(names))
+        slots, q, p = [("theta_f", params.theta_f), ("ell", params.ell)], 1, 1
+        slots += [("rq_alpha", params.rq_alpha)] if params.variant == "rq" else []
+    else:
+        slots, q, p = [], params.q, params.p
+        for i, c in enumerate(params.components):
+            dims = [f"{i}"] if p == 1 else [f"{i},{d}" for d in range(p)]
+            slots.append((f"w[{i}]", c.w))
+            for name, values in (("mu", [max(m, MU_FLOOR) for m in c.mu]), ("sigma", c.sigma),
+                                 ("gamma", c.gamma if kind == "slsm" else ())):
+                slots += [(f"{name}[{at}]", v) for at, v in zip(dims, values)]
+    slots.append(("noise_var", params.noise_var))
+    gamma = tuple(name.startswith("gamma") for name, _ in slots)
+    x = [float(v) if g else _log_slot(v, name) for (name, v), g in zip(slots, gamma)]
+    layout = ParamLayout(kind, q, p, tuple(not g for g in gamma), gamma,
+                         tuple(name for name, _ in slots))
     return TransformedParams(np.array(x), layout)
 
 
 def untransform(tp: TransformedParams):
-    """Inverse of :func:`transform`."""
+    """Inverse of :func:`transform`: the checked parameters of the rows of
+    :meth:`ParamLayout.natural`."""
     lay = tp.layout
-    vals = np.where(lay.log_mask, np.exp(tp.x), tp.x)
-    kind = lay.kind
-    i = 0
-    if kind in ("se", "rq"):
-        theta_f = vals[i]; i += 1
-        ell = vals[i]; i += 1
-        alpha = 1.0
-        if kind == "rq":
-            alpha = vals[i]; i += 1
-        return BaselineKernelParams(kind, theta_f, ell, alpha, noise_var=vals[i])
+    rows, vals = lay.natural(tp.x)
+    if lay.kind in ("se", "rq"):
+        return BaselineKernelParams(lay.kind, *rows[0], noise_var=vals[-1])
     p = lay.p
-    comps = []
-    for _ in range(lay.q):
-        w = vals[i]; i += 1
-        mu = vals[i:i + p]; i += p
-        sigma = vals[i:i + p]; i += p
-        gamma = 0.0
-        if kind == "slsm":
-            gamma = vals[i:i + p]; i += p
-        comps.append(SlsmComponent(w, mu, sigma, gamma))
-    return SlsmParams(tuple(comps), noise_var=vals[i])
+    return SlsmParams(tuple(SlsmComponent(r[0], r[1:1 + p], r[1 + p:1 + 2 * p],
+                                          r[1 + 2 * p:] if lay.kind == "slsm" else 0.0)
+                            for r in rows), noise_var=vals[-1])
 
 
 # ---------------------------------------------------------------------------

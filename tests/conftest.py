@@ -133,6 +133,63 @@ def vector_partials(tau, kind: str, params):
                 yield c.w * part
 
 
+# The scalar reference bodies of a P = 1 mixture: one component per call,
+# its parameters as Python floats squared by ``float ** 2``, the way
+# ``kn.kernel_value`` evaluates it.  The library's array bodies, which take
+# all Q components at once, must agree with them bit for bit.
+
+
+def ref_slsm_partials(tau, c: SlsmComponent):
+    """(value, d/dmu, d/dsigma, d/dgamma) of one unweighted P = 1 component."""
+    tau = np.asarray(tau, dtype=float)
+    mu, sigma, gamma = c.scalars()
+    cos_p, sin_p = np.cos(mu * tau), np.sin(mu * tau)
+    cc = 1.0 + 0.5 * sigma**2 * tau**2
+    den = cc * cc + gamma**2 * tau**2
+    val = (cc * cos_p - gamma * tau * sin_p) / den
+    d_mu = (-cc * tau * sin_p - gamma * tau**2 * cos_p) / den
+    d_sigma = sigma * tau**2 * (cos_p - 2.0 * cc * val) / den
+    d_gamma = (-tau * sin_p - 2.0 * gamma * tau**2 * val) / den
+    return val, d_mu, d_sigma, d_gamma
+
+
+def ref_sm_partials(tau, c: SlsmComponent):
+    """(value, d/dmu, d/dsigma) of one unweighted P = 1 Gaussian component."""
+    tau = np.asarray(tau, dtype=float)
+    mu, sigma, _ = c.scalars()
+    env = np.exp(-0.5 * sigma**2 * tau**2)
+    val = np.cos(mu * tau) * env
+    d_mu = -tau * np.sin(mu * tau) * env
+    d_sigma = -sigma * tau**2 * val
+    return val, d_mu, d_sigma
+
+
+def ref_natural_partials(tau, kind: str, params):
+    """Every dK/dtheta of a P = 1 mixture or a baseline at the lags ``tau``
+    in the optimizer's natural slot order (noise slot excluded), one
+    component at a time through the reference bodies."""
+    if isinstance(params, kn.BaselineKernelParams):
+        yield from kn.baseline_partials(tau, params)[1:]
+        return
+    body = ref_sm_partials if kind == "sm" else ref_slsm_partials
+    for c in kn.for_kind(params, kind).components:
+        val, *parts = body(tau, c)
+        yield val
+        for part in parts[:3 if kind == "slsm" else 2]:
+            yield c.w * part
+
+
+def ref_value_and_partials(tau, kind: str, params):
+    """K and the rows of :func:`ref_natural_partials` as one matrix, K summed
+    from the weight slots in component order (theta_f times the shape for
+    baselines)."""
+    partials = np.array(list(ref_natural_partials(tau, kind, params)))
+    if isinstance(params, kn.BaselineKernelParams):
+        return params.theta_f * partials[0], partials
+    w_slots = partials[::len(partials) // params.q]  # the unweighted components
+    return sum(c.w * val for c, val in zip(params.components, w_slots)), partials
+
+
 def direct_lags(xa, xb, kind: str, params):
     """The lags the direct oracles take: :func:`vector_lags` for a P > 1
     mixture, ``kn.lags`` otherwise."""
@@ -152,7 +209,7 @@ def direct_partials(tau, kind: str, params):
     """Every dK/dtheta at :func:`direct_lags`."""
     if isinstance(params, SlsmParams) and params.p > 1:
         return vector_partials(tau, kind, params)
-    return kn.natural_partials(tau, kind, params)
+    return ref_natural_partials(tau, kind, params)
 
 
 def _direct_gram(xa, xb, kind: str, params) -> np.ndarray:

@@ -242,9 +242,10 @@ def test_predict_calls_the_hooked_gram_and_solve_once_per_factor(monkeypatch):
 @pytest.mark.parametrize("n", [96, "MIN_N"], ids=["dense", "toeplitz"])
 def test_grid_evaluation_takes_the_value_from_the_hooked_partials(monkeypatch, n):
     """On a grid, dense or Toeplitz, one evaluation reaches the hooked
-    ``slsm_component_partials`` once per component, which gives K as well
-    as the gradient: no second value pass through ``slsm_component``."""
-    from skewgp import gp, kernels, toeplitz
+    ``slsm_component_partials`` once, for all Q components at once, which
+    gives K as well as the gradient: no second value pass through
+    ``slsm_component`` and no checked component built per evaluation."""
+    from skewgp import gp, kernels, optimize, toeplitz
     from skewgp.kernels import SlsmComponent, SlsmParams
     from skewgp.optimize import transform
 
@@ -256,8 +257,9 @@ def test_grid_evaluation_takes_the_value_from_the_hooked_partials(monkeypatch, n
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("slsm_component", "slsm_component_partials"):
+    for name in ("slsm_component", "slsm_component_partials", "SlsmComponent"):
         monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
+    monkeypatch.setattr(optimize, "SlsmComponent", kernels.SlsmComponent)
     X = np.arange(toeplitz.MIN_N if n == "MIN_N" else n, dtype=float)
     data = gp.Dataset(X, np.sin(0.3 * X))
     params = SlsmParams(tuple(SlsmComponent(1.0, 0.2 * q, 0.3, 0.1) for q in range(4)),
@@ -265,4 +267,4 @@ def test_grid_evaluation_takes_the_value_from_the_hooked_partials(monkeypatch, n
     (members, table), = gp.objective_groups([data], "slsm", params)
     assert isinstance(table, kernels.Grid) == (n == "MIN_N")
     gp.nlml_value_and_grad(members, transform(params, "slsm"), table)
-    assert calls == ["slsm_component_partials"] * params.q
+    assert calls == ["slsm_component_partials"]
