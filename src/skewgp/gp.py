@@ -24,7 +24,9 @@ limited by the conditioning of K:
 
 On a grid both take K and every partial of a P = 1 mixture from one (Q, n)
 pass over its n lags |h| k, with the parameters read as arrays from the
-optimizer's vector; scattered 1-D inputs stream one component at a time.
+optimizer's vector; scattered 1-D inputs stream one component at a time,
+and a P > 1 mixture is evaluated in row blocks over K's lower triangle,
+one component at a time once M is known.
 Either factorization walks a jitter ladder eps * (tr/n), with eps in
 {0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2}: a Cholesky rung fails when the
 factorization does, a Levinson--Durbin rung when a prediction-error
@@ -300,12 +302,14 @@ def _dense_terms(parts, kind: str, params, noise_var, table):
     datasets ``parts`` on their lag ``table``, from one Cholesky factor of
     K~: with M = m K~^-1 - sum_e alpha_e alpha_e^T, every slot is
     0.5 tr(M dK/dtheta), on a grid 0.5 dk . S with S the sums of M over the
-    table's index.  With no table (one part, a P > 1 mixture), K and the
-    slots come from :func:`~skewgp.kernels.multi_component_partials`."""
+    table's index.  With no table (one part, a P > 1 mixture)
+    :func:`~skewgp.kernels.multi_gram` fills K only up to the diagonal, all
+    the Cholesky reads, and once M is known each component's slots come from
+    one :func:`~skewgp.kernels.multi_component_partials` call: no
+    component's (n, n) terms are held."""
     if table is None:
-        X, comps = parts[0].X, kn.for_kind(params, kind).components
-        factors = [kn.multi_component_partials(X, X, c, kind) for c in comps]
-        K = sum(c.w * f[0] for c, f in zip(comps, factors))  # as kn.gram sums
+        X = parts[0].X
+        K = kn.multi_gram(X, X, kind, params, lower=True)
     elif table[1] is None:  # scattered lags: each (n, n) partial streams once M is known
         K, partials = kn.kernel_value(table[0], kind, params), \
             kn.natural_partials(table[0], kind, params)
@@ -321,20 +325,13 @@ def _dense_terms(parts, kind: str, params, noise_var, table):
         alpha = _solve_chol(L, part.y)
         f += nlml_from_factor(L, alpha, part.y)
         M -= np.outer(alpha, alpha)
-    if table is not None and table[1] is None:  # each streamed partial against M
+    if table is None:
+        grad_nat = [slot for c in kn.for_kind(params, kind).components
+                    for slot in kn.multi_component_partials(X, M, c, kind)]
+    elif table[1] is None:  # each streamed partial against M
         grad_nat = [0.5 * float(np.sum(M * dk)) for dk in partials]
-    elif table is not None:  # M folded once into its sums over the grid's index
+    else:  # M folded once into its sums over the grid's index
         grad_nat = list(_half_dots(partials, np.bincount(table[1].ravel(), M.ravel())))
-    else:  # M symmetric, g odd and h even in tau, B = M o h: 0.5 sum M o g tau_d
-        # is x_d . rowsum(M o g) and 0.5 sum B tau_d^2 is x_d^2 . rowsum(B) - x_d^T B x_d
-        grad_nat = []
-        for c, (val, g_mu, g_sigma, *g_gamma) in zip(comps, factors):
-            B = M * g_sigma
-            sigma = np.asarray(c.sigma) * ((X * X).T @ B.sum(axis=1)
-                                           - np.einsum("id,id->d", X, B @ X))
-            odd = [X.T @ np.einsum("ij,ij->i", M, g) for g in [g_mu] + g_gamma]
-            grad_nat += [0.5 * float(np.sum(M * val)),
-                         *c.w * np.concatenate([odd[0], sigma] + odd[1:])]
     return f, grad_nat + [0.5 * float(np.trace(M))]  # noise slot: dK/ds2 = I
 
 

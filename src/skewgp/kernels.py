@@ -27,8 +27,12 @@ Kernel families:
   baselines.
 
 P = 1 kernels and baselines take (n, m) lags (:func:`lags`); a P > 1
-mixture takes the points and is evaluated from per-point projections
-(:func:`multi_component_partials`).  A uniform P = 1 input is read as a
+mixture takes the points and is evaluated from per-point projections, one
+block of rows at a time: :func:`multi_gram` fills K (for the objective its
+lower triangle), and :func:`multi_component_partials` rebuilds one
+component's terms block by block over the lower triangle and contracts
+them against M at once, so no component's (n, n) terms are held.  A
+uniform P = 1 input is read as a
 :class:`Grid` t_0 + i h whose training lags are the Toeplitz first column
 |h| k (every kernel is even in tau).  There one call of the family's array
 body evaluates all Q components of a mixture, (Q, 1) parameter columns
@@ -289,7 +293,10 @@ def _check_width(params, p: int):
 def _sum_sq_diff(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """sum_d (xa_id - xb_jd)^2 of two (n, P) point sets, added in dimension
     order from per-dimension outer differences: no (n, m, P) array."""
-    return sum(np.subtract.outer(xa[:, d], xb[:, d]) ** 2 for d in range(xa.shape[1]))
+    out = np.subtract.outer(xa[:, 0], xb[:, 0]) ** 2
+    for d in range(1, xa.shape[1]):
+        out += np.subtract.outer(xa[:, d], xb[:, d]) ** 2
+    return out
 
 
 def lags(xa: np.ndarray, xb: np.ndarray, kind: str, params) -> np.ndarray:
@@ -416,16 +423,15 @@ def lag_table(x, kind: str, params):
 
 
 def gram(x, x2, kind: str, params) -> np.ndarray:
-    """Noise-free covariance matrix k(x_i - x2_j): for a P > 1 mixture the
-    weighted sum of its :func:`_multi_component` values; for P = 1 against
-    uniform ``x2`` evaluated once per entry of the :func:`_grid_table` and
-    gathered, bit for bit the same matrix; else at every one of the :func:`lags`."""
+    """Noise-free covariance matrix k(x_i - x2_j): for a P > 1 mixture
+    :func:`multi_gram`; for P = 1 against uniform ``x2`` evaluated once per
+    entry of the :func:`_grid_table` and gathered, bit for bit the same
+    matrix; else at every one of the :func:`lags`."""
     xa, xb = _as_points(x), _as_points(x2)
     if xa.shape[1] != xb.shape[1]:
         raise DimensionMismatchError(xa.shape[1], xb.shape[1])
     if xa.shape[1] > 1 and kind in MIXTURE_KERNELS:
-        return sum(c.w * _multi_component(xa, xb, c, kind)[0]
-                   for c in for_kind(params, kind).components)
+        return multi_gram(xa, xb, kind, params)
     tau = lags(xa, xb, kind, params)
     table = _grid_table(xa, xb, tau)
     if table is None:
@@ -470,45 +476,135 @@ def sm_component_partials(tau, mu, sigma):
     return val, d_mu, d_sigma
 
 
-def _multi_component(xa: np.ndarray, xb: np.ndarray, c: SlsmComponent, kind: str):
-    """Unweighted P > 1 component at the lags tau = xa_i - xb_j, (n, m), and
-    the terms its partials reuse, from per-point quantities: cos and sin of
-    the phase mu.tau = a_i - b_j from those of a = xa mu and b = xb mu, the
-    skew gamma.tau as an outer difference, and sum_d sigma_d^2 tau_d^2 / 2
-    from per-dimension outer differences.  Centring on the mean of ``xb``
-    keeps the points' offset out of the phases' rounding; each entry
-    depends only on its own pair of points (and ``xb``), whatever the batch."""
-    if xa.shape[1] != c.p:
-        raise DimensionMismatchError(c.p, xa.shape[1])
-    xa, xb = xa - np.mean(xb, axis=0), xb - np.mean(xb, axis=0)
+# entries of one row block of a P > 1 mixture: its dozen working arrays
+# stay in cache, where full (n, m) passes stream through memory
+BLOCK_ENTRIES = 1 << 15
+
+
+def _row_blocks(m: int, n: int, lower: bool = False):
+    """``(rows, cols)`` slices of an (m, n) array in blocks of about
+    :data:`BLOCK_ENTRIES` entries; ``lower`` (m = n) stops each block's
+    columns at the diagonal, inclusive."""
+    step = max(1, BLOCK_ENTRIES // n)
+    for start in range(0, m, step):
+        stop = min(start + step, m)
+        yield slice(start, stop), slice(0, stop if lower else n)
+
+
+def _projections(x: np.ndarray, centre: np.ndarray, c: SlsmComponent):
+    """Per-point quantities of the P > 1 component ``c`` at the points ``x``
+    centred on ``centre``: cos and sin of the phase a = x mu, the skew
+    projection x gamma and the points scaled by sigma / sqrt 2.  Centring
+    keeps the points' offset out of the phases' rounding."""
+    x = x - centre
     # sum_d v_d x_d added in dimension order, per point
-    a, b, ga, gb = (sum(x[:, d] * v[d] for d in range(c.p))
-                    for v in (c.mu, c.gamma) for x in (xa, xb))
-    cos_p = np.multiply.outer(np.cos(a), np.cos(b)) + np.multiply.outer(np.sin(a), np.sin(b))
-    sin_p = np.multiply.outer(np.sin(a), np.cos(b)) - np.multiply.outer(np.cos(a), np.sin(b))
-    scale = np.asarray(c.sigma) / math.sqrt(2.0)
-    half_sq = _sum_sq_diff(xa * scale, xb * scale)
+    a, g = (sum(x[:, d] * v[d] for d in range(c.p)) for v in (c.mu, c.gamma))
+    return np.cos(a), np.sin(a), g, x * (np.asarray(c.sigma) / math.sqrt(2.0))
+
+
+def _block(pa, pb, kind: str):
+    """Unweighted P > 1 component at the lags tau = xa_i - xb_j of the rows
+    ``pa`` against the columns ``pb`` (:func:`_projections` of each), and
+    the terms its partials reuse: cos and sin of the phase mu.tau = a_i - b_j
+    from the per-point ones, the skew gamma.tau as an outer difference and
+    sum_d sigma_d^2 tau_d^2 / 2 from per-dimension outer differences.  Each
+    entry depends only on its own pair of points, whatever the block."""
+    (ca, sa, ga, ha), (cb, sb, gb, hb) = pa, pb
+    cos_p = np.multiply.outer(ca, cb)
+    cos_p += np.multiply.outer(sa, sb)
+    sin_p = np.multiply.outer(sa, cb)
+    sin_p -= np.multiply.outer(ca, sb)
+    cc = _sum_sq_diff(ha, hb)
     if kind == "sm":
-        env = np.exp(-half_sq)
+        env = np.exp(np.negative(cc, out=cc), out=cc)
         return cos_p * env, (sin_p, env)
+    cc += 1.0
     skew = np.subtract.outer(ga, gb)
-    cc = 1.0 + half_sq
-    den = cc * cc + skew * skew
-    return (cc * cos_p - skew * sin_p) / den, (cos_p, sin_p, skew, cc, den)
+    den = cc * cc
+    den += skew * skew
+    val = cc * cos_p
+    val -= skew * sin_p
+    val /= den
+    return val, (cos_p, sin_p, skew, cc, den)
 
 
-def multi_component_partials(xa, xb, c: SlsmComponent, kind: str = "slsm"):
-    """``(value, g_mu, g_sigma[, g_gamma])``, each (n, m), of a P > 1
-    component at the lags tau = xa_i - xb_j from one :func:`_multi_component`:
-    d/dmu_d = g_mu tau_d, d/dsigma_d = g_sigma sigma_d tau_d^2, d/dgamma_d =
-    g_gamma tau_d (``slsm`` only); g_mu, g_gamma are odd in tau, g_sigma even."""
-    val, terms = _multi_component(xa, xb, c, kind)
-    if kind == "sm":
-        sin_p, env = terms
-        return val, -sin_p * env, -val
-    cos_p, sin_p, skew, cc, den = terms
-    out = (val, -(cc * sin_p + skew * cos_p) / den, (cos_p - 2.0 * cc * val) / den)
-    return out + ((-(sin_p + 2.0 * skew * val) / den,) if kind == "slsm" else ())
+def _rows_of(points, rows: slice):
+    return tuple(q[rows] for q in points)
+
+
+def multi_gram(xa: np.ndarray, xb: np.ndarray, kind: str, params, lower: bool = False):
+    """k(xa_i - xb_j) of a P > 1 mixture, (n, m), filled in row blocks
+    (:func:`_block`), each adding w_q val_q in component order from the
+    per-point quantities centred on the mean of ``xb``.  Each entry depends
+    only on its own pair of points and ``xb``, so the blocks are the whole
+    matrix bit for bit.  ``lower`` (xa = xb) fills each block's rows only
+    up to the diagonal: the lower triangle, all the Cholesky reads of the
+    symmetric K; above it only the blocks' diagonal squares are filled."""
+    _check_width(params, xa.shape[1])
+    comps = for_kind(params, kind).components
+    centre = np.mean(xb, axis=0)
+    points = [(_projections(xa, centre, c), _projections(xb, centre, c)) for c in comps]
+    out = np.zeros((xa.shape[0], xb.shape[0]))
+    for rows, cols in _row_blocks(xa.shape[0], xb.shape[0], lower):
+        block = out[rows, cols]
+        for c, (pa, pb) in zip(comps, points):
+            block += c.w * _block(_rows_of(pa, rows), _rows_of(pb, cols), kind)[0]
+    return out
+
+
+def multi_component_partials(x: np.ndarray, M: np.ndarray, c: SlsmComponent,
+                             kind: str = "slsm") -> np.ndarray:
+    """The natural slots 0.5 tr(M dK/dtheta) of the P > 1 component ``c``
+    at the training points ``x``: w, then mu_d, sigma_d and, for ``slsm``
+    only, gamma_d, with M symmetric (n, n).
+
+    d/dmu_d = w g_mu tau_d, d/dsigma_d = w g_sigma sigma_d tau_d^2 and
+    d/dgamma_d = w g_gamma tau_d, with g_mu, g_gamma odd and g_sigma even
+    in tau = x_i - x_j, so every slot is half a sum over all pairs of a term
+    even in the pair order: the sum over the pairs below the diagonal plus
+    half the diagonal's (tau = 0 there, so only the w slot has one).  Each
+    block of rows takes the pairs left of its diagonal square once and the
+    square, which holds each of its pairs in both orders, half; its terms
+    are rebuilt from the per-point quantities (:func:`_block`) and reduced
+    at once, so no (n, n) array is made and M's upper triangle is read only
+    inside the diagonal squares."""
+    p = c.p
+    points = _projections(x, np.mean(x, axis=0), c)
+    # the sums of M o val, then per dimension of M o g tau_d for g_mu,
+    # M o g_sigma tau_d^2 and M o g_gamma tau_d
+    w_slot, sums = 0.0, np.zeros((3, p))
+    for rows, cols in _row_blocks(x.shape[0], x.shape[0], lower=True):
+        val, terms = _block(_rows_of(points, rows), _rows_of(points, cols), kind)
+        m = np.negative(M[rows, cols])  # -M, so each factor below is M o g
+        m[:, rows.start:] *= 0.5  # the diagonal square
+        w_slot -= np.einsum("ij,ij->", m, val)
+        if kind == "sm":  # g_mu = -sin_p env, g_sigma = -val
+            sin_p, env = terms
+            odd = [np.multiply(sin_p, env, out=sin_p)]
+            odd[0] *= m
+            even = np.multiply(val, m, out=val)
+        else:  # g_mu = -(cc sin_p + skew cos_p) / den, g_sigma = (cos_p - 2 cc val) / den
+            cos_p, sin_p, skew, cc, den = terms
+            md = np.divide(m, den, out=den)
+            odd = [cc * sin_p]
+            odd[0] += skew * cos_p
+            if kind == "slsm":  # g_gamma = -(sin_p + 2 skew val) / den
+                odd.append(np.multiply(skew, val, out=skew))
+                odd[1] *= 2.0
+                odd[1] += sin_p
+            even = np.multiply(cc, val, out=cc)
+            even *= 2.0
+            even -= cos_p
+            for g in odd + [even]:
+                g *= md
+        for d in range(p):
+            tau = np.subtract.outer(x[rows, d], x[cols, d])
+            for row, g in zip((0, 2), odd):
+                sums[row, d] += np.einsum("ij,ij->", g, tau)
+            tau *= tau
+            sums[1, d] += np.einsum("ij,ij->", even, tau)
+    slots = [sums[0], np.asarray(c.sigma) * sums[1]] + ([sums[2]] if kind == "slsm" else [])
+    return np.concatenate([[w_slot], c.w * np.concatenate(slots)])
 
 
 def baseline_partials(tau, b: BaselineKernelParams):

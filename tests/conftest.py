@@ -133,6 +133,76 @@ def vector_partials(tau, kind: str, params):
                 yield c.w * part
 
 
+# The full-array reference of a P > 1 mixture: every component's terms at
+# all (n, m) pairs at once, from the same per-point projections and in the
+# same order of operations as the library's row blocks, which must give
+# its Gram matrix bit for bit.  The objective reads the gradient from
+# whole-matrix row sums, with every component's terms held through the
+# Cholesky.
+
+
+def ref_multi_component(xa, xb, c: SlsmComponent, kind: str):
+    """Unweighted P > 1 component at the lags xa_i - xb_j, (n, m), and the
+    terms its partials reuse, both point sets centred on the mean of ``xb``."""
+    xa, xb = xa - np.mean(xb, axis=0), xb - np.mean(xb, axis=0)
+    a, b, ga, gb = (sum(x[:, d] * v[d] for d in range(c.p))
+                    for v in (c.mu, c.gamma) for x in (xa, xb))
+    cos_p = np.multiply.outer(np.cos(a), np.cos(b)) + np.multiply.outer(np.sin(a), np.sin(b))
+    sin_p = np.multiply.outer(np.sin(a), np.cos(b)) - np.multiply.outer(np.cos(a), np.sin(b))
+    scale = np.asarray(c.sigma) / math.sqrt(2.0)
+    half_sq = sum(np.subtract.outer(xa[:, d] * scale[d], xb[:, d] * scale[d]) ** 2
+                  for d in range(c.p))
+    if kind == "sm":
+        env = np.exp(-half_sq)
+        return cos_p * env, (sin_p, env)
+    skew = np.subtract.outer(ga, gb)
+    cc = 1.0 + half_sq
+    den = cc * cc + skew * skew
+    return (cc * cos_p - skew * sin_p) / den, (cos_p, sin_p, skew, cc, den)
+
+
+def ref_multi_gram(xa, xb, kind: str, params) -> np.ndarray:
+    """The weighted component sum of :func:`ref_multi_component` values."""
+    return sum(c.w * ref_multi_component(xa, xb, c, kind)[0]
+               for c in kn.for_kind(params, kind).components)
+
+
+def ref_multi_partials(x, c: SlsmComponent, kind: str):
+    """``(value, g_mu, g_sigma[, g_gamma])``, each (n, n), of a P > 1
+    component at the training points: d/dmu_d = g_mu tau_d, d/dsigma_d =
+    g_sigma sigma_d tau_d^2, d/dgamma_d = g_gamma tau_d (``slsm`` only)."""
+    val, terms = ref_multi_component(x, x, c, kind)
+    if kind == "sm":
+        sin_p, env = terms
+        return val, -sin_p * env, -val
+    cos_p, sin_p, skew, cc, den = terms
+    out = (val, -(cc * sin_p + skew * cos_p) / den, (cos_p - 2.0 * cc * val) / den)
+    return out + ((-(sin_p + 2.0 * skew * val) / den,) if kind == "slsm" else ())
+
+
+def ref_multi_dense_terms(data: Dataset, kind: str, params):
+    """NLML and natural-coordinate gradient (noise slot last) of a P > 1
+    mixture from the full K and whole-matrix row sums: with M symmetric, g
+    odd and h even in tau and B = M o h, 0.5 sum M o g tau_d is
+    x_d . rowsum(M o g) and 0.5 sum B tau_d^2 is x_d^2 . rowsum(B) - x_d^T B x_d."""
+    X, comps = data.X, kn.for_kind(params, kind).components
+    factors = [ref_multi_partials(X, c, kind) for c in comps]
+    K = sum(c.w * f[0] for c, f in zip(comps, factors))
+    L, _ = gp.chol_with_jitter(K, params.noise_var)
+    M = cho_solve((L, True), np.eye(data.n))
+    alpha = cho_solve((L, True), data.y)
+    M -= np.outer(alpha, alpha)
+    grad = []
+    for c, (val, g_mu, g_sigma, *g_gamma) in zip(comps, factors):
+        B = M * g_sigma
+        sigma = np.asarray(c.sigma) * ((X * X).T @ B.sum(axis=1)
+                                       - np.einsum("id,id->d", X, B @ X))
+        odd = [X.T @ np.einsum("ij,ij->i", M, g) for g in [g_mu] + g_gamma]
+        grad += [0.5 * float(np.sum(M * val)),
+                 *c.w * np.concatenate([odd[0], sigma] + odd[1:])]
+    return gp.nlml_from_factor(L, alpha, data.y), grad + [0.5 * float(np.trace(M))]
+
+
 # The scalar reference bodies of a P = 1 mixture: one component per call,
 # its parameters as Python floats squared by ``float ** 2``, the way
 # ``kn.kernel_value`` evaluates it.  The library's array bodies, which take

@@ -180,9 +180,10 @@ def test_eval_hook_sees_one_call_per_evaluation_per_group(monkeypatch):
 
 
 def test_multivariate_evaluation_calls_the_hooked_partials_once_per_component(monkeypatch):
-    """``kernels.partials`` times the P > 1 body through the module
+    """``kernels.partials`` times the P > 1 gradient through the module
     attribute ``multi_component_partials``: one call per component and
-    evaluation, which builds K as well as the gradient."""
+    evaluation, each contracting that component's partials against M.  K
+    comes from the row blocks before the Cholesky, outside the hook."""
     from skewgp import gp, kernels
     from skewgp.kernels import SlsmComponent, SlsmParams
     from skewgp.optimize import transform
@@ -190,9 +191,10 @@ def test_multivariate_evaluation_calls_the_hooked_partials_once_per_component(mo
     calls = []
     body = kernels.multi_component_partials
 
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return body(*args, **kwargs)
+    def counting(x, M, c, kind):
+        calls.append(c)
+        assert M.shape == (x.shape[0],) * 2
+        return body(x, M, c, kind)
 
     monkeypatch.setattr(kernels, "multi_component_partials", counting)
     rng = np.random.default_rng(7)

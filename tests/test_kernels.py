@@ -1,6 +1,7 @@
 """Kernel closed forms, spectral densities, Gram matrices, and gradients."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,8 +119,9 @@ class TestMultivariate:
         # the per-point body at P = 1, the lag as a point against the
         # origin, against the scalar body
         c = random_component(rng)
+        unit = SlsmParams((replace(c, w=1.0),))
         for tau in np.linspace(-4, 4, 17):
-            value = kn.multi_component_partials(np.array([[tau]]), np.zeros((1, 1)), c)[0]
+            value = kn.multi_gram(np.array([[tau]]), np.zeros((1, 1)), "slsm", unit)[0, 0]
             assert value == pytest.approx(kn.slsm_component(tau, c), abs=1e-15)
 
     def test_cancelling_skew_recomputation(self):

@@ -1,8 +1,11 @@
-"""A P > 1 mixture is evaluated from per-point projections, never from a
-vector lag array.  Its Gram matrix, NLML and gradient must agree with the
-(n, m, P) vector-lag oracle of ``conftest`` within the ``P_*_TOL`` bounds,
-a row of a cross-covariance must not depend on the batch it is computed in,
-and neither a fit nor a predict may build an (n, m, P) array."""
+"""A P > 1 mixture is evaluated from per-point projections in row blocks,
+never from a vector lag array.  Its Gram matrix, NLML and gradient must
+agree with the (n, m, P) vector-lag oracle of ``conftest`` within the
+``P_*_TOL`` bounds; its Gram matrix must equal the full-array reference of
+``conftest`` bit for bit, and the objective's K the final factor's below
+the diagonal; a row of a cross-covariance must not depend on the batch it
+is computed in; neither a fit nor a predict may build an (n, m, P) array,
+and an evaluation's memory must not grow with the number of components."""
 
 import tracemalloc
 
@@ -16,7 +19,8 @@ from skewgp.gp import Dataset
 from skewgp.kernels import BaselineKernelParams, SlsmComponent, SlsmParams
 from skewgp.optimize import OptConfig
 
-from conftest import P_K_TOL, _direct_gram, assert_near_dense
+from conftest import (P_G_TOL, P_K_TOL, _direct_gram, assert_near_dense,
+                      ref_multi_dense_terms, ref_multi_gram)
 
 
 def _params(rng, p, q=3, noise=0.1):
@@ -48,8 +52,59 @@ def test_gram_matches_vector_lag_oracle(rng, kind, p):
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("kind", kn.MIXTURE_KERNELS)
+def test_blocked_gram_equals_the_full_array_reference(rng, kind, p):
+    """Several row blocks with a short last one, m != n both ways, and a
+    single block smaller than one block's rows."""
+    params = _params(rng, p)
+    n, small = 300, 40
+    rows = kn.BLOCK_ENTRIES // n
+    assert 1 < rows < n and n % rows and kn.BLOCK_ENTRIES // small > small
+    X = rng.uniform(-2.0, 2.0, (n, p))
+    for xa, xb in ((X, X), (rng.uniform(-3.0, 3.0, (450, p)), X),
+                   (X[:small], X), (X, X[:small]), (X[:25], X[:small])):
+        assert np.array_equal(kn.gram(xa, xb, kind, params), ref_multi_gram(xa, xb, kind, params))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", kn.MIXTURE_KERNELS)
 def test_objective_matches_vector_lag_oracle(rng, kind, p):
     assert_near_dense(_field(rng, 70, p), _params(rng, p), kind)
+
+
+@pytest.mark.parametrize("kind", kn.MIXTURE_KERNELS)
+def test_objective_k_is_the_final_factors_below_the_diagonal(rng, kind, monkeypatch):
+    """The objective factors the lower triangle of the K that ``gram``
+    gives the final factor, bit for bit, so its NLML is ``gp.nlml``'s."""
+    data, params = _field(rng, 300, 2), _params(rng, 2)
+    seen = []
+    chol = gp.chol_with_jitter
+    monkeypatch.setattr(gp, "chol_with_jitter", lambda K, s2: seen.append(K) or chol(K, s2))
+    f, _ = gp._dense_terms([data], kind, params, params.noise_var, None)
+    K = kn.gram(data.X, data.X, kind, params)
+    assert np.array_equal(np.tril(seen[0]), np.tril(K))
+    monkeypatch.setattr(gp, "chol_with_jitter", chol)
+    assert gp.nlml(data, params, kind) == f
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind", kn.MIXTURE_KERNELS)
+@pytest.mark.parametrize("near_singular", [False, True])
+def test_objective_matches_the_full_array_reference(rng, kind, p, near_singular):
+    """Against the whole-matrix row sums of ``conftest``: the NLML bit for
+    bit and the gradient within P_G_TOL, also where every point is repeated
+    and the noise is 1e-18, so the Cholesky fails at jitter 0 and M holds
+    entries near 1 / jitter.  There the vector-lag oracle itself is only
+    good to ~1e-8 in the NLML: its K differs in the last bits and K~'s
+    condition number is ~1e10."""
+    data = _field(rng, 150, p)
+    params = _params(rng, p, noise=1e-18 if near_singular else 0.1)
+    if near_singular:
+        data = Dataset(np.repeat(data.X, 2, axis=0), np.repeat(data.y, 2))
+        assert gp.factorize(data, kind, params)[1] > 0.0
+    f, g = gp._dense_terms([data], kind, params, params.noise_var, None)
+    f_ref, g_ref = ref_multi_dense_terms(data, kind, params)
+    assert f == f_ref
+    assert np.max(np.abs(np.subtract(g, g_ref))) <= P_G_TOL * np.max(np.abs(g_ref))
 
 
 @pytest.mark.parametrize("kind", kn.MIXTURE_KERNELS)
@@ -96,3 +151,20 @@ def test_fit_and_predict_build_no_vector_lag_array(rng, kind):
         tracemalloc.stop()
     assert model.opt_result.n_evals >= 2
     assert peak < n * n * p * 8
+
+
+def test_evaluation_memory_does_not_grow_with_the_components(rng):
+    """One P = 2 SLSM evaluation at n = 1000 holds K, M and the factor, not
+    every component's (n, n) terms: its traced peak at Q = 10 stays below
+    1.5 times the peak at Q = 3."""
+    data = _field(rng, 1000, 2)
+    peaks = []
+    for q in (3, 10):
+        params = _params(rng, 2, q=q)
+        tracemalloc.start()
+        try:
+            gp._dense_terms([data], "slsm", params, params.noise_var, None)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
