@@ -19,14 +19,12 @@ limited by the conditioning of K:
   measured crossover: one Levinson--Durbin factor of K + s2 I's first
   column and FFT convolutions, with no n x n matrix.
 * Dense: every other group, such as the 96-month airline fit: one Cholesky
-  factor, and on a grid each slot reads M's sums over the index |i - j| of
-  its :func:`~skewgp.kernels.lag_table`.
+  factor of the K of :func:`~skewgp.kernels.training_covariance`, which
+  also gives the final factor's K.
 
-On a grid both take K and every partial of a P = 1 mixture from one (Q, n)
-pass over its n lags |h| k, with the parameters read as arrays from the
-optimizer's vector; scattered 1-D inputs stream one component at a time,
-and a P > 1 mixture is evaluated in row blocks over K's lower triangle,
-one component at a time once M is known.
+Both read a mixture's parameters as the (Q, 1 + k P) rows of the
+optimizer's vector and, on a grid, take K and every partial of a P = 1
+mixture from one (Q, n) pass over its n lags |h| k.
 Either factorization walks a jitter ladder eps * (tr/n), with eps in
 {0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2}: a Cholesky rung fails when the
 factorization does, a Levinson--Durbin rung when a prediction-error
@@ -196,7 +194,8 @@ def _walk_ladder(scale: float, attempt, what: str):
 
 
 def chol_with_jitter(K: np.ndarray, noise_var: float):
-    """Lower Cholesky of K + noise I, escalating jitter on failure.
+    """Lower Cholesky of K + noise I, escalating jitter on failure; only
+    the lower triangle of K is read.
 
     Returns ``(L, jitter_used)``; the jitter scale is tr(K + noise I) / n.
     """
@@ -211,7 +210,9 @@ def chol_with_jitter(K: np.ndarray, noise_var: float):
         except np.linalg.LinAlgError:
             return None
 
-    return _walk_ladder(float(np.trace(kt)) / n, attempt, "Cholesky factorization")
+    with np.errstate(over="ignore"):  # an infinite trace raises NumericalError below
+        scale = float(np.trace(kt)) / n
+    return _walk_ladder(scale, attempt, "Cholesky factorization")
 
 
 def levinson_with_jitter(r: np.ndarray, noise_var: float):
@@ -239,14 +240,12 @@ def _solve_chol(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def factorize(data: Dataset, kind: str, params):
     """``(L, jitter_used, alpha)``: the Cholesky factor of K + noise I at the
-    training inputs and alpha = (K + noise I)^-1 y.  K is evaluated on the
-    inputs' :func:`~skewgp.kernels.lag_table`, or from the points where
-    there is none (P > 1 mixtures)."""
+    training inputs and alpha = (K + noise I)^-1 y, with K from
+    :func:`~skewgp.kernels.training_covariance`, as the objective takes it."""
     table = kn.lag_table(data.X, kind, params)
-    K = kn.gram(data.X, data.X, kind, params) if table is None else \
-        kn.kernel_value(table[0], kind, params)
-    K = K if table is None or table[1] is None else K[table[1]]
-    del table  # the table is not held through the Cholesky
+    rows = params.rows(kind) if kind in kn.MIXTURE_KERNELS else params
+    K = kn.training_covariance(data.X, kind, rows, table)[0]
+    del table  # neither the table nor the slots are held through the Cholesky
     L, jit = chol_with_jitter(K, params.noise_var)
     return L, jit, _solve_chol(L, data.y)
 
@@ -284,14 +283,13 @@ def nlml_value_and_grad(parts, tp: TransformedParams, table):
     group and its gradient in the transformed coordinates of ``tp``, from
     one factor: Cholesky on a lag ``table`` (:func:`_dense_terms`), or
     Levinson--Durbin on a :class:`~skewgp.kernels.Grid` (:func:`_toeplitz_terms`).
-    A P = 1 mixture on a grid reads its parameters as the rows of
-    :meth:`~skewgp.optimize.ParamLayout.natural`, unless a scale underflowed
-    to 0: :func:`untransform` rejects that, and gives every other evaluation's."""
+    A mixture reads the :meth:`~skewgp.optimize.ParamLayout.natural` rows,
+    where a scale underflowed to 0 raises :class:`DataError`."""
     lay = tp.layout
     rows, vals = lay.natural(tp.x)
-    on_grid = isinstance(table, kn.Grid) or table is not None and table[1] is not None
-    as_rows = on_grid and lay.kind in kn.MIXTURE_KERNELS and np.all(rows[:, 2] > 0.0)
-    params = rows if as_rows else untransform(tp)
+    if lay.kind in kn.MIXTURE_KERNELS and not np.all(rows[:, 1 + lay.p:1 + 2 * lay.p] > 0.0):
+        raise DataError("a component scale underflowed to 0")
+    params = rows if lay.kind in kn.MIXTURE_KERNELS else untransform(tp)
     terms = _toeplitz_terms if isinstance(table, kn.Grid) else _dense_terms
     f, grad_nat = terms(parts, lay.kind, params, vals[-1], table)
     return f, np.array(grad_nat) * np.where(lay.log_mask, vals, 1.0)
@@ -301,21 +299,9 @@ def _dense_terms(parts, kind: str, params, noise_var, table):
     """Summed NLML and natural-coordinate gradient (noise slot last) of the
     datasets ``parts`` on their lag ``table``, from one Cholesky factor of
     K~: with M = m K~^-1 - sum_e alpha_e alpha_e^T, every slot is
-    0.5 tr(M dK/dtheta), on a grid 0.5 dk . S with S the sums of M over the
-    table's index.  With no table (one part, a P > 1 mixture)
-    :func:`~skewgp.kernels.multi_gram` fills K only up to the diagonal, all
-    the Cholesky reads, and once M is known each component's slots come from
-    one :func:`~skewgp.kernels.multi_component_partials` call: no
-    component's (n, n) terms are held."""
-    if table is None:
-        X = parts[0].X
-        K = kn.multi_gram(X, X, kind, params, lower=True)
-    elif table[1] is None:  # scattered lags: each (n, n) partial streams once M is known
-        K, partials = kn.kernel_value(table[0], kind, params), \
-            kn.natural_partials(table[0], kind, params)
-    else:  # a grid's n lags: K and every partial from one pass
-        K, partials = kn.value_and_partials(table[0], kind, params)
-        K = K[table[1]]
+    0.5 tr(M dK/dtheta), K and the slots from
+    :func:`~skewgp.kernels.training_covariance`."""
+    K, slots = kn.training_covariance(parts[0].X, kind, params, table)
     L, _ = chol_with_jitter(K, noise_var)
     del K
     # m K~^-1 in C order, the order of the index and the partials
@@ -325,14 +311,7 @@ def _dense_terms(parts, kind: str, params, noise_var, table):
         alpha = _solve_chol(L, part.y)
         f += nlml_from_factor(L, alpha, part.y)
         M -= np.outer(alpha, alpha)
-    if table is None:
-        grad_nat = [slot for c in kn.for_kind(params, kind).components
-                    for slot in kn.multi_component_partials(X, M, c, kind)]
-    elif table[1] is None:  # each streamed partial against M
-        grad_nat = [0.5 * float(np.sum(M * dk)) for dk in partials]
-    else:  # M folded once into its sums over the grid's index
-        grad_nat = list(_half_dots(partials, np.bincount(table[1].ravel(), M.ravel())))
-    return f, grad_nat + [0.5 * float(np.trace(M))]  # noise slot: dK/ds2 = I
+    return f, slots(M) + [0.5 * float(np.trace(M))]  # noise slot: dK/ds2 = I
 
 
 def _toeplitz_terms(parts, kind: str, params, noise_var, grid: kn.Grid):
@@ -348,11 +327,7 @@ def _toeplitz_terms(parts, kind: str, params, noise_var, grid: kn.Grid):
                + len(parts) * (factor.logdet + grid.n * math.log(2.0 * math.pi)))
     S = factor.diag_sums(alpha)
     S[1:] *= 2.0  # each lag k > 0 sits on two diagonals; dK/ds2 = I reads S_0
-    return f, [*_half_dots(partials, S), 0.5 * float(S[0])]
-
-
-def _half_dots(G, S):  # 0.5 g @ S per row g of G, bit for bit (a GEMV G @ S is not)
-    return 0.5 * np.matmul(G[:, None, :], S[:, None])[:, 0, 0]
+    return f, [*kn._half_dots(partials, S), 0.5 * float(S[0])]
 
 
 def objective_or_inf(parts, x: np.ndarray, layout, table):
@@ -475,7 +450,7 @@ def optimize_parts(parts, init_params, kind: str, cfg: OptConfig,
             return np.inf, np.zeros_like(x)
         return f, np.sum([r[1] for r in results], axis=0)
 
-    res = minimize(objective, tp0.x, cfg, gamma_mask=np.array(tp0.layout.gamma_mask))
+    res = minimize(objective, tp0.x, cfg, gamma_mask=np.logical_not(tp0.layout.log_mask))
     return untransform(TransformedParams(res.x, tp0.layout)), res
 
 

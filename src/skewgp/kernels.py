@@ -21,25 +21,22 @@ Kernel families:
   are plain products.
 * ``sm``    -- Gaussian spectral mixture,
   ``cos(mu.tau) exp(-sum_d sigma_d^2 tau_d^2 / 2)``.
-* ``lkp``   -- Laplace spectral mixture: ``slsm`` with every skew zeroed by
-  :func:`for_kind`; an ``lkp`` parameter row has no skew (gamma 0).
+* ``lkp``   -- Laplace spectral mixture: ``slsm`` with every skew at zero;
+  its parameter rows have no skew columns (gamma 0).
 * ``se``/``rq`` -- single-component squared-exponential / rational-quadratic
   baselines.
 
-P = 1 kernels and baselines take (n, m) lags (:func:`lags`); a P > 1
-mixture takes the points and is evaluated from per-point projections, one
-block of rows at a time: :func:`multi_gram` fills K (for the objective its
-lower triangle), and :func:`multi_component_partials` rebuilds one
-component's terms block by block over the lower triangle and contracts
-them against M at once, so no component's (n, n) terms are held.  A
-uniform P = 1 input is read as a
-:class:`Grid` t_0 + i h whose training lags are the Toeplitz first column
-|h| k (every kernel is even in tau).  There one call of the family's array
-body evaluates all Q components of a mixture, (Q, 1) parameter columns
-against the n lags, giving K and every partial as (Q, n) stacks
-(:func:`value_and_partials`); scattered lags stream one component at a
-time (:func:`natural_partials`).  :func:`gram` keeps the exact lags
-xa_i - xb_j, once per band of consecutive lags against a grid
+Mixture evaluators take the (Q, 1 + k P) parameter rows of
+:meth:`SlsmParams.rows`.  P = 1 kernels and baselines take (n, m) lags
+(:func:`lags`); a P > 1 mixture takes the points and is evaluated from
+per-point projections, one block of rows at a time.  A uniform P = 1
+input is read as a :class:`Grid` t_0 + i h whose training lags are the
+Toeplitz first column |h| k (every kernel is even in tau), where one call
+of the family's array body evaluates all Q components (Q, 1) parameter
+columns against the n lags (:func:`value_and_partials`).
+:func:`training_covariance` gives the training K and its gradient slots
+for the objective and the final factor alike.  :func:`gram` keeps the
+exact lags xa_i - xb_j, once per band of consecutive lags against a grid
 (:func:`_grid_table`) where they read back bit for bit.
 
 Every function is pure and safe to call concurrently.
@@ -149,6 +146,13 @@ class SlsmParams:
     def with_components(self, components) -> "SlsmParams":
         return replace(self, components=tuple(components))
 
+    def rows(self, kind: str) -> np.ndarray:
+        """The (Q, 1 + k P) parameter rows kernel ``kind`` evaluates, as
+        :meth:`~skewgp.optimize.ParamLayout.natural` reads them: w, then P
+        each of mu, sigma and, for ``slsm`` only, gamma (else 0)."""
+        return np.array([(c.w, *c.mu, *c.sigma, *(c.gamma if kind == "slsm" else ()))
+                         for c in self.components])
+
 
 @dataclass(frozen=True)
 class BaselineKernelParams:
@@ -169,13 +173,6 @@ class BaselineKernelParams:
             raise DataError(f"noise variance must be >= 0, got {self.noise_var}")
 
 
-def for_kind(params, kind: str):
-    """``params`` as kernel ``kind`` evaluates them: ``lkp`` zeroes every skew."""
-    if kind != "lkp":
-        return params
-    return params.with_components(replace(c, gamma=0.0) for c in params.components)
-
-
 # ---------------------------------------------------------------------------
 # kernel evaluation
 # ---------------------------------------------------------------------------
@@ -184,34 +181,35 @@ def for_kind(params, kind: str):
 def slsm_component(tau, c: SlsmComponent):
     """Unweighted skewed-Laplace component at lags ``tau`` (any array shape
     for P = 1, (..., P) for P > 1); 1 at tau = 0, bounded by 1."""
-    tau = np.asarray(tau, dtype=float)
-    if c.p > 1:
-        return kernel_value(tau, "slsm", SlsmParams((replace(c, w=1.0),)))
-    mu, sigma, gamma = c.scalars()
-    cos_p, sin_p = np.cos(mu * tau), np.sin(mu * tau)
-    cc = 1.0 + 0.5 * sigma**2 * tau**2
-    return (cc * cos_p - gamma * tau * sin_p) / (cc * cc + gamma**2 * tau**2)
+    return kernel_value(tau, "slsm", SlsmParams((replace(c, w=1.0),)))
 
 
 def kernel_value(tau, kind: str, params):
     """Kernel ``kind`` at lags ``tau``: the weighted component sum for
-    mixtures (Sum(w) at tau = 0), the baseline formula otherwise.  P > 1
-    lags (..., P) are evaluated as points against the origin (:func:`gram`)."""
+    mixtures (Sum(w) at tau = 0), the baseline formula otherwise.  A
+    mixture's ``params`` are checked or, at P = 1, its (Q, 1 + k) rows;
+    P > 1 lags (..., P) are evaluated as points against the origin
+    (:func:`gram`)."""
     if kind in BASELINE_KERNELS:
         return baseline_kernel(tau, params)
     if kind not in MIXTURE_KERNELS:
         raise DataError(f"unknown kernel kind {kind!r}")
     tau = np.asarray(tau, dtype=float)
-    if params.p > 1:
+    if isinstance(params, SlsmParams) and params.p > 1:
         _check_width(params, tau.shape[-1] if tau.ndim else 1)
         out = gram(tau.reshape(-1, params.p), np.zeros((1, params.p)), kind, params)
         out = out.reshape(tau.shape[:-1])
     else:
+        rows = params.rows(kind) if isinstance(params, SlsmParams) else params
         out = np.zeros(tau.shape)
-        for c in for_kind(params, kind).components:
-            mu, sigma, _ = c.scalars()
-            out += c.w * slsm_component(tau, c) if kind != "sm" else \
-                c.w * (np.cos(mu * tau) * np.exp(-0.5 * sigma**2 * tau**2))
+        # as Python floats, squared by C pow; sm and lkp rows have no skew: gamma 0
+        for w, mu, sigma, gamma in np.pad(rows, ((0, 0), (0, 1)))[:, :4].tolist():
+            if kind == "sm":
+                out += w * (np.cos(mu * tau) * np.exp(-0.5 * sigma**2 * tau**2))
+                continue
+            cos_p, sin_p = np.cos(mu * tau), np.sin(mu * tau)
+            cc = 1.0 + 0.5 * sigma**2 * tau**2
+            out += w * ((cc * cos_p - gamma * tau * sin_p) / (cc * cc + gamma**2 * tau**2))
     return out if out.shape else float(out)
 
 
@@ -431,7 +429,8 @@ def gram(x, x2, kind: str, params) -> np.ndarray:
     if xa.shape[1] != xb.shape[1]:
         raise DimensionMismatchError(xa.shape[1], xb.shape[1])
     if xa.shape[1] > 1 and kind in MIXTURE_KERNELS:
-        return multi_gram(xa, xb, kind, params)
+        _check_width(params, xa.shape[1])
+        return multi_gram(xa, xb, kind, params.rows(kind))
     tau = lags(xa, xb, kind, params)
     table = _grid_table(xa, xb, tau)
     if table is None:
@@ -454,7 +453,7 @@ def slsm_component_partials(tau, mu, sigma, gamma=0.0):
     cos_p, sin_p = np.cos(phase), np.sin(phase)
     # sigma^2 and gamma^2 by C pow, as kernel_value's float ** 2 squares them:
     # numpy's arr**2 is x * x, which differs from pow in the last bit for
-    # some x, and the objective's K must be the final factor's bit for bit
+    # some x, and a grid's K must be kernel_value's (gram's) bit for bit
     cc = 1.0 + 0.5 * np.float_power(sigma, 2) * tau2
     den = cc * cc + np.float_power(gamma, 2) * tau2
     g_tau2 = gamma * tau2  # (2 gamma) tau^2 is 2 g_tau2: doubling is exact
@@ -491,15 +490,17 @@ def _row_blocks(m: int, n: int, lower: bool = False):
         yield slice(start, stop), slice(0, stop if lower else n)
 
 
-def _projections(x: np.ndarray, centre: np.ndarray, c: SlsmComponent):
-    """Per-point quantities of the P > 1 component ``c`` at the points ``x``
-    centred on ``centre``: cos and sin of the phase a = x mu, the skew
+def _projections(x: np.ndarray, centre: np.ndarray, row: np.ndarray):
+    """Per-point quantities of the P > 1 component ``row`` at the points
+    ``x`` centred on ``centre``: cos and sin of the phase a = x mu, the skew
     projection x gamma and the points scaled by sigma / sqrt 2.  Centring
     keeps the points' offset out of the phases' rounding."""
+    p = x.shape[1]
+    mu, sigma, gamma = np.pad(row[1:], (0, p)).reshape(-1, p)[:3]  # no skew: gamma 0
     x = x - centre
     # sum_d v_d x_d added in dimension order, per point
-    a, g = (sum(x[:, d] * v[d] for d in range(c.p)) for v in (c.mu, c.gamma))
-    return np.cos(a), np.sin(a), g, x * (np.asarray(c.sigma) / math.sqrt(2.0))
+    a, g = (sum(x[:, d] * v[d] for d in range(p)) for v in (mu, gamma))
+    return np.cos(a), np.sin(a), g, x * (sigma / math.sqrt(2.0))
 
 
 def _block(pa, pb, kind: str):
@@ -532,31 +533,31 @@ def _rows_of(points, rows: slice):
     return tuple(q[rows] for q in points)
 
 
-def multi_gram(xa: np.ndarray, xb: np.ndarray, kind: str, params, lower: bool = False):
-    """k(xa_i - xb_j) of a P > 1 mixture, (n, m), filled in row blocks
-    (:func:`_block`), each adding w_q val_q in component order from the
-    per-point quantities centred on the mean of ``xb``.  Each entry depends
-    only on its own pair of points and ``xb``, so the blocks are the whole
-    matrix bit for bit.  ``lower`` (xa = xb) fills each block's rows only
-    up to the diagonal: the lower triangle, all the Cholesky reads of the
-    symmetric K; above it only the blocks' diagonal squares are filled."""
-    _check_width(params, xa.shape[1])
-    comps = for_kind(params, kind).components
+def multi_gram(xa: np.ndarray, xb: np.ndarray, kind: str, rows: np.ndarray,
+               lower: bool = False):
+    """k(xa_i - xb_j) of the P > 1 mixture with parameter ``rows``, (n, m),
+    filled in row blocks (:func:`_block`), each adding w_q val_q in
+    component order from the per-point quantities centred on the mean of
+    ``xb``.  Each entry depends only on its own pair of points and ``xb``,
+    so the blocks are the whole matrix bit for bit.  ``lower`` (xa = xb)
+    fills each block's rows only up to the diagonal: the lower triangle,
+    all the Cholesky reads of the symmetric K; above it only the blocks'
+    diagonal squares are filled."""
     centre = np.mean(xb, axis=0)
-    points = [(_projections(xa, centre, c), _projections(xb, centre, c)) for c in comps]
+    points = [(_projections(xa, centre, r), _projections(xb, centre, r)) for r in rows]
     out = np.zeros((xa.shape[0], xb.shape[0]))
-    for rows, cols in _row_blocks(xa.shape[0], xb.shape[0], lower):
-        block = out[rows, cols]
-        for c, (pa, pb) in zip(comps, points):
-            block += c.w * _block(_rows_of(pa, rows), _rows_of(pb, cols), kind)[0]
+    for block_rows, cols in _row_blocks(xa.shape[0], xb.shape[0], lower):
+        block = out[block_rows, cols]
+        for w, (pa, pb) in zip(rows[:, 0], points):
+            block += w * _block(_rows_of(pa, block_rows), _rows_of(pb, cols), kind)[0]
     return out
 
 
-def multi_component_partials(x: np.ndarray, M: np.ndarray, c: SlsmComponent,
-                             kind: str = "slsm") -> np.ndarray:
-    """The natural slots 0.5 tr(M dK/dtheta) of the P > 1 component ``c``
-    at the training points ``x``: w, then mu_d, sigma_d and, for ``slsm``
-    only, gamma_d, with M symmetric (n, n).
+def multi_component_partials(x: np.ndarray, M: np.ndarray, row: np.ndarray,
+                             kind: str) -> np.ndarray:
+    """The natural slots 0.5 tr(M dK/dtheta) of the P > 1 component with
+    parameter ``row`` at the training points ``x``: w, then mu_d, sigma_d
+    and, for ``slsm`` only, gamma_d, with M symmetric (n, n).
 
     d/dmu_d = w g_mu tau_d, d/dsigma_d = w g_sigma sigma_d tau_d^2 and
     d/dgamma_d = w g_gamma tau_d, with g_mu, g_gamma odd and g_sigma even
@@ -568,8 +569,8 @@ def multi_component_partials(x: np.ndarray, M: np.ndarray, c: SlsmComponent,
     are rebuilt from the per-point quantities (:func:`_block`) and reduced
     at once, so no (n, n) array is made and M's upper triangle is read only
     inside the diagonal squares."""
-    p = c.p
-    points = _projections(x, np.mean(x, axis=0), c)
+    p = x.shape[1]
+    points = _projections(x, np.mean(x, axis=0), row)
     # the sums of M o val, then per dimension of M o g tau_d for g_mu,
     # M o g_sigma tau_d^2 and M o g_gamma tau_d
     w_slot, sums = 0.0, np.zeros((3, p))
@@ -599,12 +600,12 @@ def multi_component_partials(x: np.ndarray, M: np.ndarray, c: SlsmComponent,
                 g *= md
         for d in range(p):
             tau = np.subtract.outer(x[rows, d], x[cols, d])
-            for row, g in zip((0, 2), odd):
-                sums[row, d] += np.einsum("ij,ij->", g, tau)
+            for at, g in zip((0, 2), odd):
+                sums[at, d] += np.einsum("ij,ij->", g, tau)
             tau *= tau
             sums[1, d] += np.einsum("ij,ij->", even, tau)
-    slots = [sums[0], np.asarray(c.sigma) * sums[1]] + ([sums[2]] if kind == "slsm" else [])
-    return np.concatenate([[w_slot], c.w * np.concatenate(slots)])
+    slots = [sums[0], row[1 + p:1 + 2 * p] * sums[1]] + ([sums[2]] if kind == "slsm" else [])
+    return np.concatenate([[w_slot], row[0] * np.concatenate(slots)])
 
 
 def baseline_partials(tau, b: BaselineKernelParams):
@@ -629,17 +630,17 @@ def baseline_partials(tau, b: BaselineKernelParams):
 def natural_partials(tau, kind: str, params):
     """Yield dK/dtheta at P = 1 or baseline lags ``tau``, one array at a time
     and one component per body call (no (Q, n, m) stack), in the optimizer's
-    natural slot order without the noise slot: per component w, mu, sigma
+    natural slot order without the noise slot: per component row w, mu, sigma
     and, for ``slsm`` only, gamma; theta_f, ell(, rq_alpha) for baselines."""
     if isinstance(params, BaselineKernelParams):
         yield from baseline_partials(tau, params)[1:]
         return
     body = sm_component_partials if kind == "sm" else slsm_component_partials
-    for c in params.components:  # lkp: the body's gamma 0, no skew slot
-        val, *parts = body(tau, *c.scalars()[:3 if kind == "slsm" else 2])
+    for w, *cols in params:  # lkp: the body's gamma 0, no skew slot
+        val, *parts = body(tau, *cols)
         yield val
-        for part in parts[:3 if kind == "slsm" else 2]:
-            yield c.w * part
+        for part in parts[:len(cols)]:
+            yield w * part
 
 
 def value_and_partials(tau, kind: str, params):
@@ -658,3 +659,25 @@ def value_and_partials(tau, kind: str, params):
         K = K + term
     G = np.stack([val] + [w * part for part in parts[:len(cols)]], axis=1)
     return K, G.reshape(-1, val.shape[1])
+
+
+def training_covariance(x, kind: str, params, table):
+    """``(K, slots)`` at the training points ``x`` on their
+    :func:`lag_table` ``table`` for a mixture's parameter rows or a
+    baseline's ``params``: K, for a P > 1 mixture only its lower triangle
+    (all the Cholesky reads), and ``slots(M)``, every natural slot
+    0.5 tr(M dK/dtheta) but the noise's for M symmetric.  ``slots`` holds
+    the table; a caller that keeps only K frees it."""
+    if table is None:  # P > 1: row blocks, then one call per component
+        K = multi_gram(x, x, kind, params, lower=True)
+        return K, lambda M: [s for r in params for s in multi_component_partials(x, M, r, kind)]
+    tau, index = table
+    if index is None:  # scattered lags: each (n, n) partial streams against M
+        return kernel_value(tau, kind, params), \
+            lambda M: [0.5 * float(np.sum(M * dk)) for dk in natural_partials(tau, kind, params)]
+    K, G = value_and_partials(tau, kind, params)  # a grid: M folded into its sums over the index
+    return K[index], lambda M: list(_half_dots(G, np.bincount(index.ravel(), M.ravel())))
+
+
+def _half_dots(G, S):  # 0.5 g @ S per row g of G, bit for bit (a GEMV G @ S is not)
+    return 0.5 * np.matmul(G[:, None, :], S[:, None])[:, 0, 0]

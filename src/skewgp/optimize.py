@@ -58,7 +58,6 @@ class ParamLayout:
     q: int
     p: int
     log_mask: tuple[bool, ...]
-    gamma_mask: tuple[bool, ...]
     names: tuple[str, ...]
 
     def natural(self, x: np.ndarray):
@@ -100,7 +99,7 @@ def transform(params, kind: str) -> TransformedParams:
     slots.append(("noise_var", params.noise_var))
     gamma = tuple(name.startswith("gamma") for name, _ in slots)
     x = [float(v) if g else _log_slot(v, name) for (name, v), g in zip(slots, gamma)]
-    layout = ParamLayout(kind, q, p, tuple(not g for g in gamma), gamma,
+    layout = ParamLayout(kind, q, p, tuple(not g for g in gamma),
                          tuple(name for name, _ in slots))
     return TransformedParams(np.array(x), layout)
 

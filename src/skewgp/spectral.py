@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .kernels import SlsmComponent, SlsmParams
+from .kernels import SlsmComponent, SlsmParams, _sum_sq_diff
 
 EM_MAX_ITERS = 200
 EM_TOL = 1e-8
@@ -251,7 +251,8 @@ def nyquist_freq_max(delta_t: float) -> float:
 
 def median_distance_freq_max(X: np.ndarray) -> float:
     """pi / median pairwise distance, over a seeded subsample of
-    MEDIAN_MAX_POINTS points for larger n."""
+    MEDIAN_MAX_POINTS points for larger n; a zero median, or a single point
+    with no pairs, counts as distance 1."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -259,8 +260,8 @@ def median_distance_freq_max(X: np.ndarray) -> float:
     if n > MEDIAN_MAX_POINTS:
         idx = np.random.default_rng(0).choice(n, size=MEDIAN_MAX_POINTS, replace=False)
         X = X[idx]
-    d = np.sqrt(np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1))
-    med = float(np.median(d[np.triu_indices_from(d, k=1)]))
+    d = np.sqrt(_sum_sq_diff(X, X)[np.triu_indices(X.shape[0], k=1)])
+    med = float(np.median(d)) if d.size else 0.0
     if med <= 0.0:
         med = 1.0
     return math.pi / med

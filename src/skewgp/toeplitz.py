@@ -39,7 +39,7 @@ class Factor:
 
     def __init__(self, r: np.ndarray, x: np.ndarray, logdet: float):
         n = r.size
-        self.r, self.x, self.logdet = r, x, logdet
+        self.x, self.logdet = x, logdet
         self._nfft = 1 << (2 * n - 2).bit_length()  # a power of two >= 2n - 1
         b = np.zeros_like(x)
         b[1:] = x[:0:-1]

@@ -7,6 +7,7 @@ metrics.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,14 @@ def central_fd(f, x0: float, h: float | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
+def as_evaluated(params, kind: str):
+    """``params`` as kernel ``kind`` evaluates them: ``lkp`` is ``slsm`` with
+    every skew zeroed."""
+    if kind != "lkp":
+        return params
+    return params.with_components(replace(c, gamma=0.0) for c in params.components)
+
+
 # The vector-lag oracle of a P > 1 mixture: the closed form at the (n, m, P)
 # lag array, independent of the per-point projections the library uses.
 # Agreement bounds, about 100 times the measured error: K entries within
@@ -118,14 +127,14 @@ def _vector_component(tau, c: SlsmComponent, kind: str):
 def vector_kernel(tau, kind: str, params) -> np.ndarray:
     """A P > 1 mixture at the vector lags ``tau``."""
     return sum(c.w * _vector_component(tau, c, kind)[0]
-               for c in kn.for_kind(params, kind).components)
+               for c in as_evaluated(params, kind).components)
 
 
 def vector_partials(tau, kind: str, params):
     """dK/dtheta of a P > 1 mixture at the vector lags ``tau`` in the
     optimizer's natural slot order: per component w, then P slots each of
     mu, sigma and, for ``slsm`` only, gamma."""
-    for c in kn.for_kind(params, kind).components:
+    for c in as_evaluated(params, kind).components:
         val, *blocks = _vector_component(tau, c, kind)
         yield val
         for block in blocks[:3 if kind == "slsm" else 2]:
@@ -164,7 +173,7 @@ def ref_multi_component(xa, xb, c: SlsmComponent, kind: str):
 def ref_multi_gram(xa, xb, kind: str, params) -> np.ndarray:
     """The weighted component sum of :func:`ref_multi_component` values."""
     return sum(c.w * ref_multi_component(xa, xb, c, kind)[0]
-               for c in kn.for_kind(params, kind).components)
+               for c in as_evaluated(params, kind).components)
 
 
 def ref_multi_partials(x, c: SlsmComponent, kind: str):
@@ -185,7 +194,7 @@ def ref_multi_dense_terms(data: Dataset, kind: str, params):
     mixture from the full K and whole-matrix row sums: with M symmetric, g
     odd and h even in tau and B = M o h, 0.5 sum M o g tau_d is
     x_d . rowsum(M o g) and 0.5 sum B tau_d^2 is x_d^2 . rowsum(B) - x_d^T B x_d."""
-    X, comps = data.X, kn.for_kind(params, kind).components
+    X, comps = data.X, as_evaluated(params, kind).components
     factors = [ref_multi_partials(X, c, kind) for c in comps]
     K = sum(c.w * f[0] for c, f in zip(comps, factors))
     L, _ = gp.chol_with_jitter(K, params.noise_var)
@@ -242,7 +251,7 @@ def ref_natural_partials(tau, kind: str, params):
         yield from kn.baseline_partials(tau, params)[1:]
         return
     body = ref_sm_partials if kind == "sm" else ref_slsm_partials
-    for c in kn.for_kind(params, kind).components:
+    for c in as_evaluated(params, kind).components:
         val, *parts = body(tau, c)
         yield val
         for part in parts[:3 if kind == "slsm" else 2]:

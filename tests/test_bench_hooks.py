@@ -182,8 +182,9 @@ def test_eval_hook_sees_one_call_per_evaluation_per_group(monkeypatch):
 def test_multivariate_evaluation_calls_the_hooked_partials_once_per_component(monkeypatch):
     """``kernels.partials`` times the P > 1 gradient through the module
     attribute ``multi_component_partials``: one call per component and
-    evaluation, each contracting that component's partials against M.  K
-    comes from the row blocks before the Cholesky, outside the hook."""
+    evaluation, each contracting that component's partials against M and
+    taking its parameter row.  K comes from the row blocks before the
+    Cholesky, outside the hook."""
     from skewgp import gp, kernels
     from skewgp.kernels import SlsmComponent, SlsmParams
     from skewgp.optimize import transform
@@ -191,10 +192,10 @@ def test_multivariate_evaluation_calls_the_hooked_partials_once_per_component(mo
     calls = []
     body = kernels.multi_component_partials
 
-    def counting(x, M, c, kind):
-        calls.append(c)
+    def counting(x, M, row, kind):
+        calls.append(row)
         assert M.shape == (x.shape[0],) * 2
-        return body(x, M, c, kind)
+        return body(x, M, row, kind)
 
     monkeypatch.setattr(kernels, "multi_component_partials", counting)
     rng = np.random.default_rng(7)
@@ -206,7 +207,7 @@ def test_multivariate_evaluation_calls_the_hooked_partials_once_per_component(mo
     for kind in kernels.MIXTURE_KERNELS:
         calls.clear()
         gp.nlml_value_and_grad([data], transform(params, kind), kernels.lag_table(X, kind, params))
-        assert np.allclose([c.mu for c in calls], [c.mu for c in comps], rtol=1e-12)
+        assert np.allclose(calls, params.rows(kind), rtol=1e-12)
 
 
 def test_predict_calls_the_hooked_gram_and_solve_once_per_factor(monkeypatch):

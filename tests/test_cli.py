@@ -315,6 +315,13 @@ class TestCommands:
         res = runner.invoke(cli.main, ["fit", str(tmp_path / "nope.csv")])
         assert res.exit_code == 3
 
+    def test_multivariate_fit_on_one_training_point_exits_with_a_data_error(self, runner,
+                                                                            tmp_path):
+        src = _write(tmp_path, "two.csv", "x1,x2,y\n0.1,0.2,1.0\n0.5,0.9,2.0\n")
+        res = runner.invoke(cli.main, ["fit", str(src), "--train-frac", "0.5",
+                                       "--out", str(tmp_path / "out")])
+        assert res.exit_code == 3, res.output
+
     @pytest.mark.parametrize("flag, value", [("--runs", "0"), ("--rbcm", "-2")])
     def test_out_of_range_counts_are_data_errors(self, runner, small_series, tmp_path,
                                                  flag, value):

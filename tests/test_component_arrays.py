@@ -58,8 +58,8 @@ def test_a_draw_tells_pow_from_square(rng):
 @pytest.mark.parametrize("kind", MIXTURES)
 def test_array_pass_equals_the_scalar_reference(rng, kind, path):
     """K and every row of G equal the reference bodies' value and partials
-    bit for bit, and K equals ``kernel_value``'s, which builds the final
-    factor, for rows read from the optimizer's vector."""
+    bit for bit, and K equals ``kernel_value``'s, which ``gram`` evaluates
+    for predictions, for rows read from the optimizer's vector."""
     tau = _grid_lags(path)
     for params in _draws(rng):
         tp = transform(params, kind)
@@ -81,7 +81,7 @@ def test_scattered_partials_stream_the_reference_bit_for_bit(rng, kind):
     t = np.sort(rng.uniform(0.0, 30.0, 40))
     tau = t[:, None] - t[None, :]
     for params in _draws(rng, count=4):
-        ours = list(kn.natural_partials(tau, kind, params))
+        ours = list(kn.natural_partials(tau, kind, params.rows(kind)))
         ref = list(ref_natural_partials(tau, kind, params))
         assert len(ours) == len(ref)
         assert all(a.shape == tau.shape and np.array_equal(a, b) for a, b in zip(ours, ref))
@@ -92,7 +92,8 @@ def test_scattered_partials_stream_the_reference_bit_for_bit(rng, kind):
 def test_layout_rows_are_untransforms_components(rng, kind, p):
     """The (Q, 1 + k P) rows of ``ParamLayout.natural`` are a view of the
     natural values holding w, then P each of mu, sigma (and gamma for
-    slsm), equal to ``untransform``'s components; the noise is last."""
+    slsm), equal to ``untransform``'s components and their
+    ``SlsmParams.rows``; the noise is last."""
     q = 4
     comps = tuple(SlsmComponent(float(rng.uniform(0.1, 3.0)), tuple(rng.uniform(0.1, 3.0, p)),
                                 tuple(rng.uniform(0.1, 2.0, p)),
@@ -104,6 +105,7 @@ def test_layout_rows_are_untransforms_components(rng, kind, p):
     assert rows.shape == (q, 1 + k * p) and np.shares_memory(rows, vals)
     back = untransform(tp)
     assert vals[-1] == back.noise_var
+    assert np.array_equal(back.rows(kind), rows)  # checked parameters enter as these rows
     for row, c in zip(rows, back.components):
         expected = [c.w, *c.mu, *c.sigma] + (list(c.gamma) if kind == "slsm" else [])
         assert row.tolist() == expected
@@ -146,23 +148,40 @@ def test_half_dots_are_the_per_row_dots(rng):
         rows, n = int(rng.integers(1, 60)), int(rng.integers(1, 2500))
         G = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-6, 6, (rows, 1))
         S = rng.standard_normal(n)
-        assert np.array_equal(gp._half_dots(G, S), [0.5 * float(g @ S) for g in G])
+        assert np.array_equal(kn._half_dots(G, S), [0.5 * float(g @ S) for g in G])
 
 
-@pytest.mark.parametrize("path", sorted(PATHS))
-def test_a_scale_underflowing_to_zero_is_rejected_on_a_grid(path):
-    """A line-search point whose log scale underflows to sigma = 0 is what
-    ``untransform`` rejects; on a grid it must stay rejected (the optimizer
-    sees inf), although the rows themselves would evaluate."""
-    X = np.arange(PATHS[path], dtype=float)
-    data = Dataset(X, np.sin(0.3 * X))
-    params = SlsmParams((SlsmComponent(1.0, 0.3, 0.2, 0.1), SlsmComponent(0.5, 1.1, 0.4, -0.2)),
+def _assert_underflow_rejected(data, p):
+    """A line-search point whose log scale of component 1 (dimension 0)
+    underflows to sigma = 0 raises ``DataError`` and reads ``(inf, 0)``."""
+    params = SlsmParams((SlsmComponent(1.0, (0.3,) * p, (0.2,) * p, (0.1,) * p),
+                         SlsmComponent(0.5, (1.1,) * p, (0.4,) * p, (-0.2,) * p)),
                         noise_var=0.1)
     (members, table), = gp.objective_groups([data], "slsm", params)
     tp = transform(params, "slsm")
     x = tp.x.copy()
-    x[tp.layout.names.index("sigma[1]")] = -800.0
+    x[tp.layout.names.index("sigma[1]" if p == 1 else "sigma[1,0]")] = -800.0
     with pytest.raises(DataError):
         gp.nlml_value_and_grad(members, TransformedParams(x, tp.layout), table)
     f, g = gp.objective_or_inf(members, x, tp.layout, table)
     assert f == np.inf and not np.any(g)
+    return table
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_a_scale_underflowing_to_zero_is_rejected_on_a_grid(path):
+    """A scale underflowed to 0 must stay rejected on a grid (the optimizer
+    sees inf), although the rows themselves would evaluate."""
+    X = np.arange(PATHS[path], dtype=float)
+    table = _assert_underflow_rejected(Dataset(X, np.sin(0.3 * X)), 1)
+    assert isinstance(table, kn.Grid) == (path == "toeplitz")
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_a_scale_underflowing_to_zero_is_rejected_off_a_grid(p):
+    """The same on scattered P = 1 inputs (slot ``sigma[1]``) and on P = 2
+    inputs (slot ``sigma[1,0]``)."""
+    rng = np.random.default_rng(3)
+    X = np.sort(rng.uniform(0.0, 40.0, 40)) if p == 1 else rng.uniform(-2.0, 2.0, (40, 2))
+    table = _assert_underflow_rejected(Dataset(X, np.sin(0.3 * X.reshape(40, -1).sum(axis=1))), p)
+    assert table is None if p == 2 else table[1] is None

@@ -121,7 +121,8 @@ class TestMultivariate:
         c = random_component(rng)
         unit = SlsmParams((replace(c, w=1.0),))
         for tau in np.linspace(-4, 4, 17):
-            value = kn.multi_gram(np.array([[tau]]), np.zeros((1, 1)), "slsm", unit)[0, 0]
+            value = kn.multi_gram(np.array([[tau]]), np.zeros((1, 1)), "slsm",
+                                  unit.rows("slsm"))[0, 0]
             assert value == pytest.approx(kn.slsm_component(tau, c), abs=1e-15)
 
     def test_cancelling_skew_recomputation(self):
@@ -346,7 +347,7 @@ def _fd_kernel_grad(tau, p: SlsmParams, kind: str):
 
 def _natural_grad(tau, p: SlsmParams, kind: str):
     """The generator's partials at one scalar lag, as a flat vector."""
-    return np.array(list(kn.natural_partials(np.asarray(tau), kind, p)))
+    return np.array(list(kn.natural_partials(np.asarray(tau), kind, p.rows(kind))))
 
 
 class TestKernelGrad:

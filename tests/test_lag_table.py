@@ -8,6 +8,8 @@ t_i - t_j.  A P > 1 mixture has no table: its objective, evaluated from
 per-point projections, must agree with the vector-lag oracle within the
 ``P_*_TOL`` bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -236,6 +238,24 @@ class TestOncePerFit:
         tables = 1 if grid else 3
         assert log["at_minimize"] == [tables, tables]
         assert log["builds"] == tables + 3  # then one per expert's final factors
+
+    @pytest.mark.parametrize("grid", [True, False], ids=["grid", "scattered"])
+    def test_final_factor_holds_no_table_through_its_cholesky(self, rng, monkeypatch, grid):
+        """When its Cholesky starts, the final factor holds K but neither the
+        (n, n) lag index of a grid nor the lags of scattered inputs: less
+        than 1.5 times K's bytes are traced."""
+        n = 500
+        X = np.arange(float(n)) if grid else np.sort(rng.uniform(0.0, n, n))
+        data = Dataset(X, np.sin(0.6 * X))
+        held, chol = [], gp.chol_with_jitter
+        monkeypatch.setattr(gp, "chol_with_jitter", lambda K, s2: held.append(
+            tracemalloc.get_traced_memory()[0]) or chol(K, s2))
+        tracemalloc.start()
+        try:
+            gp.factorize(data, "slsm", random_params(rng, q=3))
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1 and held[0] < 1.5 * n * n * 8
 
 
 @st.composite

@@ -43,7 +43,6 @@ class TestTransforms:
         gi = tp.layout.names.index("gamma[0]")
         assert tp.x[gi] == -0.7
         assert not tp.layout.log_mask[gi]
-        assert tp.layout.gamma_mask[gi]
 
     def test_zero_frequency_floored(self):
         p = SlsmParams((SlsmComponent(1.0, 0.0, 1.0, 0.0),), noise_var=0.1)

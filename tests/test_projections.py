@@ -74,12 +74,12 @@ def test_objective_matches_vector_lag_oracle(rng, kind, p):
 @pytest.mark.parametrize("kind", kn.MIXTURE_KERNELS)
 def test_objective_k_is_the_final_factors_below_the_diagonal(rng, kind, monkeypatch):
     """The objective factors the lower triangle of the K that ``gram``
-    gives the final factor, bit for bit, so its NLML is ``gp.nlml``'s."""
+    gives, bit for bit, and its NLML is the final factor's (``gp.nlml``)."""
     data, params = _field(rng, 300, 2), _params(rng, 2)
     seen = []
     chol = gp.chol_with_jitter
     monkeypatch.setattr(gp, "chol_with_jitter", lambda K, s2: seen.append(K) or chol(K, s2))
-    f, _ = gp._dense_terms([data], kind, params, params.noise_var, None)
+    f, _ = gp._dense_terms([data], kind, params.rows(kind), params.noise_var, None)
     K = kn.gram(data.X, data.X, kind, params)
     assert np.array_equal(np.tril(seen[0]), np.tril(K))
     monkeypatch.setattr(gp, "chol_with_jitter", chol)
@@ -101,7 +101,7 @@ def test_objective_matches_the_full_array_reference(rng, kind, p, near_singular)
     if near_singular:
         data = Dataset(np.repeat(data.X, 2, axis=0), np.repeat(data.y, 2))
         assert gp.factorize(data, kind, params)[1] > 0.0
-    f, g = gp._dense_terms([data], kind, params, params.noise_var, None)
+    f, g = gp._dense_terms([data], kind, params.rows(kind), params.noise_var, None)
     f_ref, g_ref = ref_multi_dense_terms(data, kind, params)
     assert f == f_ref
     assert np.max(np.abs(np.subtract(g, g_ref))) <= P_G_TOL * np.max(np.abs(g_ref))
@@ -163,7 +163,7 @@ def test_evaluation_memory_does_not_grow_with_the_components(rng):
         params = _params(rng, 2, q=q)
         tracemalloc.start()
         try:
-            gp._dense_terms([data], "slsm", params, params.noise_var, None)
+            gp._dense_terms([data], "slsm", params.rows("slsm"), params.noise_var, None)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -158,4 +158,12 @@ class TestRandomFallback:
         X = rng.uniform(0, 10, (50, 3))
         fm = sp.median_distance_freq_max(X)
         assert fm > 0.0
+        # the median over the pairs of the (n, n, P) difference array, bit for bit
+        d = np.sqrt(np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1))
+        assert fm == math.pi / np.median(d[np.triu_indices(50, 1)])
         assert sp.nyquist_freq_max(0.5) == pytest.approx(2.0 * math.pi / 1.0)
+
+    def test_median_distance_of_one_point_is_pi(self):
+        # no pairs counts as distance 1, like a zero median
+        assert sp.median_distance_freq_max(np.array([[0.3, 0.7]])) == math.pi
+        assert sp.median_distance_freq_max(np.zeros((4, 2))) == math.pi
