@@ -24,7 +24,8 @@ limited by the conditioning of K:
 
 Both read a mixture's parameters as the (Q, 1 + k P) rows of the
 optimizer's vector and, on a grid, take K and every partial of a P = 1
-mixture from one (Q, n) pass over its n lags |h| k.
+mixture from one (Q, n) pass over its n lags |h| k; off a grid a mixture
+of any P is evaluated from the points, with no lag array.
 Either factorization walks a jitter ladder eps * (tr/n), with eps in
 {0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2}: a Cholesky rung fails when the
 factorization does, a Levinson--Durbin rung when a prediction-error
@@ -34,10 +35,10 @@ rebuilding a model or ensemble from its record refactorizes it and raises
 :class:`DataError` if the recomputed jitter differs from the recorded one.
 
 Prediction (:func:`latent_moments`) takes the cross-covariance of the
-queries with the training inputs, at the exact lags x*_i - t_j, from
-:func:`~skewgp.kernels.gram`, which on a grid evaluates the kernel once per
+queries with the training inputs from :func:`~skewgp.kernels.gram`, on
+the same decision: against a grid at the exact lags x*_i - t_j, once per
 lag of a few Toeplitz bands (on-grid points, half-steps) where these
-reproduce every lag bit for bit.
+reproduce every lag bit for bit; a mixture off a grid from the points.
 """
 
 from __future__ import annotations
@@ -281,7 +282,7 @@ def nlml(data: Dataset, params, kind: str) -> float:
 def nlml_value_and_grad(parts, tp: TransformedParams, table):
     """Summed NLML of the datasets ``parts`` of one :func:`objective_groups`
     group and its gradient in the transformed coordinates of ``tp``, from
-    one factor: Cholesky on a lag ``table`` (:func:`_dense_terms`), or
+    one factor: Cholesky on a lag ``table`` or none (:func:`_dense_terms`), or
     Levinson--Durbin on a :class:`~skewgp.kernels.Grid` (:func:`_toeplitz_terms`).
     A mixture reads the :meth:`~skewgp.optimize.ParamLayout.natural` rows,
     where a scale underflowed to 0 raises :class:`DataError`."""

@@ -27,17 +27,18 @@ Kernel families:
   baselines.
 
 Mixture evaluators take the (Q, 1 + k P) parameter rows of
-:meth:`SlsmParams.rows`.  P = 1 kernels and baselines take (n, m) lags
-(:func:`lags`); a P > 1 mixture takes the points and is evaluated from
-per-point projections, one block of rows at a time.  A uniform P = 1
-input is read as a :class:`Grid` t_0 + i h whose training lags are the
+:meth:`SlsmParams.rows`.  Fit and predict pick the path by one question:
+are the training points a :class:`Grid`, a uniform P = 1 input t_0 + i h?
+On a grid the kernel is evaluated at lags: the training lags are the
 Toeplitz first column |h| k (every kernel is even in tau), where one call
-of the family's array body evaluates all Q components (Q, 1) parameter
-columns against the n lags (:func:`value_and_partials`).
-:func:`training_covariance` gives the training K and its gradient slots
-for the objective and the final factor alike.  :func:`gram` keeps the
-exact lags xa_i - xb_j, once per band of consecutive lags against a grid
-(:func:`_grid_table`) where they read back bit for bit.
+of the family's array body evaluates all Q components' (Q, 1) parameter
+columns against the n lags (:func:`value_and_partials`), and :func:`gram`
+keeps the exact lags xa_i - xb_j, once per band of consecutive lags
+(:func:`_grid_table`) where they read back bit for bit.  Off a grid a
+mixture of any P is evaluated from the points, by per-point projections one
+block of rows at a time, with no lag array; only the baselines take (n, m)
+lags (:func:`lags`).  :func:`training_covariance` gives the training K and
+its gradient slots for the objective and the final factor alike.
 
 Every function is pure and safe to call concurrently.
 """
@@ -186,24 +187,22 @@ def slsm_component(tau, c: SlsmComponent):
 
 def kernel_value(tau, kind: str, params):
     """Kernel ``kind`` at lags ``tau``: the weighted component sum for
-    mixtures (Sum(w) at tau = 0), the baseline formula otherwise.  A
-    mixture's ``params`` are checked or, at P = 1, its (Q, 1 + k) rows;
-    P > 1 lags (..., P) are evaluated as points against the origin
+    mixtures (Sum(w) at tau = 0), the baseline formula otherwise.  P > 1
+    lags (..., P) are evaluated as points against the origin
     (:func:`gram`)."""
     if kind in BASELINE_KERNELS:
         return baseline_kernel(tau, params)
     if kind not in MIXTURE_KERNELS:
         raise DataError(f"unknown kernel kind {kind!r}")
     tau = np.asarray(tau, dtype=float)
-    if isinstance(params, SlsmParams) and params.p > 1:
+    if params.p > 1:
         _check_width(params, tau.shape[-1] if tau.ndim else 1)
         out = gram(tau.reshape(-1, params.p), np.zeros((1, params.p)), kind, params)
         out = out.reshape(tau.shape[:-1])
     else:
-        rows = params.rows(kind) if isinstance(params, SlsmParams) else params
         out = np.zeros(tau.shape)
         # as Python floats, squared by C pow; sm and lkp rows have no skew: gamma 0
-        for w, mu, sigma, gamma in np.pad(rows, ((0, 0), (0, 1)))[:, :4].tolist():
+        for w, mu, sigma, gamma in np.pad(params.rows(kind), ((0, 0), (0, 1)))[:, :4].tolist():
             if kind == "sm":
                 out += w * (np.cos(mu * tau) * np.exp(-0.5 * sigma**2 * tau**2))
                 continue
@@ -302,7 +301,9 @@ def lags(xa: np.ndarray, xb: np.ndarray, kind: str, params) -> np.ndarray:
 
     Univariate inputs give an (n, m) array, multivariate inputs the (n, m)
     Euclidean distance for baselines; a P > 1 mixture takes the points
-    instead (:func:`gram`).  Mixture parameters must have the points' P.
+    instead (:func:`multi_gram`), as does a P = 1 mixture off a
+    :class:`Grid` (:func:`gram`).  Mixture parameters must have the
+    points' P.
     """
     _check_width(params, xa.shape[1])
     if xa.shape[1] == 1:
@@ -406,29 +407,29 @@ def lag_table(x, kind: str, params):
     On a :class:`Grid` these are the Toeplitz first column |h| k, k < n,
     and the index |i - j|: every kernel, even in tau, evaluates (i, j) once
     per lag as at the Toeplitz lag h (i - j), the sorted distinct |t_i - t_j|
-    up to rounding where the grid's differences round (``linspace``).  Other
-    inputs get the plain :func:`lags` array and None; a P > 1 mixture has no
-    table (None): it is evaluated from the points.
+    up to rounding where the grid's differences round (``linspace``).  Off
+    a grid a baseline gets the plain :func:`lags` array and None, and a
+    mixture, whatever P, no table (None): it is evaluated from the points.
     """
     xa = _as_points(x)
     _check_width(params, xa.shape[1])
     grid = Grid.of(xa)
     if grid is None:
-        return None if xa.shape[1] > 1 and kind in MIXTURE_KERNELS else (
-            lags(xa, xa, kind, params), None)
+        return None if kind in MIXTURE_KERNELS else (lags(xa, xa, kind, params), None)
     k = np.arange(grid.n)
     return abs(grid.step) * k, np.abs(np.subtract.outer(k, k))
 
 
 def gram(x, x2, kind: str, params) -> np.ndarray:
-    """Noise-free covariance matrix k(x_i - x2_j): for a P > 1 mixture
-    :func:`multi_gram`; for P = 1 against uniform ``x2`` evaluated once per
-    entry of the :func:`_grid_table` and gathered, bit for bit the same
-    matrix; else at every one of the :func:`lags`."""
+    """Noise-free covariance matrix k(x_i - x2_j).  A mixture against an
+    ``x2`` that is no :class:`Grid` (every P > 1 input) is :func:`multi_gram`,
+    from the points, with no lag array; the rest is evaluated at the
+    :func:`lags`: against a grid once per entry of the :func:`_grid_table`
+    and gathered, bit for bit the same matrix, where that table exists."""
     xa, xb = _as_points(x), _as_points(x2)
     if xa.shape[1] != xb.shape[1]:
         raise DimensionMismatchError(xa.shape[1], xb.shape[1])
-    if xa.shape[1] > 1 and kind in MIXTURE_KERNELS:
+    if kind in MIXTURE_KERNELS and (xa.shape[1] > 1 or Grid.of(xb) is None):
         _check_width(params, xa.shape[1])
         return multi_gram(xa, xb, kind, params.rows(kind))
     tau = lags(xa, xb, kind, params)
@@ -447,7 +448,7 @@ def gram(x, x2, kind: str, params) -> np.ndarray:
 def slsm_component_partials(tau, mu, sigma, gamma=0.0):
     """(value, d/dmu, d/dsigma, d/dgamma) of unweighted P = 1 components:
     (Q, 1) parameter columns against a grid's n lags ``tau`` give (Q, n)
-    stacks, scalars against (n, m) lags (n, m) arrays; ``gamma`` 0 is lkp."""
+    stacks; ``gamma`` 0 is lkp."""
     tau = np.asarray(tau, dtype=float)
     phase, tau2 = mu * tau, tau**2
     cos_p, sin_p = np.cos(phase), np.sin(phase)
@@ -475,7 +476,7 @@ def sm_component_partials(tau, mu, sigma):
     return val, d_mu, d_sigma
 
 
-# entries of one row block of a P > 1 mixture: its dozen working arrays
+# entries of one row block of a mixture off a grid: its dozen working arrays
 # stay in cache, where full (n, m) passes stream through memory
 BLOCK_ENTRIES = 1 << 15
 
@@ -491,7 +492,7 @@ def _row_blocks(m: int, n: int, lower: bool = False):
 
 
 def _projections(x: np.ndarray, centre: np.ndarray, row: np.ndarray):
-    """Per-point quantities of the P > 1 component ``row`` at the points
+    """Per-point quantities of the component ``row`` at the (n, P) points
     ``x`` centred on ``centre``: cos and sin of the phase a = x mu, the skew
     projection x gamma and the points scaled by sigma / sqrt 2.  Centring
     keeps the points' offset out of the phases' rounding."""
@@ -504,7 +505,7 @@ def _projections(x: np.ndarray, centre: np.ndarray, row: np.ndarray):
 
 
 def _block(pa, pb, kind: str):
-    """Unweighted P > 1 component at the lags tau = xa_i - xb_j of the rows
+    """Unweighted component at the lags tau = xa_i - xb_j of the rows
     ``pa`` against the columns ``pb`` (:func:`_projections` of each), and
     the terms its partials reuse: cos and sin of the phase mu.tau = a_i - b_j
     from the per-point ones, the skew gamma.tau as an outer difference and
@@ -535,7 +536,7 @@ def _rows_of(points, rows: slice):
 
 def multi_gram(xa: np.ndarray, xb: np.ndarray, kind: str, rows: np.ndarray,
                lower: bool = False):
-    """k(xa_i - xb_j) of the P > 1 mixture with parameter ``rows``, (n, m),
+    """k(xa_i - xb_j) of the mixture with parameter ``rows``, (n, m),
     filled in row blocks (:func:`_block`), each adding w_q val_q in
     component order from the per-point quantities centred on the mean of
     ``xb``.  Each entry depends only on its own pair of points and ``xb``,
@@ -555,7 +556,7 @@ def multi_gram(xa: np.ndarray, xb: np.ndarray, kind: str, rows: np.ndarray,
 
 def multi_component_partials(x: np.ndarray, M: np.ndarray, row: np.ndarray,
                              kind: str) -> np.ndarray:
-    """The natural slots 0.5 tr(M dK/dtheta) of the P > 1 component with
+    """The natural slots 0.5 tr(M dK/dtheta) of the component with
     parameter ``row`` at the training points ``x``: w, then mu_d, sigma_d
     and, for ``slsm`` only, gamma_d, with M symmetric (n, n).
 
@@ -627,27 +628,13 @@ def baseline_partials(tau, b: BaselineKernelParams):
     return val, shape, d_ell, d_alpha
 
 
-def natural_partials(tau, kind: str, params):
-    """Yield dK/dtheta at P = 1 or baseline lags ``tau``, one array at a time
-    and one component per body call (no (Q, n, m) stack), in the optimizer's
-    natural slot order without the noise slot: per component row w, mu, sigma
-    and, for ``slsm`` only, gamma; theta_f, ell(, rq_alpha) for baselines."""
-    if isinstance(params, BaselineKernelParams):
-        yield from baseline_partials(tau, params)[1:]
-        return
-    body = sm_component_partials if kind == "sm" else slsm_component_partials
-    for w, *cols in params:  # lkp: the body's gamma 0, no skew slot
-        val, *parts = body(tau, *cols)
-        yield val
-        for part in parts[:len(cols)]:
-            yield w * part
-
-
 def value_and_partials(tau, kind: str, params):
     """``(K, G)`` at a grid's n lags ``tau``: the kernel and the (slots, n)
-    matrix of every dK/dtheta in :func:`natural_partials`' order.  A P = 1
-    mixture's (Q, 1 + k) rows w, mu, sigma(, gamma) go through one body
-    call; K adds w_q val_q in component order, as :func:`kernel_value` does."""
+    matrix of every dK/dtheta in the optimizer's natural slot order without
+    the noise slot: per component row w, mu, sigma and, for ``slsm`` only,
+    gamma; theta_f, ell(, rq_alpha) for baselines.  A P = 1 mixture's
+    (Q, 1 + k) rows go through one body call; K adds w_q val_q in component
+    order, as :func:`kernel_value` does."""
     if isinstance(params, BaselineKernelParams):
         val, *partials = baseline_partials(tau, params)
         return val, np.array(partials)
@@ -664,17 +651,17 @@ def value_and_partials(tau, kind: str, params):
 def training_covariance(x, kind: str, params, table):
     """``(K, slots)`` at the training points ``x`` on their
     :func:`lag_table` ``table`` for a mixture's parameter rows or a
-    baseline's ``params``: K, for a P > 1 mixture only its lower triangle
-    (all the Cholesky reads), and ``slots(M)``, every natural slot
-    0.5 tr(M dK/dtheta) but the noise's for M symmetric.  ``slots`` holds
-    the table; a caller that keeps only K frees it."""
-    if table is None:  # P > 1: row blocks, then one call per component
+    baseline's ``params``: K, for a mixture off a grid (no table) only its
+    lower triangle (all the Cholesky reads), and ``slots(M)``, every
+    natural slot 0.5 tr(M dK/dtheta) but the noise's for M symmetric.
+    ``slots`` holds the table; a caller that keeps only K frees it."""
+    if table is None:  # a mixture off a grid: row blocks, then one call per component
         K = multi_gram(x, x, kind, params, lower=True)
         return K, lambda M: [s for r in params for s in multi_component_partials(x, M, r, kind)]
     tau, index = table
-    if index is None:  # scattered lags: each (n, n) partial streams against M
+    if index is None:  # a baseline's scattered lags: its partials are formed only in slots
         return kernel_value(tau, kind, params), \
-            lambda M: [0.5 * float(np.sum(M * dk)) for dk in natural_partials(tau, kind, params)]
+            lambda M: [0.5 * float(np.sum(M * dk)) for dk in baseline_partials(tau, params)[1:]]
     K, G = value_and_partials(tau, kind, params)  # a grid: M folded into its sums over the index
     return K[index], lambda M: list(_half_dots(G, np.bincount(index.ravel(), M.ravel())))
 

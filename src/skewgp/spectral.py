@@ -138,8 +138,9 @@ def em_mixture(spec: SpectrumEstimate, q: int, kind: str = "laplace",
     # (constrained M-step, so EM monotonicity is preserved)
     scale_floor = max(_SCALE_FLOOR, 0.5 * float(np.min(np.diff(s))) if s.size > 1 else _SCALE_FLOOR)
     # seed locations proportionally to power so peaks are favoured; distinct
-    # bins, else coincident components could never separate
-    locs = np.sort(rng.choice(s, size=min(q, s.size), replace=False, p=wn)).astype(float)
+    # bins, else coincident components could never separate; only bins with
+    # power can be drawn, and the rest are seeded uniformly
+    locs = np.sort(rng.choice(s, min(q, np.count_nonzero(wn)), replace=False, p=wn)).astype(float)
     if locs.size < q:
         locs = np.concatenate([locs, rng.uniform(s[0], s[-1], q - locs.size)])
         locs = np.sort(locs)

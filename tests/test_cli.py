@@ -246,21 +246,29 @@ class TestCommands:
         assert report["n_train"] == 96 and report["n_test"] == 48
 
     def test_predict_round_trip(self, runner, small_series, tmp_path):
-        out = tmp_path / "out"
-        res = runner.invoke(cli.main, [
-            "fit", str(small_series), "--q", "2", "--max-iters", "5",
-            "--out", str(out),
-        ])
-        assert res.exit_code == 0, res.output
-        pred_path = tmp_path / "p.csv"
-        res = runner.invoke(cli.main, [
-            "predict", "--model", str(out / "model.json"),
-            "--train-data", str(small_series),
-            "--at", str(small_series), "--out", str(pred_path),
-        ])
-        assert res.exit_code == 0, res.output
-        pred = read_predictions_csv(pred_path)
-        assert pred["mean"].size == 48
+        """Also on the series at monthly timestamps rounded to 3 decimals,
+        which read as irregular: a mixture off a grid."""
+        data, _ = ingest_csv(small_series)
+        t = np.round(data.X[:, 0] / 12.0, 3)
+        irregular = _write(tmp_path, "irregular.csv", "t,y\n" + "".join(
+            f"{ti},{yi}\n" for ti, yi in zip(t, data.y)))
+        assert not ingest_csv(irregular)[1].uniform
+        for series in (small_series, irregular):
+            out = tmp_path / series.stem
+            res = runner.invoke(cli.main, [
+                "fit", str(series), "--q", "2", "--max-iters", "5",
+                "--out", str(out),
+            ])
+            assert res.exit_code == 0, res.output
+            pred_path = out / "p.csv"
+            res = runner.invoke(cli.main, [
+                "predict", "--model", str(out / "model.json"),
+                "--train-data", str(series),
+                "--at", str(series), "--out", str(pred_path),
+            ])
+            assert res.exit_code == 0, res.output
+            pred = read_predictions_csv(pred_path)
+            assert pred["mean"].size == 48
 
     def test_sample_command(self, runner, small_series, tmp_path):
         out = tmp_path / "out"
@@ -296,6 +304,17 @@ class TestCommands:
         assert res.exit_code == 0, res.output
         assert (out / "spectrum.csv").exists()
         assert (out / "mixture_fit.csv").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "spectrum"])
+    def test_series_with_power_in_one_bin(self, runner, tmp_path, command):
+        """An alternating series has power only in its Nyquist bin; a Q = 3
+        spectral fit still seeds every component."""
+        t = np.arange(20)
+        series = _write(tmp_path, "alternating.csv", "t,y\n" + "".join(
+            f"{ti},{5 + (-1) ** ti}\n" for ti in t))
+        res = runner.invoke(cli.main, [command, str(series), "--q", "3",
+                                       "--out", str(tmp_path / "out")])
+        assert res.exit_code == 0, res.output
 
     def test_evaluate_command(self, runner, tmp_path, rng):
         y = rng.standard_normal(10)

@@ -346,8 +346,8 @@ def _fd_kernel_grad(tau, p: SlsmParams, kind: str):
 
 
 def _natural_grad(tau, p: SlsmParams, kind: str):
-    """The generator's partials at one scalar lag, as a flat vector."""
-    return np.array(list(kn.natural_partials(np.asarray(tau), kind, p.rows(kind))))
+    """The array pass's partials at one scalar lag, as a flat vector."""
+    return kn.value_and_partials(np.array([tau]), kind, p.rows(kind))[1][:, 0]
 
 
 class TestKernelGrad:

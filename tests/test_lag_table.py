@@ -4,9 +4,10 @@ the gradient, folded into per-lag sums on a grid, agrees within P_G_TOL.  On
 a uniform grid the table is the Toeplitz first column |h| k with the index
 |i - j|, which every kernel, even in tau, evaluates as h (i - j); where the
 grid's differences round they stay within a stated bound of the exact
-t_i - t_j.  A P > 1 mixture has no table: its objective, evaluated from
-per-point projections, must agree with the vector-lag oracle within the
-``P_*_TOL`` bounds."""
+t_i - t_j.  A mixture off a grid, scattered P = 1 or any P > 1, has no
+table: its objective, evaluated from per-point projections, must agree with
+the vector-lag oracle within the ``P_*_TOL`` bounds, and near singularity
+with the full-array reference."""
 
 import tracemalloc
 
@@ -23,7 +24,7 @@ from skewgp.kernels import BaselineKernelParams, SlsmComponent, SlsmParams
 from skewgp.optimize import OptConfig, transform, untransform
 
 from conftest import (P_G_TOL, P_K_TOL, _direct_gram, assert_near_dense,
-                      dense_value_and_grad, random_params)
+                      dense_value_and_grad, random_params, ref_multi_dense_terms)
 
 KINDS = ("slsm", "sm", "lkp", "se", "rq")
 ROUNDING = ("tenth", "linspace")  # grids whose differences round
@@ -79,11 +80,25 @@ def _assert_table_path_exact(data, params, kind):
     grid): the NLML bitwise, the gradient bitwise on scattered points and
     within P_G_TOL of its largest slot on a grid, whose slots fold M into
     per-lag sums; within the drift bounds of the exact lags; the final
-    factor's NLML equal to the objective's.  A P > 1 mixture within the
-    oracle bounds (:func:`assert_near_dense`)."""
-    if data.p > 1 and kind in kn.MIXTURE_KERNELS:
+    factor's NLML equal to the objective's.  A mixture off a grid within
+    the oracle bounds (:func:`assert_near_dense`) or, with repeated points
+    and noise <= 1e-16, where the lag oracle's K differs in the last bits
+    and K~ is near singular, against the full-array reference: the NLML
+    bitwise and the gradient within P_G_TOL."""
+    if kind in kn.MIXTURE_KERNELS and kn.Grid.of(data.X) is None:
         assert kn.lag_table(data.X, kind, params) is None
-        assert_near_dense(data, params, kind)
+        if params.noise_var > 1e-16:
+            assert_near_dense(data, params, kind)
+            return
+        try:
+            f_ref, g_ref = ref_multi_dense_terms(data, kind, params)
+        except NumericalError:
+            with pytest.raises(NumericalError):
+                gp._dense_terms([data], kind, params.rows(kind), params.noise_var, None)
+            return
+        f, g = gp._dense_terms([data], kind, params.rows(kind), params.noise_var, None)
+        assert f == f_ref == gp.nlml(data, params, kind)
+        assert np.max(np.abs(np.subtract(g, g_ref))) <= P_G_TOL * np.max(np.abs(g_ref))
         return
     tp = transform(params, kind)
     table = kn.lag_table(data.X, kind, params)
@@ -113,12 +128,12 @@ class TestLagTable:
     def test_covariance_equals_gram_bitwise(self, rng, grid):
         """K from the table is the kernel at the table's lags bit for bit:
         ``gram``'s matrix, except on grids whose differences round, where it
-        is within K_DRIFT of it.  A P > 1 mixture has no table, and its
+        is within K_DRIFT of it.  A mixture off a grid has no table, and its
         ``gram`` is within P_K_TOL of the vector-lag oracle."""
         X = _grids(rng, 120)[grid]
         for kind in KINDS:
             p = _params(rng, kind, p=1 if X.ndim == 1 else 2)
-            if X.ndim > 1 and kind in kn.MIXTURE_KERNELS:
+            if kind in kn.MIXTURE_KERNELS and kn.Grid.of(X) is None:
                 assert kn.lag_table(X, kind, p) is None
                 G = kn.gram(X, X, kind, p)
                 assert np.max(np.abs(G - _direct_gram(X, X, kind, p))) <= \
@@ -152,9 +167,11 @@ class TestLagTable:
         values, index = kn.lag_table(X, "slsm", random_params(rng))
         assert np.array_equal(values[index], np.abs(X[:, None] - X[None, :]))
         # scattered points share only the zero lag of the diagonal, so a
-        # sort would buy nothing: they keep the plain lag array
+        # sort would buy nothing: a baseline keeps the plain lag array, a
+        # mixture, evaluated from the points, has none
         X = grids["scattered"]
-        values, index = kn.lag_table(X, "slsm", random_params(rng))
+        assert kn.lag_table(X, "slsm", random_params(rng)) is None
+        values, index = kn.lag_table(X, "se", _params(rng, "se"))
         assert index is None
         assert np.array_equal(values, X[:, None] - X[None, :])
 
@@ -242,20 +259,22 @@ class TestOncePerFit:
     @pytest.mark.parametrize("grid", [True, False], ids=["grid", "scattered"])
     def test_final_factor_holds_no_table_through_its_cholesky(self, rng, monkeypatch, grid):
         """When its Cholesky starts, the final factor holds K but neither the
-        (n, n) lag index of a grid nor the lags of scattered inputs: less
-        than 1.5 times K's bytes are traced."""
+        (n, n) lag index of a grid nor the lags of scattered inputs, which
+        off a grid only a baseline has: less than 1.5 times K's bytes are
+        traced, for a mixture and a baseline alike."""
         n = 500
         X = np.arange(float(n)) if grid else np.sort(rng.uniform(0.0, n, n))
         data = Dataset(X, np.sin(0.6 * X))
         held, chol = [], gp.chol_with_jitter
         monkeypatch.setattr(gp, "chol_with_jitter", lambda K, s2: held.append(
             tracemalloc.get_traced_memory()[0]) or chol(K, s2))
-        tracemalloc.start()
-        try:
-            gp.factorize(data, "slsm", random_params(rng, q=3))
-        finally:
-            tracemalloc.stop()
-        assert len(held) == 1 and held[0] < 1.5 * n * n * 8
+        for kind in ("slsm", "se"):
+            tracemalloc.start()
+            try:
+                gp.factorize(data, kind, _params(rng, kind))
+            finally:
+                tracemalloc.stop()
+        assert len(held) == 2 and max(held) < 1.5 * n * n * 8
 
 
 @st.composite

@@ -1,11 +1,12 @@
-"""A P > 1 mixture is evaluated from per-point projections in row blocks,
-never from a vector lag array.  Its Gram matrix, NLML and gradient must
-agree with the (n, m, P) vector-lag oracle of ``conftest`` within the
-``P_*_TOL`` bounds; its Gram matrix must equal the full-array reference of
-``conftest`` bit for bit, and the objective's K the final factor's below
-the diagonal; a row of a cross-covariance must not depend on the batch it
-is computed in; neither a fit nor a predict may build an (n, m, P) array,
-and an evaluation's memory must not grow with the number of components."""
+"""A mixture off a grid, any P > 1 and P = 1 on scattered points, is
+evaluated from per-point projections in row blocks, never from a lag
+array.  Its Gram matrix, NLML and gradient must agree with the (n, m, P)
+vector-lag oracle of ``conftest`` within the ``P_*_TOL`` bounds; its Gram
+matrix must equal the full-array reference of ``conftest`` bit for bit,
+and the objective's K the final factor's below the diagonal; a row of a
+cross-covariance must not depend on the batch it is computed in; neither
+a fit nor a predict may build an (n, m, P) array, and an evaluation's
+memory must not grow with the number of components."""
 
 import tracemalloc
 
@@ -31,7 +32,9 @@ def _params(rng, p, q=3, noise=0.1):
 
 
 def _field(rng, n, p):
+    """n points, sorted when P = 1 as a scattered series is."""
     X = rng.uniform(-2.0, 2.0, (n, p))
+    X = np.sort(X, axis=0) if p == 1 else X
     return Dataset(X, np.sin(0.7 * X.sum(axis=1)) + 0.1 * rng.standard_normal(n))
 
 
@@ -65,7 +68,7 @@ def test_blocked_gram_equals_the_full_array_reference(rng, kind, p):
         assert np.array_equal(kn.gram(xa, xb, kind, params), ref_multi_gram(xa, xb, kind, params))
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("kind", kn.MIXTURE_KERNELS)
 def test_objective_matches_vector_lag_oracle(rng, kind, p):
     assert_near_dense(_field(rng, 70, p), _params(rng, p), kind)
@@ -86,7 +89,7 @@ def test_objective_k_is_the_final_factors_below_the_diagonal(rng, kind, monkeypa
     assert gp.nlml(data, params, kind) == f
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("kind", kn.MIXTURE_KERNELS)
 @pytest.mark.parametrize("near_singular", [False, True])
 def test_objective_matches_the_full_array_reference(rng, kind, p, near_singular):
@@ -120,17 +123,19 @@ def test_rbcm_objective_matches_vector_lag_oracle(rng, kind):
 @pytest.mark.parametrize("kind", kn.MIXTURE_KERNELS)
 def test_rows_do_not_depend_on_the_batch(rng, kind):
     """Predicting at a superset of points gives the same bits for the
-    shared rows, in the cross-covariance and in the mean."""
-    params = _params(rng, 2)
-    model = gp._model_from_params(kind, params, _field(rng, 60, 2),
-                                  gp.Normalization.identity(2), "field")
-    Xq = rng.uniform(-3.0, 3.0, (200, 2))
-    G = kn.gram(Xq, model.data.X, kind, params)
-    mean = model.predict(Xq).mean
-    for start, count in ((0, 1), (3, 7), (17, 33), (100, 100), (199, 1)):
-        rows = slice(start, start + count)
-        assert np.array_equal(kn.gram(Xq[rows], model.data.X, kind, params), G[rows])
-        assert np.array_equal(model.predict(Xq[rows]).mean, mean[rows])
+    shared rows, in the cross-covariance and in the mean, at P = 2 and on
+    scattered P = 1 points."""
+    for p in (1, 2):
+        params = _params(rng, p)
+        model = gp._model_from_params(kind, params, _field(rng, 60, p),
+                                      gp.Normalization.identity(p), "field")
+        Xq = rng.uniform(-3.0, 3.0, (200, p))
+        G = kn.gram(Xq, model.data.X, kind, params)
+        mean = model.predict(Xq).mean
+        for start, count in ((0, 1), (3, 7), (17, 33), (100, 100), (199, 1)):
+            rows = slice(start, start + count)
+            assert np.array_equal(kn.gram(Xq[rows], model.data.X, kind, params), G[rows])
+            assert np.array_equal(model.predict(Xq[rows]).mean, mean[rows])
 
 
 @pytest.mark.parametrize("kind", ["slsm", "se"])
@@ -153,18 +158,33 @@ def test_fit_and_predict_build_no_vector_lag_array(rng, kind):
     assert peak < n * n * p * 8
 
 
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_evaluation_memory_does_not_grow_with_the_components(rng):
-    """One P = 2 SLSM evaluation at n = 1000 holds K, M and the factor, not
-    every component's (n, n) terms: its traced peak at Q = 10 stays below
-    1.5 times the peak at Q = 3."""
+    """An SLSM evaluation holds K, M and the factor, not every component's
+    (n, n) terms.  One P = 2 evaluation at n = 1000: its traced peak at
+    Q = 10 stays below 1.5 times the peak at Q = 3.  Scattered P = 1 points
+    at n = 800 and Q = 10: K and every slot against a given M take less
+    than 4 n^2 doubles."""
     data = _field(rng, 1000, 2)
     peaks = []
     for q in (3, 10):
         params = _params(rng, 2, q=q)
-        tracemalloc.start()
-        try:
-            gp._dense_terms([data], "slsm", params.rows("slsm"), params.noise_var, None)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(_traced_peak(lambda: gp._dense_terms(
+            [data], "slsm", params.rows("slsm"), params.noise_var, None)))
     assert peaks[1] < 1.5 * peaks[0]
+    n = 800
+    data, params = _field(rng, n, 1), _params(rng, 1, q=10)
+    table = kn.lag_table(data.X, "slsm", params)
+    M = rng.standard_normal((n, n))
+    M += M.T
+    peak = _traced_peak(lambda: kn.training_covariance(data.X, "slsm", params.rows("slsm"),
+                                                       table)[1](M))
+    assert peak < 4 * n * n * 8

@@ -75,6 +75,17 @@ class TestEmMixture:
         fit_mix = sp.em_mixture(spec, 5, kind="laplace", seed=2)
         assert sum(fit_mix.weights) == pytest.approx(1.0, abs=1e-12)
 
+    def test_fewer_bins_with_power_than_components(self):
+        """One bin of four carries power: it seeds one of Q = 3 components
+        and the others are seeded uniformly, where drawing three distinct
+        bins by power would fail."""
+        spec = sp.SpectrumEstimate(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.0, 0.0, 5.0, 0.0]))
+        for kind in ("laplace", "gaussian"):
+            fit_mix = sp.em_mixture(spec, 3, kind=kind, seed=0)
+            assert len(fit_mix.locations) == 3
+            assert sum(fit_mix.weights) == pytest.approx(1.0, abs=1e-12)
+            assert fit_mix.locations == pytest.approx((3.0,) * 3, abs=1e-12)
+
     def test_zero_power_rejected(self):
         spec = sp.SpectrumEstimate(np.array([1.0, 2.0]), np.zeros(2))
         with pytest.raises(DataError):

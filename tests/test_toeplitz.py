@@ -128,7 +128,7 @@ class TestPathSelection:
 
     def test_one_gap_moved_takes_the_dense_path(self, rng):
         table, = self._tables(_one_gap_moved(np.arange(400, dtype=float)), rng)
-        assert isinstance(table, tuple) and table[1] is None
+        assert table is None  # off a grid: dense, from the points
 
     def test_scattered_and_multivariate_inputs_stay_dense(self, rng):
         p2 = SlsmParams((SlsmComponent(1.0, (0.3, 0.2), (0.5, 0.4)),), noise_var=0.1)
@@ -136,8 +136,11 @@ class TestPathSelection:
         data2 = Dataset(X2, X2.sum(axis=1))
         (_, table2), = gp.objective_groups([data2], "slsm", p2)
         assert table2 is None  # dense, from the points: no lag table
-        table, = self._tables(np.sort(rng.uniform(0.0, 300.0, 300)), rng)
-        assert isinstance(table, tuple) and table[1] is None
+        X = np.sort(rng.uniform(0.0, 300.0, 300))
+        table, = self._tables(X, rng)
+        assert table is None  # a mixture off a grid: dense, from the points
+        table, = self._tables(X, rng, kind="se")
+        assert isinstance(table, tuple) and table[1] is None  # a baseline keeps its lags
 
     def test_equal_contiguous_experts_form_one_group(self, rng):
         data = _series(np.linspace(0.0, 400.0, 2000), rng)
