@@ -144,7 +144,10 @@ class ForecastJob:
 
 
 def chronological_split(data: Dataset, train_frac: float) -> tuple[Dataset, Dataset]:
-    n_train = int(math.floor(data.n * train_frac))
+    """The first floor(n * train_frac) rows and the rest; a product within
+    rounding of an integer (100 * 0.29 = 28.999999999999996) counts as it."""
+    prod = data.n * train_frac
+    n_train = int(math.floor(prod + 4.0 * math.ulp(prod)))
     if n_train < 1 or n_train >= data.n:
         raise DataError(f"train fraction {train_frac} leaves an empty split for n={data.n}")
     return (
@@ -248,10 +251,9 @@ def _write_spectrum(out_dir: Path, prefix: str, spec, fit_mix):
             fh.write(f"{float(f)!r},{float(d)!r}\n")
 
 
-def _single_run(job: ForecastJob, data: Dataset, info: IngestInfo, seed: int,
-                prefix: str) -> dict:
+def _single_run(job: ForecastJob, train: Dataset, test: Dataset, info: IngestInfo,
+                seed: int, prefix: str) -> dict:
     out_dir = Path(job.out_dir)
-    train, test = chronological_split(data, job.train_frac)
     init, spec_pair = build_init(train, info, job.kernel, job.q, seed)
 
     t0 = time.perf_counter()
@@ -289,14 +291,15 @@ def run_job(job: ForecastJob) -> dict:
     out_dir = Path(job.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    train, test = chronological_split(data, job.train_frac)
     results = [
-        _single_run(job, data, info, job.seed + i, "" if job.runs == 1 else f"run{i}_")
+        _single_run(job, train, test, info, job.seed + i,
+                    "" if job.runs == 1 else f"run{i}_")
         for i in range(job.runs)
     ]
-    n_train = int(math.floor(data.n * job.train_frac))
     report = {
-        "n_train": n_train,
-        "n_test": data.n - n_train,
+        "n_train": train.n,
+        "n_test": test.n,
         "kernel": job.kernel,
         "runs": job.runs,
     }

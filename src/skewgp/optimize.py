@@ -11,9 +11,12 @@ every slot.
 The optimizer is L-BFGS with a memory of 10 curvature pairs; a run stops
 once the largest gradient entry falls below 1e-6 or its iteration budget is
 spent.  The line search is a bisection weak-Wolfe search (sufficient
-decrease with c1 = 1e-4, curvature with c2 = 0.9, at most 50 trial steps).
-On a line-search failure the optimizer falls back to one steepest-descent
-step and resumes; a second failure terminates with the best point so far.
+decrease with c1 = 1e-4, curvature with c2 = 0.9, at most 50 trial steps)
+that first tries t = 1.  Without curvature pairs (the first iteration, and
+after a reset) the direction is -g / max(1, |g|_inf) (Nocedal & Wright 2006,
+section 7.2).  A non-descent direction resets the pairs, and so does a failed
+search from a quasi-Newton direction, retried once from steepest descent; a
+failed steepest-descent search ends the run with the best point so far.
 """
 
 from __future__ import annotations
@@ -179,6 +182,7 @@ def _weak_wolfe(fun, x, f0, g0, d):
 
 
 def _lbfgs_direction(g, s_hist, y_hist):
+    """The two-loop L-BFGS direction; with no pairs, -g / max(1, |g|_inf)."""
     q = -g.copy()
     alphas = []
     for s, y in reversed(list(zip(s_hist, y_hist))):
@@ -189,6 +193,8 @@ def _lbfgs_direction(g, s_hist, y_hist):
     if y_hist:
         s, y = s_hist[-1], y_hist[-1]
         q *= float(s @ y) / float(y @ y)
+    else:
+        q /= max(1.0, float(np.max(np.abs(g))))
     for a, rho, s, y in reversed(alphas):
         b = rho * float(y @ q)
         q += (a - b) * s
@@ -204,30 +210,22 @@ def _minimize_single(fun, x0, cfg: OptConfig) -> OptResult:
     res.trace.append(TraceStep(0, float(f), float(np.max(np.abs(g))), 0.0))
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
-    fallback_used = False
     for it in range(1, cfg.max_iters + 1):
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm < GRAD_TOL:
-            res.converged = True
+        if float(np.max(np.abs(g))) < GRAD_TOL:
             break
         d = _lbfgs_direction(g, s_hist, y_hist)
         if not np.all(np.isfinite(d)) or float(d @ g) >= 0.0:
-            d = -g
             s_hist.clear()
             y_hist.clear()
+            d = _lbfgs_direction(g, s_hist, y_hist)
         t, f_new, g_new, ok, _ = _weak_wolfe(fun, x, f, g, d)
-        if not ok:
-            if fallback_used:
-                break
-            fallback_used = True
+        if not ok and s_hist:
             s_hist.clear()
             y_hist.clear()
-            d = -g / max(1.0, float(np.max(np.abs(g))))
+            d = _lbfgs_direction(g, s_hist, y_hist)
             t, f_new, g_new, ok, _ = _weak_wolfe(fun, x, f, g, d)
-            if not ok:
-                break
-        else:
-            fallback_used = False
+        if not ok:
+            break
         x_new = x + t * d
         dg0 = float(g @ d)
         dg1 = float(g_new @ d)
@@ -252,6 +250,7 @@ def _minimize_single(fun, x0, cfg: OptConfig) -> OptResult:
         x, f, g = x_new, float(f_new), g_new
         if f < res.f:
             res.x, res.f = x.copy(), f
+    res.converged = float(np.max(np.abs(g))) < GRAD_TOL
     return res
 
 

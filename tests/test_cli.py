@@ -111,6 +111,17 @@ class TestSplitAndInit:
         with pytest.raises(DataError):
             chronological_split(data, 0.05)
 
+    def test_fraction_within_rounding_of_an_integer(self, rng):
+        from skewgp.gp import Dataset
+
+        # 100 * 0.29 == 28.999999999999996; n * (k / n) lands below k for
+        # many more pairs (n, k)
+        for n in (100, 997, 1999):
+            data = Dataset(np.arange(float(n)), rng.standard_normal(n))
+            for k in range(1, n):
+                train, test = chronological_split(data, k / n)
+                assert (train.n, test.n) == (k, n - k)
+
     def test_spectral_init_for_uniform_series(self, small_series):
         data, info = ingest_csv(small_series)
         init, spec_pair = build_init(data, info, "slsm", 4, seed=0)
@@ -244,6 +255,24 @@ class TestCommands:
         assert res.exit_code == 0, res.output
         report = json.loads(res.output)
         assert report["n_train"] == 96 and report["n_test"] == 48
+
+    def test_fit_reports_the_split_it_trained_on(self, runner, tmp_path):
+        t = np.arange(100.0)
+        y = np.cos(2.0 * math.pi * t / 12.0) + 0.1 * np.sin(1.3 * t)
+        src = _write(tmp_path, "s.csv", "".join(f"{a},{float(b)!r}\n" for a, b in zip(t, y)))
+        out = tmp_path / "out"
+        res = runner.invoke(cli.main, ["fit", str(src), "--kernel", "se",
+                                       "--train-frac", "0.29", "--max-iters", "2",
+                                       "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        report = json.loads(res.output)
+        assert report["n_train"] == 29 and report["n_test"] == 71
+        assert read_predictions_csv(out / "predictions.csv")["mean"].size == 71
+        # predict splits the same way, so the fingerprint check holds
+        res = runner.invoke(cli.main, ["predict", "--model", str(out / "model.json"),
+                                       "--train-data", str(src), "--train-frac", "0.29",
+                                       "--at", str(src), "--out", str(out / "p.csv")])
+        assert res.exit_code == 0, res.output
 
     def test_predict_round_trip(self, runner, small_series, tmp_path):
         """Also on the series at monthly timestamps rounded to 3 decimals,

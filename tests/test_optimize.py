@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import skewgp.optimize as optimize
 from skewgp.errors import DataError
 from skewgp.kernels import BaselineKernelParams, SlsmComponent, SlsmParams
 from skewgp.optimize import (
+    WOLFE_C1,
+    WOLFE_C2,
     OptConfig,
     TransformedParams,
     minimize,
@@ -74,6 +77,109 @@ def _rosenbrock(x):
         2.0 * b * (x[1] - x[0] ** 2),
     ])
     return f, g
+
+
+def _steep_bowl(x):
+    return 0.5e4 * float(x @ x), 1e4 * x
+
+
+def _walled_rosenbrock(x):
+    # infinite past x[0] = 0.9: near the wall a quasi-Newton search fails
+    return (np.inf, np.zeros_like(x)) if x[0] > 0.9 else _rosenbrock(x)
+
+
+def _instrumented(monkeypatch, fun, x0, cfg):
+    """Run :func:`minimize` recording every line search as
+    ``(x, f0, g0, d, steepest, calls, result)``: ``steepest`` marks a
+    direction built from an empty curvature history, ``calls`` are the
+    objective calls ``(x, f, g)`` the search made."""
+    calls, searches, steepest = [], [], []
+    direction, search = optimize._lbfgs_direction, optimize._weak_wolfe
+
+    def recorded(x):
+        f, g = fun(x)
+        calls.append((x.copy(), f, g.copy()))
+        return f, g
+
+    def recorded_direction(g, s_hist, y_hist):
+        d = direction(g, s_hist, y_hist)
+        if not s_hist:
+            steepest.append(d)
+        return d
+
+    def recorded_search(f, x, f0, g0, d):
+        first = len(calls)
+        result = search(f, x, f0, g0, d)
+        searches.append((x.copy(), f0, g0.copy(), d.copy(),
+                         any(d is e for e in steepest), calls[first:], result))
+        return result
+
+    monkeypatch.setattr(optimize, "_lbfgs_direction", recorded_direction)
+    monkeypatch.setattr(optimize, "_weak_wolfe", recorded_search)
+    return minimize(recorded, x0, cfg), searches
+
+
+class TestFirstStep:
+    """Every steepest-descent search (the first iteration, a reset, the
+    retry after a failed quasi-Newton search) first tries
+    x - g / max(1, |g|_inf)."""
+
+    @staticmethod
+    def _check_steepest_first_trials(searches):
+        n = 0
+        for x, _, g0, _, steepest, calls, _ in searches:
+            if steepest:
+                expected = x + -g0 / max(1.0, float(np.max(np.abs(g0))))
+                np.testing.assert_array_equal(calls[0][0], expected)
+                n += 1
+        return n
+
+    def test_steep_bowl_one_iteration_two_evaluations(self):
+        res = minimize(_steep_bowl, np.ones(3), OptConfig(max_iters=1))
+        assert res.n_evals == 2
+        assert res.f == 0.0
+
+    def test_converged_on_last_permitted_iteration(self):
+        # the only iteration lands on g = 0: the final iterate is tested too
+        res = minimize(_steep_bowl, np.ones(3), OptConfig(max_iters=1))
+        assert res.trace[-1].grad_norm == 0.0
+        assert res.converged
+
+    def test_failed_steepest_search_ends_the_run(self):
+        x0 = np.array([0.3, -0.2])
+
+        def spike(x):
+            # finite only at x0, with |g|_inf <= 1: no step can succeed
+            if np.array_equal(x, x0):
+                return 1.0, np.array([0.5, -1.0])
+            return np.inf, np.zeros(2)
+
+        res = minimize(spike, x0, OptConfig(max_iters=20))
+        assert res.n_evals == 1 + optimize.MAX_BISECT
+        assert res.f == 1.0 and not res.converged
+        np.testing.assert_array_equal(res.x, x0)
+
+    def test_rosenbrock_trials_and_wolfe_flags(self, monkeypatch):
+        res, searches = _instrumented(
+            monkeypatch, _rosenbrock, np.array([-1.2, 1.0]), OptConfig(max_iters=200))
+        assert res.converged
+        assert self._check_steepest_first_trials(searches) >= 1
+        accepted = [s for s in searches if s[6][3]]
+        assert len(accepted) == len(res.trace) - 1
+        for step, (x, f0, g0, d, _, tried, (t, _, _, _, _)) in zip(res.trace[1:], accepted):
+            # the objective as recorded at the accepted trial point
+            f1, g1 = next((f, g) for xt, f, g in tried if np.array_equal(xt, x + t * d))
+            dg0 = float(g0 @ d)
+            assert step.f == f1 and step.grad_norm == float(np.max(np.abs(g1)))
+            assert step.armijo_ok == (f1 <= f0 + WOLFE_C1 * t * dg0 + 1e-12 * abs(f0))
+            assert step.curvature_ok == (float(g1 @ d) >= WOLFE_C2 * dg0)
+
+    def test_failed_quasi_newton_search_retried_from_steepest_descent(self, monkeypatch):
+        _, searches = _instrumented(
+            monkeypatch, _walled_rosenbrock, np.array([-1.2, 1.0]), OptConfig(max_iters=40))
+        retried = [b for a, b in zip(searches, searches[1:]) if not a[4] and not a[6][3]]
+        assert retried and all(b[4] for b in retried)
+        assert self._check_steepest_first_trials(searches) >= 1 + len(retried)
 
 
 class TestMinimize:
