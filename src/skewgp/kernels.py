@@ -29,11 +29,12 @@ Kernel families:
 Mixture evaluators take the (Q, 1 + k P) parameter rows of
 :meth:`SlsmParams.rows`.  Fit and predict pick the path by one question:
 are the training points a :class:`Grid`, a uniform P = 1 input t_0 + i h?
-On a grid the kernel is evaluated at lags: the training lags are the
-Toeplitz first column |h| k (every kernel is even in tau), where one call
-of the family's array body evaluates all Q components' (Q, 1) parameter
-columns against the n lags (:func:`value_and_partials`), and :func:`gram`
-keeps the exact lags xa_i - xb_j, once per band of consecutive lags
+On a grid the kernel is evaluated at lags by its family's one P = 1 value
+expression (:func:`_component_value`): the training lags are the Toeplitz
+first column |h| k (every kernel is even in tau), where one call of the
+family's array body takes all Q components' (Q, 1) parameter columns
+(:func:`value_and_partials`), and :func:`gram` sums the components one at
+a time at the exact lags xa_i - xb_j, once per band of consecutive lags
 (:func:`_grid_table`) where they read back bit for bit.  Off a grid a
 mixture of any P is evaluated from the points, by per-point projections one
 block of rows at a time, with no lag array; only the baselines take (n, m)
@@ -187,9 +188,9 @@ def slsm_component(tau, c: SlsmComponent):
 
 def kernel_value(tau, kind: str, params):
     """Kernel ``kind`` at lags ``tau``: the weighted component sum for
-    mixtures (Sum(w) at tau = 0), the baseline formula otherwise.  P > 1
-    lags (..., P) are evaluated as points against the origin
-    (:func:`gram`)."""
+    mixtures (Sum(w) at tau = 0), the baseline formula otherwise.  P = 1
+    sums w_q times :func:`_component_value`'s value in component order; P > 1
+    lags (..., P) are evaluated as points against the origin (:func:`gram`)."""
     if kind in BASELINE_KERNELS:
         return baseline_kernel(tau, params)
     if kind not in MIXTURE_KERNELS:
@@ -201,14 +202,8 @@ def kernel_value(tau, kind: str, params):
         out = out.reshape(tau.shape[:-1])
     else:
         out = np.zeros(tau.shape)
-        # as Python floats, squared by C pow; sm and lkp rows have no skew: gamma 0
-        for w, mu, sigma, gamma in np.pad(params.rows(kind), ((0, 0), (0, 1)))[:, :4].tolist():
-            if kind == "sm":
-                out += w * (np.cos(mu * tau) * np.exp(-0.5 * sigma**2 * tau**2))
-                continue
-            cos_p, sin_p = np.cos(mu * tau), np.sin(mu * tau)
-            cc = 1.0 + 0.5 * sigma**2 * tau**2
-            out += w * ((cc * cos_p - gamma * tau * sin_p) / (cc * cc + gamma**2 * tau**2))
+        for w, *col in params.rows(kind).tolist():  # one component at a time: no (Q, m, n) stack
+            out += w * _component_value(tau, kind, *col)[0]
     return out if out.shape else float(out)
 
 
@@ -445,22 +440,30 @@ def gram(x, x2, kind: str, params) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _component_value(tau, kind: str, mu, sigma, gamma=0.0):
+    """Unweighted P = 1 component at the lags ``tau``, (Q, n) for (Q, 1)
+    parameter columns, and the terms its partials reuse: ``(env,)`` for sm,
+    else cos and sin of the phase, C and the denominator (gamma 0: lkp)."""
+    # sigma^2, gamma^2 by C pow, not numpy's arr**2 (x * x): K keeps its last bits
+    tau2, sq_sigma = tau**2, np.float_power(sigma, 2)
+    if kind == "sm":
+        env = np.exp(-0.5 * sq_sigma * tau2)
+        return np.cos(mu * tau) * env, (env,)
+    cos_p, sin_p = np.cos(mu * tau), np.sin(mu * tau)
+    cc = 1.0 + 0.5 * sq_sigma * tau2
+    den = cc * cc + np.float_power(gamma, 2) * tau2
+    return (cc * cos_p - gamma * tau * sin_p) / den, (cos_p, sin_p, cc, den)
+
+
 def slsm_component_partials(tau, mu, sigma, gamma=0.0):
     """(value, d/dmu, d/dsigma, d/dgamma) of unweighted P = 1 components:
     (Q, 1) parameter columns against a grid's n lags ``tau`` give (Q, n)
     stacks; ``gamma`` 0 is lkp."""
     tau = np.asarray(tau, dtype=float)
-    phase, tau2 = mu * tau, tau**2
-    cos_p, sin_p = np.cos(phase), np.sin(phase)
-    # sigma^2 and gamma^2 by C pow, as kernel_value's float ** 2 squares them:
-    # numpy's arr**2 is x * x, which differs from pow in the last bit for
-    # some x, and a grid's K must be kernel_value's (gram's) bit for bit
-    cc = 1.0 + 0.5 * np.float_power(sigma, 2) * tau2
-    den = cc * cc + np.float_power(gamma, 2) * tau2
-    g_tau2 = gamma * tau2  # (2 gamma) tau^2 is 2 g_tau2: doubling is exact
-    val = (cc * cos_p - gamma * tau * sin_p) / den
+    val, (cos_p, sin_p, cc, den) = _component_value(tau, "slsm", mu, sigma, gamma)
+    g_tau2 = gamma * tau**2  # (2 gamma) tau^2 is 2 g_tau2: doubling is exact
     d_mu = (-cc * tau * sin_p - g_tau2 * cos_p) / den
-    d_sigma = sigma * tau2 * (cos_p - 2.0 * cc * val) / den
+    d_sigma = sigma * tau**2 * (cos_p - 2.0 * cc * val) / den
     d_gamma = (-tau * sin_p - 2.0 * g_tau2 * val) / den
     return val, d_mu, d_sigma, d_gamma
 
@@ -469,8 +472,7 @@ def sm_component_partials(tau, mu, sigma):
     """(value, d/dmu, d/dsigma) of unweighted P = 1 Gaussian-mixture
     components, broadcast as in :func:`slsm_component_partials`."""
     tau = np.asarray(tau, dtype=float)
-    env = np.exp(-0.5 * np.float_power(sigma, 2) * tau**2)  # pow: see slsm
-    val = np.cos(mu * tau) * env
+    val, (env,) = _component_value(tau, "sm", mu, sigma)
     d_mu = -tau * np.sin(mu * tau) * env
     d_sigma = -sigma * tau**2 * val
     return val, d_mu, d_sigma
@@ -634,16 +636,14 @@ def value_and_partials(tau, kind: str, params):
     the noise slot: per component row w, mu, sigma and, for ``slsm`` only,
     gamma; theta_f, ell(, rq_alpha) for baselines.  A P = 1 mixture's
     (Q, 1 + k) rows go through one body call; K adds w_q val_q in component
-    order, as :func:`kernel_value` does."""
+    order to 0, so it is :func:`kernel_value`'s sum of the same values."""
     if isinstance(params, BaselineKernelParams):
         val, *partials = baseline_partials(tau, params)
         return val, np.array(partials)
     w, *cols = params.T[:, :, None]  # (Q, 1) columns
     body = sm_component_partials if kind == "sm" else slsm_component_partials
     val, *parts = body(tau, *cols)
-    K, *terms = w * val
-    for term in terms:
-        K = K + term
+    K = sum(w * val)
     G = np.stack([val] + [w * part for part in parts[:len(cols)]], axis=1)
     return K, G.reshape(-1, val.shape[1])
 

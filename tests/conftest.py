@@ -213,9 +213,10 @@ def ref_multi_dense_terms(data: Dataset, kind: str, params):
 
 
 # The scalar reference bodies of a P = 1 mixture: one component per call,
-# its parameters as Python floats squared by ``float ** 2``, the way
-# ``kn.kernel_value`` evaluates it.  The library's array bodies, which take
-# all Q components at once, must agree with them bit for bit.
+# its parameters as Python floats squared by ``float ** 2``, written apart
+# from the library's one value expression per family.  The library's array
+# bodies, which take all Q components at once, and ``kn.kernel_value``'s
+# per-component sum must agree with them bit for bit.
 
 
 def ref_slsm_partials(tau, c: SlsmComponent):
@@ -278,10 +279,13 @@ def direct_lags(xa, xb, kind: str, params):
 
 
 def direct_kernel(tau, kind: str, params):
-    """The kernel at :func:`direct_lags`."""
-    if isinstance(params, SlsmParams) and params.p > 1:
+    """The kernel at :func:`direct_lags`: for a mixture from the reference
+    bodies, not the library's value expression."""
+    if not isinstance(params, SlsmParams):
+        return kn.kernel_value(tau, kind, params)
+    if params.p > 1:
         return vector_kernel(tau, kind, params)
-    return kn.kernel_value(tau, kind, params)
+    return ref_value_and_partials(tau, kind, params)[0]
 
 
 def direct_partials(tau, kind: str, params):

@@ -271,3 +271,37 @@ def test_grid_evaluation_takes_the_value_from_the_hooked_partials(monkeypatch, n
     assert isinstance(table, kernels.Grid) == (n == "MIN_N")
     gp.nlml_value_and_grad(members, transform(params, "slsm"), table)
     assert calls == ["slsm_component_partials"]
+
+
+@pytest.mark.parametrize("kind", ["slsm", "sm", "lkp"])
+def test_gram_against_a_grid_reaches_no_hooked_partials(monkeypatch, kind):
+    """``kernels.partials_calls`` counts the hooked array bodies, which only
+    objective and final-factor passes reach: a P = 1 ``gram`` against a
+    grid, on lag bands or on the lag fallback of scattered queries, sums
+    the family's value one component at a time and computes no partial,
+    and its matrix is the one it gives with the bodies unhooked."""
+    from skewgp import kernels
+    from skewgp.kernels import SlsmComponent, SlsmParams
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    X = np.arange(40.0)
+    params = SlsmParams(tuple(SlsmComponent(1.0 + q, 0.3 * q + 0.1, 0.2 + 0.1 * q, 0.2 - 0.1 * q)
+                              for q in range(3)), noise_var=0.1)
+    queries = {"bands": np.arange(-10.0, 60.0, 0.5),
+               "scattered": np.random.default_rng(8).uniform(-5.0, 45.0, 30)}
+    expected = {name: kernels.gram(xq, X, kind, params) for name, xq in queries.items()}
+    for name in ("slsm_component_partials", "sm_component_partials"):
+        monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
+    for name, xq in queries.items():
+        xa, xb = xq[:, None], X[:, None]
+        table = kernels._grid_table(xa, xb, kernels.lags(xa, xb, kind, params))
+        assert (table is None) == (name == "scattered")
+        assert np.array_equal(kernels.gram(xq, X, kind, params), expected[name])
+    assert calls == []
