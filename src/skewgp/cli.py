@@ -387,6 +387,8 @@ def fit_cmd(**options):
 def predict_cmd(model_path, train_data, train_frac, at_path, observation_noise,
                 out_path):
     """Predict at new inputs from a saved model."""
+    if not 0.0 < train_frac <= 1.0:
+        raise DataError(f"--train-frac must be in (0, 1], got {train_frac}")
     doc = _read_record(model_path)
     data, info = ingest_csv(train_data)
     if train_frac < 1.0:

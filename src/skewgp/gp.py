@@ -10,7 +10,8 @@ the original units.
 
 The objective sums one factorization per group of datasets on one
 :class:`~skewgp.kernels.Grid`, such as equal rBCM blocks, or per dataset on
-no grid (:func:`objective_groups`), on one of two paths.  They agree to
+no grid (:func:`objective_groups`).  The group's Grid or None, read once
+per fit, picks one of two paths; they agree to
 1e-8 on the NLML and 1e-5 relative on the gradient while the noise variance
 is at least 1e-6 of the prior variance; closer to singular, both are
 limited by the conditioning of K:
@@ -24,8 +25,9 @@ limited by the conditioning of K:
 
 Both read a mixture's parameters as the (Q, 1 + k P) rows of the
 optimizer's vector and, on a grid, take K and every partial of a P = 1
-mixture from one (Q, n) pass over its n lags |h| k; off a grid a mixture
-of any P is evaluated from the points, with no lag array.
+mixture from one (Q, n) pass over its n lags |h| k, which the dense path
+reads at |i - j| (:attr:`~skewgp.kernels.Grid.index`); off a grid a
+mixture of any P is evaluated from the points, with no lag array.
 Either factorization walks a jitter ladder eps * (tr/n), with eps in
 {0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2}: a Cholesky rung fails when the
 factorization does, a Levinson--Durbin rung when a prediction-error
@@ -243,10 +245,10 @@ def factorize(data: Dataset, kind: str, params):
     """``(L, jitter_used, alpha)``: the Cholesky factor of K + noise I at the
     training inputs and alpha = (K + noise I)^-1 y, with K from
     :func:`~skewgp.kernels.training_covariance`, as the objective takes it."""
-    table = kn.lag_table(data.X, kind, params)
+    kn._check_width(params, data.p)
     rows = params.rows(kind) if kind in kn.MIXTURE_KERNELS else params
-    K = kn.training_covariance(data.X, kind, rows, table)[0]
-    del table  # neither the table nor the slots are held through the Cholesky
+    # neither the grid's index nor the slots are held through the Cholesky
+    K = kn.training_covariance(data.X, kind, rows, kn.Grid.of(data.X))[0]
     L, jit = chol_with_jitter(K, params.noise_var)
     return L, jit, _solve_chol(L, data.y)
 
@@ -279,11 +281,12 @@ def nlml(data: Dataset, params, kind: str) -> float:
     return nlml_from_factor(L, alpha, data.y)
 
 
-def nlml_value_and_grad(parts, tp: TransformedParams, table):
+def nlml_value_and_grad(parts, tp: TransformedParams, grid):
     """Summed NLML of the datasets ``parts`` of one :func:`objective_groups`
-    group and its gradient in the transformed coordinates of ``tp``, from
-    one factor: Cholesky on a lag ``table`` or none (:func:`_dense_terms`), or
-    Levinson--Durbin on a :class:`~skewgp.kernels.Grid` (:func:`_toeplitz_terms`).
+    group on ``grid``, their :class:`~skewgp.kernels.Grid` or None, and its
+    gradient in the transformed coordinates of ``tp``, from one factor:
+    Levinson--Durbin on a grid of :data:`~skewgp.toeplitz.MIN_N` points or
+    more (:func:`_toeplitz_terms`), else Cholesky (:func:`_dense_terms`).
     A mixture reads the :meth:`~skewgp.optimize.ParamLayout.natural` rows,
     where a scale underflowed to 0 raises :class:`DataError`."""
     lay = tp.layout
@@ -291,18 +294,18 @@ def nlml_value_and_grad(parts, tp: TransformedParams, table):
     if lay.kind in kn.MIXTURE_KERNELS and not np.all(rows[:, 1 + lay.p:1 + 2 * lay.p] > 0.0):
         raise DataError("a component scale underflowed to 0")
     params = rows if lay.kind in kn.MIXTURE_KERNELS else untransform(tp)
-    terms = _toeplitz_terms if isinstance(table, kn.Grid) else _dense_terms
-    f, grad_nat = terms(parts, lay.kind, params, vals[-1], table)
+    terms = _toeplitz_terms if grid is not None and grid.n >= tz.MIN_N else _dense_terms
+    f, grad_nat = terms(parts, lay.kind, params, vals[-1], grid)
     return f, np.array(grad_nat) * np.where(lay.log_mask, vals, 1.0)
 
 
-def _dense_terms(parts, kind: str, params, noise_var, table):
+def _dense_terms(parts, kind: str, params, noise_var, grid):
     """Summed NLML and natural-coordinate gradient (noise slot last) of the
-    datasets ``parts`` on their lag ``table``, from one Cholesky factor of
+    datasets ``parts`` on ``grid`` or None, from one Cholesky factor of
     K~: with M = m K~^-1 - sum_e alpha_e alpha_e^T, every slot is
     0.5 tr(M dK/dtheta), K and the slots from
     :func:`~skewgp.kernels.training_covariance`."""
-    K, slots = kn.training_covariance(parts[0].X, kind, params, table)
+    K, slots = kn.training_covariance(parts[0].X, kind, params, grid)
     L, _ = chol_with_jitter(K, noise_var)
     del K
     # m K~^-1 in C order, the order of the index and the partials
@@ -331,23 +334,23 @@ def _toeplitz_terms(parts, kind: str, params, noise_var, grid: kn.Grid):
     return f, [*kn._half_dots(partials, S), 0.5 * float(S[0])]
 
 
-def objective_or_inf(parts, x: np.ndarray, layout, table):
-    """:func:`nlml_value_and_grad` at ``x`` of the group ``(parts, table)``,
+def objective_or_inf(parts, x: np.ndarray, layout, grid):
+    """:func:`nlml_value_and_grad` at ``x`` of the group ``(parts, grid)``,
     or ``(inf, 0)`` where the NLML cannot be evaluated, so the line search
     backs off."""
     # DataError covers log-slot underflow to 0 during extreme line-search
     # steps; overflow to inf is caught by the non-finite covariance guard
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return nlml_value_and_grad(parts, TransformedParams(x, layout), table)
+            return nlml_value_and_grad(parts, TransformedParams(x, layout), grid)
     except (NumericalError, DataError):
         return np.inf, np.zeros_like(x)
 
 
 def nlml_grad(data: Dataset, params, kind: str) -> np.ndarray:
     """Gradient of the NLML over the transformed hyper-parameter vector."""
-    return nlml_value_and_grad([data], transform(params, kind),
-                               kn.lag_table(data.X, kind, params))[1]
+    kn._check_width(params, data.p)
+    return nlml_value_and_grad([data], transform(params, kind), kn.Grid.of(data.X))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -410,23 +413,20 @@ def _model_from_params(kind, params, data_n, normalization, fingerprint,
                         opt_result=opt_result, prune_report=prune_report)
 
 
-def objective_groups(parts, kind: str, params):
-    """``(members, table)`` for each :func:`nlml_value_and_grad` call of one
+def objective_groups(parts):
+    """``(members, grid)`` for each :func:`nlml_value_and_grad` call of one
     objective evaluation over the datasets ``parts``: the parts on the first
-    member's :class:`~skewgp.kernels.Grid` at any n, or one part on no grid,
-    with that Grid from :data:`~skewgp.toeplitz.MIN_N` points up and else
-    the first member's :func:`~skewgp.kernels.lag_table`."""
-    groups, grids = [], []
+    member's :class:`~skewgp.kernels.Grid` at any n, or one part on no grid
+    (None)."""
+    groups = []
     for part in parts:
         grid = kn.Grid.of(part.X)
-        for (members, _), g in zip(groups, grids):
+        for members, g in groups:
             if grid is not None and g is not None and g.holds(part.X):
                 members.append(part)
                 break
         else:
-            grids.append(grid)
-            groups.append(([part], grid if grid is not None and grid.n >= tz.MIN_N
-                           else kn.lag_table(part.X, kind, params)))
+            groups.append(([part], grid))
     return groups
 
 
@@ -435,13 +435,14 @@ def optimize_parts(parts, init_params, kind: str, cfg: OptConfig,
     """``(params, OptResult)`` minimizing the summed NLML of the normalized
     datasets ``parts`` from ``init_params`` (raw target units, rescaled by
     ``norm``); ``each`` maps the objective over the
-    :func:`objective_groups` (``map`` or a pool's).  The groups' lag tables
-    are built once here and freed on return."""
+    :func:`objective_groups` (``map`` or a pool's).  A group's Grid builds
+    its index once, at its first dense evaluation, and is freed on return."""
+    kn._check_width(init_params, parts[0].p)
     s2 = norm.y_std**2
     tp0 = transform(scale_variances(init_params, lambda v: v / s2), kind)
-    # the final factors build their own table: holding these through their
-    # Cholesky raised uniform2000's peak RSS by 30 MB
-    groups = objective_groups(parts, kind, init_params)
+    # the final factors read their own Grid: holding these indexes through
+    # their Cholesky raised uniform2000's peak RSS by 30 MB
+    groups = objective_groups(parts)
 
     def objective(x):
         results = list(each(lambda group: objective_or_inf(group[0], x, tp0.layout, group[1]),
@@ -455,10 +456,9 @@ def optimize_parts(parts, init_params, kind: str, cfg: OptConfig,
     return untransform(TransformedParams(res.x, tp0.layout)), res
 
 
-def fit(data: Dataset, init_params, kind: str, cfg: OptConfig | None = None,
-        normalize: bool = True) -> TrainedModel:
+def fit(data: Dataset, init_params, kind: str, cfg: OptConfig | None = None) -> TrainedModel:
     """Optimize the NLML from ``init_params`` (given in raw target units)."""
-    norm = Normalization.from_data(data) if normalize else Normalization.identity(data.p)
+    norm = Normalization.from_data(data)
     data_n = norm.apply(data)
     params, res = optimize_parts([data_n], init_params, kind, cfg or OptConfig(), norm)
     return _model_from_params(kind, params, data_n, norm, data.fingerprint(),

@@ -27,12 +27,14 @@ Kernel families:
   baselines.
 
 Mixture evaluators take the (Q, 1 + k P) parameter rows of
-:meth:`SlsmParams.rows`.  Fit and predict pick the path by one question:
-are the training points a :class:`Grid`, a uniform P = 1 input t_0 + i h?
-On a grid the kernel is evaluated at lags by its family's one P = 1 value
-expression (:func:`_component_value`): the training lags are the Toeplitz
-first column |h| k (every kernel is even in tau), where one call of the
-family's array body takes all Q components' (Q, 1) parameter columns
+:meth:`SlsmParams.rows`.  Fit and predict pick the path by one question,
+asked once per set of training points: are they a :class:`Grid`, a
+uniform P = 1 input t_0 + i h?  The answer, the Grid or None, is passed
+along.  On a grid the kernel is evaluated at lags by its family's one
+P = 1 value expression (:func:`_component_value`): the training lags are
+the Toeplitz first column |h| k (every kernel is even in tau), read at
+|i - j| through :attr:`Grid.index`, where one call of the family's array
+body takes all Q components' (Q, 1) parameter columns
 (:func:`value_and_partials`), and :func:`gram` sums the components one at
 a time at the exact lags xa_i - xb_j, once per band of consecutive lags
 (:func:`_grid_table`) where they read back bit for bit.  Off a grid a
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -345,11 +348,19 @@ class Grid:
         """h k, k = 0..n-1: the first column of a Toeplitz covariance."""
         return self.step * np.arange(self.n)
 
+    @cached_property
+    def index(self) -> np.ndarray:
+        """|i - j|, the (n, n) index of the training K into its first column;
+        built on first use and kept with this Grid."""
+        k = np.arange(self.n)
+        return np.abs(np.subtract.outer(k, k))
 
-def _grid_table(xa: np.ndarray, xb: np.ndarray, tau: np.ndarray):
-    """The P = 1 lags ``tau`` of ``xa`` against the :class:`Grid` ``xb`` as a
-    table ``(values, index)`` of fewer values than ``tau`` with
-    ``values[index]`` equal to ``tau`` bit for bit, or None.
+
+def _grid_table(xa: np.ndarray, xb: np.ndarray, tau: np.ndarray, grid):
+    """The P = 1 lags ``tau`` of ``xa`` against the points ``xb`` on ``grid``
+    (their :class:`Grid` or None) as a table ``(values, index)`` of fewer
+    values than ``tau`` with ``values[index]`` equal to ``tau`` bit for bit,
+    or None.
 
     Each point of ``xa`` sits at s = (xa - xb_0) / h; the rows are grouped
     by the exact offset s - floor(s), and each group gets one block of
@@ -357,10 +368,9 @@ def _grid_table(xa: np.ndarray, xb: np.ndarray, tau: np.ndarray):
     position minus (h > 0) or plus (h < 0) the column j.  None when a lag
     does not read back bit for bit (grids whose differences round), when the
     blocks hold more than half as many lags as ``tau`` (scattered queries,
-    near-singleton groups) or when ``xb`` is no grid with h != 0.  No lag
+    near-singleton groups) or when ``grid`` is None or has h = 0.  No lag
     is sorted.
     """
-    grid = Grid.of(xb) if xa.shape[1] == 1 else None
     if grid is None or not grid.step:  # no grid, or repeated points
         return None
     h = grid.step
@@ -395,26 +405,6 @@ def _grid_table(xa: np.ndarray, xb: np.ndarray, tau: np.ndarray):
     return values, index
 
 
-def lag_table(x, kind: str, params):
-    """The training lags of the points ``x`` against themselves as a table
-    ``(values, index)``: ``values[index]`` is the (n, n) array of lags.
-
-    On a :class:`Grid` these are the Toeplitz first column |h| k, k < n,
-    and the index |i - j|: every kernel, even in tau, evaluates (i, j) once
-    per lag as at the Toeplitz lag h (i - j), the sorted distinct |t_i - t_j|
-    up to rounding where the grid's differences round (``linspace``).  Off
-    a grid a baseline gets the plain :func:`lags` array and None, and a
-    mixture, whatever P, no table (None): it is evaluated from the points.
-    """
-    xa = _as_points(x)
-    _check_width(params, xa.shape[1])
-    grid = Grid.of(xa)
-    if grid is None:
-        return None if kind in MIXTURE_KERNELS else (lags(xa, xa, kind, params), None)
-    k = np.arange(grid.n)
-    return abs(grid.step) * k, np.abs(np.subtract.outer(k, k))
-
-
 def gram(x, x2, kind: str, params) -> np.ndarray:
     """Noise-free covariance matrix k(x_i - x2_j).  A mixture against an
     ``x2`` that is no :class:`Grid` (every P > 1 input) is :func:`multi_gram`,
@@ -424,11 +414,12 @@ def gram(x, x2, kind: str, params) -> np.ndarray:
     xa, xb = _as_points(x), _as_points(x2)
     if xa.shape[1] != xb.shape[1]:
         raise DimensionMismatchError(xa.shape[1], xb.shape[1])
-    if kind in MIXTURE_KERNELS and (xa.shape[1] > 1 or Grid.of(xb) is None):
+    grid = Grid.of(xb) if xb.shape[1] == 1 else None
+    if kind in MIXTURE_KERNELS and grid is None:
         _check_width(params, xa.shape[1])
         return multi_gram(xa, xb, kind, params.rows(kind))
     tau = lags(xa, xb, kind, params)
-    table = _grid_table(xa, xb, tau)
+    table = _grid_table(xa, xb, tau, grid)
     if table is None:
         return np.asarray(kernel_value(tau, kind, params))
     del tau  # not held while the kernel is evaluated
@@ -648,22 +639,23 @@ def value_and_partials(tau, kind: str, params):
     return K, G.reshape(-1, val.shape[1])
 
 
-def training_covariance(x, kind: str, params, table):
-    """``(K, slots)`` at the training points ``x`` on their
-    :func:`lag_table` ``table`` for a mixture's parameter rows or a
-    baseline's ``params``: K, for a mixture off a grid (no table) only its
-    lower triangle (all the Cholesky reads), and ``slots(M)``, every
-    natural slot 0.5 tr(M dK/dtheta) but the noise's for M symmetric.
-    ``slots`` holds the table; a caller that keeps only K frees it."""
-    if table is None:  # a mixture off a grid: row blocks, then one call per component
+def training_covariance(x, kind: str, params, grid):
+    """``(K, slots)`` at the training points ``x`` on their :class:`Grid`
+    ``grid`` or None, for a mixture's parameter rows or a baseline's
+    ``params``: K, for a mixture off a grid only its lower triangle (all
+    the Cholesky reads), and ``slots(M)``, every natural slot
+    0.5 tr(M dK/dtheta) but the noise's for M symmetric.  ``slots`` holds
+    the grid's index or the lags; a caller that keeps only K frees them."""
+    if grid is not None:  # the n lags |h| k, M folded into its sums over the index |i - j|
+        K, G = value_and_partials(np.abs(grid.lags()), kind, params)
+        return K[grid.index], \
+            lambda M: list(_half_dots(G, np.bincount(grid.index.ravel(), M.ravel())))
+    if kind in MIXTURE_KERNELS:  # row blocks, then one call per component
         K = multi_gram(x, x, kind, params, lower=True)
         return K, lambda M: [s for r in params for s in multi_component_partials(x, M, r, kind)]
-    tau, index = table
-    if index is None:  # a baseline's scattered lags: its partials are formed only in slots
-        return kernel_value(tau, kind, params), \
-            lambda M: [0.5 * float(np.sum(M * dk)) for dk in baseline_partials(tau, params)[1:]]
-    K, G = value_and_partials(tau, kind, params)  # a grid: M folded into its sums over the index
-    return K[index], lambda M: list(_half_dots(G, np.bincount(index.ravel(), M.ravel())))
+    tau = lags(x, x, kind, params)  # a baseline's partials are formed only in slots
+    return kernel_value(tau, kind, params), \
+        lambda M: [0.5 * float(np.sum(M * dk)) for dk in baseline_partials(tau, params)[1:]]
 
 
 def _half_dots(G, S):  # 0.5 g @ S per row g of G, bit for bit (a GEMV G @ S is not)

@@ -2,8 +2,8 @@
 
 On a :class:`~skewgp.kernels.Grid` of n points spaced h apart, a
 stationary covariance K + s2 I is the symmetric Toeplitz matrix T whose
-first column is r_j = k(h j) (+ s2 at j = 0), at the grid lags h j, whose
-magnitudes :func:`~skewgp.kernels.lag_table` holds.  No n x n matrix is formed:
+first column is r_j = k(h j) (+ s2 at j = 0), at the grid lags h j
+(:meth:`~skewgp.kernels.Grid.lags`).  No n x n matrix is formed:
 
 * :func:`levinson` runs Levinson--Durbin on r in O(n^2) time.  Its
   :class:`Factor` holds x = T^-1 e_1, the first column of the inverse, and
@@ -26,7 +26,7 @@ import numpy as np
 from numpy import fft
 
 # Smallest n that takes this path.  Per NLML+gradient evaluation it is
-# faster than the dense lag-table path from here up at every Q measured
+# faster than the dense path from here up at every Q measured
 # (1, 2, 10), under default and single-thread OpenBLAS; airline (n = 96)
 # stays dense.  Measurement table in CHANGES.md.
 MIN_N = 144

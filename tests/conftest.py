@@ -347,6 +347,28 @@ def dense_value_and_grad(data, tp, tau=None):
     return f, np.array(g) * np.where(tp.layout.log_mask, np.exp(tp.x), 1.0), jit
 
 
+def _rows(params, kind):
+    return params.rows(kind) if kind in kn.MIXTURE_KERNELS else params
+
+
+def training_table(X, kind, params):
+    """``(values, index)`` with ``values[index]`` the (n, n) lags at which
+    :func:`~skewgp.kernels.training_covariance` evaluates the points ``X``:
+    the values it hands the kernel (recorded) and, on a Grid, the Grid's
+    index |i - j| (None off a grid, where a baseline's values are the lags
+    themselves).  None for a mixture off a grid, evaluated from the points."""
+    x = np.asarray(X, dtype=float).reshape(len(X), -1)
+    grid, seen = kn.Grid.of(x), []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("value_and_partials", "kernel_value"):
+            run = getattr(kn, name)
+            mp.setattr(kn, name, lambda tau, *args, run=run: seen.append(tau) or run(tau, *args))
+        kn.training_covariance(x, kind, _rows(params, kind), grid)
+    if not seen:
+        return None
+    return seen[0], None if grid is None else grid.index
+
+
 def assert_near_dense(data, params, kind, parts=None):
     """The objective of ``parts`` (``[data]``) on the objective path against
     the vector-lag oracle: NLML within P_F_TOL, gradient within P_G_TOL of
@@ -356,8 +378,8 @@ def assert_near_dense(data, params, kind, parts=None):
     refs = [dense_value_and_grad(part, tp) for part in parts]
     f_ref, g_ref = sum(r[0] for r in refs), sum(r[1] for r in refs)
     f, g = 0.0, 0.0
-    for members, table in gp.objective_groups(parts, kind, params):
-        f_group, g_group = gp.nlml_value_and_grad(members, tp, table)
+    for members, grid in gp.objective_groups(parts):
+        f_group, g_group = gp.nlml_value_and_grad(members, tp, grid)
         f, g = f + f_group, g + g_group
     assert abs(f - f_ref) <= P_F_TOL * abs(f_ref)
     assert np.max(np.abs(g - g_ref)) <= P_G_TOL * np.max(np.abs(g_ref))

@@ -111,14 +111,14 @@ def test_criterion_4_gradient_suite():
         p = random_params(rng, q=3, noise=float(rng.uniform(0.05, 0.5)))
         tp = transform(p, kind)
         g = nlml_grad(data, p, kind)
-        table = kn.lag_table(X, kind, p)
+        grid = kn.Grid.of(X)
         for j in range(tp.x.size):
             h = 1e-6 * max(1.0, abs(tp.x[j]))
             xp, xm = tp.x.copy(), tp.x.copy()
             xp[j] += h
             xm[j] -= h
-            fp, _ = nlml_value_and_grad([data], TransformedParams(xp, tp.layout), table)
-            fm, _ = nlml_value_and_grad([data], TransformedParams(xm, tp.layout), table)
+            fp, _ = nlml_value_and_grad([data], TransformedParams(xp, tp.layout), grid)
+            fm, _ = nlml_value_and_grad([data], TransformedParams(xm, tp.layout), grid)
             fd = (fp - fm) / (2.0 * h)
             worst = max(worst, abs(g[j] - fd) / max(1.0, abs(fd)))
     ok = worst < 1e-5

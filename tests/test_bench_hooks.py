@@ -141,10 +141,10 @@ def test_eval_hook_sees_one_call_per_evaluation_per_group(monkeypatch):
     calls, failures = [], []
     evaluate = gp.nlml_value_and_grad
 
-    def counting(data, tp, table):
-        calls.append(table)
+    def counting(data, tp, grid):
+        calls.append(grid)
         try:
-            return evaluate(data, tp, table)
+            return evaluate(data, tp, grid)
         except Exception as exc:
             failures.append(exc)
             raise
@@ -164,12 +164,13 @@ def test_eval_hook_sees_one_call_per_evaluation_per_group(monkeypatch):
     assert len(calls) == ens.opt_result.n_evals
     assert all(t == kernels.Grid(toeplitz.MIN_N, 1.0) for t in calls)
 
-    # below the crossover the experts share one dense lag table
+    # below the crossover the experts share one Grid, on the dense path
     calls.clear()
     short = gp.Dataset(X[:8 * (toeplitz.MIN_N - 1)], data.y[:8 * (toeplitz.MIN_N - 1)])
     ens = rbcm.rbcm_fit(short, 8, "slsm", init, OptConfig(max_iters=3))
     assert len(calls) == ens.opt_result.n_evals
-    assert all(t[1].shape == (toeplitz.MIN_N - 1,) * 2 for t in calls)
+    assert all(t == kernels.Grid(toeplitz.MIN_N - 1, 1.0) for t in calls)
+    assert all(t.index.shape == (toeplitz.MIN_N - 1,) * 2 for t in calls)
 
     calls.clear()
     monkeypatch.setattr(toeplitz, "levinson", lambda r: None)
@@ -206,7 +207,7 @@ def test_multivariate_evaluation_calls_the_hooked_partials_once_per_component(mo
     params = SlsmParams(comps, noise_var=0.1)
     for kind in kernels.MIXTURE_KERNELS:
         calls.clear()
-        gp.nlml_value_and_grad([data], transform(params, kind), kernels.lag_table(X, kind, params))
+        gp.nlml_value_and_grad([data], transform(params, kind), kernels.Grid.of(X))
         assert np.allclose(calls, params.rows(kind), rtol=1e-12)
 
 
@@ -267,9 +268,9 @@ def test_grid_evaluation_takes_the_value_from_the_hooked_partials(monkeypatch, n
     data = gp.Dataset(X, np.sin(0.3 * X))
     params = SlsmParams(tuple(SlsmComponent(1.0, 0.2 * q, 0.3, 0.1) for q in range(4)),
                         noise_var=0.1)
-    (members, table), = gp.objective_groups([data], "slsm", params)
-    assert isinstance(table, kernels.Grid) == (n == "MIN_N")
-    gp.nlml_value_and_grad(members, transform(params, "slsm"), table)
+    (members, grid), = gp.objective_groups([data])
+    assert grid == kernels.Grid(X.size, 1.0) and (grid.n >= toeplitz.MIN_N) == (n == "MIN_N")
+    gp.nlml_value_and_grad(members, transform(params, "slsm"), grid)
     assert calls == ["slsm_component_partials"]
 
 
@@ -301,7 +302,8 @@ def test_gram_against_a_grid_reaches_no_hooked_partials(monkeypatch, kind):
         monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
     for name, xq in queries.items():
         xa, xb = xq[:, None], X[:, None]
-        table = kernels._grid_table(xa, xb, kernels.lags(xa, xb, kind, params))
+        table = kernels._grid_table(xa, xb, kernels.lags(xa, xb, kind, params),
+                                    kernels.Grid.of(xb))
         assert (table is None) == (name == "scattered")
         assert np.array_equal(kernels.gram(xq, X, kind, params), expected[name])
     assert calls == []

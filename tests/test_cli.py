@@ -274,6 +274,23 @@ class TestCommands:
                                        "--at", str(src), "--out", str(out / "p.csv")])
         assert res.exit_code == 0, res.output
 
+    @pytest.mark.parametrize("frac", ["0", "-0.1", "1.5"])
+    def test_predict_rejects_a_train_fraction_outside_0_1(self, runner, small_series,
+                                                          tmp_path, frac):
+        """A fraction outside (0, 1] is a data error naming the flag, not a
+        fingerprint mismatch, and writes nothing."""
+        out = tmp_path / "out"
+        res = runner.invoke(cli.main, ["fit", str(small_series), "--q", "2",
+                                       "--max-iters", "2", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        pred_path = tmp_path / "p.csv"
+        res = runner.invoke(cli.main, ["predict", "--model", str(out / "model.json"),
+                                       "--train-data", str(small_series), "--train-frac", frac,
+                                       "--at", str(small_series), "--out", str(pred_path)])
+        assert res.exit_code == 3, res.output
+        assert "--train-frac" in res.output and "fingerprint" not in res.output
+        assert not pred_path.exists()
+
     def test_predict_round_trip(self, runner, small_series, tmp_path):
         """Also on the series at monthly timestamps rounded to 3 decimals,
         which read as irregular: a mixture off a grid."""

@@ -16,7 +16,7 @@ from skewgp.gp import Dataset
 from skewgp.kernels import SlsmComponent, SlsmParams
 from skewgp.optimize import TransformedParams, transform, untransform
 
-from conftest import random_params, ref_value_and_partials
+from conftest import random_params, ref_value_and_partials, training_table
 
 MIXTURES = ("slsm", "sm", "lkp")
 # a 96-point grid takes the dense path, a MIN_N-point grid the Toeplitz path
@@ -42,8 +42,10 @@ def _draws(rng, count=12):
 def _grid_lags(path):
     """The n lags the array pass sees on the given path."""
     n = PATHS[path]
-    table = kn.lag_table(np.arange(n, dtype=float), "slsm", random_params(np.random.default_rng(0)))
-    return table[0] if path == "dense" else kn.Grid(n, 1.0).lags()
+    if path == "toeplitz":
+        return kn.Grid(n, 1.0).lags()
+    return training_table(np.arange(n, dtype=float), "slsm",
+                          random_params(np.random.default_rng(0)))[0]
 
 
 def test_a_draw_tells_pow_from_square(rng):
@@ -98,14 +100,15 @@ def test_layout_rows_are_untransforms_components(rng, kind, p):
         assert row.tolist() == expected
 
 
-def _reference_objective(monkeypatch, parts, tp, table):
-    """The objective with checked parameters from ``untransform`` and K and
-    the partials from the reference bodies, through the same algebra."""
+def _reference_objective(monkeypatch, parts, tp, grid, path):
+    """The objective on the given path with checked parameters from
+    ``untransform`` and K and the partials from the reference bodies,
+    through the same algebra."""
     params = untransform(tp)
     with monkeypatch.context() as m:
         m.setattr(kn, "value_and_partials", ref_value_and_partials)
-        terms = gp._toeplitz_terms if isinstance(table, kn.Grid) else gp._dense_terms
-        f, grad = terms(parts, tp.layout.kind, params, params.noise_var, table)
+        terms = gp._toeplitz_terms if path == "toeplitz" else gp._dense_terms
+        f, grad = terms(parts, tp.layout.kind, params, params.noise_var, grid)
     return f, np.array(grad) * np.where(tp.layout.log_mask, np.exp(tp.x), 1.0)
 
 
@@ -117,13 +120,13 @@ def test_objective_equals_the_reference_objective(monkeypatch, rng, kind, path):
     X = np.arange(PATHS[path], dtype=float)
     data = Dataset(X, np.sin(0.3 * X) + 0.3 * rng.standard_normal(X.size))
     params = random_params(rng, q=5)
-    (members, table), = gp.objective_groups([data], kind, params)
-    assert isinstance(table, kn.Grid) == (path == "toeplitz")
+    (members, grid), = gp.objective_groups([data])
+    assert grid == kn.Grid(X.size, 1.0) and (grid.n >= tz.MIN_N) == (path == "toeplitz")
     tp0 = transform(params, kind)
     for _ in range(20):
         tp = TransformedParams(tp0.x + rng.normal(0.0, 0.5, tp0.x.size), tp0.layout)
-        f, g = gp.nlml_value_and_grad(members, tp, table)
-        f_ref, g_ref = _reference_objective(monkeypatch, members, tp, table)
+        f, g = gp.nlml_value_and_grad(members, tp, grid)
+        f_ref, g_ref = _reference_objective(monkeypatch, members, tp, grid, path)
         assert f == f_ref and np.array_equal(g, g_ref)
 
 
@@ -144,15 +147,15 @@ def _assert_underflow_rejected(data, p):
     params = SlsmParams((SlsmComponent(1.0, (0.3,) * p, (0.2,) * p, (0.1,) * p),
                          SlsmComponent(0.5, (1.1,) * p, (0.4,) * p, (-0.2,) * p)),
                         noise_var=0.1)
-    (members, table), = gp.objective_groups([data], "slsm", params)
+    (members, grid), = gp.objective_groups([data])
     tp = transform(params, "slsm")
     x = tp.x.copy()
     x[tp.layout.names.index("sigma[1]" if p == 1 else "sigma[1,0]")] = -800.0
     with pytest.raises(DataError):
-        gp.nlml_value_and_grad(members, TransformedParams(x, tp.layout), table)
-    f, g = gp.objective_or_inf(members, x, tp.layout, table)
+        gp.nlml_value_and_grad(members, TransformedParams(x, tp.layout), grid)
+    f, g = gp.objective_or_inf(members, x, tp.layout, grid)
     assert f == np.inf and not np.any(g)
-    return table
+    return grid
 
 
 @pytest.mark.parametrize("path", sorted(PATHS))
@@ -160,15 +163,15 @@ def test_a_scale_underflowing_to_zero_is_rejected_on_a_grid(path):
     """A scale underflowed to 0 must stay rejected on a grid (the optimizer
     sees inf), although the rows themselves would evaluate."""
     X = np.arange(PATHS[path], dtype=float)
-    table = _assert_underflow_rejected(Dataset(X, np.sin(0.3 * X)), 1)
-    assert isinstance(table, kn.Grid) == (path == "toeplitz")
+    grid = _assert_underflow_rejected(Dataset(X, np.sin(0.3 * X)), 1)
+    assert grid == kn.Grid(X.size, 1.0) and (grid.n >= tz.MIN_N) == (path == "toeplitz")
 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_a_scale_underflowing_to_zero_is_rejected_off_a_grid(p):
     """The same on scattered P = 1 inputs (slot ``sigma[1]``) and on P = 2
-    inputs (slot ``sigma[1,0]``), where no mixture has a lag table."""
+    inputs (slot ``sigma[1,0]``), which are no grid."""
     rng = np.random.default_rng(3)
     X = np.sort(rng.uniform(0.0, 40.0, 40)) if p == 1 else rng.uniform(-2.0, 2.0, (40, 2))
-    table = _assert_underflow_rejected(Dataset(X, np.sin(0.3 * X.reshape(40, -1).sum(axis=1))), p)
-    assert table is None
+    grid = _assert_underflow_rejected(Dataset(X, np.sin(0.3 * X.reshape(40, -1).sum(axis=1))), p)
+    assert grid is None

@@ -8,6 +8,8 @@ import pytest
 
 import skewgp.gp as gp
 import skewgp.kernels as kn
+import skewgp.rbcm as rbcm
+import skewgp.toeplitz as tz
 from skewgp.errors import DataError, DimensionMismatchError, NumericalError
 from skewgp.gp import Dataset, Normalization, fit, nlml, nlml_grad, sample_prior
 from skewgp.kernels import SlsmComponent, SlsmParams
@@ -22,15 +24,15 @@ UNIT = SlsmParams((SlsmComponent(1.0, 0.0, 1.0, 0.0),), noise_var=0.0)
 
 def _fd_nlml_grad(data, tp):
     """Central differences of the NLML over the transformed vector of ``tp``."""
-    table = kn.lag_table(data.X, tp.layout.kind, gp.untransform(tp))
+    grid = kn.Grid.of(data.X)
     fd = np.empty_like(tp.x)
     for j in range(tp.x.size):
         h = 1e-6 * max(1.0, abs(tp.x[j]))
         xp, xm = tp.x.copy(), tp.x.copy()
         xp[j] += h
         xm[j] -= h
-        fp, _ = gp.nlml_value_and_grad([data], gp.TransformedParams(xp, tp.layout), table)
-        fm, _ = gp.nlml_value_and_grad([data], gp.TransformedParams(xm, tp.layout), table)
+        fp, _ = gp.nlml_value_and_grad([data], gp.TransformedParams(xp, tp.layout), grid)
+        fm, _ = gp.nlml_value_and_grad([data], gp.TransformedParams(xm, tp.layout), grid)
         fd[j] = (fp - fm) / (2.0 * h)
     return fd
 
@@ -213,6 +215,24 @@ class TestFit:
         with pytest.raises(DimensionMismatchError):
             fit(univariate, init, "slsm", OptConfig(max_iters=2))
 
+    @pytest.mark.parametrize("entry", ["fit", "factorize", "nlml_grad", "rbcm_fit"])
+    def test_width_mismatch_raises_at_every_params_entry(self, rng, entry):
+        """Every entry that takes a parameters object checks its P against
+        the points': P = 2 parameters on grids either side of the Toeplitz
+        crossover, evaluated at lags, and P = 1 parameters on P = 2 points."""
+        call = {"fit": lambda d, p: fit(d, p, "slsm", OptConfig(max_iters=2)),
+                "factorize": lambda d, p: gp.factorize(d, "slsm", p),
+                "nlml_grad": lambda d, p: nlml_grad(d, p, "slsm"),
+                "rbcm_fit": lambda d, p: rbcm.rbcm_fit(d, 2, "slsm", p,
+                                                       OptConfig(max_iters=2))}[entry]
+        p2 = random_init(2, "slsm", y_var=1.0, freq_max=2.0, seed=0, p=2)
+        for n in (40, 2 * tz.MIN_N):
+            X = np.arange(float(n))
+            with pytest.raises(DimensionMismatchError):
+                call(Dataset(X, np.sin(0.3 * X)), p2)
+        with pytest.raises(DimensionMismatchError):
+            call(_field_2d(rng, 40), random_params(rng, q=2))
+
     def test_reduces_nlml_and_records_jitter(self, rng):
         X = np.arange(40.0)
         y = np.sin(0.6 * X) + 0.1 * rng.standard_normal(40)
@@ -221,8 +241,7 @@ class TestFit:
         model = fit(data, init, "slsm", OptConfig(max_iters=50))
         s2 = model.normalization.y_std**2
         tp0 = transform(gp.scale_variances(init, lambda v: v / s2), "slsm")
-        f0, _ = gp.nlml_value_and_grad([model.data], tp0,
-                                        kn.lag_table(model.data.X, "slsm", init))
+        f0, _ = gp.nlml_value_and_grad([model.data], tp0, kn.Grid.of(model.data.X))
         assert model.nlml_internal <= f0
         assert model.jitter_used >= 0.0
 

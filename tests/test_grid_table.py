@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 import skewgp.kernels as kn
 from skewgp.kernels import BaselineKernelParams, SlsmComponent, SlsmParams
 
-from conftest import P_K_TOL, _direct_gram
+from conftest import P_K_TOL, _direct_gram, training_table
 
 KINDS = ("slsm", "sm", "lkp", "se", "rq")
 STEPS = (1.0, 0.5, 0.25, 0.1, 1.0 / 12.0)
@@ -85,13 +85,14 @@ def test_gram_equals_direct_evaluation_bitwise(case):
 @given(st.sampled_from(KINDS), st.integers(2, 120), st.sampled_from([1.0, 0.5, 0.25]),
        st.integers(-500, 2000), st.booleans())
 def test_exact_grid_table_is_the_unique_table(kind, n, step, t0, descending):
-    """On a grid whose differences are exact the self table is built without
-    a sort and is the sorted distinct |t_i - t_j|, the Toeplitz first column,
-    with the index |i - j|, ascending or descending grid."""
+    """On a grid whose differences are exact the training covariance's lags
+    are found without a sort and are the sorted distinct |t_i - t_j|, the
+    Toeplitz first column, with the index |i - j|, ascending or descending
+    grid."""
     x = t0 + (-step if descending else step) * np.arange(n)
     params = BaselineKernelParams(kind, 1.0, 2.0) if kind in kn.BASELINE_KERNELS else \
         SlsmParams((SlsmComponent(1.0, 0.4, 0.3, 0.2),))
-    values, index = kn.lag_table(x, kind, params)
+    values, index = training_table(x, kind, params)
     expected = _unique_table(x)
     assert np.array_equal(values, expected[0])
     assert np.array_equal(index, expected[1])
@@ -101,7 +102,7 @@ class TestPaths:
     def _table(self, xq, x):
         xq, x = np.asarray(xq, float)[:, None], np.asarray(x, float)[:, None]
         tau = xq - x.T
-        return kn._grid_table(xq, x, tau)
+        return kn._grid_table(xq, x, tau, kn.Grid.of(x))
 
     def test_benchmark_queries_take_two_bands(self):
         """Half-step interpolation plus on-grid forecasts against an integer

@@ -1,14 +1,15 @@
-"""The per-fit lag table: K evaluated once per distinct lag must equal the
-dense n x n evaluation at the same lags bit for bit, and so must the NLML;
-the gradient, folded into per-lag sums on a grid, agrees within P_G_TOL.  On
-a uniform grid the table is the Toeplitz first column |h| k with the index
-|i - j|, which every kernel, even in tau, evaluates as h (i - j); where the
-grid's differences round they stay within a stated bound of the exact
-t_i - t_j.  A mixture off a grid, scattered P = 1 or any P > 1, has no
-table: its objective, evaluated from per-point projections, must agree with
-the vector-lag oracle within the ``P_*_TOL`` bounds, and near singularity
-with the full-array reference."""
+"""The training covariance at the lags it evaluates: K evaluated once per
+distinct lag must equal the dense n x n evaluation at the same lags bit for
+bit, and so must the NLML; the gradient, folded into per-lag sums on a grid,
+agrees within P_G_TOL.  On a uniform grid the lags are the Toeplitz first
+column |h| k, read at the grid's index |i - j|, which every kernel, even in
+tau, evaluates as h (i - j); where the grid's differences round they stay
+within a stated bound of the exact t_i - t_j.  A mixture off a grid,
+scattered P = 1 or any P > 1, evaluates at no lags: its objective, from
+per-point projections, must agree with the vector-lag oracle within the
+``P_*_TOL`` bounds, and near singularity with the full-array reference."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -23,8 +24,9 @@ from skewgp.gp import Dataset
 from skewgp.kernels import BaselineKernelParams, SlsmComponent, SlsmParams
 from skewgp.optimize import OptConfig, transform, untransform
 
-from conftest import (P_G_TOL, P_K_TOL, _direct_gram, assert_near_dense,
-                      dense_value_and_grad, random_params, ref_multi_dense_terms)
+from conftest import (P_G_TOL, P_K_TOL, _direct_gram, _rows, assert_near_dense,
+                      dense_value_and_grad, random_params, ref_multi_dense_terms,
+                      training_table)
 
 KINDS = ("slsm", "sm", "lkp", "se", "rq")
 ROUNDING = ("tenth", "linspace")  # grids whose differences round
@@ -86,7 +88,7 @@ def _assert_table_path_exact(data, params, kind):
     and K~ is near singular, against the full-array reference: the NLML
     bitwise and the gradient within P_G_TOL."""
     if kind in kn.MIXTURE_KERNELS and kn.Grid.of(data.X) is None:
-        assert kn.lag_table(data.X, kind, params) is None
+        assert training_table(data.X, kind, params) is None
         if params.noise_var > 1e-16:
             assert_near_dense(data, params, kind)
             return
@@ -101,15 +103,15 @@ def _assert_table_path_exact(data, params, kind):
         assert np.max(np.abs(np.subtract(g, g_ref))) <= P_G_TOL * np.max(np.abs(g_ref))
         return
     tp = transform(params, kind)
-    table = kn.lag_table(data.X, kind, params)
+    grid = kn.Grid.of(data.X)
     tau = grid_lags(data.X)
     try:
         f_ref, g_ref, jit_ref = dense_value_and_grad(data, tp, tau)
     except NumericalError:
         with pytest.raises(NumericalError):
-            gp.nlml_value_and_grad([data], tp, table)
+            gp.nlml_value_and_grad([data], tp, grid)
         return
-    f, g = gp.nlml_value_and_grad([data], tp, table)
+    f, g = gp.nlml_value_and_grad([data], tp, grid)
     assert f == f_ref
     if tau is None:
         assert np.array_equal(g, g_ref)
@@ -126,23 +128,23 @@ def _assert_table_path_exact(data, params, kind):
 class TestLagTable:
     @pytest.mark.parametrize("grid", ["unit", "tenth", "linspace", "scattered", "p2"])
     def test_covariance_equals_gram_bitwise(self, rng, grid):
-        """K from the table is the kernel at the table's lags bit for bit:
-        ``gram``'s matrix, except on grids whose differences round, where it
-        is within K_DRIFT of it.  A mixture off a grid has no table, and its
-        ``gram`` is within P_K_TOL of the vector-lag oracle."""
+        """The training K is the kernel at its lags bit for bit: ``gram``'s
+        matrix, except on grids whose differences round, where it is within
+        K_DRIFT of it.  A mixture off a grid takes no lags, its K's lower
+        triangle is ``gram``'s, and its ``gram`` is within P_K_TOL of the
+        vector-lag oracle."""
         X = _grids(rng, 120)[grid]
+        pts = X.reshape(120, -1)
         for kind in KINDS:
             p = _params(rng, kind, p=1 if X.ndim == 1 else 2)
+            K = kn.training_covariance(pts, kind, _rows(p, kind), kn.Grid.of(pts))[0]
             if kind in kn.MIXTURE_KERNELS and kn.Grid.of(X) is None:
-                assert kn.lag_table(X, kind, p) is None
+                assert training_table(X, kind, p) is None
                 G = kn.gram(X, X, kind, p)
+                assert np.array_equal(np.tril(K), np.tril(G))
                 assert np.max(np.abs(G - _direct_gram(X, X, kind, p))) <= \
                     P_K_TOL * kn.prior_variance(p)
                 continue
-            values, index = kn.lag_table(X, kind, p)
-            K = kn.kernel_value(values, kind, p)
-            K = K if index is None else K[index]
-            pts = X.reshape(120, -1)
             tau = grid_lags(pts)
             tau = kn.lags(pts, pts, kind, p) if tau is None else tau
             assert np.array_equal(K, kn.kernel_value(tau, kind, p))
@@ -156,7 +158,7 @@ class TestLagTable:
         grids = _grids(rng, 120)
         for grid in ("unit", "tenth", "linspace"):
             X = grids[grid]
-            values, index = kn.lag_table(X, "slsm", random_params(rng))
+            values, index = training_table(X, "slsm", random_params(rng))
             assert index.shape == (120, 120)
             k = np.arange(120)
             assert np.array_equal(index, np.abs(np.subtract.outer(k, k)))
@@ -164,14 +166,14 @@ class TestLagTable:
             assert np.array_equal(values[index], np.abs(grid_lags(X)))
             assert_near_exact_lags(values[index], X)
         X = grids["unit"]
-        values, index = kn.lag_table(X, "slsm", random_params(rng))
+        values, index = training_table(X, "slsm", random_params(rng))
         assert np.array_equal(values[index], np.abs(X[:, None] - X[None, :]))
         # scattered points share only the zero lag of the diagonal, so a
         # sort would buy nothing: a baseline keeps the plain lag array, a
         # mixture, evaluated from the points, has none
         X = grids["scattered"]
-        assert kn.lag_table(X, "slsm", random_params(rng)) is None
-        values, index = kn.lag_table(X, "se", _params(rng, "se"))
+        assert training_table(X, "slsm", random_params(rng)) is None
+        values, index = training_table(X, "se", _params(rng, "se"))
         assert index is None
         assert np.array_equal(values, X[:, None] - X[None, :])
 
@@ -181,17 +183,17 @@ class TestLagTable:
         the last axis of the vector lags adds them."""
         X = _grids(rng, 120)["p2"]
         for kind in kn.MIXTURE_KERNELS:
-            assert kn.lag_table(X, kind, _params(rng, kind, p=2)) is None
+            assert training_table(X, kind, _params(rng, kind, p=2)) is None
         for p in (2, 3, 4, 5, 7):
             X = rng.uniform(0.0, 5.0, (120, p))
             tau = X[:, None, :] - X[None, :, :]
-            values, index = kn.lag_table(X, "se", _params(rng, "se"))
+            values, index = training_table(X, "se", _params(rng, "se"))
             assert index is None
             assert np.array_equal(values, np.sqrt(np.sum(tau * tau, axis=-1)))
 
     def test_large_linspace_grid_collapses_exactly(self):
         X = np.linspace(0.0, 400.0, 2000)
-        values, index = kn.lag_table(X, "slsm", SlsmParams((SlsmComponent(1.0, 0.3, 0.5),)))
+        values, index = training_table(X, "slsm", SlsmParams((SlsmComponent(1.0, 0.3, 0.5),)))
         # |h| k for k < 2000, where the exact |t_i - t_j| hold 7,530
         # distinct values
         assert np.array_equal(values, kn.Grid.of(X).lags())
@@ -200,10 +202,13 @@ class TestLagTable:
         assert_near_exact_lags(values[index], X)
 
     def test_width_checked(self, rng):
-        with pytest.raises(DimensionMismatchError):
-            kn.lag_table(rng.uniform(size=(10, 2)), "slsm", random_params(rng))
-        with pytest.raises(DimensionMismatchError):  # a grid builds no lag array
-            kn.lag_table(np.arange(10.0), "slsm", _params(rng, "slsm", p=2))
+        scattered = Dataset(rng.uniform(size=(10, 2)), np.zeros(10))
+        grid = Dataset(np.arange(10.0), np.zeros(10))  # a grid evaluates no points
+        for data, params in ((scattered, random_params(rng)),
+                             (grid, _params(rng, "slsm", p=2))):
+            for entry in (gp.factorize, lambda *a: gp.nlml_grad(a[0], a[2], a[1])):
+                with pytest.raises(DimensionMismatchError):
+                    entry(data, "slsm", params)
 
     @pytest.mark.parametrize("grid", ["unit", "tenth", "linspace", "scattered", "p2"])
     @pytest.mark.parametrize("kind", KINDS)
@@ -216,13 +221,14 @@ class TestLagTable:
 
 class TestOncePerFit:
     def _count_builds(self, monkeypatch):
-        """Record the table-build count at every build and around ``minimize``."""
+        """Record the count of ``Grid.index`` builds at every build and
+        around ``minimize``."""
         log = {"builds": 0, "at_minimize": []}
-        build, run = kn.lag_table, gp.minimize
+        build, run = kn.Grid.index.func, gp.minimize
 
-        def counting_build(*args, **kwargs):
+        def counting_build(grid):
             log["builds"] += 1
-            return build(*args, **kwargs)
+            return build(grid)
 
         def bracketed_minimize(*args, **kwargs):
             log["at_minimize"].append(log["builds"])
@@ -230,7 +236,9 @@ class TestOncePerFit:
             log["at_minimize"].append(log["builds"])
             return res
 
-        monkeypatch.setattr(kn, "lag_table", counting_build)
+        index = functools.cached_property(counting_build)
+        index.__set_name__(kn.Grid, "index")
+        monkeypatch.setattr(kn.Grid, "index", index)
         monkeypatch.setattr(gp, "minimize", bracketed_minimize)
         return log
 
@@ -240,21 +248,21 @@ class TestOncePerFit:
         model = gp.fit(Dataset(X, np.sin(0.6 * X) + 0.1 * rng.standard_normal(40)),
                        random_params(rng, q=2), "slsm", OptConfig(max_iters=3))
         assert model.opt_result.n_evals >= 4
-        assert log["at_minimize"] == [1, 1]
+        assert log["at_minimize"] == [0, 1]  # at the first evaluation, then kept
         assert log["builds"] == 2          # the second factorizes the fitted model
 
     @pytest.mark.parametrize("grid", [True, False], ids=["grid", "scattered"])
     def test_rbcm_fit_builds_one_table_per_group(self, rng, monkeypatch, grid):
-        """Three experts on one grid share one table; scattered experts
-        build one each."""
+        """Three experts on one grid share one index; scattered experts
+        build none."""
         log = self._count_builds(monkeypatch)
         X = np.arange(60.0) if grid else np.sort(rng.uniform(0.0, 60.0, 60))
         ens = rbcm.rbcm_fit(Dataset(X, np.sin(0.6 * X) + 0.1 * rng.standard_normal(60)), 3,
                             "slsm", random_params(rng, q=2), OptConfig(max_iters=3))
         assert ens.opt_result.n_evals >= 4
-        tables = 1 if grid else 3
-        assert log["at_minimize"] == [tables, tables]
-        assert log["builds"] == tables + 3  # then one per expert's final factors
+        tables = 1 if grid else 0
+        assert log["at_minimize"] == [0, tables]
+        assert log["builds"] == 4 * tables  # then one per expert's final factors
 
     @pytest.mark.parametrize("grid", [True, False], ids=["grid", "scattered"])
     def test_final_factor_holds_no_table_through_its_cholesky(self, rng, monkeypatch, grid):

@@ -115,8 +115,8 @@ def test_rbcm_objective_matches_vector_lag_oracle(rng, kind):
     """Three P = 2 experts: one group each, summed as the rBCM fit sums them."""
     data = _field(rng, 90, 2)
     parts = [Dataset(data.X[i], data.y[i]) for i in rbcm.partition(data.n, 3)]
-    groups = gp.objective_groups(parts, kind, _params(rng, 2))
-    assert [table for _, table in groups] == [None] * 3
+    groups = gp.objective_groups(parts)
+    assert [grid for _, grid in groups] == [None] * 3
     assert_near_dense(data, _params(rng, 2), kind, parts=parts)
 
 
@@ -182,9 +182,8 @@ def test_evaluation_memory_does_not_grow_with_the_components(rng):
     assert peaks[1] < 1.5 * peaks[0]
     n = 800
     data, params = _field(rng, n, 1), _params(rng, 1, q=10)
-    table = kn.lag_table(data.X, "slsm", params)
     M = rng.standard_normal((n, n))
     M += M.T
     peak = _traced_peak(lambda: kn.training_covariance(data.X, "slsm", params.rows("slsm"),
-                                                       table)[1](M))
+                                                       kn.Grid.of(data.X))[1](M))
     assert peak < 4 * n * n * 8

@@ -7,7 +7,7 @@ import pytest
 
 import skewgp.spectral as sp
 from skewgp.errors import DataError
-from skewgp.gp import Dataset, fit, nlml, sample_prior
+from skewgp.gp import Dataset, fit, nlml, sample_prior, scale_variances
 from skewgp.kernels import SlsmComponent, SlsmParams
 from skewgp.optimize import OptConfig
 
@@ -138,11 +138,14 @@ class TestInitParams:
         y = sample_prior("slsm", gen, X, 1, seed=21)[0]
         y = y + 0.05**0.5 * np.random.default_rng(22).standard_normal(300)
         data = Dataset(X, y)
-        gen_nlml = nlml(data, gen, "slsm")
         spec = sp.periodogram(y, 1.0)
         init = sp.init_params(sp.em_mixture(spec, 2, seed=0), "slsm",
                               float(np.var(y)), seed=0)
-        model = fit(data, init, "slsm", OptConfig(max_iters=150), normalize=False)
+        model = fit(data, init, "slsm", OptConfig(max_iters=150))
+        # both NLMLs in the fit's normalized units
+        norm = model.normalization
+        s2 = norm.y_std**2
+        gen_nlml = nlml(norm.apply(data), scale_variances(gen, lambda v: v / s2), "slsm")
         assert model.nlml_internal <= gen_nlml + 0.01 * abs(gen_nlml)
 
 

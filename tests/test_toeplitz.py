@@ -1,6 +1,6 @@
 """The Toeplitz objective for uniformly sampled series: the uniformity rule,
-which inputs take the path, its agreement with the dense lag-table
-objective, grouped rBCM experts and the jitter ladder on prediction-error
+which inputs take the path, its agreement with the dense objective on the
+same grid, grouped rBCM experts and the jitter ladder on prediction-error
 variances."""
 
 from dataclasses import replace
@@ -16,15 +16,32 @@ import skewgp.toeplitz as tz
 from skewgp.errors import NumericalError
 from skewgp.gp import Dataset
 from skewgp.kernels import BaselineKernelParams, SlsmComponent, SlsmParams
-from skewgp.optimize import transform, untransform
+from skewgp.optimize import transform
+
+from conftest import training_table
 
 KINDS = ("slsm", "sm", "lkp", "se", "rq")
 STEPS = (1.0, 0.1, 1.0 / 12.0)
 
 
 def _dense(data, tp):
-    return gp.nlml_value_and_grad([data], tp, kn.lag_table(data.X, tp.layout.kind,
-                                                           untransform(tp)))
+    """The production dense objective of ``data`` on its Grid: the Toeplitz
+    crossover is moved past n."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tz, "MIN_N", data.n + 1)
+        return gp.nlml_value_and_grad([data], tp, kn.Grid.of(data.X))
+
+
+def _evaluate(groups, tp):
+    """``nlml_value_and_grad`` of each objective group ``(members, grid)``
+    and the terms (``_dense_terms`` or ``_toeplitz_terms``) each took."""
+    paths = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_dense_terms", "_toeplitz_terms"):
+            run = getattr(gp, name)
+            mp.setattr(gp, name, lambda *a, run=run, name=name: paths.append(name) or run(*a))
+        results = [gp.nlml_value_and_grad(members, tp, grid) for members, grid in groups]
+    return results, paths
 
 
 def _assert_close(got, ref, f_tol=1e-8, g_tol=1e-5):
@@ -79,20 +96,24 @@ class TestUniformityRule:
 
 
 class TestPathSelection:
-    def _tables(self, X, rng, kind="slsm"):
-        p = SlsmParams((SlsmComponent(1.0, 0.3, 0.5, 0.1),), noise_var=0.1)
-        return [t for _, t in gp.objective_groups([_series(X, rng)], kind, p)]
+    P = SlsmParams((SlsmComponent(1.0, 0.3, 0.5, 0.1),), noise_var=0.1)
+
+    def _groups(self, X, rng, kind="slsm", params=P):
+        """``(grid, terms)`` of each objective group of a series at ``X``."""
+        groups = gp.objective_groups([_series(X, rng)])
+        _, paths = _evaluate(groups, transform(params, kind))
+        return [(grid, path) for (_, grid), path in zip(groups, paths)]
 
     def test_crossover_is_the_first_toeplitz_size(self, rng):
-        below, = self._tables(np.arange(tz.MIN_N - 1, dtype=float), rng)
-        at, = self._tables(np.arange(tz.MIN_N, dtype=float), rng)
-        assert isinstance(below, tuple) and below[1] is not None
-        assert at == kn.Grid(tz.MIN_N, 1.0)
+        (below, path_below), = self._groups(np.arange(tz.MIN_N - 1, dtype=float), rng)
+        (at, path_at), = self._groups(np.arange(tz.MIN_N, dtype=float), rng)
+        assert below == kn.Grid(tz.MIN_N - 1, 1.0) and path_below == "_dense_terms"
+        assert at == kn.Grid(tz.MIN_N, 1.0) and path_at == "_toeplitz_terms"
 
     @pytest.mark.parametrize("family", ["unit", "descending", "tenth", "linspace", "monthly"])
     def test_dense_table_and_toeplitz_grid_hold_the_same_lags(self, rng, family):
-        """A series of MIN_N points takes the Toeplitz Grid and the same
-        series one point shorter the dense table; the table is the first
+        """A series of MIN_N points takes the Toeplitz path and the same
+        series one point shorter the dense path, whose lags are the first
         column |h| k of the Toeplitz K, bit for bit, which every kernel (even
         in tau) evaluates as the grid lags h k."""
         at = {"unit": np.arange(tz.MIN_N, dtype=float),
@@ -101,15 +122,17 @@ class TestPathSelection:
               "linspace": np.linspace(0.0, 400.0, tz.MIN_N),
               "monthly": 1949.0 + np.arange(tz.MIN_N) / 12.0}[family]
         below = at[:-1]
-        grid, = self._tables(at, rng)
-        (values, index), = self._tables(below, rng)
+        (grid, path_at), = self._groups(at, rng)
+        (_, path_below), = self._groups(below, rng)
+        assert (path_at, path_below) == ("_toeplitz_terms", "_dense_terms")
+        values, index = training_table(below, "slsm", self.P)
         assert grid == kn.Grid.of(at)
         n = below.size
         k = np.arange(n)
         # the dense table is the first column of the Toeplitz K
         assert np.array_equal(index, np.abs(np.subtract.outer(k, k)))
         assert np.array_equal(values, np.abs(kn.Grid.of(below).lags()))
-        values_at, _ = kn.lag_table(at, "slsm", SlsmParams((SlsmComponent(1.0, 0.3, 0.5),)))
+        values_at, _ = training_table(at, "slsm", SlsmParams((SlsmComponent(1.0, 0.3, 0.5),)))
         assert np.array_equal(values_at, np.abs(grid.lags()))
         if family == "monthly":
             # h is read from the end points: 1949 + 143/12 rounds unlike 1949 + 142/12
@@ -123,50 +146,58 @@ class TestPathSelection:
                                   kn.kernel_value(kn.Grid.of(below).lags(), kind, params))
 
     def test_airline_size_stays_dense(self, rng):
-        table, = self._tables(np.arange(96, dtype=float), rng)
-        assert not isinstance(table, kn.Grid)
+        (grid, path), = self._groups(np.arange(96, dtype=float), rng)
+        assert grid == kn.Grid(96, 1.0) and path == "_dense_terms"
 
     def test_one_gap_moved_takes_the_dense_path(self, rng):
-        table, = self._tables(_one_gap_moved(np.arange(400, dtype=float)), rng)
-        assert table is None  # off a grid: dense, from the points
+        X = _one_gap_moved(np.arange(400, dtype=float))
+        (grid, path), = self._groups(X, rng)
+        assert grid is None and path == "_dense_terms"
+        assert training_table(X, "slsm", self.P) is None  # off a grid: from the points
 
     def test_scattered_and_multivariate_inputs_stay_dense(self, rng):
         p2 = SlsmParams((SlsmComponent(1.0, (0.3, 0.2), (0.5, 0.4)),), noise_var=0.1)
         X2 = rng.uniform(0.0, 5.0, (300, 2))
         data2 = Dataset(X2, X2.sum(axis=1))
-        (_, table2), = gp.objective_groups([data2], "slsm", p2)
-        assert table2 is None  # dense, from the points: no lag table
+        (members, grid2), = gp.objective_groups([data2])
+        assert grid2 is None and _evaluate([(members, grid2)], transform(p2, "slsm"))[1] == \
+            ["_dense_terms"]
+        assert training_table(X2, "slsm", p2) is None  # from the points: no lags
         X = np.sort(rng.uniform(0.0, 300.0, 300))
-        table, = self._tables(X, rng)
-        assert table is None  # a mixture off a grid: dense, from the points
-        table, = self._tables(X, rng, kind="se")
-        assert isinstance(table, tuple) and table[1] is None  # a baseline keeps its lags
+        (grid, path), = self._groups(X, rng)
+        assert grid is None and path == "_dense_terms"
+        assert training_table(X, "slsm", self.P) is None  # a mixture off a grid: the points
+        se = BaselineKernelParams("se", 1.0, 2.0, noise_var=0.1)
+        (grid, path), = self._groups(X, rng, kind="se", params=se)
+        assert grid is None and path == "_dense_terms"
+        assert training_table(X, "se", se)[1] is None  # a baseline keeps its lags
 
     def test_equal_contiguous_experts_form_one_group(self, rng):
         data = _series(np.linspace(0.0, 400.0, 2000), rng)
         parts = [Dataset(data.X[i], data.y[i]) for i in rbcm.partition(data.n, 8)]
-        groups = gp.objective_groups(parts, "slsm", SlsmParams((SlsmComponent(1.0, 0.3, 0.5),)))
+        groups = gp.objective_groups(parts)
         assert len(groups) == 1
         members, grid = groups[0]
         assert members == parts and grid.n == 250
 
     def test_two_block_sizes_form_two_groups(self, rng):
         """Blocks of two sizes on one grid form two groups, also below the
-        crossover, where each group holds its first member's lag table."""
+        crossover, where each group's Grid indexes its first member's lags."""
         p = SlsmParams((SlsmComponent(1.0, 0.3, 0.5),))
         data = _series(np.arange(2003, dtype=float), rng)
         parts = [Dataset(data.X[i], data.y[i]) for i in rbcm.partition(data.n, 8)]
-        groups = gp.objective_groups(parts, "slsm", p)
+        groups = gp.objective_groups(parts)
         assert [(len(m), g.n) for m, g in groups] == [(3, 251), (5, 250)]
 
         data = _series(np.arange(1003, dtype=float), rng)
         parts = [Dataset(data.X[i], data.y[i]) for i in rbcm.partition(data.n, 8)]
-        groups = gp.objective_groups(parts, "slsm", p)
+        groups = gp.objective_groups(parts)
         assert [m for m, _ in groups] == [parts[:3], parts[3:]]
-        for (members, (values, index)), size in zip(groups, (126, 125)):
-            ref_values, ref_index = kn.lag_table(members[0].X, "slsm", p)
-            assert index.shape == (size, size)
-            assert np.array_equal(values, ref_values) and np.array_equal(index, ref_index)
+        for (members, grid), size in zip(groups, (126, 125)):
+            ref_values, ref_index = training_table(members[0].X, "slsm", p)
+            assert grid.index.shape == (size, size)
+            assert np.array_equal(np.abs(grid.lags()), ref_values)
+            assert np.array_equal(grid.index, ref_index)
 
 
 @st.composite
@@ -210,7 +241,7 @@ def test_large_linspace_grid_matches_dense(rng, kind):
               SlsmParams((SlsmComponent(1.0, 0.3, 0.15, 0.2),
                           SlsmComponent(0.7, 1.1, 0.2, -0.1)), noise_var=0.1))
     tp = transform(params, kind)
-    (_, grid), = gp.objective_groups([data], kind, params)
+    (_, grid), = gp.objective_groups([data])
     assert grid == kn.Grid.of(X)
     _assert_close(gp.nlml_value_and_grad([data], tp, grid), _dense(data, tp))
 
@@ -228,10 +259,11 @@ def test_grouped_experts_equal_the_per_expert_dense_sum(rng, n):
               1949.0 + np.arange(n) / 12.0):
         data = _series(X, rng)
         parts = [Dataset(data.X[i], data.y[i]) for i in rbcm.partition(n, 8)]
-        groups = gp.objective_groups(parts, "slsm", params)
+        groups = gp.objective_groups(parts)
         assert [len(m) for m, _ in groups] == ([8] if n % 8 == 0 else [3, 5])
-        assert all(isinstance(t, kn.Grid) == (n // 8 >= tz.MIN_N) for _, t in groups)
-        results = [gp.nlml_value_and_grad(members, tp, table) for members, table in groups]
+        assert all(isinstance(t, kn.Grid) for _, t in groups)
+        results, paths = _evaluate(groups, tp)
+        assert paths == ["_toeplitz_terms" if n // 8 >= tz.MIN_N else "_dense_terms"] * len(groups)
         f = sum(r[0] for r in results)
         g = np.sum([r[1] for r in results], axis=0)
         dense = [_dense(part, tp) for part in parts]
