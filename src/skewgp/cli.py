@@ -207,9 +207,7 @@ def _write_predictions(path: Path, t_or_x: np.ndarray, pred: gp.Prediction):
     """Write one row per query point: its input columns (``t`` for a 1-D
     array or P = 1, ``x1..xP`` otherwise), then mean, var and the 95% band."""
     mode = "observation" if pred.observation_noise else "latent"
-    x = np.asarray(t_or_x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = kernels._as_points(t_or_x)
     names = ["t"] if x.shape[1] == 1 else [f"x{d + 1}" for d in range(x.shape[1])]
     sd = np.sqrt(pred.var)
     with open(path, "w", newline="") as fh:

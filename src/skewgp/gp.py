@@ -85,16 +85,14 @@ class Dataset:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = kn._as_points(self.X)
         y = np.asarray(self.y, dtype=float).ravel()
         if X.shape[0] != y.shape[0]:
             raise DataError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
         if X.shape[0] < 1:
             raise DataError("dataset is empty")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-            raise DataError("dataset contains non-finite values")
+        if not np.all(np.isfinite(y)):
+            raise DataError("targets y contain non-finite values")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
@@ -146,13 +144,9 @@ class Normalization:
     def apply_queries(self, Xstar) -> np.ndarray:
         """Normalized query points for prediction; they must be finite and
         have the training inputs' width P."""
-        Xs = np.asarray(Xstar, dtype=float)
-        if Xs.ndim == 1:
-            Xs = Xs[:, None]
+        Xs = kn._as_points(Xstar)
         if Xs.shape[1] != len(self.x_means):
             raise DimensionMismatchError(len(self.x_means), Xs.shape[1])
-        if not np.all(np.isfinite(Xs)):
-            raise DataError("prediction inputs contain non-finite values")
         return self.apply_x(Xs)
 
     def prediction(self, mean_n, var_n, observation_noise: bool) -> "Prediction":

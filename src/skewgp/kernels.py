@@ -265,7 +265,11 @@ def spectral_density(s, c: SlsmComponent):
 
 
 def _as_points(x) -> np.ndarray:
+    """The (n, P) float array of the points ``x``, a 1-D array being P = 1;
+    any other shape, or a non-finite value, is a :class:`DataError`."""
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise DataError(f"input points must be a 1-D or 2-D array, got shape {x.shape}")
     if x.ndim == 1:
         x = x[:, None]
     if not np.all(np.isfinite(x)):

@@ -1,12 +1,13 @@
 """L-BFGS minimization with parameter transforms.
 
-The hyper-parameter surface is optimized in transformed coordinates: every
-positivity-constrained parameter (weights, frequencies, scales, noise
-variance) goes through a natural log, skew parameters stay on the identity
-map.  Scales are standard deviations in every input dimension, so the scale
-coordinate is log sigma_d whatever the number of dimensions P.  Frequencies
-intended at zero are represented by 1e-8 so a single log transform covers
-every slot.
+The hyper-parameter surface is optimized in transformed coordinates: the
+vector is the flattened parameter rows of ``SlsmParams.rows`` (a baseline's
+one row), then the noise variance.  Every positivity-constrained parameter
+(weights, frequencies, scales, noise variance) goes through a natural log,
+skew parameters stay on the identity map.  Scales are standard deviations in
+every input dimension, so the scale coordinate is log sigma_d whatever the
+number of dimensions P.  Frequencies intended at zero are represented by 1e-8
+so a single log transform covers every frequency.
 
 The optimizer is L-BFGS with a memory of 10 curvature pairs; a run stops
 once the largest gradient entry falls below 1e-6 or its iteration budget is
@@ -55,13 +56,13 @@ class OptConfig:
 
 @dataclass(frozen=True)
 class ParamLayout:
-    """Describes how a flat transformed vector maps back to kernel params."""
+    """How a flat transformed vector maps back to kernel params: its
+    (Q, 1 + k P) rows, then the noise variance, logged where ``log_mask``."""
 
     kind: str
     q: int
     p: int
     log_mask: tuple[bool, ...]
-    names: tuple[str, ...]
 
     def natural(self, x: np.ndarray):
         """``(rows, vals)``: the natural values ``vals`` of the transformed
@@ -78,33 +79,28 @@ class TransformedParams:
     layout: ParamLayout
 
 
-def _log_slot(value: float, name: str) -> float:
-    if value <= 0.0:
-        raise DataError(f"{name} must be > 0 for the log transform, got {value}")
-    return float(np.log(value))
-
-
 def transform(params, kind: str) -> TransformedParams:
-    """Map kernel parameters to the unconstrained optimization vector: one
-    named slot per parameter in the row order of :meth:`ParamLayout.natural`,
-    the noise variance last; every slot but a skew is logged."""
+    """Map kernel parameters to the unconstrained optimization vector: the
+    flattened rows of :meth:`ParamLayout.natural` (a mixture's
+    :meth:`~skewgp.kernels.SlsmParams.rows` with mu floored at ``MU_FLOOR``),
+    then the noise variance; every slot but slsm's gamma columns is logged."""
     if isinstance(params, BaselineKernelParams):
-        slots, q, p = [("theta_f", params.theta_f), ("ell", params.ell)], 1, 1
-        slots += [("rq_alpha", params.rq_alpha)] if params.variant == "rq" else []
+        p, rows = 1, np.array([[params.theta_f, params.ell, params.rq_alpha]])
+        rows = rows[:, :3 if params.variant == "rq" else 2]
     else:
-        slots, q, p = [], params.q, params.p
-        for i, c in enumerate(params.components):
-            dims = [f"{i}"] if p == 1 else [f"{i},{d}" for d in range(p)]
-            slots.append((f"w[{i}]", c.w))
-            for name, values in (("mu", [max(m, MU_FLOOR) for m in c.mu]), ("sigma", c.sigma),
-                                 ("gamma", c.gamma if kind == "slsm" else ())):
-                slots += [(f"{name}[{at}]", v) for at, v in zip(dims, values)]
-    slots.append(("noise_var", params.noise_var))
-    gamma = tuple(name.startswith("gamma") for name, _ in slots)
-    x = [float(v) if g else _log_slot(v, name) for (name, v), g in zip(slots, gamma)]
-    layout = ParamLayout(kind, q, p, tuple(not g for g in gamma),
-                         tuple(name for name, _ in slots))
-    return TransformedParams(np.array(x), layout)
+        p, rows = params.p, params.rows(kind)
+        rows[:, 1:1 + p] = np.maximum(rows[:, 1:1 + p], MU_FLOOR)
+    logged = np.ones(rows.shape, dtype=bool)
+    logged[:, 1 + 2 * p:] = False
+    vals, log_mask = np.append(rows, params.noise_var), np.append(logged, True)
+    bad = np.flatnonzero(log_mask & (vals <= 0.0))
+    if bad.size:
+        where = ("noise variance" if bad[0] == rows.size
+                 else "component {} column {}".format(*divmod(bad[0], rows.shape[1])))
+        raise DataError(f"{where} must be > 0 for the log transform, got {vals[bad[0]]}")
+    x = vals.copy()
+    x[log_mask] = np.log(vals[log_mask])
+    return TransformedParams(x, ParamLayout(kind, rows.shape[0], p, tuple(log_mask.tolist())))
 
 
 def untransform(tp: TransformedParams):

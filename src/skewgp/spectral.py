@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .kernels import SlsmComponent, SlsmParams, _sum_sq_diff
+from .kernels import SlsmComponent, SlsmParams, _as_points, _sum_sq_diff
 
 EM_MAX_ITERS = 200
 EM_TOL = 1e-8
@@ -254,9 +254,7 @@ def median_distance_freq_max(X: np.ndarray) -> float:
     """pi / median pairwise distance, over a seeded subsample of
     MEDIAN_MAX_POINTS points for larger n; a zero median, or a single point
     with no pairs, counts as distance 1."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _as_points(X)
     n = X.shape[0]
     if n > MEDIAN_MAX_POINTS:
         idx = np.random.default_rng(0).choice(n, size=MEDIAN_MAX_POINTS, replace=False)

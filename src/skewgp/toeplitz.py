@@ -65,7 +65,7 @@ class Factor:
         sum_j (n - k - j) c_j c_{j+k}."""
         n, m = alphas.shape
         weights = n - np.arange(n)
-        inv = sum(sign * self._corr(f, (weights * c)[:, None])[:, 0]
+        inv = sum(sign * self._conv(np.conj(f), (weights * c)[:, None])[:, 0]
                   for sign, f, c in zip((1.0, -1.0), (self._fa, self._fb), self._cols))
         fa = fft.rfft(alphas, self._nfft, axis=0)
         power = np.sum(fa.real**2 + fa.imag**2, axis=1)
@@ -73,21 +73,17 @@ class Factor:
 
     def _apply_inverse(self, Y: np.ndarray) -> np.ndarray:
         """T^-1 Y = (A (A^T Y) - B (B^T Y)) / x_0."""
-        out = sum(sign * self._conv(f, self._corr(f, Y))
+        out = sum(sign * self._conv(f, self._conv(np.conj(f), Y))
                   for sign, f in zip((1.0, -1.0), (self._fa, self._fb)))
         return out / self.x[0]
 
     def _conv(self, f: np.ndarray, V: np.ndarray) -> np.ndarray:
         """First n rows of the convolution of the column with spectrum ``f``
-        and the columns of V: the lower-triangular Toeplitz product L V."""
+        and the columns of V: the lower-triangular Toeplitz product L V.  The
+        conjugate spectrum ``np.conj(f)`` gives the correlation
+        sum_j c_j V[j+k], L^T V."""
         n = self.x.size
         return fft.irfft(f[:, None] * fft.rfft(V, self._nfft, axis=0), self._nfft, axis=0)[:n]
-
-    def _corr(self, f: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """First n rows of the correlation sum_j c_j V[j+k]: L^T V."""
-        n = self.x.size
-        return fft.irfft(np.conj(f)[:, None] * fft.rfft(V, self._nfft, axis=0), self._nfft,
-                         axis=0)[:n]
 
 
 def levinson(r: np.ndarray) -> Factor | None:

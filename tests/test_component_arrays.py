@@ -150,7 +150,7 @@ def _assert_underflow_rejected(data, p):
     (members, grid), = gp.objective_groups([data])
     tp = transform(params, "slsm")
     x = tp.x.copy()
-    x[tp.layout.names.index("sigma[1]" if p == 1 else "sigma[1,0]")] = -800.0
+    x[1 * (1 + 3 * p) + 1 + p] = -800.0    # slot = row (1 + k P) + column: sigma_0 of row 1
     with pytest.raises(DataError):
         gp.nlml_value_and_grad(members, TransformedParams(x, tp.layout), grid)
     f, g = gp.objective_or_inf(members, x, tp.layout, grid)
@@ -169,8 +169,9 @@ def test_a_scale_underflowing_to_zero_is_rejected_on_a_grid(path):
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_a_scale_underflowing_to_zero_is_rejected_off_a_grid(p):
-    """The same on scattered P = 1 inputs (slot ``sigma[1]``) and on P = 2
-    inputs (slot ``sigma[1,0]``), which are no grid."""
+    """The same on scattered P = 1 inputs (slot 6: row 1, column 2,
+    sigma[1]) and on P = 2 inputs (slot 10: row 1, column 3 of sigma[1, 0]),
+    which are no grid."""
     rng = np.random.default_rng(3)
     X = np.sort(rng.uniform(0.0, 40.0, 40)) if p == 1 else rng.uniform(-2.0, 2.0, (40, 2))
     grid = _assert_underflow_rejected(Dataset(X, np.sin(0.3 * X.reshape(40, -1).sum(axis=1))), p)

@@ -63,6 +63,31 @@ class TestDataset:
         assert a.fingerprint() != c.fingerprint()
 
 
+def _read_points(reader, points):
+    """Hand ``points`` to one reader of input points: a ``Dataset``,
+    ``gram`` or a model's ``predict``."""
+    n = points.size
+    if reader == "Dataset":
+        return Dataset(points, np.zeros(n))
+    if reader == "gram":
+        return kn.gram(points, points, "slsm", UNIT)
+    data = Dataset(np.arange(8.0), np.sin(np.arange(8.0)))
+    params = SlsmParams((SlsmComponent(1.0, 0.5, 1.0, 0.2),), noise_var=0.1)
+    model = gp._model_from_params("slsm", params, data, Normalization.from_data(data),
+                                  data.fingerprint())
+    return model.predict(points)
+
+
+@pytest.mark.parametrize("points", [np.array(5.0), np.arange(40.0).reshape(40, 1, 1)],
+                         ids=["0-d", "n-1-1"])
+@pytest.mark.parametrize("reader", ["Dataset", "gram", "predict"])
+def test_points_neither_1d_nor_2d_are_a_data_error(reader, points):
+    """A point array that is neither 1-D nor 2-D is a ``DataError`` at every
+    reader, not an ``IndexError``, ``TypeError`` or broadcast error."""
+    with pytest.raises(DataError, match="1-D or 2-D"):
+        _read_points(reader, points)
+
+
 class TestNlml:
     def test_single_zero_observation(self):
         data = Dataset(np.array([0.0]), np.array([0.0]))

@@ -1,5 +1,7 @@
 """Parameter transforms and the L-BFGS minimizer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,9 @@ class TestTransforms:
         p = SlsmParams((SlsmComponent(1.0, 0.5, 1.0, 0.0),), noise_var=1.0)
         tp = transform(p, "slsm")
         assert tp.x[0] == 0.0
-        assert tp.layout.names[0] == "w[0]"
+        x = tp.x.copy()
+        x[0 * (1 + 3 * 1) + 0] = np.log(2.0)    # slot = row (1 + k P) + column: w of row 0
+        assert untransform(TransformedParams(x, tp.layout)).components[0].w == pytest.approx(2.0)
 
     def test_round_trip_random_params(self, rng):
         for _ in range(100):
@@ -43,7 +47,7 @@ class TestTransforms:
     def test_gamma_slot_is_identity(self):
         p = SlsmParams((SlsmComponent(1.0, 0.5, 1.0, -0.7),), noise_var=0.1)
         tp = transform(p, "slsm")
-        gi = tp.layout.names.index("gamma[0]")
+        gi = 0 * (1 + 3 * 1) + 1 + 2 * 1    # slot = row (1 + k P) + column: gamma of row 0
         assert tp.x[gi] == -0.7
         assert not tp.layout.log_mask[gi]
 
@@ -58,6 +62,44 @@ class TestTransforms:
         q = untransform(transform(b, "rq"))
         assert q.theta_f == pytest.approx(2.0, rel=1e-12)
         assert q.rq_alpha == pytest.approx(1.5, rel=1e-12)
+
+    @pytest.mark.parametrize("kind,p", [(k, p) for k in ("slsm", "sm", "lkp") for p in (1, 2, 3)]
+                             + [("se", 1), ("rq", 1)])
+    def test_vector_is_the_logged_rows_bit_for_bit(self, rng, kind, p):
+        """The vector equals a per-slot scalar reference bit for bit: the
+        rows (w, mu floored at MU_FLOOR, sigma and, for slsm, gamma; a
+        baseline's theta_f, ell(, rq_alpha)), then the noise variance, each
+        slot ``float(np.log(v))`` but a skew, which stays as is.  A zero
+        weight and a zero noise variance each raise ``DataError``."""
+        for _ in range(50):
+            if kind in ("se", "rq"):
+                params = BaselineKernelParams(kind, *np.exp(rng.normal(0.0, 3.0, 3)),
+                                              noise_var=float(np.exp(rng.normal(0.0, 3.0))))
+                slots = [(v, True) for v in (params.theta_f, params.ell)]
+                slots += [(params.rq_alpha, True)] if kind == "rq" else []
+            else:
+                comps = tuple(SlsmComponent(float(np.exp(rng.normal(0.0, 3.0))),
+                                            tuple(np.where(rng.random(p) < 0.3, 0.0,
+                                                           np.exp(rng.normal(0.0, 4.0, p)))),
+                                            tuple(np.exp(rng.normal(0.0, 3.0, p))),
+                                            tuple(rng.normal(0.0, 2.0, p)))
+                              for _ in range(int(rng.integers(1, 5))))
+                params = SlsmParams(comps, noise_var=float(np.exp(rng.normal(0.0, 3.0))))
+                slots = []
+                for c in comps:
+                    slots += [(c.w, True)] + [(max(m, optimize.MU_FLOOR), True) for m in c.mu]
+                    slots += [(s, True) for s in c.sigma]
+                    slots += [(g, False) for g in c.gamma] if kind == "slsm" else []
+            slots.append((params.noise_var, True))
+            tp = transform(params, kind)
+            ref = [float(np.log(v)) if logged else v for v, logged in slots]
+            assert np.array_equal(tp.x.view(np.int64), np.array(ref).view(np.int64))
+            assert tp.layout.log_mask == tuple(logged for _, logged in slots)
+        if kind not in ("se", "rq"):
+            with pytest.raises(DataError, match="component 0 column 0"):
+                transform(params.with_components((replace(comps[0], w=0.0),) + comps[1:]), kind)
+        with pytest.raises(DataError, match="noise variance"):
+            transform(replace(params, noise_var=0.0), kind)
 
     def test_nonpositive_log_slot_rejected(self):
         p = SlsmParams((SlsmComponent(1.0, 0.5, 1.0, 0.0),), noise_var=0.0)
