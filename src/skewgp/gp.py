@@ -41,6 +41,10 @@ queries with the training inputs from :func:`~skewgp.kernels.gram`, on
 the same decision: against a grid at the exact lags x*_i - t_j, once per
 lag of a few Toeplitz bands (on-grid points, half-steps) where these
 reproduce every lag bit for bit; a mixture off a grid from the points.
+It takes the queries in blocks of :data:`PREDICT_BLOCK_ENTRIES` // n
+rows, so its working set does not grow with the number of queries; a
+row's cross-covariance and mean do not depend on its block, its variance
+only in the last bits of the triangular solve.
 """
 
 from __future__ import annotations
@@ -69,6 +73,9 @@ from .optimize import (
 
 JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 SCHEMA_VERSION = 1
+# cross-covariance entries of one latent_moments block (16 MiB): a
+# smaller block slows the triangular solve more than it saves
+PREDICT_BLOCK_ENTRIES = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +137,6 @@ class Normalization:
             xs = (1.0,) * data.p
         return cls(float(np.mean(data.y)), y_std, xm, xs)
 
-    @classmethod
-    def identity(cls, p: int = 1) -> "Normalization":
-        return cls(0.0, 1.0, (0.0,) * p, (1.0,) * p)
-
     def apply(self, data: Dataset) -> Dataset:
         yn = (data.y - self.y_mean) / self.y_std
         return Dataset(self.apply_x(data.X), yn, data.names)
@@ -192,23 +195,27 @@ def _walk_ladder(scale: float, attempt, what: str):
 
 def chol_with_jitter(K: np.ndarray, noise_var: float):
     """Lower Cholesky of K + noise I, escalating jitter on failure; only
-    the lower triangle of K is read.
+    the lower triangle of K is read and K is never written.
 
-    Returns ``(L, jitter_used)``; the jitter scale is tr(K + noise I) / n.
+    Each rung factorizes one Fortran copy of K in place, its diagonal set
+    to (K_ii + noise) + jitter.  Returns ``(L, jitter_used)``; the jitter
+    scale is tr(K + noise I) / n.
     """
     n = K.shape[0]
     if not (np.all(np.isfinite(K)) and np.isfinite(noise_var)):
         raise NumericalError("covariance matrix contains non-finite values")
-    kt = K + noise_var * np.eye(n)
+    diag = np.diagonal(K) + noise_var
 
     def attempt(jitter):  # K and the noise are checked above: no second scan
+        kt = np.array(K, order="F")
+        np.fill_diagonal(kt, diag + jitter)
         try:
-            return cholesky(kt + jitter * np.eye(n), lower=True, check_finite=False)
+            return cholesky(kt, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
             return None
 
     with np.errstate(over="ignore"):  # an infinite trace raises NumericalError below
-        scale = float(np.trace(kt)) / n
+        scale = float(np.sum(diag)) / n
     return _walk_ladder(scale, attempt, "Cholesky factorization")
 
 
@@ -250,12 +257,21 @@ def factorize(data: Dataset, kind: str, params):
 def latent_moments(Xs_n, factors, kind: str, params):
     """Noise-free predictive mean and variance at normalized query points
     from the stored factors (``data``, ``chol_L``, ``alpha``) of a model or
-    an rBCM expert: one :func:`~skewgp.kernels.gram` and one triangular
-    solve."""
-    ks = kn.gram(Xs_n, factors.data.X, kind, params)
-    mean = np.einsum("ij,j->i", ks, factors.alpha)  # each row alone: no batch-sized GEMV
-    v = solve_triangular(factors.chol_L, ks.T, lower=True, overwrite_b=True)  # ks is spent
-    return mean, kn.prior_variance(params) - np.sum(v * v, axis=0)
+    an rBCM expert: one :func:`~skewgp.kernels.gram` and one in-place
+    triangular solve per block of :data:`PREDICT_BLOCK_ENTRIES` // n
+    queries, written into the m-vectors of the result, so one block's
+    (rows, n) arrays are held at a time."""
+    X, L, alpha = factors.data.X, factors.chol_L, factors.alpha
+    m = Xs_n.shape[0]
+    step = max(1, PREDICT_BLOCK_ENTRIES // X.shape[0])
+    mean, sq = np.empty(m), np.empty(m)
+    for lo in range(0, m, step):
+        ks = kn.gram(Xs_n[lo:lo + step], X, kind, params)
+        mean[lo:lo + step] = np.einsum("ij,j->i", ks, alpha)  # each row alone: no GEMV
+        v = solve_triangular(L, ks.T, lower=True, overwrite_b=True)  # ks is spent
+        sq[lo:lo + step] = np.sum(v * v, axis=0)
+        del ks, v  # not held through the next block's gram
+    return mean, kn.prior_variance(params) - sq
 
 
 # ---------------------------------------------------------------------------

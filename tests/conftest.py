@@ -7,6 +7,7 @@ metrics.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -64,6 +65,21 @@ def quad_sm_oracle(tau: float, mu: float, sigma: float) -> float:
     val, _ = quad(lambda s: dens(s) * math.cos(s * tau), 0.0, hi,
                   points=[mu], limit=400, epsabs=1e-9, epsrel=1e-9)
     return 2.0 * val
+
+
+def identity_normalization(p: int = 1) -> gp.Normalization:
+    """The normalization that leaves targets and P input columns as given."""
+    return gp.Normalization(0.0, 1.0, (0.0,) * p, (1.0,) * p)
+
+
+def traced_peak(run) -> int:
+    """The peak of the memory ``tracemalloc`` traces while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

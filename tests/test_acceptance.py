@@ -17,7 +17,6 @@ import skewgp.kernels as kn
 import skewgp.spectral as sp
 from skewgp.gp import (
     Dataset,
-    Normalization,
     _model_from_params,
     fit,
     nlml,
@@ -33,6 +32,7 @@ from conftest import (
     AIRLINE_CSV,
     dense_nlml,
     dense_predict,
+    identity_normalization,
     quad_kernel_oracle,
     random_component,
     random_params,
@@ -135,7 +135,7 @@ def test_criterion_5_dense_algebra_oracle():
         data = Dataset(X, y)
         p = random_params(rng, q=3, noise=0.3)
         worst = max(worst, abs(nlml(data, p, kind) - dense_nlml(data, p, kind)))
-        model = _model_from_params(kind, p, data, Normalization.identity(1),
+        model = _model_from_params(kind, p, data, identity_normalization(1),
                                    data.fingerprint())
         Xs = rng.uniform(0, 25, 10)
         pred = model.predict(Xs)
@@ -239,12 +239,12 @@ def test_criterion_8_rbcm():
     experts = [_Expert(indices=np.arange(150),
                        data=Dataset(small.X, small.y)) for _ in range(3)]
     ens_same = ExpertEnsemble(kind="slsm", params=p,
-                              normalization=Normalization.identity(1),
+                              normalization=identity_normalization(1),
                               experts=experts, beta_mode="uniform",
                               train_fingerprint=small.fingerprint())
     for e in experts:
         _expert_factors("slsm", p, e)
-    full_small = _model_from_params("slsm", p, small, Normalization.identity(1),
+    full_small = _model_from_params("slsm", p, small, identity_normalization(1),
                                     small.fingerprint())
     grid_small = np.linspace(0, 40, 80)
     collapse_err = max(

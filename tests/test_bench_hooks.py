@@ -214,7 +214,8 @@ def test_multivariate_evaluation_calls_the_hooked_partials_once_per_component(mo
 def test_predict_calls_the_hooked_gram_and_solve_once_per_factor(monkeypatch):
     """``gp.predict_self_s`` and ``rbcm.aggregate_s`` subtract the time of
     the ``kernels.gram`` and ``gp.solve_triangular`` hooks, so a batch
-    predict must reach both: once for a model, once per rBCM expert."""
+    predict must reach both: once for a model, once per rBCM expert, and
+    once per block of ``gp.PREDICT_BLOCK_ENTRIES`` // n queries, in pairs."""
     from skewgp import gp, kernels, rbcm
     from skewgp.kernels import SlsmComponent, SlsmParams
     from skewgp.optimize import OptConfig
@@ -241,6 +242,16 @@ def test_predict_calls_the_hooked_gram_and_solve_once_per_factor(monkeypatch):
     calls.clear()
     ens.predict(xq)
     assert calls == ["gram", "solve"] * 3
+
+    # 160 queries in blocks of 50 rows against the model's 60 points, of
+    # 150 rows against each expert's 20
+    monkeypatch.setattr(gp, "PREDICT_BLOCK_ENTRIES", 3000)
+    calls.clear()
+    model.predict(xq)
+    assert calls == ["gram", "solve"] * 4
+    calls.clear()
+    ens.predict(xq)
+    assert calls == ["gram", "solve"] * 2 * 3
 
 
 @pytest.mark.parametrize("n", [96, "MIN_N"], ids=["dense", "toeplitz"])

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky
 
 import skewgp.gp as gp
 import skewgp.kernels as kn
@@ -16,7 +17,7 @@ from skewgp.kernels import SlsmComponent, SlsmParams
 from skewgp.optimize import OptConfig, transform
 from skewgp.spectral import random_init
 
-from conftest import dense_nlml, dense_predict, random_params
+from conftest import dense_nlml, dense_predict, identity_normalization, random_params
 
 
 UNIT = SlsmParams((SlsmComponent(1.0, 0.0, 1.0, 0.0),), noise_var=0.0)
@@ -126,6 +127,21 @@ class TestCholWithJitter:
         with pytest.raises(NumericalError):
             gp.chol_with_jitter(np.diag([1e308, 1e308]), 0.0)
 
+    @pytest.mark.parametrize("escalated", [False, True])
+    def test_factor_of_k_plus_noise_and_jitter_leaves_k_unchanged(self, rng, escalated):
+        """L is bit for bit the factor of K + (noise + jitter) I, at rung 0
+        and at an escalated rung (a rank-one K with no noise takes the
+        first nonzero rung, 1e-10 of its unit trace scale); K is not
+        written."""
+        n = 50
+        A = rng.standard_normal((n, n))
+        K, noise = (np.ones((n, n)), 0.0) if escalated else (A @ A.T / n, 0.1)
+        before = K.copy()
+        L, jitter = gp.chol_with_jitter(K, noise)
+        assert np.array_equal(K, before)
+        assert jitter == (gp.JITTER_LADDER[1] if escalated else 0.0)
+        assert np.array_equal(L, cholesky(K + (noise + jitter) * np.eye(n), lower=True))
+
 
 class TestNlmlGrad:
     def test_matches_finite_differences(self, rng):
@@ -168,7 +184,7 @@ class TestNlmlGrad:
 class TestPredict:
     def _model(self, data, params, kind="slsm"):
         return gp._model_from_params(kind, params, data,
-                                     Normalization.identity(data.p),
+                                     identity_normalization(data.p),
                                      data.fingerprint())
 
     def test_interpolates_noise_free_data(self, rng):
@@ -274,7 +290,7 @@ class TestFit:
         X = np.arange(30.0)
         data = Dataset(X, rng.standard_normal(30))
         p = random_params(rng, q=2, noise=0.2)
-        model = gp._model_from_params("slsm", p, data, Normalization.identity(1),
+        model = gp._model_from_params("slsm", p, data, identity_normalization(1),
                                       data.fingerprint())
         kt = (kn.gram(X, X, "slsm", p) + (p.noise_var + model.jitter_used) * np.eye(30))
         recon = model.chol_L @ model.chol_L.T
@@ -297,7 +313,7 @@ class TestFit:
         p_raw = SlsmParams(p_raw.components, noise_var=p_norm.noise_var * s2)
         shifted = Dataset(X, y - norm.y_mean)
         model_r = gp._model_from_params("slsm", p_raw, shifted,
-                                        Normalization.identity(1),
+                                        identity_normalization(1),
                                         shifted.fingerprint())
         Xs = rng.uniform(0, 25, 11)
         np.testing.assert_allclose(model_n.predict(Xs).mean,
@@ -377,7 +393,7 @@ class TestSerialization:
         data = Dataset(np.arange(10.0), rng.standard_normal(10))
         other = Dataset(np.arange(10.0), rng.standard_normal(10))
         model = gp._model_from_params("slsm", random_params(rng, q=1, noise=0.1),
-                                      data, Normalization.identity(1),
+                                      data, identity_normalization(1),
                                       data.fingerprint())
         with pytest.raises(DataError):
             gp.model_from_json(gp.model_to_json(model), other)
@@ -385,7 +401,7 @@ class TestSerialization:
     def test_schema_version_checked(self, rng):
         data = Dataset(np.arange(5.0), rng.standard_normal(5))
         model = gp._model_from_params("slsm", random_params(rng, q=1, noise=0.1),
-                                      data, Normalization.identity(1),
+                                      data, identity_normalization(1),
                                       data.fingerprint())
         doc = gp.model_to_dict(model)
         doc["schema_version"] = 99

@@ -21,7 +21,7 @@ from skewgp.kernels import BaselineKernelParams, SlsmComponent, SlsmParams
 from skewgp.optimize import OptConfig
 
 from conftest import (P_G_TOL, P_K_TOL, _direct_gram, assert_near_dense,
-                      ref_multi_dense_terms, ref_multi_gram)
+                      identity_normalization, ref_multi_dense_terms, ref_multi_gram, traced_peak)
 
 
 def _params(rng, p, q=3, noise=0.1):
@@ -128,7 +128,7 @@ def test_rows_do_not_depend_on_the_batch(rng, kind):
     for p in (1, 2):
         params = _params(rng, p)
         model = gp._model_from_params(kind, params, _field(rng, 60, p),
-                                      gp.Normalization.identity(p), "field")
+                                      identity_normalization(p), "field")
         Xq = rng.uniform(-3.0, 3.0, (200, p))
         G = kn.gram(Xq, model.data.X, kind, params)
         mean = model.predict(Xq).mean
@@ -158,15 +158,6 @@ def test_fit_and_predict_build_no_vector_lag_array(rng, kind):
     assert peak < n * n * p * 8
 
 
-def _traced_peak(run) -> int:
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_evaluation_memory_does_not_grow_with_the_components(rng):
     """An SLSM evaluation holds K, M and the factor, not every component's
     (n, n) terms.  One P = 2 evaluation at n = 1000: its traced peak at
@@ -177,13 +168,13 @@ def test_evaluation_memory_does_not_grow_with_the_components(rng):
     peaks = []
     for q in (3, 10):
         params = _params(rng, 2, q=q)
-        peaks.append(_traced_peak(lambda: gp._dense_terms(
+        peaks.append(traced_peak(lambda: gp._dense_terms(
             [data], "slsm", params.rows("slsm"), params.noise_var, None)))
     assert peaks[1] < 1.5 * peaks[0]
     n = 800
     data, params = _field(rng, n, 1), _params(rng, 1, q=10)
     M = rng.standard_normal((n, n))
     M += M.T
-    peak = _traced_peak(lambda: kn.training_covariance(data.X, "slsm", params.rows("slsm"),
+    peak = traced_peak(lambda: kn.training_covariance(data.X, "slsm", params.rows("slsm"),
                                                        kn.Grid.of(data.X))[1](M))
     assert peak < 4 * n * n * 8

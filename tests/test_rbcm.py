@@ -7,7 +7,7 @@ import pytest
 
 import skewgp.rbcm as rbcm
 from skewgp.errors import DataError, DimensionMismatchError
-from skewgp.gp import Dataset, Normalization, fit, nlml, sample_prior
+from skewgp.gp import Dataset, fit, nlml, sample_prior
 from skewgp.kernels import SlsmComponent, SlsmParams
 from skewgp.optimize import OptConfig
 from skewgp.spectral import random_init
@@ -23,7 +23,7 @@ from skewgp.rbcm import (
     rbcm_predict,
 )
 
-from conftest import random_params
+from conftest import identity_normalization, random_params
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ def _ensemble_2d(rng, n=30, m=2, max_iters=3):
 
 
 def _manual_ensemble(data, params, subsets, beta_mode="entropy"):
-    norm = Normalization.identity(data.p)
+    norm = identity_normalization(data.p)
     experts = [
         _Expert(indices=np.asarray(idx), data=Dataset(data.X[idx], data.y[idx]))
         for idx in subsets
@@ -125,7 +125,7 @@ class TestRbcmPredict:
         full_idx = np.arange(series.n)
         ens = _manual_ensemble(series, p, [full_idx] * 3, beta_mode="uniform")
         full = _model_from_params("slsm", p, series,
-                                  Normalization.identity(1), series.fingerprint())
+                                  identity_normalization(1), series.fingerprint())
         grid = np.linspace(0, 40, 60)
         agg = ens.predict(grid)
         exact = full.predict(grid)
