@@ -62,14 +62,7 @@ from .errors import DataError, DimensionMismatchError, NumericalError
 from . import kernels as kn
 from . import toeplitz as tz
 from .kernels import BaselineKernelParams, SlsmComponent, SlsmParams
-from .optimize import (
-    OptConfig,
-    OptResult,
-    TransformedParams,
-    minimize,
-    transform,
-    untransform,
-)
+from .optimize import OptConfig, OptResult, minimize, transform, untransform
 
 JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 SCHEMA_VERSION = 1
@@ -263,13 +256,12 @@ def latent_moments(Xs_n, factors, kind: str, params):
     (rows, n) arrays are held at a time."""
     X, L, alpha = factors.data.X, factors.chol_L, factors.alpha
     m = Xs_n.shape[0]
-    step = max(1, PREDICT_BLOCK_ENTRIES // X.shape[0])
     mean, sq = np.empty(m), np.empty(m)
-    for lo in range(0, m, step):
-        ks = kn.gram(Xs_n[lo:lo + step], X, kind, params)
-        mean[lo:lo + step] = np.einsum("ij,j->i", ks, alpha)  # each row alone: no GEMV
+    for rows, _ in kn._row_blocks(m, X.shape[0], entries=PREDICT_BLOCK_ENTRIES):
+        ks = kn.gram(Xs_n[rows], X, kind, params)
+        mean[rows] = np.einsum("ij,j->i", ks, alpha)  # each row alone: no GEMV
         v = solve_triangular(L, ks.T, lower=True, overwrite_b=True)  # ks is spent
-        sq[lo:lo + step] = np.sum(v * v, axis=0)
+        sq[rows] = np.sum(v * v, axis=0)
         del ks, v  # not held through the next block's gram
     return mean, kn.prior_variance(params) - sq
 
@@ -291,22 +283,23 @@ def nlml(data: Dataset, params, kind: str) -> float:
     return nlml_from_factor(L, alpha, data.y)
 
 
-def nlml_value_and_grad(parts, tp: TransformedParams, grid):
+def nlml_value_and_grad(parts, x: np.ndarray, layout, grid):
     """Summed NLML of the datasets ``parts`` of one :func:`objective_groups`
     group on ``grid``, their :class:`~skewgp.kernels.Grid` or None, and its
-    gradient in the transformed coordinates of ``tp``, from one factor:
+    gradient at the transformed vector ``x`` of ``layout``, a
+    :class:`~skewgp.optimize.ParamLayout`, from one factor:
     Levinson--Durbin on a grid of :data:`~skewgp.toeplitz.MIN_N` points or
     more (:func:`_toeplitz_terms`), else Cholesky (:func:`_dense_terms`).
     A mixture reads the :meth:`~skewgp.optimize.ParamLayout.natural` rows,
     where a scale underflowed to 0 raises :class:`DataError`."""
-    lay = tp.layout
-    rows, vals = lay.natural(tp.x)
-    if lay.kind in kn.MIXTURE_KERNELS and not np.all(rows[:, 1 + lay.p:1 + 2 * lay.p] > 0.0):
+    rows, vals = layout.natural(x)
+    mixture, p = layout.kind in kn.MIXTURE_KERNELS, layout.p
+    if mixture and not np.all(rows[:, 1 + p:1 + 2 * p] > 0.0):
         raise DataError("a component scale underflowed to 0")
-    params = rows if lay.kind in kn.MIXTURE_KERNELS else untransform(tp)
+    params = rows if mixture else untransform(x, layout)
     terms = _toeplitz_terms if grid is not None and grid.n >= tz.MIN_N else _dense_terms
-    f, grad_nat = terms(parts, lay.kind, params, vals[-1], grid)
-    return f, np.array(grad_nat) * np.where(lay.log_mask, vals, 1.0)
+    f, grad_nat = terms(parts, layout.kind, params, vals[-1], grid)
+    return f, np.array(grad_nat) * np.where(layout.log_mask, vals, 1.0)
 
 
 def _dense_terms(parts, kind: str, params, noise_var, grid):
@@ -352,7 +345,7 @@ def objective_or_inf(parts, x: np.ndarray, layout, grid):
     # steps; overflow to inf is caught by the non-finite covariance guard
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return nlml_value_and_grad(parts, TransformedParams(x, layout), grid)
+            return nlml_value_and_grad(parts, x, layout, grid)
     except (NumericalError, DataError):
         return np.inf, np.zeros_like(x)
 
@@ -360,7 +353,7 @@ def objective_or_inf(parts, x: np.ndarray, layout, grid):
 def nlml_grad(data: Dataset, params, kind: str) -> np.ndarray:
     """Gradient of the NLML over the transformed hyper-parameter vector."""
     kn._check_width(params, data.p)
-    return nlml_value_and_grad([data], transform(params, kind), kn.Grid.of(data.X))[1]
+    return nlml_value_and_grad([data], *transform(params, kind), kn.Grid.of(data.X))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -449,21 +442,21 @@ def optimize_parts(parts, init_params, kind: str, cfg: OptConfig,
     its index once, at its first dense evaluation, and is freed on return."""
     kn._check_width(init_params, parts[0].p)
     s2 = norm.y_std**2
-    tp0 = transform(scale_variances(init_params, lambda v: v / s2), kind)
+    x0, layout = transform(scale_variances(init_params, lambda v: v / s2), kind)
     # the final factors read their own Grid: holding these indexes through
     # their Cholesky raised uniform2000's peak RSS by 30 MB
     groups = objective_groups(parts)
 
     def objective(x):
-        results = list(each(lambda group: objective_or_inf(group[0], x, tp0.layout, group[1]),
+        results = list(each(lambda group: objective_or_inf(group[0], x, layout, group[1]),
                             groups))
         f = sum(r[0] for r in results)
         if not np.isfinite(f):
             return np.inf, np.zeros_like(x)
         return f, np.sum([r[1] for r in results], axis=0)
 
-    res = minimize(objective, tp0.x, cfg, gamma_mask=np.logical_not(tp0.layout.log_mask))
-    return untransform(TransformedParams(res.x, tp0.layout)), res
+    res = minimize(objective, x0, cfg, gamma_mask=np.logical_not(layout.log_mask))
+    return untransform(res.x, layout), res
 
 
 def fit(data: Dataset, init_params, kind: str, cfg: OptConfig | None = None) -> TrainedModel:
@@ -491,7 +484,7 @@ def sample_prior(kind: str, params, X, n_paths: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def params_to_dict(params, kind: str) -> dict:
+def params_to_dict(params) -> dict:
     if isinstance(params, BaselineKernelParams):
         fields = ("variant", "theta_f", "ell", "rq_alpha")
         return {"baseline": {k: getattr(params, k) for k in fields},
@@ -532,7 +525,7 @@ def record_to_dict(kind: str, params, norm: Normalization, fingerprint: str,
     return {
         "schema_version": SCHEMA_VERSION,
         "kernel_type": kind,
-        **params_to_dict(params, kind),
+        **params_to_dict(params),
         "normalization": {"y_mean": norm.y_mean, "y_std": norm.y_std,
                           "x_means": list(norm.x_means), "x_stds": list(norm.x_stds)},
         **fields,
@@ -558,10 +551,16 @@ def record_model(d: dict):
     if d.get("schema_version") != SCHEMA_VERSION:
         raise DataError(f"unsupported model schema version {d.get('schema_version')!r}")
     with record_fields("model"):
+        kind = d["kernel_type"]
+        if kind not in kn.KERNEL_TYPES:
+            raise ValueError(f"unknown kernel_type {kind!r}")
+        params = params_from_dict(d, kind)
+        if kind in kn.BASELINE_KERNELS and params.variant != kind:
+            raise ValueError(f"baseline variant {params.variant!r} is not kernel_type {kind!r}")
         nz = d["normalization"]
         norm = Normalization(float(nz["y_mean"]), float(nz["y_std"]),
                              tuple(map(float, nz["x_means"])), tuple(map(float, nz["x_stds"])))
-        return d["kernel_type"], params_from_dict(d, d["kernel_type"]), norm
+        return kind, params, norm
 
 
 def record_from_dict(d: dict, data: Dataset):

@@ -402,9 +402,9 @@ def _grid_table(xa: np.ndarray, xb: np.ndarray, tau: np.ndarray, grid):
     index = base.astype(np.intp)[:, None] + sign * np.arange(n)
     values = np.zeros(int(np.sum(sizes)))
     values[index] = tau
-    rows = 1 + (1 << 20) // n  # read back in row blocks: no third (m, n) array
-    if not all(np.array_equal(values[index[i:i + rows]], tau[i:i + rows])
-               for i in range(0, len(tau), rows)):
+    # read back in row blocks: no third (m, n) array
+    if not all(np.array_equal(values[index[rows]], tau[rows])
+               for rows, _ in _row_blocks(len(tau), n, entries=1 << 20)):
         return None
     return values, index
 
@@ -478,11 +478,11 @@ def sm_component_partials(tau, mu, sigma):
 BLOCK_ENTRIES = 1 << 15
 
 
-def _row_blocks(m: int, n: int, lower: bool = False):
+def _row_blocks(m: int, n: int, lower: bool = False, entries: int = BLOCK_ENTRIES):
     """``(rows, cols)`` slices of an (m, n) array in blocks of about
-    :data:`BLOCK_ENTRIES` entries; ``lower`` (m = n) stops each block's
-    columns at the diagonal, inclusive."""
-    step = max(1, BLOCK_ENTRIES // n)
+    ``entries`` entries; ``lower`` (m = n) stops each block's columns at the
+    diagonal, inclusive."""
+    step = max(1, entries // n)
     for start in range(0, m, step):
         stop = min(start + step, m)
         yield slice(start, stop), slice(0, stop if lower else n)

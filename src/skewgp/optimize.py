@@ -73,17 +73,12 @@ class ParamLayout:
         return vals[:-1].reshape(self.q, -1), vals
 
 
-@dataclass(frozen=True)
-class TransformedParams:
-    x: np.ndarray
-    layout: ParamLayout
-
-
-def transform(params, kind: str) -> TransformedParams:
-    """Map kernel parameters to the unconstrained optimization vector: the
-    flattened rows of :meth:`ParamLayout.natural` (a mixture's
-    :meth:`~skewgp.kernels.SlsmParams.rows` with mu floored at ``MU_FLOOR``),
-    then the noise variance; every slot but slsm's gamma columns is logged."""
+def transform(params, kind: str):
+    """``(x, layout)``: the unconstrained optimization vector ``x`` of kernel
+    parameters, the flattened rows of :meth:`ParamLayout.natural` (a
+    mixture's :meth:`~skewgp.kernels.SlsmParams.rows` with mu floored at
+    ``MU_FLOOR``), then the noise variance; every slot but slsm's gamma
+    columns is logged."""
     if isinstance(params, BaselineKernelParams):
         p, rows = 1, np.array([[params.theta_f, params.ell, params.rq_alpha]])
         rows = rows[:, :3 if params.variant == "rq" else 2]
@@ -100,19 +95,18 @@ def transform(params, kind: str) -> TransformedParams:
         raise DataError(f"{where} must be > 0 for the log transform, got {vals[bad[0]]}")
     x = vals.copy()
     x[log_mask] = np.log(vals[log_mask])
-    return TransformedParams(x, ParamLayout(kind, rows.shape[0], p, tuple(log_mask.tolist())))
+    return x, ParamLayout(kind, rows.shape[0], p, tuple(log_mask.tolist()))
 
 
-def untransform(tp: TransformedParams):
+def untransform(x: np.ndarray, layout: ParamLayout):
     """Inverse of :func:`transform`: the checked parameters of the rows of
     :meth:`ParamLayout.natural`."""
-    lay = tp.layout
-    rows, vals = lay.natural(tp.x)
-    if lay.kind in ("se", "rq"):
-        return BaselineKernelParams(lay.kind, *rows[0], noise_var=vals[-1])
-    p = lay.p
+    rows, vals = layout.natural(x)
+    if layout.kind in ("se", "rq"):
+        return BaselineKernelParams(layout.kind, *rows[0], noise_var=vals[-1])
+    p = layout.p
     return SlsmParams(tuple(SlsmComponent(r[0], r[1:1 + p], r[1 + p:1 + 2 * p],
-                                          r[1 + 2 * p:] if lay.kind == "slsm" else 0.0)
+                                          r[1 + 2 * p:] if layout.kind == "slsm" else 0.0)
                             for r in rows), noise_var=vals[-1])
 
 
@@ -169,8 +163,6 @@ def _weak_wolfe(fun, x, f0, g0, d):
         else:
             return t, f, g, True, n_evals
         t = 0.5 * (lo + hi) if np.isfinite(hi) else 2.0 * lo
-        if t <= 0.0 or (np.isfinite(hi) and hi - lo < 1e-16):
-            break
     if best is not None:
         # decrease achieved but curvature never satisfied: accept anyway
         return best[0], best[1], best[2], True, n_evals

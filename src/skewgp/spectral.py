@@ -59,10 +59,6 @@ class MixtureFit:
     scales: tuple[float, ...]
     loglik_trace: tuple[float, ...]
 
-    @property
-    def q(self) -> int:
-        return len(self.weights)
-
 
 def sampling_step(t: np.ndarray) -> tuple[bool, float]:
     """``(uniform, median gap)`` of sample times ``t``: uniform when the gap
@@ -174,7 +170,7 @@ def em_mixture(spec: SpectrumEstimate, q: int, kind: str = "laplace",
         # degenerate components: reseed once, then drop
         keep = np.ones(q, dtype=bool)
         for k in range(q):
-            if scales[k] < _SCALE_FLOOR or mix_w[k] < _WEIGHT_FLOOR:
+            if mix_w[k] < _WEIGHT_FLOOR:
                 if not reseeded[k]:
                     reseeded[k] = True
                     locs[k] = float(rng.choice(s, p=wn))
@@ -185,8 +181,6 @@ def em_mixture(spec: SpectrumEstimate, q: int, kind: str = "laplace",
         if not np.all(keep):
             locs, scales, mix_w, reseeded = (a[keep] for a in (locs, scales, mix_w, reseeded))
             q = int(np.sum(keep))
-            if q == 0:
-                raise DataError("all mixture components degenerated")
         mix_w = mix_w / np.sum(mix_w)
         if loglik_trace and abs(loglik - loglik_trace[-1]) < EM_TOL:
             loglik_trace.append(loglik)

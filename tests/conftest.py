@@ -345,12 +345,12 @@ def dense_predict(data: Dataset, params, kind: str, Xstar,
     return mean, var
 
 
-def dense_value_and_grad(data, tp, tau=None):
+def dense_value_and_grad(data, x, layout, tau=None):
     """NLML, gradient and jitter from a full lag array (:func:`direct_lags`
     unless ``tau`` is given): :func:`direct_kernel` for K,
     :func:`direct_partials` -> ``np.sum(M * dK)`` for the gradient."""
-    params = untransform(tp)
-    kind = tp.layout.kind
+    params = untransform(x, layout)
+    kind = layout.kind
     if tau is None:
         tau = direct_lags(data.X, data.X, kind, params)
     K = direct_kernel(tau, kind, params)
@@ -360,7 +360,7 @@ def dense_value_and_grad(data, tp, tau=None):
     M = cho_solve((L, True), np.eye(data.n)) - np.outer(alpha, alpha)
     g = [0.5 * float(np.sum(M * dK)) for dK in direct_partials(tau, kind, params)]
     g.append(0.5 * float(np.trace(M)))
-    return f, np.array(g) * np.where(tp.layout.log_mask, np.exp(tp.x), 1.0), jit
+    return f, np.array(g) * np.where(layout.log_mask, np.exp(x), 1.0), jit
 
 
 def _rows(params, kind):
@@ -389,19 +389,19 @@ def assert_near_dense(data, params, kind, parts=None):
     """The objective of ``parts`` (``[data]``) on the objective path against
     the vector-lag oracle: NLML within P_F_TOL, gradient within P_G_TOL of
     its largest slot.  The final factors see the same K as the objective."""
-    tp = transform(params, kind)
+    x, layout = transform(params, kind)
     parts = parts or [data]
-    refs = [dense_value_and_grad(part, tp) for part in parts]
+    refs = [dense_value_and_grad(part, x, layout) for part in parts]
     f_ref, g_ref = sum(r[0] for r in refs), sum(r[1] for r in refs)
     f, g = 0.0, 0.0
     for members, grid in gp.objective_groups(parts):
-        f_group, g_group = gp.nlml_value_and_grad(members, tp, grid)
+        f_group, g_group = gp.nlml_value_and_grad(members, x, layout, grid)
         f, g = f + f_group, g + g_group
     assert abs(f - f_ref) <= P_F_TOL * abs(f_ref)
     assert np.max(np.abs(g - g_ref)) <= P_G_TOL * np.max(np.abs(g_ref))
     if len(parts) == 1:
-        assert gp.nlml(data, untransform(tp), kind) == f
-        assert gp.factorize(data, kind, untransform(tp))[1] == refs[0][2]
+        assert gp.nlml(data, untransform(x, layout), kind) == f
+        assert gp.factorize(data, kind, untransform(x, layout))[1] == refs[0][2]
 
 
 # ---------------------------------------------------------------------------

@@ -141,10 +141,10 @@ def test_eval_hook_sees_one_call_per_evaluation_per_group(monkeypatch):
     calls, failures = [], []
     evaluate = gp.nlml_value_and_grad
 
-    def counting(data, tp, grid):
+    def counting(data, x, layout, grid):
         calls.append(grid)
         try:
-            return evaluate(data, tp, grid)
+            return evaluate(data, x, layout, grid)
         except Exception as exc:
             failures.append(exc)
             raise
@@ -174,8 +174,7 @@ def test_eval_hook_sees_one_call_per_evaluation_per_group(monkeypatch):
 
     calls.clear()
     monkeypatch.setattr(toeplitz, "levinson", lambda r: None)
-    tp = transform(init, "slsm")
-    f, g = gp.objective_or_inf([data], tp.x, tp.layout, kernels.Grid(X.size, 1.0))
+    f, g = gp.objective_or_inf([data], *transform(init, "slsm"), kernels.Grid(X.size, 1.0))
     assert f == np.inf and not np.any(g)
     assert len(calls) == 1 and isinstance(failures[-1], NumericalError)
 
@@ -207,7 +206,7 @@ def test_multivariate_evaluation_calls_the_hooked_partials_once_per_component(mo
     params = SlsmParams(comps, noise_var=0.1)
     for kind in kernels.MIXTURE_KERNELS:
         calls.clear()
-        gp.nlml_value_and_grad([data], transform(params, kind), kernels.Grid.of(X))
+        gp.nlml_value_and_grad([data], *transform(params, kind), kernels.Grid.of(X))
         assert np.allclose(calls, params.rows(kind), rtol=1e-12)
 
 
@@ -281,7 +280,7 @@ def test_grid_evaluation_takes_the_value_from_the_hooked_partials(monkeypatch, n
                         noise_var=0.1)
     (members, grid), = gp.objective_groups([data])
     assert grid == kernels.Grid(X.size, 1.0) and (grid.n >= toeplitz.MIN_N) == (n == "MIN_N")
-    gp.nlml_value_and_grad(members, transform(params, "slsm"), grid)
+    gp.nlml_value_and_grad(members, *transform(params, "slsm"), grid)
     assert calls == ["slsm_component_partials"]
 
 

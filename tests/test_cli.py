@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -456,6 +459,31 @@ class TestCommands:
         assert res.exit_code == 3, res.output
         assert "data error" in res.output
         assert not (tmp_path / "o.csv").exists()
+
+    def test_unknown_kernel_type_exits_3_from_the_command_line(self, runner, small_series,
+                                                               tmp_path):
+        """``python -m skewgp.cli predict`` on a record whose ``kernel_type``
+        is unknown exits 3 with a data error and no traceback."""
+        out = tmp_path / "out"
+        res = runner.invoke(cli.main, ["fit", str(small_series), "--q", "2",
+                                       "--max-iters", "3", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        path = out / "model.json"
+        doc = json.loads(path.read_text())
+        doc["kernel_type"] = "foo"
+        path.write_text(json.dumps(doc))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "skewgp.cli", "predict", "--model", str(path),
+             "--train-data", str(small_series), "--at", str(small_series),
+             "--out", str(tmp_path / "p.csv")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert "data error" in proc.stderr and "kernel_type" in proc.stderr
+        assert "Traceback" not in proc.stderr + proc.stdout
+        assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("rbcm_m", [0, 2])
     def test_tampered_jitter_record_is_data_error(self, runner, small_series, tmp_path,

@@ -14,7 +14,7 @@ import skewgp.toeplitz as tz
 from skewgp.errors import DataError
 from skewgp.gp import Dataset
 from skewgp.kernels import SlsmComponent, SlsmParams
-from skewgp.optimize import TransformedParams, transform, untransform
+from skewgp.optimize import transform, untransform
 
 from conftest import random_params, ref_value_and_partials, training_table
 
@@ -64,14 +64,14 @@ def test_array_pass_equals_the_scalar_reference(rng, kind, path):
     for predictions, for rows read from the optimizer's vector."""
     tau = _grid_lags(path)
     for params in _draws(rng):
-        tp = transform(params, kind)
-        rows, _ = tp.layout.natural(tp.x)
-        ref = untransform(tp)
+        x, layout = transform(params, kind)
+        rows, _ = layout.natural(x)
+        ref = untransform(x, layout)
         K, G = kn.value_and_partials(tau, kind, rows)
         K_ref, partials = ref_value_and_partials(tau, kind, ref)
         assert np.array_equal(K, K_ref)
         assert np.array_equal(K, kn.kernel_value(tau, kind, ref))
-        assert G.shape == (len(partials), tau.size) == (tp.x.size - 1, tau.size)
+        assert G.shape == (len(partials), tau.size) == (x.size - 1, tau.size)
         for g, g_ref in zip(G, partials):
             assert np.array_equal(g, g_ref)
 
@@ -87,12 +87,12 @@ def test_layout_rows_are_untransforms_components(rng, kind, p):
     comps = tuple(SlsmComponent(float(rng.uniform(0.1, 3.0)), tuple(rng.uniform(0.1, 3.0, p)),
                                 tuple(rng.uniform(0.1, 2.0, p)),
                                 tuple(rng.uniform(-1.5, 1.5, p))) for _ in range(q))
-    tp = transform(SlsmParams(comps, noise_var=0.2), kind)
-    tp = TransformedParams(tp.x + rng.normal(0.0, 0.3, tp.x.size), tp.layout)
-    rows, vals = tp.layout.natural(tp.x)
+    x, layout = transform(SlsmParams(comps, noise_var=0.2), kind)
+    x = x + rng.normal(0.0, 0.3, x.size)
+    rows, vals = layout.natural(x)
     k = 3 if kind == "slsm" else 2
     assert rows.shape == (q, 1 + k * p) and np.shares_memory(rows, vals)
-    back = untransform(tp)
+    back = untransform(x, layout)
     assert vals[-1] == back.noise_var
     assert np.array_equal(back.rows(kind), rows)  # checked parameters enter as these rows
     for row, c in zip(rows, back.components):
@@ -100,16 +100,16 @@ def test_layout_rows_are_untransforms_components(rng, kind, p):
         assert row.tolist() == expected
 
 
-def _reference_objective(monkeypatch, parts, tp, grid, path):
+def _reference_objective(monkeypatch, parts, x, layout, grid, path):
     """The objective on the given path with checked parameters from
     ``untransform`` and K and the partials from the reference bodies,
     through the same algebra."""
-    params = untransform(tp)
+    params = untransform(x, layout)
     with monkeypatch.context() as m:
         m.setattr(kn, "value_and_partials", ref_value_and_partials)
         terms = gp._toeplitz_terms if path == "toeplitz" else gp._dense_terms
-        f, grad = terms(parts, tp.layout.kind, params, params.noise_var, grid)
-    return f, np.array(grad) * np.where(tp.layout.log_mask, np.exp(tp.x), 1.0)
+        f, grad = terms(parts, layout.kind, params, params.noise_var, grid)
+    return f, np.array(grad) * np.where(layout.log_mask, np.exp(x), 1.0)
 
 
 @pytest.mark.parametrize("path", sorted(PATHS))
@@ -122,11 +122,11 @@ def test_objective_equals_the_reference_objective(monkeypatch, rng, kind, path):
     params = random_params(rng, q=5)
     (members, grid), = gp.objective_groups([data])
     assert grid == kn.Grid(X.size, 1.0) and (grid.n >= tz.MIN_N) == (path == "toeplitz")
-    tp0 = transform(params, kind)
+    x0, layout = transform(params, kind)
     for _ in range(20):
-        tp = TransformedParams(tp0.x + rng.normal(0.0, 0.5, tp0.x.size), tp0.layout)
-        f, g = gp.nlml_value_and_grad(members, tp, grid)
-        f_ref, g_ref = _reference_objective(monkeypatch, members, tp, grid, path)
+        x = x0 + rng.normal(0.0, 0.5, x0.size)
+        f, g = gp.nlml_value_and_grad(members, x, layout, grid)
+        f_ref, g_ref = _reference_objective(monkeypatch, members, x, layout, grid, path)
         assert f == f_ref and np.array_equal(g, g_ref)
 
 
@@ -148,12 +148,11 @@ def _assert_underflow_rejected(data, p):
                          SlsmComponent(0.5, (1.1,) * p, (0.4,) * p, (-0.2,) * p)),
                         noise_var=0.1)
     (members, grid), = gp.objective_groups([data])
-    tp = transform(params, "slsm")
-    x = tp.x.copy()
+    x, layout = transform(params, "slsm")
     x[1 * (1 + 3 * p) + 1 + p] = -800.0    # slot = row (1 + k P) + column: sigma_0 of row 1
     with pytest.raises(DataError):
-        gp.nlml_value_and_grad(members, TransformedParams(x, tp.layout), grid)
-    f, g = gp.objective_or_inf(members, x, tp.layout, grid)
+        gp.nlml_value_and_grad(members, x, layout, grid)
+    f, g = gp.objective_or_inf(members, x, layout, grid)
     assert f == np.inf and not np.any(g)
     return grid
 

@@ -23,17 +23,17 @@ from conftest import dense_nlml, dense_predict, identity_normalization, random_p
 UNIT = SlsmParams((SlsmComponent(1.0, 0.0, 1.0, 0.0),), noise_var=0.0)
 
 
-def _fd_nlml_grad(data, tp):
-    """Central differences of the NLML over the transformed vector of ``tp``."""
+def _fd_nlml_grad(data, x, layout):
+    """Central differences of the NLML over the transformed vector ``x``."""
     grid = kn.Grid.of(data.X)
-    fd = np.empty_like(tp.x)
-    for j in range(tp.x.size):
-        h = 1e-6 * max(1.0, abs(tp.x[j]))
-        xp, xm = tp.x.copy(), tp.x.copy()
+    fd = np.empty_like(x)
+    for j in range(x.size):
+        h = 1e-6 * max(1.0, abs(x[j]))
+        xp, xm = x.copy(), x.copy()
         xp[j] += h
         xm[j] -= h
-        fp, _ = gp.nlml_value_and_grad([data], gp.TransformedParams(xp, tp.layout), grid)
-        fm, _ = gp.nlml_value_and_grad([data], gp.TransformedParams(xm, tp.layout), grid)
+        fp, _ = gp.nlml_value_and_grad([data], xp, layout, grid)
+        fm, _ = gp.nlml_value_and_grad([data], xm, layout, grid)
         fd[j] = (fp - fm) / (2.0 * h)
     return fd
 
@@ -127,6 +127,12 @@ class TestCholWithJitter:
         with pytest.raises(NumericalError):
             gp.chol_with_jitter(np.diag([1e308, 1e308]), 0.0)
 
+    def test_infinite_entry_raises_numerical_error(self):
+        K = np.eye(3)
+        K[2, 0] = np.inf
+        with pytest.raises(NumericalError, match="non-finite"):
+            gp.chol_with_jitter(K, 0.1)
+
     @pytest.mark.parametrize("escalated", [False, True])
     def test_factor_of_k_plus_noise_and_jitter_leaves_k_unchanged(self, rng, escalated):
         """L is bit for bit the factor of K + (noise + jitter) I, at rung 0
@@ -152,7 +158,7 @@ class TestNlmlGrad:
             data = Dataset(X, y)
             kind = ("slsm", "sm", "lkp")[int(rng.integers(3))]
             g = nlml_grad(data, p, kind)
-            fd = _fd_nlml_grad(data, transform(p, kind))
+            fd = _fd_nlml_grad(data, *transform(p, kind))
             assert np.all(np.abs(g - fd) <= 1e-5 * np.maximum(1.0, np.abs(fd)))
 
     @pytest.mark.parametrize("kind", ["slsm", "sm", "lkp"])
@@ -161,7 +167,7 @@ class TestNlmlGrad:
         for seed in range(3):
             p = random_init(2, kind, y_var=1.0, freq_max=2.0, seed=seed, p=2)
             g = nlml_grad(data, p, kind)
-            fd = _fd_nlml_grad(data, transform(p, kind))
+            fd = _fd_nlml_grad(data, *transform(p, kind))
             assert g.size == 2 * (1 + 2 * (3 if kind == "slsm" else 2)) + 1
             assert np.all(np.abs(g - fd) <= 1e-5 * np.maximum(1.0, np.abs(fd)))
 
@@ -281,10 +287,31 @@ class TestFit:
         init = SlsmParams((SlsmComponent(1.0, 0.5, 0.3, 0.1),), noise_var=0.5)
         model = fit(data, init, "slsm", OptConfig(max_iters=50))
         s2 = model.normalization.y_std**2
-        tp0 = transform(gp.scale_variances(init, lambda v: v / s2), "slsm")
-        f0, _ = gp.nlml_value_and_grad([model.data], tp0, kn.Grid.of(model.data.X))
+        x0, layout = transform(gp.scale_variances(init, lambda v: v / s2), "slsm")
+        f0, _ = gp.nlml_value_and_grad([model.data], x0, layout, kn.Grid.of(model.data.X))
         assert model.nlml_internal <= f0
         assert model.jitter_used >= 0.0
+
+    def test_failed_evaluation_backs_off(self, rng, monkeypatch):
+        """A Cholesky that fails at the first trial step makes that
+        evaluation inf: the line search backs off and the fit still ends
+        at a finite f below its start."""
+        X = np.arange(40.0)
+        data = Dataset(X, np.sin(0.6 * X) + 0.1 * rng.standard_normal(40))
+        init = SlsmParams((SlsmComponent(1.0, 0.5, 0.3, 0.1),), noise_var=0.5)
+        factor, calls = gp.chol_with_jitter, []
+
+        def failing_second(K, noise_var):
+            calls.append(None)
+            if len(calls) == 2:
+                raise NumericalError("injected")
+            return factor(K, noise_var)
+
+        monkeypatch.setattr(gp, "chol_with_jitter", failing_second)
+        model = fit(data, init, "slsm", OptConfig(max_iters=10))
+        res = model.opt_result
+        assert len(calls) > 2 and res.n_evals > 2
+        assert np.isfinite(res.f) and res.f < res.trace[0].f
 
     def test_cholesky_consistency_invariants(self, rng):
         X = np.arange(30.0)
@@ -406,4 +433,23 @@ class TestSerialization:
         doc = gp.model_to_dict(model)
         doc["schema_version"] = 99
         with pytest.raises(DataError):
+            gp.model_from_dict(doc, data)
+
+    @pytest.mark.parametrize("case", ["unknown_kernel_type", "variant_mismatch"])
+    def test_kernel_type_checked(self, rng, case):
+        """An unknown ``kernel_type``, or a baseline whose variant is not its
+        ``kernel_type``, raises ``DataError`` before any evaluation."""
+        data = Dataset(np.arange(20.0), rng.standard_normal(20))
+        if case == "unknown_kernel_type":
+            kind, params = "slsm", random_params(rng, q=1, noise=0.1)
+        else:
+            kind, params = "se", kn.BaselineKernelParams("se", 1.0, 2.0, noise_var=0.1)
+        model = gp._model_from_params(kind, params, data, identity_normalization(1),
+                                      data.fingerprint())
+        doc = gp.model_to_dict(model)
+        if case == "unknown_kernel_type":
+            doc["kernel_type"] = "foo"
+        else:
+            doc["baseline"]["variant"] = "rq"
+        with pytest.raises(DataError, match="kernel_type"):
             gp.model_from_dict(doc, data)

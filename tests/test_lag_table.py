@@ -102,25 +102,25 @@ def _assert_table_path_exact(data, params, kind):
         assert f == f_ref == gp.nlml(data, params, kind)
         assert np.max(np.abs(np.subtract(g, g_ref))) <= P_G_TOL * np.max(np.abs(g_ref))
         return
-    tp = transform(params, kind)
+    x, layout = transform(params, kind)
     grid = kn.Grid.of(data.X)
     tau = grid_lags(data.X)
     try:
-        f_ref, g_ref, jit_ref = dense_value_and_grad(data, tp, tau)
+        f_ref, g_ref, jit_ref = dense_value_and_grad(data, x, layout, tau)
     except NumericalError:
         with pytest.raises(NumericalError):
-            gp.nlml_value_and_grad([data], tp, grid)
+            gp.nlml_value_and_grad([data], x, layout, grid)
         return
-    f, g = gp.nlml_value_and_grad([data], tp, grid)
+    f, g = gp.nlml_value_and_grad([data], x, layout, grid)
     assert f == f_ref
     if tau is None:
         assert np.array_equal(g, g_ref)
     else:
         assert np.max(np.abs(g - g_ref)) <= P_G_TOL * np.max(np.abs(g_ref))
-    assert gp.factorize(data, kind, untransform(tp))[1] == jit_ref
-    assert gp.nlml(data, untransform(tp), kind) == f
+    assert gp.factorize(data, kind, untransform(x, layout))[1] == jit_ref
+    assert gp.nlml(data, untransform(x, layout), kind) == f
     if tau is not None:
-        f_exact, g_exact, _ = dense_value_and_grad(data, tp)
+        f_exact, g_exact, _ = dense_value_and_grad(data, x, layout)
         assert abs(f - f_exact) <= F_DRIFT * max(1.0, abs(f_exact))
         assert np.max(np.abs(g - g_exact)) <= G_DRIFT * max(1.0, np.max(np.abs(g_exact)))
 

@@ -12,7 +12,6 @@ from skewgp.optimize import (
     WOLFE_C1,
     WOLFE_C2,
     OptConfig,
-    TransformedParams,
     minimize,
     trace_to_csv,
     transform,
@@ -25,17 +24,16 @@ from conftest import random_params
 class TestTransforms:
     def test_unit_weight_maps_to_zero(self):
         p = SlsmParams((SlsmComponent(1.0, 0.5, 1.0, 0.0),), noise_var=1.0)
-        tp = transform(p, "slsm")
-        assert tp.x[0] == 0.0
-        x = tp.x.copy()
+        x, layout = transform(p, "slsm")
+        assert x[0] == 0.0
         x[0 * (1 + 3 * 1) + 0] = np.log(2.0)    # slot = row (1 + k P) + column: w of row 0
-        assert untransform(TransformedParams(x, tp.layout)).components[0].w == pytest.approx(2.0)
+        assert untransform(x, layout).components[0].w == pytest.approx(2.0)
 
     def test_round_trip_random_params(self, rng):
         for _ in range(100):
             p = random_params(rng, q=int(rng.integers(1, 4)))
             kind = ("slsm", "sm", "lkp")[int(rng.integers(3))]
-            q = untransform(transform(p, kind))
+            q = untransform(*transform(p, kind))
             for a, b in zip(p.components, q.components):
                 assert a.w == pytest.approx(b.w, rel=1e-12)
                 assert a.mu == pytest.approx(b.mu, rel=1e-12)
@@ -46,20 +44,20 @@ class TestTransforms:
 
     def test_gamma_slot_is_identity(self):
         p = SlsmParams((SlsmComponent(1.0, 0.5, 1.0, -0.7),), noise_var=0.1)
-        tp = transform(p, "slsm")
+        x, layout = transform(p, "slsm")
         gi = 0 * (1 + 3 * 1) + 1 + 2 * 1    # slot = row (1 + k P) + column: gamma of row 0
-        assert tp.x[gi] == -0.7
-        assert not tp.layout.log_mask[gi]
+        assert x[gi] == -0.7
+        assert not layout.log_mask[gi]
 
     def test_zero_frequency_floored(self):
         p = SlsmParams((SlsmComponent(1.0, 0.0, 1.0, 0.0),), noise_var=0.1)
-        q = untransform(transform(p, "slsm"))
+        q = untransform(*transform(p, "slsm"))
         assert q.components[0].mu[0] == pytest.approx(1e-8)
 
     def test_baseline_round_trip(self):
         b = BaselineKernelParams("rq", theta_f=2.0, ell=0.5, rq_alpha=1.5,
                                  noise_var=0.3)
-        q = untransform(transform(b, "rq"))
+        q = untransform(*transform(b, "rq"))
         assert q.theta_f == pytest.approx(2.0, rel=1e-12)
         assert q.rq_alpha == pytest.approx(1.5, rel=1e-12)
 
@@ -91,10 +89,10 @@ class TestTransforms:
                     slots += [(s, True) for s in c.sigma]
                     slots += [(g, False) for g in c.gamma] if kind == "slsm" else []
             slots.append((params.noise_var, True))
-            tp = transform(params, kind)
+            x, layout = transform(params, kind)
             ref = [float(np.log(v)) if logged else v for v, logged in slots]
-            assert np.array_equal(tp.x.view(np.int64), np.array(ref).view(np.int64))
-            assert tp.layout.log_mask == tuple(logged for _, logged in slots)
+            assert np.array_equal(x.view(np.int64), np.array(ref).view(np.int64))
+            assert layout.log_mask == tuple(logged for _, logged in slots)
         if kind not in ("se", "rq"):
             with pytest.raises(DataError, match="component 0 column 0"):
                 transform(params.with_components((replace(comps[0], w=0.0),) + comps[1:]), kind)
@@ -222,6 +220,34 @@ class TestFirstStep:
         retried = [b for a, b in zip(searches, searches[1:]) if not a[4] and not a[6][3]]
         assert retried and all(b[4] for b in retried)
         assert self._check_steepest_first_trials(searches) >= 1 + len(retried)
+
+    @pytest.mark.parametrize("bad", ["uphill", "non-finite"])
+    def test_bad_quasi_newton_direction_resets_the_pairs(self, monkeypatch, bad):
+        """A quasi-Newton direction that points uphill or is not finite
+        clears the curvature pairs before any search: the next direction is
+        built from none, every search runs downhill, and the run still
+        lowers f."""
+        direction, search, pairs, slopes = optimize._lbfgs_direction, optimize._weak_wolfe, [], []
+
+        def spoiled(g, s_hist, y_hist):
+            d = direction(g, s_hist, y_hist)
+            pairs.append(len(s_hist))
+            if s_hist and sum(n > 0 for n in pairs) == 1:  # the first quasi-Newton one
+                return -d if bad == "uphill" else np.full_like(d, np.nan)
+            return d
+
+        def recorded_search(fun, x, f0, g0, d):
+            slopes.append(float(g0 @ d))
+            return search(fun, x, f0, g0, d)
+
+        monkeypatch.setattr(optimize, "_lbfgs_direction", spoiled)
+        monkeypatch.setattr(optimize, "_weak_wolfe", recorded_search)
+        x0 = np.array([-1.2, 1.0])
+        res = minimize(_rosenbrock, x0, OptConfig(max_iters=10))
+        first = next(i for i, n in enumerate(pairs) if n > 0)
+        assert pairs[first + 1] == 0
+        assert len(slopes) >= first + 1 and all(v < 0.0 for v in slopes)
+        assert res.f < _rosenbrock(x0)[0]
 
 
 class TestMinimize:

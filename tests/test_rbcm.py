@@ -8,7 +8,7 @@ import pytest
 import skewgp.rbcm as rbcm
 from skewgp.errors import DataError, DimensionMismatchError
 from skewgp.gp import Dataset, fit, nlml, sample_prior
-from skewgp.kernels import SlsmComponent, SlsmParams
+from skewgp.kernels import BaselineKernelParams, SlsmComponent, SlsmParams
 from skewgp.optimize import OptConfig
 from skewgp.spectral import random_init
 from skewgp.rbcm import (
@@ -232,6 +232,22 @@ class TestEnsembleSerialization:
         doc["experts"][1]["indices"][0] = doc["experts"][0]["indices"][0]
         with pytest.raises(DataError, match="disjoint"):
             ensemble_from_dict(doc, data)
+
+    @pytest.mark.parametrize("case", ["unknown_kernel_type", "variant_mismatch"])
+    def test_kernel_type_checked(self, series, case):
+        """An unknown ``kernel_type``, or a baseline whose variant is not its
+        ``kernel_type``, raises ``DataError`` before any expert is rebuilt."""
+        if case == "unknown_kernel_type":
+            kind, init = "slsm", SlsmParams((SlsmComponent(1.0, 0.6, 0.2, 0.0),), noise_var=0.1)
+        else:
+            kind, init = "se", BaselineKernelParams("se", 1.0, 2.0, noise_var=0.1)
+        doc = ensemble_to_dict(rbcm_fit(series, 2, kind, init, OptConfig(max_iters=2, seed=0)))
+        if case == "unknown_kernel_type":
+            doc["kernel_type"] = "foo"
+        else:
+            doc["baseline"]["variant"] = "rq"
+        with pytest.raises(DataError, match="kernel_type"):
+            ensemble_from_dict(doc, series)
 
     def test_fingerprint_checked(self, series, rng):
         init = SlsmParams((SlsmComponent(1.0, 0.6, 0.2, 0.0),), noise_var=0.1)

@@ -86,6 +86,19 @@ class TestEmMixture:
             assert sum(fit_mix.weights) == pytest.approx(1.0, abs=1e-12)
             assert fit_mix.locations == pytest.approx((3.0,) * 3, abs=1e-12)
 
+    def test_degenerate_components_reseeded_then_dropped(self):
+        """Power in three bins of 200 starves components of Q = 10: each is
+        reseeded once, and a component that starves again is dropped, so 8
+        remain and their weights still sum to 1."""
+        s = np.linspace(0.1, 20.0, 200)
+        rng = np.random.default_rng(7)
+        powers = np.zeros(200)
+        bins = rng.choice(200, 3, replace=False)
+        powers[bins] = rng.uniform(0.1, 1.0, 3)
+        fit_mix = sp.em_mixture(sp.SpectrumEstimate(s, powers), 10, kind="gaussian", seed=7)
+        assert len(fit_mix.weights) == len(fit_mix.locations) == len(fit_mix.scales) == 8
+        assert sum(fit_mix.weights) == pytest.approx(1.0, abs=1e-12)
+
     def test_zero_power_rejected(self):
         spec = sp.SpectrumEstimate(np.array([1.0, 2.0]), np.zeros(2))
         with pytest.raises(DataError):

@@ -24,15 +24,15 @@ KINDS = ("slsm", "sm", "lkp", "se", "rq")
 STEPS = (1.0, 0.1, 1.0 / 12.0)
 
 
-def _dense(data, tp):
+def _dense(data, x, layout):
     """The production dense objective of ``data`` on its Grid: the Toeplitz
     crossover is moved past n."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tz, "MIN_N", data.n + 1)
-        return gp.nlml_value_and_grad([data], tp, kn.Grid.of(data.X))
+        return gp.nlml_value_and_grad([data], x, layout, kn.Grid.of(data.X))
 
 
-def _evaluate(groups, tp):
+def _evaluate(groups, x, layout):
     """``nlml_value_and_grad`` of each objective group ``(members, grid)``
     and the terms (``_dense_terms`` or ``_toeplitz_terms``) each took."""
     paths = []
@@ -40,7 +40,7 @@ def _evaluate(groups, tp):
         for name in ("_dense_terms", "_toeplitz_terms"):
             run = getattr(gp, name)
             mp.setattr(gp, name, lambda *a, run=run, name=name: paths.append(name) or run(*a))
-        results = [gp.nlml_value_and_grad(members, tp, grid) for members, grid in groups]
+        results = [gp.nlml_value_and_grad(members, x, layout, grid) for members, grid in groups]
     return results, paths
 
 
@@ -101,7 +101,7 @@ class TestPathSelection:
     def _groups(self, X, rng, kind="slsm", params=P):
         """``(grid, terms)`` of each objective group of a series at ``X``."""
         groups = gp.objective_groups([_series(X, rng)])
-        _, paths = _evaluate(groups, transform(params, kind))
+        _, paths = _evaluate(groups, *transform(params, kind))
         return [(grid, path) for (_, grid), path in zip(groups, paths)]
 
     def test_crossover_is_the_first_toeplitz_size(self, rng):
@@ -160,7 +160,7 @@ class TestPathSelection:
         X2 = rng.uniform(0.0, 5.0, (300, 2))
         data2 = Dataset(X2, X2.sum(axis=1))
         (members, grid2), = gp.objective_groups([data2])
-        assert grid2 is None and _evaluate([(members, grid2)], transform(p2, "slsm"))[1] == \
+        assert grid2 is None and _evaluate([(members, grid2)], *transform(p2, "slsm"))[1] == \
             ["_dense_terms"]
         assert training_table(X2, "slsm", p2) is None  # from the points: no lags
         X = np.sort(rng.uniform(0.0, 300.0, 300))
@@ -226,10 +226,10 @@ def _problems(draw):
 @given(_problems())
 def test_toeplitz_objective_matches_dense(problem):
     data, params, kind = problem
-    tp = transform(params, kind)
+    x, layout = transform(params, kind)
     grid = kn.Grid.of(data.X)
     assert grid is not None
-    _assert_close(gp.nlml_value_and_grad([data], tp, grid), _dense(data, tp))
+    _assert_close(gp.nlml_value_and_grad([data], x, layout, grid), _dense(data, x, layout))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -240,10 +240,10 @@ def test_large_linspace_grid_matches_dense(rng, kind):
               if kind in kn.BASELINE_KERNELS else
               SlsmParams((SlsmComponent(1.0, 0.3, 0.15, 0.2),
                           SlsmComponent(0.7, 1.1, 0.2, -0.1)), noise_var=0.1))
-    tp = transform(params, kind)
+    x, layout = transform(params, kind)
     (_, grid), = gp.objective_groups([data])
     assert grid == kn.Grid.of(X)
-    _assert_close(gp.nlml_value_and_grad([data], tp, grid), _dense(data, tp))
+    _assert_close(gp.nlml_value_and_grad([data], x, layout, grid), _dense(data, x, layout))
 
 
 @pytest.mark.parametrize("n", [1000, 1003, 2000, 2003])
@@ -254,7 +254,7 @@ def test_grouped_experts_equal_the_per_expert_dense_sum(rng, n):
     sum, on a rounding (linspace), an exact and a monthly grid."""
     params = SlsmParams((SlsmComponent(1.0, 0.3, 0.15, 0.2),
                          SlsmComponent(0.7, 1.1, 0.2, -0.1)), noise_var=0.2)
-    tp = transform(params, "slsm")
+    x, layout = transform(params, "slsm")
     for X in (np.linspace(0.0, 0.2 * n, n), np.arange(n, dtype=float),
               1949.0 + np.arange(n) / 12.0):
         data = _series(X, rng)
@@ -262,11 +262,11 @@ def test_grouped_experts_equal_the_per_expert_dense_sum(rng, n):
         groups = gp.objective_groups(parts)
         assert [len(m) for m, _ in groups] == ([8] if n % 8 == 0 else [3, 5])
         assert all(isinstance(t, kn.Grid) for _, t in groups)
-        results, paths = _evaluate(groups, tp)
+        results, paths = _evaluate(groups, x, layout)
         assert paths == ["_toeplitz_terms" if n // 8 >= tz.MIN_N else "_dense_terms"] * len(groups)
         f = sum(r[0] for r in results)
         g = np.sum([r[1] for r in results], axis=0)
-        dense = [_dense(part, tp) for part in parts]
+        dense = [_dense(part, x, layout) for part in parts]
         f_ref = sum(r[0] for r in dense)
         g_ref = np.sum([r[1] for r in dense], axis=0)
         _assert_close((f, g), (f_ref, g_ref), f_tol=1e-8, g_tol=1e-8)
@@ -315,11 +315,11 @@ class TestJitterLadder:
         data = _series(np.arange(200.0), rng)
         huge = SlsmParams((SlsmComponent(1e308, 0.3, 0.5), SlsmComponent(1e308, 0.5, 0.5)),
                           noise_var=0.1)
-        tp = transform(huge, "slsm")
+        x, layout = transform(huge, "slsm")
         grid = kn.Grid.of(data.X)
         with pytest.raises(NumericalError, match="non-finite"), np.errstate(over="ignore"):
-            gp.nlml_value_and_grad([data], tp, grid)
-        f, g = gp.objective_or_inf([data], tp.x, tp.layout, grid)
+            gp.nlml_value_and_grad([data], x, layout, grid)
+        f, g = gp.objective_or_inf([data], x, layout, grid)
         assert f == np.inf and not np.any(g)
 
 
