@@ -283,6 +283,9 @@ def nlml(data: Dataset, params, kind: str) -> float:
     return nlml_from_factor(L, alpha, data.y)
 
 
+# errstate is per thread, so it is set where the work runs, the rBCM pool's
+# threads included; a covariance that overflows raises NumericalError
+@np.errstate(over="ignore", invalid="ignore")
 def nlml_value_and_grad(parts, x: np.ndarray, layout, grid):
     """Summed NLML of the datasets ``parts`` of one :func:`objective_groups`
     group on ``grid``, their :class:`~skewgp.kernels.Grid` or None, and its
@@ -335,19 +338,6 @@ def _toeplitz_terms(parts, kind: str, params, noise_var, grid: kn.Grid):
     S = factor.diag_sums(alpha)
     S[1:] *= 2.0  # each lag k > 0 sits on two diagonals; dK/ds2 = I reads S_0
     return f, [*kn._half_dots(partials, S), 0.5 * float(S[0])]
-
-
-def objective_or_inf(parts, x: np.ndarray, layout, grid):
-    """:func:`nlml_value_and_grad` at ``x`` of the group ``(parts, grid)``,
-    or ``(inf, 0)`` where the NLML cannot be evaluated, so the line search
-    backs off."""
-    # DataError covers log-slot underflow to 0 during extreme line-search
-    # steps; overflow to inf is caught by the non-finite covariance guard
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return nlml_value_and_grad(parts, x, layout, grid)
-    except (NumericalError, DataError):
-        return np.inf, np.zeros_like(x)
 
 
 def nlml_grad(data: Dataset, params, kind: str) -> np.ndarray:
@@ -437,9 +427,11 @@ def optimize_parts(parts, init_params, kind: str, cfg: OptConfig,
                    norm: Normalization, each=map):
     """``(params, OptResult)`` minimizing the summed NLML of the normalized
     datasets ``parts`` from ``init_params`` (raw target units, rescaled by
-    ``norm``); ``each`` maps the objective over the
-    :func:`objective_groups` (``map`` or a pool's).  A group's Grid builds
-    its index once, at its first dense evaluation, and is freed on return."""
+    ``norm``); ``each`` maps :func:`nlml_value_and_grad` over the
+    :func:`objective_groups` (``map`` or a pool's), and a group that raises
+    fails the evaluation, which :func:`~skewgp.optimize.minimize` reads as
+    +inf.  A group's Grid builds its index once, at its first dense
+    evaluation, and is freed on return."""
     kn._check_width(init_params, parts[0].p)
     s2 = norm.y_std**2
     x0, layout = transform(scale_variances(init_params, lambda v: v / s2), kind)
@@ -448,12 +440,9 @@ def optimize_parts(parts, init_params, kind: str, cfg: OptConfig,
     groups = objective_groups(parts)
 
     def objective(x):
-        results = list(each(lambda group: objective_or_inf(group[0], x, layout, group[1]),
+        results = list(each(lambda group: nlml_value_and_grad(group[0], x, layout, group[1]),
                             groups))
-        f = sum(r[0] for r in results)
-        if not np.isfinite(f):
-            return np.inf, np.zeros_like(x)
-        return f, np.sum([r[1] for r in results], axis=0)
+        return sum(r[0] for r in results), np.sum([r[1] for r in results], axis=0)
 
     res = minimize(objective, x0, cfg, gamma_mask=np.logical_not(layout.log_mask))
     return untransform(res.x, layout), res

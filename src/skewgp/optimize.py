@@ -18,6 +18,9 @@ after a reset) the direction is -g / max(1, |g|_inf) (Nocedal & Wright 2006,
 section 7.2).  A non-descent direction resets the pairs, and so does a failed
 search from a quasi-Newton direction, retried once from steepest descent; a
 failed steepest-descent search ends the run with the best point so far.
+A failed evaluation, one that raises ``NumericalError`` or ``DataError`` or
+returns a non-finite f, reads as +inf in :func:`minimize`, so the search
+backs off from it; at a run's starting point it raises ``NumericalError``.
 """
 
 from __future__ import annotations
@@ -121,7 +124,6 @@ class TraceStep:
     f: float
     grad_norm: float
     step_len: float
-    armijo_ok: bool = True
     curvature_ok: bool = True
 
 
@@ -143,7 +145,9 @@ def trace_to_csv(trace) -> str:
 
 
 def _weak_wolfe(fun, x, f0, g0, d):
-    """Bisection weak-Wolfe line search.  Returns (t, f, g, ok, n_evals)."""
+    """Bisection weak-Wolfe line search.  Returns ``(t, f, g, curvature_ok,
+    n_evals)``; every accepted step satisfies the Armijo condition, which a
+    failed evaluation's +inf fails, and t = 0 when the search fails."""
     dg0 = float(g0 @ d)
     lo, hi = 0.0, np.inf
     t = 1.0
@@ -152,9 +156,7 @@ def _weak_wolfe(fun, x, f0, g0, d):
     for _ in range(MAX_BISECT):
         f, g = fun(x + t * d)
         n_evals += 1
-        if not np.isfinite(f):
-            hi = t
-        elif f > f0 + WOLFE_C1 * t * dg0:
+        if f > f0 + WOLFE_C1 * t * dg0:
             hi = t
         elif float(g @ d) < WOLFE_C2 * dg0:
             lo = t
@@ -165,7 +167,7 @@ def _weak_wolfe(fun, x, f0, g0, d):
         t = 0.5 * (lo + hi) if np.isfinite(hi) else 2.0 * lo
     if best is not None:
         # decrease achieved but curvature never satisfied: accept anyway
-        return best[0], best[1], best[2], True, n_evals
+        return best[0], best[1], best[2], False, n_evals
     return 0.0, f0, g0, False, n_evals
 
 
@@ -206,27 +208,17 @@ def _minimize_single(fun, x0, cfg: OptConfig) -> OptResult:
             s_hist.clear()
             y_hist.clear()
             d = _lbfgs_direction(g, s_hist, y_hist)
-        t, f_new, g_new, ok, _ = _weak_wolfe(fun, x, f, g, d)
-        if not ok and s_hist:
+        t, f_new, g_new, curvature_ok, _ = _weak_wolfe(fun, x, f, g, d)
+        if t == 0.0 and s_hist:
             s_hist.clear()
             y_hist.clear()
             d = _lbfgs_direction(g, s_hist, y_hist)
-            t, f_new, g_new, ok, _ = _weak_wolfe(fun, x, f, g, d)
-        if not ok:
+            t, f_new, g_new, curvature_ok, _ = _weak_wolfe(fun, x, f, g, d)
+        if t == 0.0:
             break
         x_new = x + t * d
-        dg0 = float(g @ d)
-        dg1 = float(g_new @ d)
-        res.trace.append(
-            TraceStep(
-                it,
-                float(f_new),
-                float(np.max(np.abs(g_new))),
-                float(t * np.linalg.norm(d)),
-                armijo_ok=f_new <= f + WOLFE_C1 * t * dg0 + 1e-12 * abs(f),
-                curvature_ok=dg1 >= WOLFE_C2 * dg0,
-            )
-        )
+        res.trace.append(TraceStep(it, float(f_new), float(np.max(np.abs(g_new))),
+                                   float(t * np.linalg.norm(d)), curvature_ok))
         s = x_new - x
         yv = g_new - g
         if float(s @ yv) > 1e-10 * np.linalg.norm(s) * np.linalg.norm(yv):
@@ -265,7 +257,11 @@ def minimize(fun, x0, cfg: OptConfig, gamma_mask=None) -> OptResult:
     def counted(x):
         nonlocal n_evals
         n_evals += 1
-        return fun(x)
+        try:
+            f, g = fun(x)
+        except (NumericalError, DataError):   # a failed evaluation reads as +inf
+            return np.inf, np.zeros_like(x)
+        return (f, g) if np.isfinite(f) else (np.inf, np.zeros_like(x))
 
     best: OptResult | None = None
     for r in range(cfg.restarts):

@@ -132,11 +132,11 @@ def test_eval_hook_sees_one_call_per_evaluation_per_group(monkeypatch):
     ``gp.nlml_value_and_grad``: above the Toeplitz crossover a fit makes one
     call per objective evaluation, and rBCM experts on one grid share it, on
     either side of the crossover; a failed Toeplitz call still reaches the
-    hook and the optimizer sees inf."""
+    hook, and at the starting point the fit raises."""
     from skewgp import gp, kernels, rbcm, toeplitz
     from skewgp.errors import NumericalError
     from skewgp.kernels import SlsmComponent, SlsmParams
-    from skewgp.optimize import OptConfig, transform
+    from skewgp.optimize import OptConfig
 
     calls, failures = [], []
     evaluate = gp.nlml_value_and_grad
@@ -174,8 +174,8 @@ def test_eval_hook_sees_one_call_per_evaluation_per_group(monkeypatch):
 
     calls.clear()
     monkeypatch.setattr(toeplitz, "levinson", lambda r: None)
-    f, g = gp.objective_or_inf([data], *transform(init, "slsm"), kernels.Grid(X.size, 1.0))
-    assert f == np.inf and not np.any(g)
+    with pytest.raises(NumericalError, match="non-finite at the starting point"):
+        gp.fit(data, init, "slsm", OptConfig(max_iters=3))
     assert len(calls) == 1 and isinstance(failures[-1], NumericalError)
 
 

@@ -79,6 +79,18 @@ class TestIngest:
         _, info = ingest_csv(p)
         assert not info.uniform
 
+    def test_descending_uniform_time_reads_as_ascending(self, tmp_path):
+        """A descending uniform series is uniform with the ascending one's
+        step; a zig-zag t = 0, 1, 0, 1, ... (gaps of both signs) is not."""
+        t = 100.0 - 0.5 * np.arange(120)
+        y = np.sin(2.5 * t)
+        infos = [ingest_csv(_write(tmp_path, f"{name}.csv",
+                                   "".join(f"{a},{b}\n" for a, b in zip(tt, yy))))[1]
+                 for name, tt, yy in (("down", t, y), ("up", t[::-1], y[::-1]))]
+        assert infos[0] == infos[1] and infos[0].uniform and infos[0].delta_t == 0.5
+        zigzag = _write(tmp_path, "zz.csv", "".join(f"{k % 2},{k}\n" for k in range(120)))
+        assert not ingest_csv(zigzag)[1].uniform
+
     def test_error_messages_locate_problems(self, tmp_path):
         ragged = _write(tmp_path, "r.csv", "1,2\n3\n")
         with pytest.raises(DataError, match="row 2"):

@@ -11,10 +11,10 @@ import pytest
 import skewgp.gp as gp
 import skewgp.kernels as kn
 import skewgp.toeplitz as tz
-from skewgp.errors import DataError
+from skewgp.errors import DataError, NumericalError
 from skewgp.gp import Dataset
 from skewgp.kernels import SlsmComponent, SlsmParams
-from skewgp.optimize import transform, untransform
+from skewgp.optimize import OptConfig, minimize, transform, untransform
 
 from conftest import random_params, ref_value_and_partials, training_table
 
@@ -143,7 +143,8 @@ def test_half_dots_are_the_per_row_dots(rng):
 
 def _assert_underflow_rejected(data, p):
     """A line-search point whose log scale of component 1 (dimension 0)
-    underflows to sigma = 0 raises ``DataError`` and reads ``(inf, 0)``."""
+    underflows to sigma = 0 raises ``DataError``, which ``minimize`` reads
+    as +inf: at the starting point it raises ``NumericalError``."""
     params = SlsmParams((SlsmComponent(1.0, (0.3,) * p, (0.2,) * p, (0.1,) * p),
                          SlsmComponent(0.5, (1.1,) * p, (0.4,) * p, (-0.2,) * p)),
                         noise_var=0.1)
@@ -152,8 +153,8 @@ def _assert_underflow_rejected(data, p):
     x[1 * (1 + 3 * p) + 1 + p] = -800.0    # slot = row (1 + k P) + column: sigma_0 of row 1
     with pytest.raises(DataError):
         gp.nlml_value_and_grad(members, x, layout, grid)
-    f, g = gp.objective_or_inf(members, x, layout, grid)
-    assert f == np.inf and not np.any(g)
+    with pytest.raises(NumericalError, match="non-finite at the starting point"):
+        minimize(lambda v: gp.nlml_value_and_grad(members, v, layout, grid), x, OptConfig())
     return grid
 
 
