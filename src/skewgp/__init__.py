@@ -28,7 +28,7 @@ from .gp import (
 )
 from .optimize import OptConfig, minimize, transform, untransform
 from .spectral import MixtureFit, SpectrumEstimate, em_mixture, init_params, periodogram
-from .pruning import PruneConfig, PruneReport, lth_fit
+from .pruning import PruneConfig, lth_fit
 from .rbcm import ExpertEnsemble, partition, rbcm_fit, rbcm_predict
 from .metrics import metric_mae, metric_mse, metric_smse
 

@@ -6,9 +6,10 @@ fitted-mixture overlay), ``evaluate`` (score a predictions file).
 
 Exit codes: 0 ok, 2 usage error, 3 data error, 4 numerical failure.
 
-Time-series splits are always chronological; the train fraction applies to
-the row count, floor-rounded.  95% bands are mean +/- 1.96 sqrt(var) in
-whichever variance mode (latent or observation) the job selected.
+Time-series splits are always chronological (P = 1 rows are sorted by t);
+the train fraction applies to the row count, floor-rounded.  95% bands are
+mean +/- 1.96 sqrt(var) in whichever variance mode (latent or observation)
+the job selected.
 """
 
 from __future__ import annotations
@@ -90,18 +91,17 @@ def _parse_rows(path: str | Path):
 
 def ingest_csv(path) -> tuple[Dataset, IngestInfo]:
     """Read a CSV as (y), (t, y), or (x1..xP, y); header rows are skipped."""
-    data, header = _parse_rows(path)
-    names = tuple(header) if header else None
+    data, _ = _parse_rows(path)
     cols = data.shape[1]
     if cols == 1:
         t = np.arange(data.shape[0], dtype=float)
-        return Dataset(t[:, None], data[:, 0], names), IngestInfo(1, True, 1.0)
+        return Dataset(t[:, None], data[:, 0]), IngestInfo(1, True, 1.0)
     if cols == 2:
         t = data[:, 0]
         uniform, dt = spectral.sampling_step(t)
-        return Dataset(t[:, None], data[:, 1], names), IngestInfo(1, uniform, dt)
+        return Dataset(t[:, None], data[:, 1]), IngestInfo(1, uniform, dt)
     X = data[:, :-1]
-    return Dataset(X, data[:, -1], names), IngestInfo(cols - 1, False, 1.0)
+    return Dataset(X, data[:, -1]), IngestInfo(cols - 1, False, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -137,22 +137,24 @@ class ForecastJob:
             raise DataError(f"runs must be >= 1, got {self.runs}")
         if self.rbcm_m < 0:
             raise DataError(f"rBCM expert count must be >= 0, got {self.rbcm_m}")
-        if self.prune and self.kernel in kernels.BASELINE_KERNELS:
-            raise DataError(f"pruning needs a mixture kernel, got {self.kernel!r}")
         if self.prune and self.rbcm_m > 0:
             raise DataError("pruning is not available with rBCM experts (--rbcm)")
 
 
 def chronological_split(data: Dataset, train_frac: float) -> tuple[Dataset, Dataset]:
-    """The first floor(n * train_frac) rows and the rest; a product within
+    """The first floor(n * train_frac) rows and the rest, after a stable
+    sort by t when P = 1 (ascending rows keep their order); a product within
     rounding of an integer (100 * 0.29 = 28.999999999999996) counts as it."""
     prod = data.n * train_frac
     n_train = int(math.floor(prod + 4.0 * math.ulp(prod)))
     if n_train < 1 or n_train >= data.n:
         raise DataError(f"train fraction {train_frac} leaves an empty split for n={data.n}")
+    if data.p == 1:
+        order = np.argsort(data.X[:, 0], kind="stable")
+        data = Dataset(data.X[order], data.y[order])
     return (
-        Dataset(data.X[:n_train], data.y[:n_train], data.names),
-        Dataset(data.X[n_train:], data.y[n_train:], data.names),
+        Dataset(data.X[:n_train], data.y[:n_train]),
+        Dataset(data.X[n_train:], data.y[n_train:]),
     )
 
 
@@ -183,24 +185,12 @@ def build_init(train: Dataset, info: IngestInfo, kernel: str, q: int, seed: int)
 def _train(job: ForecastJob, train: Dataset, init, seed: int):
     cfg = OptConfig(max_iters=job.max_iters, restarts=job.restarts, seed=seed)
     if job.rbcm_m > 0:
-        return rbcm.rbcm_fit(train, job.rbcm_m, job.kernel, init, cfg), None
+        return rbcm.rbcm_fit(train, job.rbcm_m, job.kernel, init, cfg)
     if job.prune:
         pcfg = pruning.PruneConfig(threshold=job.prune_threshold, rounds=job.rounds,
                                    opt=cfg)
         return pruning.lth_fit(train, init, job.kernel, pcfg)
-    return gp.fit(train, init, job.kernel, cfg), None
-
-
-def _model_nlml(model) -> tuple[float, float]:
-    """(nlml_with_constant, nlml_without_constant) on the training data."""
-    if isinstance(model, rbcm.ExpertEnsemble):
-        total = rbcm.rbcm_joint_nlml(model)
-        n = sum(e.data.n for e in model.experts)
-    else:
-        total = model.nlml_internal
-        n = model.data.n
-    const = 0.5 * n * math.log(2.0 * math.pi)
-    return total, total - const
+    return gp.fit(train, init, job.kernel, cfg)
 
 
 def _write_predictions(path: Path, t_or_x: np.ndarray, pred: gp.Prediction):
@@ -255,18 +245,19 @@ def _single_run(job: ForecastJob, train: Dataset, test: Dataset, info: IngestInf
     init, spec_pair = build_init(train, info, job.kernel, job.q, seed)
 
     t0 = time.perf_counter()
-    model, prune_report = _train(job, train, init, seed)
+    model = _train(job, train, init, seed)
     runtime_ms = 1000.0 * (time.perf_counter() - t0)
 
     pred = model.predict(test.X, observation_noise=job.observation_noise)
-    nlml_total, nlml_no_const = _model_nlml(model)
+    # the experts partition the training rows, so an ensemble's n is train.n
+    nlml = model.nlml_internal
     result = {
         "mse": metrics.metric_mse(test.y, pred.mean),
         "mae": metrics.metric_mae(test.y, pred.mean),
         "smse": metrics.metric_smse(test.y, pred.mean),
-        "nlml": nlml_total,
-        "nlml_no_const": nlml_no_const,
-        "pruned_q": prune_report.final_q if prune_report else None,
+        "nlml": nlml,
+        "nlml_no_const": nlml - 0.5 * train.n * math.log(2.0 * math.pi),
+        "pruned_q": model.params.q if job.prune else None,
         "clamped_var": pred.clamped,
         "runtime_ms": runtime_ms,
         "seed": seed,
@@ -286,10 +277,13 @@ def _single_run(job: ForecastJob, train: Dataset, test: Dataset, info: IngestInf
 def run_job(job: ForecastJob) -> dict:
     """Execute a forecasting job; returns the merged metrics report."""
     data, info = ingest_csv(job.input_path)
+    train, test = chronological_split(data, job.train_frac)
+    # metric_smse's rule on the held-out targets (scored against themselves),
+    # before any fit is spent or any file written
+    metrics.metric_smse(test.y, test.y)
     out_dir = Path(job.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    train, test = chronological_split(data, job.train_frac)
     results = [
         _single_run(job, train, test, info, job.seed + i,
                     "" if job.runs == 1 else f"run{i}_")

@@ -82,7 +82,6 @@ class Dataset:
 
     X: np.ndarray
     y: np.ndarray
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         X = kn._as_points(self.X)
@@ -132,7 +131,7 @@ class Normalization:
 
     def apply(self, data: Dataset) -> Dataset:
         yn = (data.y - self.y_mean) / self.y_std
-        return Dataset(self.apply_x(data.X), yn, data.names)
+        return Dataset(self.apply_x(data.X), yn)
 
     def apply_x(self, X: np.ndarray) -> np.ndarray:
         return (X - np.array(self.x_means)) / np.array(self.x_stds)

@@ -7,13 +7,13 @@ import numpy as np
 from .errors import DataError
 
 
-def _check_pair(y_true, y_pred, min_n=1):
+def _check_pair(y_true, y_pred, min_n=1, what="values"):
     yt = np.asarray(y_true, dtype=float).ravel()
     yp = np.asarray(y_pred, dtype=float).ravel()
     if yt.size != yp.size:
         raise DataError(f"length mismatch: {yt.size} true vs {yp.size} predicted")
     if yt.size < min_n:
-        raise DataError(f"need at least {min_n} values, got {yt.size}")
+        raise DataError(f"need at least {min_n} {what}, got {yt.size}")
     return yt, yp
 
 
@@ -28,9 +28,9 @@ def metric_mae(y_true, y_pred) -> float:
 
 
 def metric_smse(y_true_test, y_pred) -> float:
-    """Test MSE normalized by the population (1/n) variance of the test targets."""
-    yt, yp = _check_pair(y_true_test, y_pred, min_n=2)
+    """Held-out MSE normalized by the population (1/n) variance of its targets."""
+    yt, yp = _check_pair(y_true_test, y_pred, min_n=2, what="held-out targets for SMSE")
     var = float(np.mean((yt - np.mean(yt)) ** 2))
     if var <= 0.0:
-        raise DataError("test targets have zero variance; SMSE is undefined")
+        raise DataError("held-out targets have zero variance; SMSE is undefined")
     return float(np.sum((yt - yp) ** 2) / (yt.size * var))

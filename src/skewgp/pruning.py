@@ -3,7 +3,9 @@
 Each round trains the GP for a fixed iteration budget, removes components
 whose weight (in original target-variance units) falls below the threshold,
 rewinds the survivors to their recorded initial values, and retrains.  The
-largest-weight component is never pruned, so at least one survives.
+largest-weight component is never pruned, so at least one survives.  The
+per-round report is the returned model's ``prune_report`` dict, which
+``model_to_dict`` also writes to the model record.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 from .errors import DataError
 from .gp import Dataset, TrainedModel, _model_from_params, fit
+from .kernels import BASELINE_KERNELS
 from .optimize import OptConfig
 
 
@@ -40,36 +43,26 @@ class PruneRound:
     nlml_after_prune: float
 
 
-@dataclass
-class PruneReport:
-    threshold: float
-    rounds: list[PruneRound] = field(default_factory=list)
-
-    @property
-    def final_q(self) -> int:
-        return self.rounds[-1].surviving_q if self.rounds else 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def _denorm_weights(model: TrainedModel) -> np.ndarray:
     return np.array([c.w for c in model.denormalized_params().components])
 
 
 def lth_fit(data: Dataset, init_params, kind: str,
-            cfg: PruneConfig | None = None) -> tuple[TrainedModel, PruneReport]:
+            cfg: PruneConfig | None = None) -> TrainedModel:
     """Train with iterative component pruning and rewind-to-initialization.
 
-    ``init_params`` is the recorded round-0 initialization in raw target
-    units.  Returns the final retrained (and, if the last round pruned,
-    reduced) model together with a per-round report.  The noise variance is
-    global state and is never rewound.
+    ``init_params`` is the recorded round-0 initialization of a mixture
+    kernel in raw target units.  Returns the final retrained (and, if the
+    last round pruned, reduced) model, whose ``prune_report`` holds the
+    threshold and one :class:`PruneRound` dict per round.  The noise
+    variance is global state and is never rewound.
     """
+    if kind in BASELINE_KERNELS:
+        raise DataError(f"pruning needs a mixture kernel, got {kind!r}")
     cfg = cfg or PruneConfig()
     initial_components = tuple(init_params.components)
     surviving = list(range(len(initial_components)))
-    report = PruneReport(threshold=cfg.threshold)
+    rounds = []
 
     round_init = init_params
     model = None
@@ -90,7 +83,7 @@ def lth_fit(data: Dataset, init_params, kind: str,
             pruned_params = trained.with_components(kept_trained)
             model = _model_from_params(kind, pruned_params, model.data,
                                        model.normalization, model.train_fingerprint)
-        report.rounds.append(PruneRound(
+        rounds.append(PruneRound(
             round=rnd,
             nlml_before_prune=nlml_before,
             pruned_indices=pruned_global,
@@ -104,5 +97,6 @@ def lth_fit(data: Dataset, init_params, kind: str,
             noise_var = model.denormalized_params().noise_var
             round_init = init_params.__class__(comps, noise_var=noise_var)
 
-    model.prune_report = report.to_dict()
-    return model, report
+    model.prune_report = {"threshold": cfg.threshold,
+                          "rounds": [asdict(r) for r in rounds]}
+    return model

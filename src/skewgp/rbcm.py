@@ -83,6 +83,11 @@ class ExpertEnsemble:
     def m(self) -> int:
         return len(self.experts)
 
+    @property
+    def nlml_internal(self) -> float:
+        """Sum of per-expert NLMLs at the shared parameters (normalized space)."""
+        return sum(nlml_from_factor(e.chol_L, e.alpha, e.data.y) for e in self.experts)
+
     def predict(self, Xstar, observation_noise: bool = False) -> Prediction:
         return rbcm_predict(self, Xstar, observation_noise=observation_noise)
 
@@ -116,11 +121,6 @@ def rbcm_fit(data: Dataset, m: int, kind: str, init_params,
                                      cfg or OptConfig(), norm, each=pool.map)
     return _ensemble_from_params(kind, params, norm, experts, data.fingerprint(),
                                  opt_result=res)
-
-
-def rbcm_joint_nlml(ens: ExpertEnsemble) -> float:
-    """Sum of per-expert NLMLs at the shared parameters (normalized space)."""
-    return sum(nlml_from_factor(e.chol_L, e.alpha, e.data.y) for e in ens.experts)
 
 
 def rbcm_predict(ens: ExpertEnsemble, Xstar, observation_noise: bool = False) -> Prediction:

@@ -210,9 +210,9 @@ def test_criterion_7_pruning():
         "slsm", float(np.var(train.y)), seed=0)
     opt = OptConfig(max_iters=100, seed=0)
     unpruned = fit(train, init, "slsm", opt)
-    model, report = lth_fit(train, init, "slsm", PruneConfig(opt=opt))
+    model = lth_fit(train, init, "slsm", PruneConfig(opt=opt))
 
-    pruned_per_round = [len(r.pruned_indices) for r in report.rounds]
+    pruned_per_round = [len(r["pruned_indices"]) for r in model.prune_report["rounds"]]
     avg_pruned = float(np.mean(pruned_per_round))
     mse_u = metric_mse(test.y, unpruned.predict(test.X).mean)
     mse_p = metric_mse(test.y, model.predict(test.X).mean)

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 import skewgp.cli as cli
 import skewgp.gp as gp
+import skewgp.rbcm as rbcm
 from skewgp.errors import DataError
 from skewgp.cli import (
     ForecastJob,
@@ -57,8 +58,8 @@ class TestIngest:
     def test_header_skipped(self, tmp_path):
         p = _write(tmp_path, "a.csv", "time,value\n0,1.0\n1,2.0\n")
         data, info = ingest_csv(p)
-        assert data.n == 2
-        assert data.names == ("time", "value")
+        np.testing.assert_array_equal(data.X[:, 0], [0.0, 1.0])
+        np.testing.assert_array_equal(data.y, [1.0, 2.0])
 
     def test_single_column_gets_implicit_time(self, tmp_path):
         p = _write(tmp_path, "a.csv", "5.0\n6.0\n7.0\n")
@@ -118,6 +119,24 @@ class TestSplitAndInit:
         train, test = chronological_split(data, 0.6)
         assert train.n == 60 and test.n == 40
         assert np.max(train.X) < np.min(test.X)
+
+    def test_descending_series_trains_on_the_earliest_times(self, tmp_path):
+        t = 100.0 - 0.5 * np.arange(20)
+        p = _write(tmp_path, "d.csv", "".join(f"{float(a)!r},{float(a) / 10!r}\n" for a in t))
+        train, test = chronological_split(ingest_csv(p)[0], 0.6)
+        np.testing.assert_array_equal(train.X[:, 0], np.sort(t)[:12])
+        np.testing.assert_array_equal(test.X[:, 0], np.sort(t)[12:])
+        np.testing.assert_array_equal(train.y, train.X[:, 0] / 10)
+
+    def test_shuffled_series_splits_like_its_sorted_copy(self, rng):
+        from skewgp.gp import Dataset
+
+        t = np.arange(50.0)
+        y = rng.standard_normal(50)
+        perm = rng.permutation(50)
+        for got, want in zip(chronological_split(Dataset(t[perm], y[perm]), 0.6),
+                             chronological_split(Dataset(t, y), 0.6)):
+            assert got.fingerprint() == want.fingerprint()
 
     def test_degenerate_fraction_rejected(self, rng):
         from skewgp.gp import Dataset
@@ -228,7 +247,8 @@ class TestRunJob:
         report = run_job(job)
         assert report["pruned_q"]["values"][0] <= 5
         doc = json.loads((out / "model.json").read_text())
-        assert "prune_report" in doc
+        assert (report["pruned_q"]["values"][0] == len(doc["components"])
+                == doc["prune_report"]["rounds"][-1]["surviving_q"])
 
     def test_clamped_variances_reach_metrics(self, small_series, tmp_path, monkeypatch):
         common = dict(kernel="slsm", q=2, max_iters=3)
@@ -254,9 +274,32 @@ class TestRunJob:
         out = tmp_path / "out"
         job = ForecastJob(str(small_series), str(out), kernel="slsm", q=2,
                           rbcm_m=2, max_iters=5)
-        run_job(job)
+        report = run_job(job)
         doc = json.loads((out / "model.json").read_text())
         assert doc["rbcm"]["m"] == 2 and len(doc["experts"]) == 2
+        train, _ = chronological_split(ingest_csv(small_series)[0], job.train_frac)
+        ens = rbcm.ensemble_from_dict(doc, train)
+        assert report["nlml"]["mean"] == ens.nlml_internal
+        assert (json.loads((out / "metrics.json").read_text())["nlml"]["mean"]
+                == ens.nlml_internal)
+
+    @pytest.mark.parametrize("y_test", [[1.0], [2.0] * 8], ids=["one_point", "constant"])
+    def test_unscorable_held_out_part_fails_before_any_fit(self, runner, tmp_path,
+                                                           monkeypatch, y_test):
+        y = np.concatenate([np.sin(np.arange(32.0)), y_test])
+        src = _write(tmp_path, "s.csv", "".join(f"{float(v)!r}\n" for v in y))
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before the held-out part was checked")
+
+        monkeypatch.setattr(gp, "fit", no_fit)
+        out = tmp_path / "out"
+        res = runner.invoke(cli.main, ["fit", str(src), "--kernel", "se",
+                                       "--train-frac", str(32 / y.size),
+                                       "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert "held-out targets" in res.output and "SMSE" in res.output
+        assert not out.exists()
 
 
 class TestCommands:

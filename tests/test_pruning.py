@@ -6,7 +6,7 @@ import pytest
 import skewgp.pruning as pruning
 from skewgp.errors import DataError
 from skewgp.gp import Dataset, fit, sample_prior
-from skewgp.kernels import SlsmComponent, SlsmParams
+from skewgp.kernels import BaselineKernelParams, SlsmComponent, SlsmParams
 from skewgp.optimize import OptConfig
 from skewgp.pruning import PruneConfig, lth_fit
 
@@ -49,18 +49,17 @@ class TestPruning:
         from skewgp.metrics import metric_mse
 
         unpruned = fit(train, init, "slsm", opt)
-        model, report = lth_fit(train, init, "slsm", PruneConfig(opt=opt))
-        assert report.final_q <= 6
+        model = lth_fit(train, init, "slsm", PruneConfig(opt=opt))
+        assert model.params.q <= 6
         mse_u = metric_mse(test.y, unpruned.predict(test.X).mean)
         mse_p = metric_mse(test.y, model.predict(test.X).mean)
         assert mse_p <= 1.1 * mse_u
 
     def test_zero_threshold_never_prunes(self, synth):
         init = _init(4, synth)
-        model, report = lth_fit(synth, init, "slsm",
-                                PruneConfig(threshold=0.0, opt=FAST))
-        assert report.final_q == 4
-        assert all(r.pruned_indices == [] for r in report.rounds)
+        model = lth_fit(synth, init, "slsm", PruneConfig(threshold=0.0, opt=FAST))
+        assert model.params.q == 4
+        assert all(r["pruned_indices"] == [] for r in model.prune_report["rounds"])
         # equals round-wise retraining with the same per-round budget
         round1 = fit(synth, init, "slsm", FAST)
         noise = round1.denormalized_params().noise_var
@@ -72,35 +71,42 @@ class TestPruning:
 
     def test_all_above_threshold_is_pure_reset_retrain(self, synth):
         init = _init(3, synth)
-        model, report = lth_fit(synth, init, "slsm",
-                                PruneConfig(threshold=1e-12, opt=FAST))
-        assert [r.surviving_q for r in report.rounds] == [3, 3]
-        assert all(r.pruned_indices == [] for r in report.rounds)
+        rounds = lth_fit(synth, init, "slsm",
+                         PruneConfig(threshold=1e-12, opt=FAST)).prune_report["rounds"]
+        assert [r["surviving_q"] for r in rounds] == [3, 3]
+        assert all(r["pruned_indices"] == [] for r in rounds)
 
     def test_largest_weight_always_survives(self, synth):
         init = _init(5, synth)
         # absurd threshold: everything is below it, argmax must survive
-        model, report = lth_fit(synth, init, "slsm",
-                                PruneConfig(threshold=1e12, opt=FAST))
-        assert report.final_q == 1
+        model = lth_fit(synth, init, "slsm", PruneConfig(threshold=1e12, opt=FAST))
+        assert model.prune_report["rounds"][-1]["surviving_q"] == 1
         assert model.params.q == 1
 
     def test_monotone_q(self, synth):
         init = _init(8, synth)
-        _, report = lth_fit(synth, init, "slsm",
-                            PruneConfig(rounds=3, opt=FAST))
-        qs = [r.surviving_q for r in report.rounds]
+        model = lth_fit(synth, init, "slsm", PruneConfig(rounds=3, opt=FAST))
+        qs = [r["surviving_q"] for r in model.prune_report["rounds"]]
         assert all(b <= a for a, b in zip(qs, qs[1:]))
 
     def test_report_weights_are_denormalized(self, synth):
         init = _init(10, synth)
-        model, report = lth_fit(synth, init, "slsm", PruneConfig(opt=FAST))
-        for r in report.rounds:
-            assert all(w < 1.0 for w in r.pruned_weights)
-        doc = report.to_dict()
+        doc = lth_fit(synth, init, "slsm", PruneConfig(opt=FAST)).prune_report
+        for r in doc["rounds"]:
+            assert all(w < 1.0 for w in r["pruned_weights"])
         assert doc["threshold"] == 1.0
         assert len(doc["rounds"]) == 2
-        assert model.prune_report == doc
+        assert list(doc) == ["threshold", "rounds"]
+        assert [list(r) for r in doc["rounds"]] == [[
+            "round", "nlml_before_prune", "pruned_indices", "pruned_weights",
+            "surviving_q", "nlml_after_prune"]] * 2
+
+    @pytest.mark.parametrize("kind", ["se", "rq"])
+    def test_baseline_kernel_is_data_error(self, synth, kind):
+        init = BaselineKernelParams(kind, theta_f=1.0, ell=10.0, rq_alpha=1.0,
+                                    noise_var=0.1)
+        with pytest.raises(DataError, match="pruning needs a mixture kernel"):
+            lth_fit(synth, init, kind, PruneConfig(opt=FAST))
 
 
 class TestRewindContract:

@@ -19,7 +19,6 @@ from skewgp.rbcm import (
     ensemble_to_dict,
     partition,
     rbcm_fit,
-    rbcm_joint_nlml,
     rbcm_predict,
 )
 
@@ -92,7 +91,7 @@ class TestRbcmFit:
         p = random_params(rng, q=2, noise=0.2)
         subsets = partition(series.n, 4)
         ens = _manual_ensemble(series, p, subsets)
-        total = rbcm_joint_nlml(ens)
+        total = ens.nlml_internal
         oracle = sum(
             nlml(Dataset(series.X[idx], series.y[idx]), p, "slsm") for idx in subsets)
         assert total == pytest.approx(oracle, abs=1e-10)
