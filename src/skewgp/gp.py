@@ -25,9 +25,9 @@ limited by the conditioning of K:
 
 Both read a mixture's parameters as the (Q, 1 + k P) rows of the
 optimizer's vector and, on a grid, take K and every partial of a P = 1
-mixture from one (Q, n) pass over its n lags |h| k, which the dense path
-reads at |i - j| (:attr:`~skewgp.kernels.Grid.index`); off a grid a
-mixture of any P is evaluated from the points, with no lag array.
+mixture from one (Q, n) pass over its n lags |h| k, whose windows the
+dense path copies into K; off a grid a mixture of any P is evaluated
+from the points, with no lag array.
 Either factorization walks a jitter ladder eps * (tr/n), with eps in
 {0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2}: a Cholesky rung fails when the
 factorization does, a Levinson--Durbin rung when a prediction-error
@@ -240,7 +240,7 @@ def factorize(data: Dataset, kind: str, params):
     :func:`~skewgp.kernels.training_covariance`, as the objective takes it."""
     kn._check_width(params, data.p)
     rows = params.rows(kind) if kind in kn.MIXTURE_KERNELS else params
-    # neither the grid's index nor the slots are held through the Cholesky
+    # K alone: no grid index is built, and the slots are not held through the Cholesky
     K = kn.training_covariance(data.X, kind, rows, kn.Grid.of(data.X))[0]
     L, jit = chol_with_jitter(K, params.noise_var)
     return L, jit, _solve_chol(L, data.y)
@@ -260,7 +260,8 @@ def latent_moments(Xs_n, factors, kind: str, params):
         ks = kn.gram(Xs_n[rows], X, kind, params)
         mean[rows] = np.einsum("ij,j->i", ks, alpha)  # each row alone: no GEMV
         v = solve_triangular(L, ks.T, lower=True, overwrite_b=True)  # ks is spent
-        sq[rows] = np.sum(v * v, axis=0)
+        v *= v  # squared in place: the same bits as v * v, one array fewer
+        sq[rows] = np.sum(v, axis=0)
         del ks, v  # not held through the next block's gram
     return mean, kn.prior_variance(params) - sq
 
@@ -429,13 +430,13 @@ def optimize_parts(parts, init_params, kind: str, cfg: OptConfig,
     ``norm``); ``each`` maps :func:`nlml_value_and_grad` over the
     :func:`objective_groups` (``map`` or a pool's), and a group that raises
     fails the evaluation, which :func:`~skewgp.optimize.minimize` reads as
-    +inf.  A group's Grid builds its index once, at its first dense
-    evaluation, and is freed on return."""
+    +inf.  A group's Grid builds its index once, for the gradient slots of
+    its first dense evaluation, and is freed on return."""
     kn._check_width(init_params, parts[0].p)
     s2 = norm.y_std**2
     x0, layout = transform(scale_variances(init_params, lambda v: v / s2), kind)
-    # the final factors read their own Grid: holding these indexes through
-    # their Cholesky raised uniform2000's peak RSS by 30 MB
+    # freed on return with the indexes their gradients build: held through
+    # the final factors' Cholesky, these raised uniform2000's peak RSS by 30 MB
     groups = objective_groups(parts)
 
     def objective(x):

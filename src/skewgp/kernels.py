@@ -32,16 +32,17 @@ asked once per set of training points: are they a :class:`Grid`, a
 uniform P = 1 input t_0 + i h?  The answer, the Grid or None, is passed
 along.  On a grid the kernel is evaluated at lags by its family's one
 P = 1 value expression (:func:`_component_value`): the training lags are
-the Toeplitz first column |h| k (every kernel is even in tau), read at
-|i - j| through :attr:`Grid.index`, where one call of the family's array
-body takes all Q components' (Q, 1) parameter columns
+the Toeplitz first column |h| k (every kernel is even in tau), K's row i a
+window of k_{n-1} .. k_1, k_0 .. k_{n-1}, where one call of the family's
+array body takes all Q components' (Q, 1) parameter columns
 (:func:`value_and_partials`), and :func:`gram` sums the components one at
-a time at the exact lags xa_i - xb_j, once per band of consecutive lags
-(:func:`_grid_table`) where they read back bit for bit.  Off a grid a
-mixture of any P is evaluated from the points, by per-point projections one
-block of rows at a time, with no lag array; only the baselines take (n, m)
-lags (:func:`lags`).  :func:`training_covariance` gives the training K and
-its gradient slots for the objective and the final factor alike.
+a time at the exact lags xa_i - xb_j, once per entry of a few bands of
+consecutive lags (:func:`_grid_table`) where they read back bit for bit,
+each row one window of the bands.  Off a grid a mixture of any P is
+evaluated from the points, by per-point projections one block of rows at
+a time, with no lag array; only the baselines take (n, m) lags
+(:func:`lags`).  :func:`training_covariance` gives the training K and its
+gradient slots for the objective and the final factor alike.
 
 Every function is pure and safe to call concurrently.
 """
@@ -354,32 +355,39 @@ class Grid:
 
     @cached_property
     def index(self) -> np.ndarray:
-        """|i - j|, the (n, n) index of the training K into its first column;
+        """|i - j|, the (n, n) index of the training K into its first column,
+        by which the gradient slots sum M (:func:`training_covariance`);
         built on first use and kept with this Grid."""
         k = np.arange(self.n)
         return np.abs(np.subtract.outer(k, k))
 
 
-def _grid_table(xa: np.ndarray, xb: np.ndarray, tau: np.ndarray, grid):
-    """The P = 1 lags ``tau`` of ``xa`` against the points ``xb`` on ``grid``
-    (their :class:`Grid` or None) as a table ``(values, index)`` of fewer
-    values than ``tau`` with ``values[index]`` equal to ``tau`` bit for bit,
-    or None.
+def _windows(a: np.ndarray, n: int) -> np.ndarray:
+    """The (a.size - n + 1, n) view of the 1-D array ``a`` whose row k is
+    a[k:k + n]: a plain strided view, no copy."""
+    return np.ndarray((a.size - n + 1, n), a.dtype, a, 0, (a.itemsize,) * 2)
+
+
+def _grid_table(xa: np.ndarray, xb: np.ndarray, grid):
+    """The P = 1 lags xa_i - xb_j of ``xa`` against the points ``xb`` on
+    ``grid`` (their :class:`Grid` or None) as a table ``(values, start)``:
+    row i of the lags is the window values[start_i:start_i + n], bit for
+    bit, and ``values`` holds fewer entries than the lags; or None.
 
     Each point of ``xa`` sits at s = (xa - xb_0) / h; the rows are grouped
     by the exact offset s - floor(s), and each group gets one block of
-    consecutive lags in ascending order, so row i reads its block at a fixed
-    position minus (h > 0) or plus (h < 0) the column j.  None when a lag
-    does not read back bit for bit (grids whose differences round), when the
-    blocks hold more than half as many lags as ``tau`` (scattered queries,
-    near-singleton groups) or when ``grid`` is None or has h = 0.  No lag
-    is sorted.
+    consecutive lags in the order a row reads them, j ascending: descending
+    lags for h > 0, ascending for h < 0.  The lags are written into their
+    windows, then recomputed and compared, one row block at a time.  None
+    when a lag does not read back bit for bit (grids whose differences
+    round), when the blocks hold more than half as many lags as the matrix
+    (scattered queries, near-singleton groups) or when there are no rows,
+    ``grid`` is None or has h = 0.  No lag is sorted.
     """
-    if grid is None or not grid.step:  # no grid, or repeated points
+    if grid is None or not grid.step or not len(xa):  # no grid, repeated points, no rows
         return None
-    h = grid.step
-    n = tau.shape[1]
-    s = (xa[:, 0] - xb[0, 0]) / h
+    m, n = len(xa), len(xb)
+    s = (xa[:, 0] - xb[0, 0]) / grid.step
     if not np.all(np.isfinite(s)):
         return None
     r = np.floor(s)
@@ -390,44 +398,43 @@ def _grid_table(xa: np.ndarray, xb: np.ndarray, tau: np.ndarray, grid):
     np.maximum.at(hi, group, r)
     sizes = hi - lo + n
     # only rows sharing a band save evaluations (a lone row reads its own n
-    # lags); the gather and read-back pay once the bands hold half the lags
-    if 2 * np.sum(sizes) > tau.size:
+    # lags); the fill and read-back pay once the bands hold half the lags
+    if 2 * np.sum(sizes) > m * n:
         return None
-    start = np.cumsum(sizes) - sizes
-    # lags grow with r_i - j for h > 0 and shrink with it for h < 0
-    if h > 0:
-        base, sign = start[group] + r - lo[group] + (n - 1), -1
-    else:
-        base, sign = start[group] + hi[group] - r, 1
-    index = base.astype(np.intp)[:, None] + sign * np.arange(n)
+    # block position p holds the lag (hi + offset - p) h, so row i starts at hi - r_i
+    start = ((np.cumsum(sizes) - sizes + hi)[group] - r).astype(np.intp)
     values = np.zeros(int(np.sum(sizes)))
-    values[index] = tau
-    # read back in row blocks: no third (m, n) array
-    if not all(np.array_equal(values[index[rows]], tau[rows])
-               for rows, _ in _row_blocks(len(tau), n, entries=1 << 20)):
+    windows = _windows(values, n)
+    blocks = list(_row_blocks(m, n, entries=1 << 16))
+    for rows, _ in blocks:
+        windows[start[rows]] = xa[rows] - xb.T
+    if not all(np.array_equal(windows[start[rows]], xa[rows] - xb.T) for rows, _ in blocks):
         return None
-    return values, index
+    return values, start
 
 
 def gram(x, x2, kind: str, params) -> np.ndarray:
     """Noise-free covariance matrix k(x_i - x2_j).  A mixture against an
     ``x2`` that is no :class:`Grid` (every P > 1 input) is :func:`multi_gram`,
-    from the points, with no lag array; the rest is evaluated at the
-    :func:`lags`: against a grid once per entry of the :func:`_grid_table`
-    and gathered, bit for bit the same matrix, where that table exists."""
+    from the points, with no lag array; the rest against a grid once per
+    entry of the :func:`_grid_table`, row i gathered as the window of those
+    values at start_i, bit for bit the same matrix, else at the
+    :func:`lags` of one row block at a time."""
     xa, xb = _as_points(x), _as_points(x2)
     if xa.shape[1] != xb.shape[1]:
         raise DimensionMismatchError(xa.shape[1], xb.shape[1])
+    _check_width(params, xa.shape[1])
     grid = Grid.of(xb) if xb.shape[1] == 1 else None
     if kind in MIXTURE_KERNELS and grid is None:
-        _check_width(params, xa.shape[1])
         return multi_gram(xa, xb, kind, params.rows(kind))
-    tau = lags(xa, xb, kind, params)
-    table = _grid_table(xa, xb, tau, grid)
-    if table is None:
-        return np.asarray(kernel_value(tau, kind, params))
-    del tau  # not held while the kernel is evaluated
-    return kernel_value(table[0], kind, params)[table[1]]
+    table = _grid_table(xa, xb, grid)
+    if table is not None:
+        values, start = table
+        return _windows(kernel_value(values, kind, params), len(xb))[start]
+    out = np.empty((len(xa), len(xb)))
+    for rows, _ in _row_blocks(*out.shape):
+        out[rows] = kernel_value(lags(xa[rows], xb, kind, params), kind, params)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -649,11 +656,13 @@ def training_covariance(x, kind: str, params, grid):
     ``params``: K, for a mixture off a grid only its lower triangle (all
     the Cholesky reads), and ``slots(M)``, every natural slot
     0.5 tr(M dK/dtheta) but the noise's for M symmetric.  ``slots`` holds
-    the grid's index or the lags; a caller that keeps only K frees them."""
+    the grid, whose index it builds, or the lags; a caller that keeps only
+    K frees them."""
     if grid is not None:  # the n lags |h| k, M folded into its sums over the index |i - j|
-        K, G = value_and_partials(np.abs(grid.lags()), kind, params)
-        return K[grid.index], \
-            lambda M: list(_half_dots(G, np.bincount(grid.index.ravel(), M.ravel())))
+        k, G = value_and_partials(np.abs(grid.lags()), kind, params)
+        # row i is k_{|i - j|}: the window at n - 1 - i of k_{n-1} .. k_1, k_0 .. k_{n-1}
+        K = np.array(_windows(np.concatenate([k[:0:-1], k]), grid.n)[::-1], order="C")
+        return K, lambda M: list(_half_dots(G, np.bincount(grid.index.ravel(), M.ravel())))
     if kind in MIXTURE_KERNELS:  # row blocks, then one call per component
         K = multi_gram(x, x, kind, params, lower=True)
         return K, lambda M: [s for r in params for s in multi_component_partials(x, M, r, kind)]

@@ -312,8 +312,7 @@ def test_gram_against_a_grid_reaches_no_hooked_partials(monkeypatch, kind):
         monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
     for name, xq in queries.items():
         xa, xb = xq[:, None], X[:, None]
-        table = kernels._grid_table(xa, xb, kernels.lags(xa, xb, kind, params),
-                                    kernels.Grid.of(xb))
+        table = kernels._grid_table(xa, xb, kernels.Grid.of(xb))
         assert (table is None) == (name == "scattered")
         assert np.array_equal(kernels.gram(xq, X, kind, params), expected[name])
     assert calls == []

@@ -101,18 +101,17 @@ def test_exact_grid_table_is_the_unique_table(kind, n, step, t0, descending):
 class TestPaths:
     def _table(self, xq, x):
         xq, x = np.asarray(xq, float)[:, None], np.asarray(x, float)[:, None]
-        tau = xq - x.T
-        return kn._grid_table(xq, x, tau, kn.Grid.of(x))
+        return kn._grid_table(xq, x, kn.Grid.of(x))
 
     def test_benchmark_queries_take_two_bands(self):
         """Half-step interpolation plus on-grid forecasts against an integer
         grid: two offset groups, one band each."""
         x = np.arange(2000.0)
         xq = np.concatenate([np.arange(0.0, 2000.0, 0.5), np.arange(2000.0, 2500.0)])
-        values, index = self._table(xq, x)
+        values, start = self._table(xq, x)
         assert values.size == (2499 + 2000) + (1999 + 2000)  # r in 0..2499, 0..1999
-        assert index.shape == (xq.size, x.size)
-        assert np.array_equal(values[index], xq[:, None] - x[None, :])
+        assert start.shape == (xq.size,)
+        assert np.array_equal(kn._windows(values, x.size)[start], xq[:, None] - x[None, :])
 
     def test_rounding_and_scattered_inputs_fall_back(self, rng):
         x = np.linspace(0.0, 400.0, 500)
@@ -125,6 +124,24 @@ class TestPaths:
         moved = np.arange(100.0)
         moved[40] += 1e-9
         assert self._table(np.arange(100.0), moved) is None      # not a grid
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_queries_give_an_empty_matrix(self, kind):
+        p = BaselineKernelParams(kind, 1.3, 2.1) if kind in kn.BASELINE_KERNELS \
+            else SlsmParams((SlsmComponent(1.0, 0.3, 0.5, 0.4),))
+        assert self._table(np.zeros(0), np.arange(30.0)) is None
+        assert kn.gram(np.zeros(0), np.arange(30.0), kind, p).shape == (0, 30)
+
+    def test_training_k_reads_windows_of_its_first_column(self):
+        """On a grid the training K is k_{|i - j|} bit for bit, C-ordered,
+        without building the grid's index."""
+        x = 0.1 * np.arange(150)
+        grid = kn.Grid.of(x)
+        p = SlsmParams((SlsmComponent(1.0, 0.3, 0.5, 0.4), SlsmComponent(0.4, 1.2, 0.2, -0.3)))
+        K, _ = kn.training_covariance(x[:, None], "slsm", p.rows("slsm"), grid)
+        assert "index" not in vars(grid)
+        k = kn.kernel_value(np.abs(grid.lags()), "slsm", p)
+        assert K.flags.c_contiguous and np.array_equal(K, k[grid.index])
 
     def test_multivariate_gram_never_reaches_the_grid_rule(self, monkeypatch, rng):
         def no_grid(*args, **kwargs):

@@ -6,8 +6,9 @@ triangular solve each, so its traced peak does not grow with the number
 of queries, on the lag bands of a grid and on the exact-lag fallback of
 scattered queries alike.  The blocks keep the predictive mean bit for bit
 and the variance within rounding of one whole-batch solve.
-``gp.chol_with_jitter`` factorizes one copy of K per rung, in place, and
-never writes K."""
+``kernels.gram`` itself holds little beside its output, on the bands and
+on the fallback.  ``gp.chol_with_jitter`` factorizes one copy of K per
+rung, in place, and never writes K."""
 
 import numpy as np
 import pytest
@@ -44,10 +45,37 @@ def test_predict_memory_does_not_grow_with_the_queries(grid_model, queries):
     batches = [np.arange(0.0, m / 2, 0.5) if queries == "bands" else rng.uniform(0.0, 2500.0, m)
                for m in (1500, 4500)]
     xa, xb = batches[0][:200, None], grid_model.data.X
-    table = kn._grid_table(xa, xb, kn.lags(xa, xb, "slsm", grid_model.params), kn.Grid.of(xb))
+    table = kn._grid_table(xa, xb, kn.Grid.of(xb))
     assert (table is None) == (queries == "scattered")
     peaks = [traced_peak(lambda: grid_model.predict(xq)) for xq in batches]
     assert peaks[1] < 1.25 * peaks[0]
+
+
+@pytest.mark.parametrize("shape", [(4500, 250), (1048, 2000)], ids=["expert", "block"])
+def test_gram_on_bands_holds_only_its_output(grid_model, shape):
+    """The traced peak of ``gram`` on the lag bands stays below 1.1 times
+    its output: an rBCM expert's 250-point grid against uniform2000's 4,500
+    queries, and one predict block of half-step queries against 2,000
+    points.  No (m, n) lag or index array is made."""
+    m, n = shape
+    xq = np.concatenate([np.arange(0.0, 2000.0, 0.5), np.arange(2000.0, 2500.0)])[:m]
+    x = np.arange(n, dtype=float) + (750.0 if n < N else 0.0)
+    assert kn._grid_table(xq[:, None], x[:, None], kn.Grid.of(x)) is not None
+    out = []
+    peak = traced_peak(lambda: out.append(kn.gram(xq, x, "slsm", grid_model.params)))
+    assert out[0].shape == shape and peak < 1.1 * out[0].nbytes
+
+
+def test_gram_fallback_holds_little_above_its_output(grid_model):
+    """Scattered queries miss the bands; the exact-lag fallback fills the
+    output one row block at a time and its traced peak stays below 1.25
+    times the output (Q = 3, one predict block of 1,048 rows)."""
+    xq = np.random.default_rng(12).uniform(0.0, 2500.0, 1048)
+    x = grid_model.data.X[:, 0]
+    assert kn._grid_table(xq[:, None], x[:, None], kn.Grid.of(x)) is None
+    out = []
+    peak = traced_peak(lambda: out.append(kn.gram(xq, x, "slsm", grid_model.params)))
+    assert out[0].shape == (1048, N) and peak < 1.25 * out[0].nbytes
 
 
 @pytest.mark.parametrize("escalated", [False, True])
