@@ -8,10 +8,8 @@ from .kernels import (
     SlsmParams,
     baseline_kernel,
     gram,
-    lkp_kernel,
+    kernel_value,
     slsm_component,
-    slsm_kernel,
-    sm_kernel,
     spectral_density,
 )
 from .gp import (

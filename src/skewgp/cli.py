@@ -141,17 +141,24 @@ class ForecastJob:
             raise DataError("pruning is not available with rBCM experts (--rbcm)")
 
 
+def _time_ordered(data: Dataset) -> Dataset:
+    """``data`` after a stable sort by t when P = 1 (ascending rows keep
+    their order), as the split and the spectrum read a series."""
+    if data.p != 1:
+        return data
+    order = np.argsort(data.X[:, 0], kind="stable")
+    return Dataset(data.X[order], data.y[order])
+
+
 def chronological_split(data: Dataset, train_frac: float) -> tuple[Dataset, Dataset]:
-    """The first floor(n * train_frac) rows and the rest, after a stable
-    sort by t when P = 1 (ascending rows keep their order); a product within
-    rounding of an integer (100 * 0.29 = 28.999999999999996) counts as it."""
+    """The first floor(n * train_frac) rows of the :func:`_time_ordered`
+    ``data`` and the rest; a product within rounding of an integer
+    (100 * 0.29 = 28.999999999999996) counts as it."""
     prod = data.n * train_frac
     n_train = int(math.floor(prod + 4.0 * math.ulp(prod)))
     if n_train < 1 or n_train >= data.n:
         raise DataError(f"train fraction {train_frac} leaves an empty split for n={data.n}")
-    if data.p == 1:
-        order = np.argsort(data.X[:, 0], kind="stable")
-        data = Dataset(data.X[order], data.y[order])
+    data = _time_ordered(data)
     return (
         Dataset(data.X[:n_train], data.y[:n_train]),
         Dataset(data.X[n_train:], data.y[n_train:]),
@@ -193,6 +200,18 @@ def _train(job: ForecastJob, train: Dataset, init, seed: int):
     return gp.fit(train, init, job.kernel, cfg)
 
 
+def _write_csv(path, names, columns, comment: str | None = None):
+    """Write a header of ``names`` (after a ``# comment`` line) and one row
+    per entry of the equal-length ``columns``, each cell a plain float's
+    repr: the shortest round-trip form."""
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(names) + "\n")
+        for row in zip(*(np.asarray(col, dtype=float).tolist() for col in columns)):
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
 def _write_predictions(path: Path, t_or_x: np.ndarray, pred: gp.Prediction):
     """Write one row per query point: its input columns (``t`` for a 1-D
     array or P = 1, ``x1..xP`` otherwise), then mean, var and the 95% band."""
@@ -200,14 +219,9 @@ def _write_predictions(path: Path, t_or_x: np.ndarray, pred: gp.Prediction):
     x = kernels._as_points(t_or_x)
     names = ["t"] if x.shape[1] == 1 else [f"x{d + 1}" for d in range(x.shape[1])]
     sd = np.sqrt(pred.var)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# variance_mode: {mode}\n")
-        fh.write(",".join(names + ["mean", "var", "lower95", "upper95"]) + "\n")
-        for row, m, v, s in zip(x, pred.mean, pred.var, sd):
-            # plain-float repr: shortest round-trip form, no numpy scalar wrapper
-            fh.write("".join(f"{float(c)!r}," for c in row)
-                     + f"{float(m)!r},{float(v)!r},"
-                     f"{float(m - 1.96 * s)!r},{float(m + 1.96 * s)!r}\n")
+    _write_csv(path, names + ["mean", "var", "lower95", "upper95"],
+               [*x.T, pred.mean, pred.var, pred.mean - 1.96 * sd, pred.mean + 1.96 * sd],
+               comment=f"variance_mode: {mode}")
 
 
 def read_predictions_csv(path) -> dict:
@@ -225,18 +239,13 @@ def read_predictions_csv(path) -> dict:
 
 
 def _write_spectrum(out_dir: Path, prefix: str, spec, fit_mix):
-    with open(out_dir / f"{prefix}spectrum.csv", "w", newline="") as fh:
-        fh.write("freq_rad,freq_cycles,power\n")
-        for f, p in zip(spec.freqs, spec.powers):
-            fh.write(f"{float(f)!r},{float(f) / (2 * math.pi)!r},{float(p)!r}\n")
+    _write_csv(out_dir / f"{prefix}spectrum.csv", ["freq_rad", "freq_cycles", "power"],
+               [spec.freqs, spec.freqs / (2 * math.pi), spec.powers])
     grid = np.linspace(spec.freqs[0], spec.freqs[-1], 512)
     dens = np.zeros_like(grid)
     for wk, loc, scale in zip(fit_mix.weights, fit_mix.locations, fit_mix.scales):
         dens += wk * np.exp(spectral._log_pdf(grid, loc, scale, fit_mix.kind))
-    with open(out_dir / f"{prefix}mixture_fit.csv", "w", newline="") as fh:
-        fh.write("freq_rad,density\n")
-        for f, d in zip(grid, dens):
-            fh.write(f"{float(f)!r},{float(d)!r}\n")
+    _write_csv(out_dir / f"{prefix}mixture_fit.csv", ["freq_rad", "density"], [grid, dens])
 
 
 def _single_run(job: ForecastJob, train: Dataset, test: Dataset, info: IngestInfo,
@@ -382,9 +391,8 @@ def predict_cmd(model_path, train_data, train_frac, at_path, observation_noise,
     if not 0.0 < train_frac <= 1.0:
         raise DataError(f"--train-frac must be in (0, 1], got {train_frac}")
     doc = _read_record(model_path)
-    data, info = ingest_csv(train_data)
-    if train_frac < 1.0:
-        data, _ = chronological_split(data, train_frac)
+    data, _ = ingest_csv(train_data)  # read as fit read its training rows
+    data = chronological_split(data, train_frac)[0] if train_frac < 1.0 else _time_ordered(data)
     if isinstance(doc, dict) and "experts" in doc:
         model = rbcm.ensemble_from_dict(doc, data)
     else:
@@ -413,11 +421,7 @@ def sample_cmd(model_path, n_points, t_max, n_paths, seed, out_path):
     grid = np.linspace(0.0, t_max if t_max is not None else float(n_points), n_points)
     paths = gp.sample_prior(kind, params, grid, n_paths, seed)
     paths = norm.y_mean + norm.y_std * paths
-    with open(out_path, "w", newline="") as fh:
-        fh.write("t," + ",".join(f"path{i}" for i in range(n_paths)) + "\n")
-        for j, t in enumerate(grid):
-            fh.write(f"{float(t)!r},"
-                     + ",".join(repr(float(paths[i, j])) for i in range(n_paths)) + "\n")
+    _write_csv(out_path, ["t"] + [f"path{i}" for i in range(n_paths)], [grid, *paths])
     click.echo(f"wrote {out_path}")
 
 
@@ -433,7 +437,7 @@ def spectrum_cmd(input_path, q, kind, seed, out_dir):
     data, info = ingest_csv(input_path)
     if info.p != 1 or not info.uniform:
         raise DataError("spectrum requires a uniformly sampled univariate series")
-    spec = spectral.periodogram(data.y, info.delta_t)
+    spec = spectral.periodogram(_time_ordered(data).y, info.delta_t)
     fit_mix = spectral.em_mixture(spec, q, kind=kind, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

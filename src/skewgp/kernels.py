@@ -211,29 +211,21 @@ def kernel_value(tau, kind: str, params):
     return out if out.shape else float(out)
 
 
-def slsm_kernel(tau, p: SlsmParams):
-    """Weighted sum of skewed-Laplace components; Sum(w) at tau = 0."""
-    return kernel_value(tau, "slsm", p)
-
-
-def sm_kernel(tau, p: SlsmParams):
-    """Gaussian spectral mixture; any skew parameters are ignored."""
-    return kernel_value(tau, "sm", p)
-
-
-def lkp_kernel(tau, p: SlsmParams):
-    """Laplace spectral mixture: the skew-free case of ``slsm_kernel``."""
-    return kernel_value(tau, "lkp", p)
-
-
-def baseline_kernel(tau, b: BaselineKernelParams):
-    """SE or RQ baseline at lag ``tau`` (or squared distance via |tau|)."""
+def _baseline_shape(tau, b: BaselineKernelParams):
+    """``(shape, r2, u)``: the SE or RQ baseline over theta_f at the lags
+    ``tau`` (or distances), r^2 = tau^2 and, for rq only (else None),
+    u = 1 + r^2 / (2 alpha ell^2), the terms its partials reuse."""
     tau = np.asarray(tau, dtype=float)
     r2 = tau * tau
     if b.variant == "se":
-        out = b.theta_f * np.exp(-r2 / (2.0 * b.ell**2))
-    else:
-        out = b.theta_f * (1.0 + r2 / (2.0 * b.rq_alpha * b.ell**2)) ** (-b.rq_alpha)
+        return np.exp(-r2 / (2.0 * b.ell**2)), r2, None
+    u = 1.0 + r2 / (2.0 * b.rq_alpha * b.ell**2)
+    return u ** (-b.rq_alpha), r2, u
+
+
+def baseline_kernel(tau, b: BaselineKernelParams):
+    """SE or RQ baseline at lag ``tau`` (or distance, as |tau|)."""
+    out = b.theta_f * _baseline_shape(tau, b)[0]
     return out if out.shape else float(out)
 
 
@@ -299,20 +291,12 @@ def _sum_sq_diff(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return out
 
 
-def lags(xa: np.ndarray, xb: np.ndarray, kind: str, params) -> np.ndarray:
-    """Lags xa_i - xb_j between two (n, P) point sets, as the kernel takes them.
-
-    Univariate inputs give an (n, m) array, multivariate inputs the (n, m)
-    Euclidean distance for baselines; a P > 1 mixture takes the points
-    instead (:func:`multi_gram`), as does a P = 1 mixture off a
-    :class:`Grid` (:func:`gram`).  Mixture parameters must have the
-    points' P.
-    """
-    _check_width(params, xa.shape[1])
+def lags(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Lags between two (n, P) point sets as a baseline, or a P = 1
+    mixture off its table, takes them: the (n, m) differences xa_i - xb_j
+    for P = 1, the Euclidean distances for P > 1."""
     if xa.shape[1] == 1:
         return xa[:, 0][:, None] - xb[:, 0][None, :]
-    if kind not in BASELINE_KERNELS:
-        raise DataError(f"a P > 1 {kind!r} kernel takes points, not lags")
     return np.sqrt(_sum_sq_diff(xa, xb))
 
 
@@ -433,7 +417,7 @@ def gram(x, x2, kind: str, params) -> np.ndarray:
         return _windows(kernel_value(values, kind, params), len(xb))[start]
     out = np.empty((len(xa), len(xb)))
     for rows, _ in _row_blocks(*out.shape):
-        out[rows] = kernel_value(lags(xa[rows], xb, kind, params), kind, params)
+        out[rows] = kernel_value(lags(xa[rows], xb), kind, params)
     return out
 
 
@@ -618,15 +602,10 @@ def baseline_partials(tau, b: BaselineKernelParams):
 
     Returns (value, d_theta_f, d_ell[, d_alpha]).
     """
-    tau = np.asarray(tau, dtype=float)
-    r2 = tau * tau
-    if b.variant == "se":
-        shape = np.exp(-r2 / (2.0 * b.ell**2))
-        val = b.theta_f * shape
-        return val, shape, val * r2 / b.ell**3
-    u = 1.0 + r2 / (2.0 * b.rq_alpha * b.ell**2)
-    shape = u ** (-b.rq_alpha)
+    shape, r2, u = _baseline_shape(tau, b)
     val = b.theta_f * shape
+    if b.variant == "se":
+        return val, shape, val * r2 / b.ell**3
     d_ell = b.theta_f * u ** (-b.rq_alpha - 1.0) * r2 / b.ell**3
     d_alpha = val * (-np.log(u) + r2 / (2.0 * b.rq_alpha * b.ell**2 * u))
     return val, shape, d_ell, d_alpha
@@ -666,7 +645,7 @@ def training_covariance(x, kind: str, params, grid):
     if kind in MIXTURE_KERNELS:  # row blocks, then one call per component
         K = multi_gram(x, x, kind, params, lower=True)
         return K, lambda M: [s for r in params for s in multi_component_partials(x, M, r, kind)]
-    tau = lags(x, x, kind, params)  # a baseline's partials are formed only in slots
+    tau = lags(x, x)  # a baseline's partials are formed only in slots
     return kernel_value(tau, kind, params), \
         lambda M: [0.5 * float(np.sum(M * dk)) for dk in baseline_partials(tau, params)[1:]]
 

@@ -72,7 +72,7 @@ class ParamLayout:
         vector ``x`` and their (Q, 1 + k P) view ``rows``, one per component:
         w, then P each of mu, sigma and, for ``slsm``, gamma (a baseline's
         one row: theta_f, ell(, rq_alpha)); the noise variance is vals[-1]."""
-        vals = np.where(self.log_mask, np.exp(x), x)
+        vals = np.exp(x, out=np.array(x, dtype=float), where=self.log_mask)  # skews as they are
         return vals[:-1].reshape(self.q, -1), vals
 
 

@@ -61,17 +61,15 @@ class MixtureFit:
 
 
 def sampling_step(t: np.ndarray) -> tuple[bool, float]:
-    """``(uniform, |median gap|)`` of sample times ``t``: uniform when the
-    gap spread is within 1e-6 of a non-zero median gap of either sign, so a
-    descending series reads as its ascending reverse."""
+    """``(uniform, median gap)`` of the sample times ``t`` read sorted:
+    uniform when the gap spread is within 1e-6 of a non-zero median gap."""
     if t.size < 2:
         return True, 1.0
-    gaps = np.diff(t)
+    gaps = np.diff(np.sort(t))
     med = float(np.median(gaps))
     if med == 0.0:
         return False, 1.0
-    uniform = float(np.max(gaps) - np.min(gaps)) <= 1e-6 * abs(med)
-    return uniform, abs(med)
+    return float(np.max(gaps) - np.min(gaps)) <= 1e-6 * med, med
 
 
 def periodogram(series, delta_t: float = 1.0) -> SpectrumEstimate:

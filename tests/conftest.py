@@ -260,12 +260,40 @@ def ref_sm_partials(tau, c: SlsmComponent):
     return val, d_mu, d_sigma
 
 
+# The baselines' reference, also written apart from the library's one shape
+# body: the SE and RQ value and partials at the lags (distances for P > 1)
+# of two point sets, in the library's order of operations, so that its
+# values must agree with them bit for bit.
+
+
+def ref_lags(xa, xb):
+    """The (n, m) lags xa_i - xb_j of two (n, P) point sets for P = 1, the
+    Euclidean distances, squares added in dimension order, for P > 1."""
+    if xa.shape[1] == 1:
+        return xa[:, None, 0] - xb[None, :, 0]
+    return np.sqrt(sum((xa[:, None, d] - xb[None, :, d]) ** 2 for d in range(xa.shape[1])))
+
+
+def ref_baseline_partials(tau, b):
+    """(value, d/dtheta_f, d/dell[, d/dalpha]) of an SE or RQ baseline."""
+    tau = np.asarray(tau, dtype=float)
+    theta_f, ell, alpha = b.theta_f, b.ell, b.rq_alpha
+    r2 = tau * tau
+    if b.variant == "se":
+        shape = np.exp(-r2 / (2.0 * ell**2))
+        return theta_f * shape, shape, theta_f * shape * r2 / ell**3
+    u = 1.0 + r2 / (2.0 * alpha * ell**2)
+    val = theta_f * u ** (-alpha)
+    return (val, u ** (-alpha), theta_f * u ** (-alpha - 1.0) * r2 / ell**3,
+            val * (-np.log(u) + r2 / (2.0 * alpha * ell**2 * u)))
+
+
 def ref_natural_partials(tau, kind: str, params):
     """Every dK/dtheta of a P = 1 mixture or a baseline at the lags ``tau``
     in the optimizer's natural slot order (noise slot excluded), one
     component at a time through the reference bodies."""
     if isinstance(params, kn.BaselineKernelParams):
-        yield from kn.baseline_partials(tau, params)[1:]
+        yield from ref_baseline_partials(tau, params)[1:]
         return
     body = ref_sm_partials if kind == "sm" else ref_slsm_partials
     for c in as_evaluated(params, kind).components:
@@ -286,19 +314,19 @@ def ref_value_and_partials(tau, kind: str, params):
     return sum(c.w * val for c, val in zip(params.components, w_slots)), partials
 
 
-def direct_lags(xa, xb, kind: str, params):
+def direct_lags(xa, xb, kind: str):
     """The lags the direct oracles take: :func:`vector_lags` for a P > 1
-    mixture, ``kn.lags`` otherwise."""
+    mixture, :func:`ref_lags` otherwise."""
     if xa.shape[1] > 1 and kind in kn.MIXTURE_KERNELS:
         return vector_lags(xa, xb)
-    return kn.lags(xa, xb, kind, params)
+    return ref_lags(xa, xb)
 
 
 def direct_kernel(tau, kind: str, params):
-    """The kernel at :func:`direct_lags`: for a mixture from the reference
-    bodies, not the library's value expression."""
+    """The kernel at :func:`direct_lags` from the reference bodies, not the
+    library's value expressions."""
     if not isinstance(params, SlsmParams):
-        return kn.kernel_value(tau, kind, params)
+        return ref_baseline_partials(tau, params)[0]
     if params.p > 1:
         return vector_kernel(tau, kind, params)
     return ref_value_and_partials(tau, kind, params)[0]
@@ -316,7 +344,7 @@ def _direct_gram(xa, xb, kind: str, params) -> np.ndarray:
     lag tables or per-point projections ``kn.gram`` may use."""
     xa, xb = np.asarray(xa, dtype=float), np.asarray(xb, dtype=float)
     xa, xb = (x[:, None] if x.ndim == 1 else x for x in (xa, xb))
-    return np.asarray(direct_kernel(direct_lags(xa, xb, kind, params), kind, params))
+    return np.asarray(direct_kernel(direct_lags(xa, xb, kind), kind, params))
 
 
 def dense_nlml(data: Dataset, params, kind: str) -> float:
@@ -352,7 +380,7 @@ def dense_value_and_grad(data, x, layout, tau=None):
     params = untransform(x, layout)
     kind = layout.kind
     if tau is None:
-        tau = direct_lags(data.X, data.X, kind, params)
+        tau = direct_lags(data.X, data.X, kind)
     K = direct_kernel(tau, kind, params)
     L, jit = gp.chol_with_jitter(K, params.noise_var)
     alpha = cho_solve((L, True), data.y)

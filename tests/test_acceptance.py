@@ -87,11 +87,12 @@ def test_criterion_3_reduction_identities():
                             float(rng.uniform(0.1, 1.5)), 0.0) for _ in range(3)),
         noise_var=0.0,
     )
-    err_lkp = float(np.max(np.abs(kn.slsm_kernel(taus, p) - kn.lkp_kernel(taus, p))))
+    err_lkp = float(np.max(np.abs(kn.kernel_value(taus, "slsm", p)
+                                  - kn.kernel_value(taus, "lkp", p))))
     sigma = 0.9
     c = SlsmParams((SlsmComponent(1.0, 0.0, sigma, 0.0),))
     rq = kn.BaselineKernelParams("rq", theta_f=1.0, ell=1.0 / sigma, rq_alpha=1.0)
-    err_rq = float(np.max(np.abs(kn.slsm_kernel(taus, c)
+    err_rq = float(np.max(np.abs(kn.kernel_value(taus, "slsm", c)
                                  - kn.baseline_kernel(taus, rq))))
     ok = err_lkp < 1e-10 and err_rq < 1e-10
     _verdict(3, "reduction identities", ok,

@@ -80,15 +80,18 @@ class TestIngest:
         _, info = ingest_csv(p)
         assert not info.uniform
 
-    def test_descending_uniform_time_reads_as_ascending(self, tmp_path):
-        """A descending uniform series is uniform with the ascending one's
-        step; a zig-zag t = 0, 1, 0, 1, ... (gaps of both signs) is not."""
+    def test_descending_uniform_time_reads_as_ascending(self, tmp_path, rng):
+        """A descending or shuffled uniform series is uniform with the
+        ascending one's step, the times being read sorted; a zig-zag
+        t = 0, 1, 0, 1, ... (sorted, gaps of 0) is not."""
         t = 100.0 - 0.5 * np.arange(120)
         y = np.sin(2.5 * t)
+        perm = rng.permutation(120)
         infos = [ingest_csv(_write(tmp_path, f"{name}.csv",
                                    "".join(f"{a},{b}\n" for a, b in zip(tt, yy))))[1]
-                 for name, tt, yy in (("down", t, y), ("up", t[::-1], y[::-1]))]
-        assert infos[0] == infos[1] and infos[0].uniform and infos[0].delta_t == 0.5
+                 for name, tt, yy in (("down", t, y), ("up", t[::-1], y[::-1]),
+                                      ("shuffled", t[perm], y[perm]))]
+        assert infos[0] == infos[1] == infos[2] and infos[0].uniform and infos[0].delta_t == 0.5
         zigzag = _write(tmp_path, "zz.csv", "".join(f"{k % 2},{k}\n" for k in range(120)))
         assert not ingest_csv(zigzag)[1].uniform
 
@@ -408,6 +411,41 @@ class TestCommands:
         assert res.exit_code == 0, res.output
         assert (out / "spectrum.csv").exists()
         assert (out / "mixture_fit.csv").exists()
+
+    def test_shuffled_series_writes_the_sorted_files_artifacts(self, runner, tmp_path, rng):
+        """A row-shuffled uniform series reads as its sorted copy: ``fit``
+        takes the spectral init and writes the sorted file's model,
+        predictions and spectrum files, ``spectrum`` its spectrum files and
+        ``predict`` on the training rows alone its predictions, byte for
+        byte."""
+        t = np.arange(120.0)
+        y = 10.0 + 3.0 * np.cos(2.0 * math.pi * t / 12.0) + 0.3 * np.sin(1.7 * t)
+        rows = [f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, y)]
+        spectrum = ("spectrum.csv", "mixture_fit.csv")
+        outputs = {"fit": ("model.json", "predictions.csv") + spectrum, "spectrum": spectrum}
+        shuffled = [rows[i] for i in rng.permutation(120)]
+        for name, lines in (("sorted", rows), ("shuffled", shuffled)):
+            src = _write(tmp_path, f"{name}.csv", "t,y\n" + "".join(lines))
+            for command, options in (("fit", ["--max-iters", "5"]), ("spectrum", [])):
+                res = runner.invoke(cli.main, [command, str(src), "--q", "2", *options,
+                                               "--out", str(tmp_path / name / command)])
+                assert res.exit_code == 0, res.output
+        for command, names in outputs.items():
+            for f in names:
+                assert (tmp_path / "shuffled" / command / f).read_bytes() == \
+                    (tmp_path / "sorted" / command / f).read_bytes()
+        # predict reads the fit's 72 training rows alone, shuffled, as sorted
+        train = [_write(tmp_path, f"train_{name}.csv",
+                        "".join(r for r in lines if float(r.split(",")[0]) < 72))
+                 for name, lines in (("sorted", rows), ("shuffled", shuffled))]
+        for src in train:
+            res = runner.invoke(cli.main, [
+                "predict", "--model", str(tmp_path / "sorted" / "fit" / "model.json"),
+                "--train-data", str(src), "--train-frac", "1.0", "--at", str(train[0]),
+                "--out", str(src.with_suffix(".out"))])
+            assert res.exit_code == 0, res.output
+        assert train[0].with_suffix(".out").read_bytes() == \
+            train[1].with_suffix(".out").read_bytes()
 
     @pytest.mark.parametrize("command", ["fit", "spectrum"])
     def test_series_with_power_in_one_bin(self, runner, tmp_path, command):

@@ -90,20 +90,20 @@ class TestSlsmKernel:
     def test_weight_sum_at_zero_lag(self):
         comps = tuple(SlsmComponent(w, 0.5 * w, 1.0, 0.1) for w in (1.0, 2.0, 3.0))
         p = SlsmParams(comps)
-        assert kn.slsm_kernel(0.0, p) == 6.0
+        assert kn.kernel_value(0.0, "slsm", p) == 6.0
 
     def test_cauchy_special_case(self):
         p = SlsmParams((SlsmComponent(1.0, 0.0, math.sqrt(2.0), 0.0),))
         for tau in np.linspace(0, 8, 33):
-            assert kn.slsm_kernel(tau, p) == pytest.approx(1.0 / (1.0 + tau**2),
-                                                           abs=1e-14)
+            assert kn.kernel_value(tau, "slsm", p) == pytest.approx(1.0 / (1.0 + tau**2),
+                                                                    abs=1e-14)
 
     def test_additivity(self, rng):
         c1, c2 = random_component(rng), random_component(rng)
         p = SlsmParams((c1, c2))
         tau = 2.0
         total = c1.w * kn.slsm_component(tau, c1) + c2.w * kn.slsm_component(tau, c2)
-        assert kn.slsm_kernel(tau, p) == pytest.approx(total, rel=1e-15)
+        assert kn.kernel_value(tau, "slsm", p) == pytest.approx(total, rel=1e-15)
 
     def test_needs_at_least_one_component(self):
         with pytest.raises(DataError):
@@ -159,25 +159,25 @@ class TestMultivariate:
         c = SlsmComponent(2.5, (0.3, 0.4), (1.0, 1.0), (0.1, -0.1))
         p = SlsmParams((c,))
         tau = np.array([0.5, -0.5])
-        assert kn.slsm_kernel(tau, p) == pytest.approx(
+        assert kn.kernel_value(tau, "slsm", p) == pytest.approx(
             2.5 * kn.slsm_component(tau, c), rel=1e-15)
 
 
 class TestSmKernel:
     def test_weight_sum_at_zero_lag(self):
         p = SlsmParams((SlsmComponent(1.5, 1.0, 1.0), SlsmComponent(2.5, 2.0, 0.5)))
-        assert kn.sm_kernel(0.0, p) == 4.0
+        assert kn.kernel_value(0.0, "sm", p) == 4.0
 
     def test_zero_freq_is_se_envelope(self):
         p = SlsmParams((SlsmComponent(2.0, 0.0, 0.7),))
         for tau in np.linspace(0, 6, 25):
-            assert kn.sm_kernel(tau, p) == pytest.approx(
+            assert kn.kernel_value(tau, "sm", p) == pytest.approx(
                 2.0 * math.exp(-0.5 * 0.7**2 * tau**2), abs=1e-14)
 
     def test_matches_quadrature_oracle(self):
         mu, sigma = 2.0 * math.pi * 0.1, 0.5
         p = SlsmParams((SlsmComponent(1.0, mu, sigma),))
-        assert kn.sm_kernel(1.0, p) == pytest.approx(
+        assert kn.kernel_value(1.0, "sm", p) == pytest.approx(
             quad_sm_oracle(1.0, mu, sigma), abs=1e-6)
 
 
@@ -187,18 +187,18 @@ class TestLkpKernel:
         zero = p.with_components(
             SlsmComponent(c.w, c.mu, c.sigma, 0.0) for c in p.components)
         taus = np.linspace(-10, 10, 101)
-        np.testing.assert_array_equal(kn.lkp_kernel(taus, p),
-                                      kn.slsm_kernel(taus, zero))
+        np.testing.assert_array_equal(kn.kernel_value(taus, "lkp", p),
+                                      kn.kernel_value(taus, "slsm", zero))
 
     def test_weight_sum_at_zero_lag(self):
         p = SlsmParams((SlsmComponent(1.0, 1.0, 1.0), SlsmComponent(2.0, 2.0, 1.0)))
-        assert kn.lkp_kernel(0.0, p) == 3.0
+        assert kn.kernel_value(0.0, "lkp", p) == 3.0
 
     def test_unit_component_value(self):
         p = SlsmParams((SlsmComponent(1.0, 1.0, 1.0),))
         expected = math.cos(1.0) / 1.5
-        assert kn.lkp_kernel(1.0, p) == pytest.approx(expected, abs=1e-14)
-        assert kn.lkp_kernel(1.0, p) == pytest.approx(
+        assert kn.kernel_value(1.0, "lkp", p) == pytest.approx(expected, abs=1e-14)
+        assert kn.kernel_value(1.0, "lkp", p) == pytest.approx(
             quad_kernel_oracle(1.0, SlsmComponent(1.0, 1.0, 1.0, 0.0)), abs=1e-6)
 
 
@@ -305,7 +305,7 @@ class TestGram:
         for i in range(6):
             for j in range(6):
                 assert G[i, j] == pytest.approx(
-                    kn.slsm_kernel(X[i] - X[j], p), abs=1e-14)
+                    kn.kernel_value(X[i] - X[j], "slsm", p), abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

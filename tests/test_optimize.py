@@ -48,6 +48,11 @@ class TestTransforms:
         gi = 0 * (1 + 3 * 1) + 1 + 2 * 1    # slot = row (1 + k P) + column: gamma of row 0
         assert x[gi] == -0.7
         assert not layout.log_mask[gi]
+        x[gi] = 800.0    # past exp's range: read back as is, with no overflow warning
+        _, vals = layout.natural(x)
+        logged = np.array(layout.log_mask)
+        assert vals[gi] == 800.0 and untransform(x, layout).components[0].gamma == (800.0,)
+        assert np.array_equal(vals[logged], np.exp(x[logged]))
 
     def test_zero_frequency_floored(self):
         p = SlsmParams((SlsmComponent(1.0, 0.0, 1.0, 0.0),), noise_var=0.1)
