@@ -41,11 +41,12 @@ KERNEL_CHOICES = kernels.KERNEL_TYPES
 
 @dataclass(frozen=True)
 class IngestInfo:
-    """Sampling metadata recorded while reading a CSV."""
+    """What reading a CSV learns beyond its rows: the input dimension P.
+    Uniform sampling is read where it is used, from the rows that use it
+    (:func:`build_init` from the training rows, ``skewgp spectrum`` from
+    the file)."""
 
     p: int
-    uniform: bool
-    delta_t: float
 
 
 def _parse_rows(path: str | Path):
@@ -95,13 +96,11 @@ def ingest_csv(path) -> tuple[Dataset, IngestInfo]:
     cols = data.shape[1]
     if cols == 1:
         t = np.arange(data.shape[0], dtype=float)
-        return Dataset(t[:, None], data[:, 0]), IngestInfo(1, True, 1.0)
+        return Dataset(t[:, None], data[:, 0]), IngestInfo(1)
     if cols == 2:
-        t = data[:, 0]
-        uniform, dt = spectral.sampling_step(t)
-        return Dataset(t[:, None], data[:, 1]), IngestInfo(1, uniform, dt)
+        return Dataset(data[:, 0][:, None], data[:, 1]), IngestInfo(1)
     X = data[:, :-1]
-    return Dataset(X, data[:, -1]), IngestInfo(cols - 1, False, 1.0)
+    return Dataset(X, data[:, -1]), IngestInfo(cols - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +165,10 @@ def chronological_split(data: Dataset, train_frac: float) -> tuple[Dataset, Data
 
 
 def build_init(train: Dataset, info: IngestInfo, kernel: str, q: int, seed: int):
-    """Initial parameters: spectral for uniform univariate series, random or
-    standard-baseline otherwise."""
+    """Initial parameters: spectral when the training rows of a univariate
+    series are uniformly sampled and enough for a periodogram, random or
+    standard-baseline otherwise.  Uniformity and the step are read from
+    ``train`` alone, so no held-out row moves the init."""
     y_var = float(np.var(train.y))
     if y_var <= 0.0:
         y_var = 1.0
@@ -177,13 +178,14 @@ def build_init(train: Dataset, info: IngestInfo, kernel: str, q: int, seed: int)
             kernel, theta_f=y_var, ell=span / 10.0, rq_alpha=1.0,
             noise_var=0.1 * y_var,
         ), None
-    if info.p == 1 and info.uniform:
-        spec = spectral.periodogram(train.y, info.delta_t)
-        kind = "gaussian" if kernel == "sm" else "laplace"
-        fit_mix = spectral.em_mixture(spec, q, kind=kind, seed=seed)
-        return spectral.init_params(fit_mix, kernel, y_var, seed=seed), (spec, fit_mix)
     if info.p == 1:
-        freq_max = spectral.nyquist_freq_max(info.delta_t)
+        uniform, delta_t = spectral.sampling_step(train.X[:, 0])
+        if uniform and train.n >= spectral.PERIODOGRAM_MIN_N:
+            spec = spectral.periodogram(train.y, delta_t)
+            kind = "gaussian" if kernel == "sm" else "laplace"
+            fit_mix = spectral.em_mixture(spec, q, kind=kind, seed=seed)
+            return spectral.init_params(fit_mix, kernel, y_var, seed=seed), (spec, fit_mix)
+        freq_max = spectral.nyquist_freq_max(delta_t)
     else:
         freq_max = spectral.median_distance_freq_max(train.X)
     return spectral.random_init(q, kernel, y_var, freq_max, seed=seed, p=info.p), None
@@ -264,6 +266,8 @@ def _single_run(job: ForecastJob, train: Dataset, test: Dataset, info: IngestInf
         "mse": metrics.metric_mse(test.y, pred.mean),
         "mae": metrics.metric_mae(test.y, pred.mean),
         "smse": metrics.metric_smse(test.y, pred.mean),
+        "nlpd": (metrics.metric_nlpd(test.y, pred.mean, pred.var)
+                 if job.observation_noise else None),
         "nlml": nlml,
         "nlml_no_const": nlml - 0.5 * train.n * math.log(2.0 * math.pi),
         "pruned_q": model.params.q if job.prune else None,
@@ -281,6 +285,14 @@ def _single_run(job: ForecastJob, train: Dataset, test: Dataset, info: IngestInf
     if spec_pair is not None:
         _write_spectrum(out_dir, prefix, *spec_pair)
     return result
+
+
+def _spread(values: list) -> dict:
+    """Mean, population std and the per-seed ``values`` of one metric; the
+    mean and std are None when any value is None (an undefined NLPD)."""
+    if None in values:
+        return {"mean": None, "std": None, "values": values}
+    return {"mean": float(np.mean(values)), "std": float(np.std(values)), "values": values}
 
 
 def run_job(job: ForecastJob) -> dict:
@@ -304,9 +316,10 @@ def run_job(job: ForecastJob) -> dict:
         "kernel": job.kernel,
         "runs": job.runs,
     }
-    for key in ("mse", "mae", "smse", "nlml", "nlml_no_const"):
-        vals = np.array([r[key] for r in results])
-        report[key] = {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
+    # NLPD scores the density of a held-out target: observation variances only
+    for key in ("mse", "mae", "smse", "nlml", "nlml_no_const") + (
+            ("nlpd",) if job.observation_noise else ()):
+        report[key] = _spread([r[key] for r in results])
     if job.prune:
         report["pruned_q"] = {
             "mean": float(np.mean([r["pruned_q"] for r in results])),
@@ -435,9 +448,10 @@ def sample_cmd(model_path, n_points, t_max, n_paths, seed, out_path):
 def spectrum_cmd(input_path, q, kind, seed, out_dir):
     """Emit periodogram and fitted-mixture overlay CSVs for a series."""
     data, info = ingest_csv(input_path)
-    if info.p != 1 or not info.uniform:
+    uniform, delta_t = spectral.sampling_step(data.X[:, 0])
+    if info.p != 1 or not uniform:
         raise DataError("spectrum requires a uniformly sampled univariate series")
-    spec = spectral.periodogram(_time_ordered(data).y, info.delta_t)
+    spec = spectral.periodogram(_time_ordered(data).y, delta_t)
     fit_mix = spectral.em_mixture(spec, q, kind=kind, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -34,3 +34,13 @@ def metric_smse(y_true_test, y_pred) -> float:
     if var <= 0.0:
         raise DataError("held-out targets have zero variance; SMSE is undefined")
     return float(np.sum((yt - yp) ** 2) / (yt.size * var))
+
+
+def metric_nlpd(y_true, mean, var) -> float | None:
+    """Mean negative log predictive density of Gaussian predictions, in nats
+    per point; None (undefined) when any predictive variance is 0."""
+    yt, m = _check_pair(y_true, mean)
+    v = np.asarray(var, dtype=float).ravel()
+    if not np.all(v > 0.0):
+        return None
+    return float(np.mean(0.5 * np.log(2.0 * np.pi * v) + 0.5 * (yt - m) ** 2 / v))

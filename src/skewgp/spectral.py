@@ -23,6 +23,7 @@ EM_TOL = 1e-8
 _SCALE_FLOOR = 1e-8
 _WEIGHT_FLOOR = 1e-10
 MEDIAN_MAX_POINTS = 2000
+PERIODOGRAM_MIN_N = 4
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,8 @@ def periodogram(series, delta_t: float = 1.0) -> SpectrumEstimate:
     """
     y = np.asarray(series, dtype=float).ravel()
     n = y.size
-    if n < 4:
-        raise DataError(f"periodogram needs n >= 4 samples, got {n}")
+    if n < PERIODOGRAM_MIN_N:
+        raise DataError(f"periodogram needs n >= {PERIODOGRAM_MIN_N} samples, got {n}")
     yc = y - np.mean(y)
     spec = np.fft.rfft(yc)
     k = np.arange(1, n // 2 + 1)

@@ -170,11 +170,11 @@ def test_criterion_6_airline_soft_reproduction():
     from skewgp.cli import chronological_split, ingest_csv
 
     t0 = time.time()
-    data, info = ingest_csv(AIRLINE_CSV)
+    data, _ = ingest_csv(AIRLINE_CSV)
     assert data.n == 144
     train, _ = chronological_split(data, 96 / 144)
     y_var = float(np.var(train.y))
-    spec = sp.periodogram(train.y, info.delta_t)
+    spec = sp.periodogram(train.y, sp.sampling_step(train.X[:, 0])[1])
 
     def protocol(kernel, em_kind, restarts):
         maes = []

@@ -24,6 +24,7 @@ from skewgp.cli import (
     run_job,
 )
 from skewgp.kernels import SlsmParams
+from skewgp.spectral import sampling_step
 
 from conftest import AIRLINE_CSV
 
@@ -51,8 +52,8 @@ class TestIngest:
     def test_two_column_uniform(self, tmp_path):
         p = _write(tmp_path, "a.csv", "1,2.5\n2,3.5\n")
         data, info = ingest_csv(p)
-        assert data.n == 2 and info.p == 1
-        assert info.uniform and info.delta_t == 1.0
+        assert data.n == 2 and info == cli.IngestInfo(1)
+        assert sampling_step(data.X[:, 0]) == (True, 1.0)
         np.testing.assert_array_equal(data.y, [2.5, 3.5])
 
     def test_header_skipped(self, tmp_path):
@@ -65,20 +66,20 @@ class TestIngest:
         p = _write(tmp_path, "a.csv", "5.0\n6.0\n7.0\n")
         data, info = ingest_csv(p)
         np.testing.assert_array_equal(data.X[:, 0], [0.0, 1.0, 2.0])
-        assert info.uniform
+        assert info == cli.IngestInfo(1) and sampling_step(data.X[:, 0])[0]
 
     def test_wide_file_is_multivariate(self, tmp_path, rng):
         rows = rng.standard_normal((209, 9))
         text = "\n".join(",".join(repr(float(v)) for v in row) for row in rows)
         p = _write(tmp_path, "hw.csv", text + "\n")
         data, info = ingest_csv(p)
-        assert info.p == 8 and not info.uniform
+        assert info == cli.IngestInfo(8)
         assert data.X.shape == (209, 8)
 
     def test_non_uniform_time_detected(self, tmp_path):
         p = _write(tmp_path, "a.csv", "0,1\n1,2\n3,3\n7,4\n")
-        _, info = ingest_csv(p)
-        assert not info.uniform
+        data, _ = ingest_csv(p)
+        assert not sampling_step(data.X[:, 0])[0]
 
     def test_descending_uniform_time_reads_as_ascending(self, tmp_path, rng):
         """A descending or shuffled uniform series is uniform with the
@@ -87,13 +88,14 @@ class TestIngest:
         t = 100.0 - 0.5 * np.arange(120)
         y = np.sin(2.5 * t)
         perm = rng.permutation(120)
-        infos = [ingest_csv(_write(tmp_path, f"{name}.csv",
-                                   "".join(f"{a},{b}\n" for a, b in zip(tt, yy))))[1]
+        steps = [sampling_step(ingest_csv(_write(
+                     tmp_path, f"{name}.csv",
+                     "".join(f"{a},{b}\n" for a, b in zip(tt, yy))))[0].X[:, 0])
                  for name, tt, yy in (("down", t, y), ("up", t[::-1], y[::-1]),
                                       ("shuffled", t[perm], y[perm]))]
-        assert infos[0] == infos[1] == infos[2] and infos[0].uniform and infos[0].delta_t == 0.5
+        assert steps[0] == steps[1] == steps[2] == (True, 0.5)
         zigzag = _write(tmp_path, "zz.csv", "".join(f"{k % 2},{k}\n" for k in range(120)))
-        assert not ingest_csv(zigzag)[1].uniform
+        assert not sampling_step(ingest_csv(zigzag)[0].X[:, 0])[0]
 
     def test_error_messages_locate_problems(self, tmp_path):
         ragged = _write(tmp_path, "r.csv", "1,2\n3\n")
@@ -193,7 +195,10 @@ class TestRunJob:
                           runs=3, max_iters=5)
         report = run_job(job)
         for key in ("mse", "mae", "smse", "nlml"):
-            assert set(report[key]) == {"mean", "std"}
+            assert set(report[key]) == {"mean", "std", "values"}
+            assert len(report[key]["values"]) == 3
+            assert report[key]["mean"] == float(np.mean(report[key]["values"]))
+        assert "nlpd" not in report    # latent variances score no held-out target
         assert (out / "run0_predictions.csv").exists()
         assert (out / "run2_model.json").exists()
 
@@ -272,6 +277,45 @@ class TestRunJob:
         doc = json.loads((out / "metrics.json").read_text())
         assert doc["clamped_var"] == report["clamped_var"]
         assert np.all(read_predictions_csv(out / "run1_predictions.csv")["var"][:3] == 0.0)
+
+    def test_multi_run_reports_per_seed_values_and_nlpd(self, small_series, tmp_path):
+        """With observation noise each run's NLPD is the one ``perfbench``
+        computes from the predictions written for that seed; every metric
+        lists its per-seed values in seed order."""
+        out = tmp_path / "out"
+        report = run_job(ForecastJob(str(small_series), str(out), kernel="slsm", q=2,
+                                     seed=4, runs=2, max_iters=5, observation_noise=True))
+        assert json.loads((out / "metrics.json").read_text()) == report
+        _, test = chronological_split(ingest_csv(small_series)[0], 0.6)
+        for i in range(2):
+            pred = read_predictions_csv(out / f"run{i}_predictions.csv")
+            nlpd = float(np.mean(0.5 * np.log(2.0 * math.pi * pred["var"])
+                                 + 0.5 * (test.y - pred["mean"]) ** 2 / pred["var"]))
+            assert report["nlpd"]["values"][i] == nlpd
+            one = run_job(ForecastJob(str(small_series), str(tmp_path / f"one{i}"),
+                                      kernel="slsm", q=2, seed=4 + i, max_iters=5,
+                                      observation_noise=True))
+            for key in ("mse", "mae", "smse", "nlpd", "nlml", "nlml_no_const"):
+                assert report[key]["values"][i] == one[key]["values"][0]
+        assert report["nlpd"]["mean"] == float(np.mean(report["nlpd"]["values"]))
+        assert report["nlpd"]["std"] == float(np.std(report["nlpd"]["values"]))
+
+    def test_zero_variance_leaves_the_nlpd_undefined(self, small_series, tmp_path,
+                                                     monkeypatch):
+        moments = gp.latent_moments
+
+        def negative_variance(*args):
+            mean, var = moments(*args)
+            var[0] = -1.0e6    # clamped to 0 after the noise is added
+            return mean, var
+
+        monkeypatch.setattr(gp, "latent_moments", negative_variance)
+        out = tmp_path / "out"
+        report = run_job(ForecastJob(str(small_series), str(out), kernel="slsm", q=2,
+                                     runs=2, max_iters=3, observation_noise=True))
+        assert report["nlpd"] == {"mean": None, "std": None, "values": [None, None]}
+        assert report["clamped_var"]["values"] == [1, 1]
+        assert json.loads((out / "metrics.json").read_text())["nlpd"] == report["nlpd"]
 
     def test_rbcm_job_writes_ensemble(self, small_series, tmp_path):
         out = tmp_path / "out"
@@ -359,7 +403,7 @@ class TestCommands:
         t = np.round(data.X[:, 0] / 12.0, 3)
         irregular = _write(tmp_path, "irregular.csv", "t,y\n" + "".join(
             f"{ti},{yi}\n" for ti, yi in zip(t, data.y)))
-        assert not ingest_csv(irregular)[1].uniform
+        assert not sampling_step(ingest_csv(irregular)[0].X[:, 0])[0]
         for series in (small_series, irregular):
             out = tmp_path / series.stem
             res = runner.invoke(cli.main, [
@@ -446,6 +490,37 @@ class TestCommands:
             assert res.exit_code == 0, res.output
         assert train[0].with_suffix(".out").read_bytes() == \
             train[1].with_suffix(".out").read_bytes()
+
+    @pytest.mark.parametrize("times", [(0, 1, 3, 4, 6, 9, 10, 12, 15, 17), tuple(range(10))],
+                             ids=["irregular", "uniform"])
+    def test_a_training_part_too_short_for_a_periodogram_takes_random_init(
+            self, runner, tmp_path, times):
+        """Two training rows have one gap, so they read as uniform, but a
+        periodogram needs four: the fit takes random init and writes no
+        spectrum files, whether or not the whole file is uniform."""
+        series = _write(tmp_path, "short.csv", "t,y\n" + "".join(
+            f"{t},{math.sin(0.7 * t) + 0.1 * t}\n" for t in times))
+        out = tmp_path / "out"
+        res = runner.invoke(cli.main, ["fit", str(series), "--q", "2", "--max-iters", "5",
+                                       "--train-frac", "0.2", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert json.loads((out / "metrics.json").read_text())["n_train"] == 2
+        assert (out / "model.json").exists() and not (out / "spectrum.csv").exists()
+
+    def test_a_held_out_row_does_not_move_the_init(self, runner, tmp_path):
+        """The airline series with its last, held-out, row moved from t = 143
+        to 149 trains on the same 86 grid rows, so it takes the spectral init
+        and writes the original's model and spectrum files byte for byte."""
+        lines = AIRLINE_CSV.read_text().splitlines(keepends=True)
+        assert lines[-1].startswith("143,")
+        moved = _write(tmp_path, "moved.csv", "".join(lines[:-1]) + "149," + lines[-1][4:])
+        for name, src in (("ordered", AIRLINE_CSV), ("moved", moved)):
+            res = runner.invoke(cli.main, ["fit", str(src), "--q", "2", "--max-iters", "5",
+                                           "--out", str(tmp_path / name)])
+            assert res.exit_code == 0, res.output
+        for f in ("model.json", "spectrum.csv", "mixture_fit.csv"):
+            assert (tmp_path / "moved" / f).read_bytes() == \
+                (tmp_path / "ordered" / f).read_bytes()
 
     @pytest.mark.parametrize("command", ["fit", "spectrum"])
     def test_series_with_power_in_one_bin(self, runner, tmp_path, command):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from skewgp.errors import DataError
-from skewgp.metrics import metric_mae, metric_mse, metric_smse
+from skewgp.metrics import metric_mae, metric_mse, metric_nlpd, metric_smse
 
 
 class TestMseMae:
@@ -62,3 +62,19 @@ class TestSmse:
     def test_needs_two_points(self):
         with pytest.raises(DataError):
             metric_smse(np.array([1.0]), np.array([1.0]))
+
+
+class TestNlpd:
+    def test_against_arithmetic_oracle(self, rng):
+        y, mean = rng.standard_normal(30), rng.standard_normal(30)
+        var = rng.uniform(0.1, 2.0, 30)
+        expected = sum(0.5 * np.log(2.0 * np.pi * v) + 0.5 * (a - m) ** 2 / v
+                       for a, m, v in zip(y, mean, var)) / 30
+        assert abs(metric_nlpd(y, mean, var) - expected) < 1e-12
+
+    def test_zero_variance_is_undefined(self):
+        assert metric_nlpd(np.zeros(3), np.zeros(3), np.array([1.0, 0.0, 1.0])) is None
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(DataError):
+            metric_nlpd(np.zeros(3), np.zeros(4), np.ones(4))
