@@ -1,8 +1,9 @@
 """Command-line interface: ingestion, forecasting jobs, metrics, artifacts.
 
 Subcommands: ``fit`` (train + evaluate a forecasting job), ``predict``,
-``sample`` (prior draws from a saved model), ``spectrum`` (periodogram plus
-fitted-mixture overlay), ``evaluate`` (score a predictions file).
+``sample`` (prior draws from a saved model, on a grid or at given points),
+``spectrum`` (periodogram plus fitted-mixture overlay), ``evaluate``
+(score a predictions file).
 
 Exit codes: 0 ok, 2 usage error, 3 data error, 4 numerical failure.
 
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import DataError, NumericalError, SkewGPError
 from . import gp, kernels, metrics, pruning, rbcm, spectral
 from .gp import Dataset
-from .optimize import OptConfig
+from .optimize import OptConfig, trace_to_csv
 
 KERNEL_CHOICES = kernels.KERNEL_TYPES
 
@@ -214,14 +215,18 @@ def _write_csv(path, names, columns, comment: str | None = None):
             fh.write(",".join(map(repr, row)) + "\n")
 
 
+def _input_names(p: int) -> list[str]:
+    """Column names of P input columns: ``t`` for P = 1, ``x1..xP`` otherwise."""
+    return ["t"] if p == 1 else [f"x{d + 1}" for d in range(p)]
+
+
 def _write_predictions(path: Path, t_or_x: np.ndarray, pred: gp.Prediction):
-    """Write one row per query point: its input columns (``t`` for a 1-D
-    array or P = 1, ``x1..xP`` otherwise), then mean, var and the 95% band."""
+    """Write one row per query point: its :func:`_input_names` columns (a
+    1-D array is P = 1), then mean, var and the 95% band."""
     mode = "observation" if pred.observation_noise else "latent"
     x = kernels._as_points(t_or_x)
-    names = ["t"] if x.shape[1] == 1 else [f"x{d + 1}" for d in range(x.shape[1])]
     sd = np.sqrt(pred.var)
-    _write_csv(path, names + ["mean", "var", "lower95", "upper95"],
+    _write_csv(path, _input_names(x.shape[1]) + ["mean", "var", "lower95", "upper95"],
                [*x.T, pred.mean, pred.var, pred.mean - 1.96 * sd, pred.mean + 1.96 * sd],
                comment=f"variance_mode: {mode}")
 
@@ -281,6 +286,7 @@ def _single_run(job: ForecastJob, train: Dataset, test: Dataset, info: IngestInf
     else:
         model_doc = gp.model_to_dict(model)
     (out_dir / f"{prefix}model.json").write_text(json.dumps(model_doc, indent=2))
+    (out_dir / f"{prefix}trace.csv").write_text(trace_to_csv(model.opt_result.trace))
     _write_predictions(out_dir / f"{prefix}predictions.csv", test.X, pred)
     if spec_pair is not None:
         _write_spectrum(out_dir, prefix, *spec_pair)
@@ -387,6 +393,13 @@ def fit_cmd(**options):
     click.echo(json.dumps(report, indent=2))
 
 
+def _query_points(at_path, p: int) -> np.ndarray:
+    """The first P columns of the CSV at ``at_path`` (all of them when it
+    has fewer, for the model's width check to reject)."""
+    qdata, _ = _parse_rows(at_path)
+    return qdata[:, :p] if qdata.shape[1] >= p else qdata
+
+
 @main.command("predict")
 @click.option("--model", "model_path", type=click.Path(), required=True)
 @click.option("--train-data", type=click.Path(), required=True,
@@ -410,8 +423,7 @@ def predict_cmd(model_path, train_data, train_frac, at_path, observation_noise,
         model = rbcm.ensemble_from_dict(doc, data)
     else:
         model = gp.model_from_dict(doc, data)
-    qdata, _ = _parse_rows(at_path)
-    Xs = qdata[:, : data.p] if qdata.shape[1] >= data.p else qdata
+    Xs = _query_points(at_path, data.p)
     pred = model.predict(Xs, observation_noise=observation_noise)
     _write_predictions(Path(out_path), Xs, pred)
     click.echo(f"wrote {out_path}")
@@ -424,17 +436,28 @@ def predict_cmd(model_path, train_data, train_frac, at_path, observation_noise,
               help="Grid end (default: n-points input units).")
 @click.option("--n-paths", type=int, default=5)
 @click.option("--seed", type=click.IntRange(min=0), default=0)
+@click.option("--at", "at_path", type=click.Path(), default=None,
+              help="CSV of input points to sample at, as predict reads them "
+                   "(needed for P > 1; replaces the grid).")
 @click.option("--out", "out_path", type=click.Path(), default="samples.csv")
 @_exit_codes
-def sample_cmd(model_path, n_points, t_max, n_paths, seed, out_path):
-    """Draw prior sample paths from a saved model's kernel."""
+def sample_cmd(model_path, n_points, t_max, n_paths, seed, at_path, out_path):
+    """Draw prior sample paths from a saved model's kernel, on a grid of
+    n-points or at the points of --at."""
     if n_points < 1 or n_paths < 1:
         raise DataError(f"n-points and n-paths must be >= 1, got {n_points} and {n_paths}")
     kind, params, norm = gp.record_model(_read_record(model_path))
-    grid = np.linspace(0.0, t_max if t_max is not None else float(n_points), n_points)
-    paths = gp.sample_prior(kind, params, grid, n_paths, seed)
+    p = len(norm.x_means)
+    if at_path is not None:
+        X = _query_points(at_path, p)
+    elif p > 1:
+        raise DataError(f"a P = {p} model has no sampling grid: give its points with --at")
+    else:
+        X = np.linspace(0.0, t_max if t_max is not None else float(n_points), n_points)
+    paths = gp.sample_prior(kind, params, norm.apply_queries(X), n_paths, seed)
     paths = norm.y_mean + norm.y_std * paths
-    _write_csv(out_path, ["t"] + [f"path{i}" for i in range(n_paths)], [grid, *paths])
+    _write_csv(out_path, _input_names(p) + [f"path{i}" for i in range(n_paths)],
+               [*kernels._as_points(X).T, *paths])
     click.echo(f"wrote {out_path}")
 
 

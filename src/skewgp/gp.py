@@ -44,7 +44,13 @@ reproduce every lag bit for bit; a mixture off a grid from the points.
 It takes the queries in blocks of :data:`PREDICT_BLOCK_ENTRIES` // n
 rows, so its working set does not grow with the number of queries; a
 row's cross-covariance and mean do not depend on its block, its variance
-only in the last bits of the triangular solve.
+only in the last bits of the triangular solve.  rBCM experts that share a
+factor pass their alphas as one (n, E) matrix and, for each expert, the
+rows of their distinct query offsets it reads: a row's variance is solved
+once, an expert's mean is dotted at its own rows (at most twice as many),
+and the blocks hold at most m rows, m the number of queries, so a group's
+working set is one expert's block plus at most half a block of gathered
+rows.
 """
 
 from __future__ import annotations
@@ -246,24 +252,49 @@ def factorize(data: Dataset, kind: str, params):
     return L, jit, _solve_chol(L, data.y)
 
 
-def latent_moments(Xs_n, factors, kind: str, params):
+def latent_moments(Xs_n, factors, kind: str, params, reads=None):
     """Noise-free predictive mean and variance at normalized query points
     from the stored factors (``data``, ``chol_L``, ``alpha``) of a model or
     an rBCM expert: one :func:`~skewgp.kernels.gram` and one in-place
-    triangular solve per block of :data:`PREDICT_BLOCK_ENTRIES` // n
-    queries, written into the m-vectors of the result, so one block's
-    (rows, n) arrays are held at a time."""
-    X, L, alpha = factors.data.X, factors.chol_L, factors.alpha
-    m = Xs_n.shape[0]
-    mean, sq = np.empty(m), np.empty(m)
-    for rows, _ in kn._row_blocks(m, X.shape[0], entries=PREDICT_BLOCK_ENTRIES):
+    triangular solve per block of min(:data:`PREDICT_BLOCK_ENTRIES` // n, m)
+    rows of ``Xs_n``, written into the results, so one block's (rows, n)
+    arrays are held at a time.
+
+    For the E rBCM experts that share one factor, ``alpha`` is (n, E) and
+    ``reads`` an (E, m) array of the rows of ``Xs_n`` each expert reads:
+    each row's variance is solved once, and each expert's mean is dotted
+    at its own rows: in place over their span in a block where they fill
+    at least half of it, else gathered, so at most twice the rows it reads.
+    Both results are (E, m)."""
+    X, L = factors.data.X, factors.chol_L
+    n = X.shape[0]
+    single = reads is None
+    if single:
+        reads = np.arange(Xs_n.shape[0])[None]
+    order = np.argsort(reads, axis=1, kind="stable")
+    sorted_reads = np.take_along_axis(reads, order, axis=1)
+    cols = [np.ascontiguousarray(a) for a in factors.alpha.reshape(n, -1).T]
+    mean, sq = np.empty(reads.shape), np.empty(Xs_n.shape[0])
+    entries = n * min(PREDICT_BLOCK_ENTRIES // n, reads.shape[1])
+    for rows, _ in kn._row_blocks(sq.size, n, entries=entries):
         ks = kn.gram(Xs_n[rows], X, kind, params)
-        mean[rows] = np.einsum("ij,j->i", ks, alpha)  # each row alone: no GEMV
+        for k, a in enumerate(cols):  # each row alone: no GEMV
+            lo, hi = np.searchsorted(sorted_reads[k], (rows.start, rows.stop))
+            at = sorted_reads[k, lo:hi] - rows.start
+            if at.size == 0:
+                continue
+            first, last = at[0], at[-1] + 1
+            if 2 * at.size >= last - first:  # dense: the span in place, at most 2x the dots
+                dots = np.einsum("ij,j->i", ks[first:last], a)[at - first]
+            else:  # sparse: the rows read, gathered
+                dots = np.einsum("ij,j->i", ks[at], a)
+            mean[k, order[k, lo:hi]] = dots
         v = solve_triangular(L, ks.T, lower=True, overwrite_b=True)  # ks is spent
         v *= v  # squared in place: the same bits as v * v, one array fewer
         sq[rows] = np.sum(v, axis=0)
         del ks, v  # not held through the next block's gram
-    return mean, kn.prior_variance(params) - sq
+    var = kn.prior_variance(params) - sq
+    return (mean[0], var) if single else (mean, var[reads])
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,8 @@ def lth_fit(data: Dataset, init_params, kind: str,
     ``init_params`` is the recorded round-0 initialization of a mixture
     kernel in raw target units.  Returns the final retrained (and, if the
     last round pruned, reduced) model, whose ``prune_report`` holds the
-    threshold and one :class:`PruneRound` dict per round.  The noise
+    threshold and one :class:`PruneRound` dict per round and whose
+    ``opt_result`` is the last round's optimization.  The noise
     variance is global state and is never rewound.
     """
     if kind in BASELINE_KERNELS:
@@ -82,7 +83,8 @@ def lth_fit(data: Dataset, init_params, kind: str,
             kept_trained = tuple(c for c, k in zip(trained.components, keep_mask) if k)
             pruned_params = trained.with_components(kept_trained)
             model = _model_from_params(kind, pruned_params, model.data,
-                                       model.normalization, model.train_fingerprint)
+                                       model.normalization, model.train_fingerprint,
+                                       opt_result=model.opt_result)
         rounds.append(PruneRound(
             round=rnd,
             nlml_before_prune=nlml_before,

@@ -14,13 +14,25 @@ The NLMLs of a training step are evaluated on a thread pool, one call per
 objective group of :func:`~skewgp.gp.objective_groups` (experts on one grid
 share one factor, so the pool pays only where groups differ); the
 aggregation is a deterministic, order-invariant reduction.
+
+The same groups, by the same rule (:func:`_factor_groups`), carry the
+final factors and the prediction: a group's first expert is factorized,
+and the others share its Cholesky factor and jitter, each with its own
+alpha.  The experts of a grid group are shifts of its first by
+d_e = t_e,0 - t_0,0, and a stationary kernel reads only
+q - t_e,j = (q - d_e) - t_0,j, so one :func:`~skewgp.gp.latent_moments`
+call solves each distinct offset q - d_e once (rbcm2000's 8 experts and
+4,500 queries: 8,000 of 36,000 rows) and dots each expert's mean only at
+the offsets it reads.  Where the shifted lags are exact, as on integer or
+half-step grids, the moments are bit for bit those of each expert
+factorized and predicted alone.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,10 +42,12 @@ from .gp import (
     Dataset,
     Normalization,
     Prediction,
+    _solve_chol,
     check_jitter,
     factorize,
     latent_moments,
     nlml_from_factor,
+    objective_groups,
     optimize_parts,
     record_fields,
     record_from_dict,
@@ -100,12 +114,28 @@ def _expert_factors(kind, params, expert: _Expert):
     expert.chol_L, expert.jitter_used, expert.alpha = factorize(expert.data, kind, params)
 
 
+def _factor_groups(experts) -> list[list[int]]:
+    """The experts' indices in each :func:`objective_groups` group, the one
+    rule by which experts share a factor: the experts on one P = 1 grid of
+    one n and step, shifts of the first, or an expert alone."""
+    index = {id(e.data): i for i, e in enumerate(experts)}
+    return [[index[id(part)] for part in parts]
+            for parts, _ in objective_groups([e.data for e in experts])]
+
+
 def _ensemble_from_params(kind, params, norm, experts, fingerprint,
                           **fields) -> ExpertEnsemble:
+    """The ensemble with its final factors: one per :func:`_factor_groups`
+    group, from its first expert, whose ``chol_L`` and jitter the others
+    share, each with its own alpha."""
     ens = ExpertEnsemble(kind=kind, params=params, normalization=norm, experts=experts,
                          train_fingerprint=fingerprint, **fields)
-    for e in experts:
-        _expert_factors(kind, params, e)
+    for members in _factor_groups(experts):
+        lead, *rest = (experts[i] for i in members)
+        _expert_factors(kind, params, lead)
+        for e in rest:
+            e.chol_L, e.jitter_used = lead.chol_L, lead.jitter_used
+            e.alpha = _solve_chol(lead.chol_L, e.data.y)
     return ens
 
 
@@ -123,6 +153,33 @@ def rbcm_fit(data: Dataset, m: int, kind: str, init_params,
                                  opt_result=res)
 
 
+def _group_moments(Xs_n, group, kind: str, params):
+    """(E, m) latent means and variances of the E experts ``group`` of one
+    :func:`_factor_groups` group: one :func:`latent_moments` call against
+    the first expert's factor at each distinct offset q - d_e of the
+    experts' shifts d_e once, each expert reading its own offsets."""
+    lead = group[0]
+    if len(group) == 1:
+        return latent_moments(Xs_n, lead, kind, params)
+    shifts = np.array([e.data.X[0, 0] - lead.data.X[0, 0] for e in group])
+    u, inv = np.unique(Xs_n[:, 0] - shifts[:, None], return_inverse=True)
+    alphas = replace(lead, alpha=np.column_stack([e.alpha for e in group]))
+    return latent_moments(u[:, None], alphas, kind, params,
+                          reads=inv.reshape(shifts.size, -1))
+
+
+def _expert_moments(ens: ExpertEnsemble, Xs_n):
+    """(M, m) latent means and variances of the experts at the normalized
+    queries, one :func:`_group_moments` call per :func:`_factor_groups`
+    group."""
+    means = np.empty((ens.m, len(Xs_n)))
+    var = np.empty_like(means)
+    for members in _factor_groups(ens.experts):
+        group = [ens.experts[i] for i in members]
+        means[members], var[members] = _group_moments(Xs_n, group, ens.kind, ens.params)
+    return means, var
+
+
 def rbcm_predict(ens: ExpertEnsemble, Xstar, observation_noise: bool = False) -> Prediction:
     """Weighted product-of-experts prediction at the query points."""
     Xs_n = ens.normalization.apply_queries(Xstar)
@@ -131,18 +188,11 @@ def rbcm_predict(ens: ExpertEnsemble, Xstar, observation_noise: bool = False) ->
     prior_var = kn.prior_variance(params) + noise
     log_prior = np.log(prior_var)
 
-    means = []
-    log_vars = []
-    for e in ens.experts:
-        mu, var = latent_moments(Xs_n, e, ens.kind, params)
-        var = var + noise
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
-            raise NumericalError("expert produced a non-finite prediction")
-        var = np.clip(var, 1e-300, None)
-        means.append(mu)
-        log_vars.append(np.log(var))
-    means = np.stack(means)          # (M, m)
-    log_vars = np.stack(log_vars)
+    means, var = _expert_moments(ens, Xs_n)
+    var += noise
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(var))):
+        raise NumericalError("expert produced a non-finite prediction")
+    log_vars = np.log(np.clip(var, 1e-300, None))   # (M, m)
 
     if ens.beta_mode == "uniform":
         betas = np.full_like(log_vars, 1.0 / ens.m)

@@ -213,13 +213,14 @@ def test_multivariate_evaluation_calls_the_hooked_partials_once_per_component(mo
 def test_predict_calls_the_hooked_gram_and_solve_once_per_factor(monkeypatch):
     """``gp.predict_self_s`` and ``rbcm.aggregate_s`` subtract the time of
     the ``kernels.gram`` and ``gp.solve_triangular`` hooks, so a batch
-    predict must reach both: once for a model, once per rBCM expert, and
-    once per block of ``gp.PREDICT_BLOCK_ENTRIES`` // n queries, in pairs."""
+    predict must reach both, in pairs: once per block of a model's queries,
+    and once per block of the distinct offsets of rBCM experts that share
+    one factor, at most min(``gp.PREDICT_BLOCK_ENTRIES`` // n, m) rows."""
     from skewgp import gp, kernels, rbcm
     from skewgp.kernels import SlsmComponent, SlsmParams
     from skewgp.optimize import OptConfig
 
-    calls = []
+    calls, gram_rows, original_gram = [], [], kernels.gram
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -227,30 +228,35 @@ def test_predict_calls_the_hooked_gram_and_solve_once_per_factor(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def gram(xa, *args):
+        gram_rows.append(len(xa))
+        return original_gram(xa, *args)
+
     X = np.arange(60.0)
     data = gp.Dataset(X, np.sin(0.3 * X) + 0.1 * np.random.default_rng(6).standard_normal(60))
     init = SlsmParams((SlsmComponent(1.0, 0.3, 0.2, 0.0),), noise_var=0.1)
     model = gp.fit(data, init, "slsm", OptConfig(max_iters=2))
     ens = rbcm.rbcm_fit(data, 3, "slsm", init, OptConfig(max_iters=2))
     xq = np.arange(0.0, 80.0, 0.5)
-    monkeypatch.setattr(kernels, "gram", counted("gram", kernels.gram))
+    monkeypatch.setattr(kernels, "gram", counted("gram", gram))
     monkeypatch.setattr(gp, "solve_triangular", counted("solve", gp.solve_triangular))
 
-    model.predict(xq)
-    assert calls == ["gram", "solve"]
-    calls.clear()
-    ens.predict(xq)
-    assert calls == ["gram", "solve"] * 3
+    def predict(fitted):
+        calls.clear()
+        gram_rows.clear()
+        fitted.predict(xq)
+        return gram_rows
 
-    # 160 queries in blocks of 50 rows against the model's 60 points, of
-    # 150 rows against each expert's 20
+    assert predict(model) == [160] and calls == ["gram", "solve"]
+    # the three 20-point experts are one group: the 160 half-step queries
+    # minus shifts 0, 20 and 40 are 240 distinct offsets, in blocks of m = 160
+    assert predict(ens) == [160, 80] and calls == ["gram", "solve"] * 2
+
+    # 160 queries in blocks of 50 rows against the model's 60 points; the
+    # 240 offsets in blocks of 150 rows against the group's 20
     monkeypatch.setattr(gp, "PREDICT_BLOCK_ENTRIES", 3000)
-    calls.clear()
-    model.predict(xq)
-    assert calls == ["gram", "solve"] * 4
-    calls.clear()
-    ens.predict(xq)
-    assert calls == ["gram", "solve"] * 2 * 3
+    assert predict(model) == [50, 50, 50, 10] and calls == ["gram", "solve"] * 4
+    assert predict(ens) == [150, 90] and calls == ["gram", "solve"] * 2
 
 
 @pytest.mark.parametrize("n", [96, "MIN_N"], ids=["dense", "toeplitz"])

@@ -24,6 +24,7 @@ from skewgp.cli import (
     run_job,
 )
 from skewgp.kernels import SlsmParams
+from skewgp.optimize import trace_to_csv
 from skewgp.spectral import sampling_step
 
 from conftest import AIRLINE_CSV
@@ -330,6 +331,29 @@ class TestRunJob:
         assert (json.loads((out / "metrics.json").read_text())["nlml"]["mean"]
                 == ens.nlml_internal)
 
+    @pytest.mark.parametrize("trainer", [{}, {"rbcm_m": 2}, {"prune": True, "rounds": 1}],
+                             ids=["full", "rbcm", "pruned"])
+    def test_each_run_writes_its_optimizer_trace(self, small_series, tmp_path, trainer):
+        """Each run writes ``run{i}_trace.csv`` next to its ``model.json``:
+        the optimizer trace of that run's fitted object, whose record and
+        predictions are the run's ``model.json`` and ``predictions.csv``."""
+        job = ForecastJob(str(small_series), str(tmp_path), kernel="slsm", q=2,
+                          max_iters=4, runs=2, **trainer)
+        run_job(job)
+        data, info = ingest_csv(small_series)
+        train, test = chronological_split(data, job.train_frac)
+        for i in range(2):
+            init, _ = build_init(train, info, job.kernel, job.q, job.seed + i)
+            model = cli._train(job, train, init, job.seed + i)
+            assert ((tmp_path / f"run{i}_trace.csv").read_text()
+                    == trace_to_csv(model.opt_result.trace))
+            doc = (rbcm.ensemble_to_dict(model) if "rbcm_m" in trainer
+                   else gp.model_to_dict(model))
+            assert (tmp_path / f"run{i}_model.json").read_text() == json.dumps(doc, indent=2)
+            cli._write_predictions(tmp_path / "expected.csv", test.X, model.predict(test.X))
+            assert ((tmp_path / f"run{i}_predictions.csv").read_bytes()
+                    == (tmp_path / "expected.csv").read_bytes())
+
     @pytest.mark.parametrize("y_test", [[1.0], [2.0] * 8], ids=["one_point", "constant"])
     def test_unscorable_held_out_part_fails_before_any_fit(self, runner, tmp_path,
                                                            monkeypatch, y_test):
@@ -446,6 +470,48 @@ class TestCommands:
         res = runner.invoke(cli.main, ["sample", "--model", str(out / "model.json"),
                                        "--out", str(tmp_path / "s.csv")])
         assert res.exit_code == 3, res.output
+
+    def test_sample_at_points_of_a_multivariate_model(self, runner, tmp_path, rng):
+        """``--at`` samples a P = 2 model at the file's points, normalized as
+        predict normalizes them, and writes their x1, x2 columns first;
+        without it the error names ``--at``."""
+        rows = np.column_stack([rng.uniform(0, 5, (30, 2)), rng.standard_normal(30)])
+        src = _write(tmp_path, "xy.csv", "x1,x2,y\n" + "".join(
+            ",".join(repr(float(v)) for v in r) + "\n" for r in rows))
+        out = tmp_path / "out"
+        res = runner.invoke(cli.main, ["fit", str(src), "--q", "2", "--max-iters", "3",
+                                       "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(cli.main, ["sample", "--model", str(out / "model.json"),
+                                       "--out", str(tmp_path / "s.csv")])
+        assert res.exit_code == 3 and "--at" in res.output
+        res = runner.invoke(cli.main, ["sample", "--model", str(out / "model.json"),
+                                       "--at", str(src), "--n-paths", "4", "--seed", "2",
+                                       "--out", str(tmp_path / "s.csv")])
+        assert res.exit_code == 0, res.output
+        text = (tmp_path / "s.csv").read_text().splitlines()
+        assert text[0] == "x1,x2,path0,path1,path2,path3"
+        written, _ = cli._parse_rows(tmp_path / "s.csv")
+        assert np.array_equal(written[:, :2], rows[:, :2])
+        kind, params, norm = gp.record_model(json.loads((out / "model.json").read_text()))
+        paths = gp.sample_prior(kind, params, norm.apply_queries(rows[:, :2]), 4, 2)
+        assert np.array_equal(written[:, 2:], (norm.y_mean + norm.y_std * paths).T)
+
+    def test_sample_at_the_grid_points_writes_the_grid_file(self, runner, small_series,
+                                                            tmp_path):
+        """A P = 1 model sampled ``--at`` the points of its default grid
+        writes the grid's file byte for byte."""
+        out = tmp_path / "out"
+        runner.invoke(cli.main, ["fit", str(small_series), "--q", "2",
+                                 "--max-iters", "5", "--out", str(out)])
+        grid = _write(tmp_path, "grid.csv", "".join(
+            f"{v!r}\n" for v in np.linspace(0.0, 50.0, 50).tolist()))
+        common = ["sample", "--model", str(out / "model.json"), "--n-paths", "3",
+                  "--seed", "1"]
+        for extra, name in ((["--n-points", "50"], "a.csv"), (["--at", str(grid)], "b.csv")):
+            res = runner.invoke(cli.main, common + extra + ["--out", str(tmp_path / name)])
+            assert res.exit_code == 0, res.output
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_spectrum_command(self, runner, small_series, tmp_path):
         out = tmp_path / "spec"

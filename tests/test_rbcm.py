@@ -1,13 +1,16 @@
 """Partitioned training and robust product-of-experts prediction."""
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import skewgp.kernels as kn
 import skewgp.rbcm as rbcm
 from skewgp.errors import DataError, DimensionMismatchError
-from skewgp.gp import Dataset, fit, nlml, sample_prior
+from skewgp.gp import Dataset, factorize, fit, latent_moments, nlml, sample_prior
 from skewgp.kernels import BaselineKernelParams, SlsmComponent, SlsmParams
 from skewgp.optimize import OptConfig
 from skewgp.spectral import random_init
@@ -162,6 +165,148 @@ class TestRbcmPredict:
                                beta_mode="uniform")
         pred = rbcm_predict(ens, np.array([20.0]))
         assert np.isfinite(pred.var[0]) and pred.var[0] > 0
+
+
+GRID_PARAMS = SlsmParams((SlsmComponent(1.0, 0.05, 0.01, 0.2),
+                          SlsmComponent(0.5, 0.3, 0.03, -0.1)), noise_var=0.1)
+
+
+def _grid_ensemble(X, m, params=GRID_PARAMS):
+    """M experts over the points ``X`` with their final factors at ``params``."""
+    X = np.asarray(X, dtype=float)
+    data = Dataset(X, np.sin(0.05 * np.arange(len(X))) + np.cos(0.3 * np.arange(len(X))))
+    experts = rbcm._experts(data, partition(data.n, m))
+    return rbcm._ensemble_from_params("slsm", params, identity_normalization(data.p),
+                                      experts, data.fingerprint())
+
+
+def _group_sizes(ens):
+    """The sizes of the sets of experts that share one factor, in order."""
+    return list(Counter(id(e.chol_L) for e in ens.experts).values())
+
+
+def _moments(ens, Xq):
+    Xs_n = ens.normalization.apply_queries(Xq)
+    return rbcm._expert_moments(ens, Xs_n)
+
+
+def _moments_alone(ens, Xq):
+    """The reference: each expert factorized alone with ``factorize``, its
+    (m,) moments from ``latent_moments``, stacked to (M, m)."""
+    Xs_n = ens.normalization.apply_queries(Xq)
+    out = []
+    for e in ens.experts:
+        L, _, alpha = factorize(e.data, ens.kind, ens.params)
+        out.append(latent_moments(Xs_n, SimpleNamespace(data=e.data, chol_L=L, alpha=alpha),
+                                  ens.kind, ens.params))
+    mean, var = zip(*out)
+    return np.array(mean), np.array(var)
+
+
+class TestGroupedPredict:
+    """Experts on one grid share the factor of the first, and predict takes
+    each distinct query offset q - d_e once per group: bit for bit the
+    moments of each expert factorized and predicted alone wherever the
+    shifted lags are exact."""
+
+    @pytest.mark.parametrize("m, sizes", [(8, [8]), (7, [5, 2])])
+    def test_uniform_grid_is_bit_equal(self, m, sizes):
+        """n = 2000 on 0..1999: M = 8 experts of 250 are one group; M = 7
+        are two, five experts of 286 and two of 285."""
+        ens = _grid_ensemble(np.arange(2000.0), m)
+        assert _group_sizes(ens) == sizes
+        for e in ens.experts:
+            L, jitter, alpha = factorize(e.data, "slsm", GRID_PARAMS)
+            assert np.array_equal(e.chol_L, L) and e.jitter_used == jitter
+            assert np.array_equal(e.alpha, alpha)
+        Xq = np.arange(0.0, 2100.0, 0.5)
+        for a, b in zip(_moments(ens, Xq), _moments_alone(ens, Xq)):
+            assert np.array_equal(a, b)
+
+    def test_descending_grid_is_bit_equal(self):
+        ens = _grid_ensemble(np.arange(600.0)[::-1], 4)
+        assert _group_sizes(ens) == [4]
+        Xq = np.arange(-20.0, 620.0, 0.5)
+        for a, b in zip(_moments(ens, Xq), _moments_alone(ens, Xq)):
+            assert np.array_equal(a, b)
+
+    def test_rounded_lags_agree_to_rounding(self):
+        """On 1949 + i/12 the shifts 250/12 round, and so do the shifted
+        lags and the experts' own K: mean and variance agree to 1e-10 of
+        their largest value."""
+        X = 1949.0 + np.arange(2000) / 12.0
+        ens = _grid_ensemble(X, 8)
+        assert _group_sizes(ens) == [8]
+        Xq = np.concatenate([X, X[-1] + np.arange(1, 49) / 24.0])
+        (mean, var), (ref_mean, ref_var) = _moments(ens, Xq), _moments_alone(ens, Xq)
+        assert np.max(np.abs(mean - ref_mean)) <= 1e-10 * np.max(np.abs(ref_mean))
+        assert np.max(np.abs(var - ref_var)) <= 1e-10 * np.max(np.abs(ref_var))
+
+    def test_off_lattice_queries_share_nothing(self, rng, monkeypatch):
+        """Scattered queries: every q - d_e is distinct, so the group's
+        gram takes all M m rows, in blocks of m.  q - d_e can round where
+        q - t_e,j did not: the moments agree to 1e-12."""
+        ens = _grid_ensemble(np.arange(2000.0), 8)
+        Xq = rng.uniform(-50.0, 2050.0, 300)
+        alone = _moments_alone(ens, Xq)
+        rows, gram = [], kn.gram
+        monkeypatch.setattr(kn, "gram", lambda xa, *args: rows.append(len(xa)) or gram(xa, *args))
+        grouped = _moments(ens, Xq)
+        assert rows == [300] * 8
+        for a, b in zip(grouped, alone):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_each_expert_dots_only_its_own_offsets(self, rng, monkeypatch):
+        """M = 12 experts of 100 and 250 scattered queries: 3,000 distinct
+        offsets in 12 blocks of m = 250 rows.  The means take at most two
+        row dots per (query, expert), 6,000 (the spans an expert fills at
+        least half of are dotted in place), not one per (offset, expert),
+        36,000, and they are (M, m)."""
+        ens = _grid_ensemble(np.arange(1200.0), 12)
+        Xq = rng.uniform(-50.0, 1250.0, 250)
+        alone = _moments_alone(ens, Xq)
+        dots, einsum = [], np.einsum
+
+        def counted(spec, *operands, **kw):
+            if spec == "ij,j->i":
+                dots.append(len(operands[0]))
+            return einsum(spec, *operands, **kw)
+
+        monkeypatch.setattr(np, "einsum", counted)
+        grouped = _moments(ens, Xq)
+        assert 12 * 250 <= sum(dots) <= 2 * 12 * 250
+        for a, b in zip(grouped, alone):
+            assert a.shape == (12, 250)
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_group_gram_sees_the_distinct_offsets(self, monkeypatch):
+        """M = 8 experts of 250 and 4000 half-step queries: 32,000 (query,
+        expert) rows hold 7,500 distinct offsets, which the one group's gram
+        takes in blocks of at most m = 4000 rows."""
+        ens = _grid_ensemble(np.arange(2000.0), 8)
+        Xq = np.arange(0.0, 2000.0, 0.5)
+        rows, gram = [], kn.gram
+        monkeypatch.setattr(kn, "gram", lambda xa, *args: rows.append(len(xa)) or gram(xa, *args))
+        _moments(ens, Xq)
+        assert rows == [4000, 3500]
+
+    def test_scattered_experts_are_groups_of_one(self, rng):
+        data, ens = _ensemble_2d(rng, n=40, m=3, max_iters=3)
+        assert _group_sizes(ens) == [1, 1, 1]
+        Xq = rng.uniform(0.0, 6.0, (19, 2))
+        for a, b in zip(_moments(ens, Xq), _moments_alone(ens, Xq)):
+            assert np.array_equal(a, b)
+
+    def test_round_trip_keeps_the_shared_factor(self):
+        ens = _grid_ensemble(np.arange(2000.0), 7)
+        data = Dataset(np.concatenate([e.data.X for e in ens.experts]),
+                       np.concatenate([e.data.y for e in ens.experts]))
+        clone = ensemble_from_dict(ensemble_to_dict(ens), data)
+        assert _group_sizes(clone) == [5, 2]
+        Xq = np.arange(0.0, 2100.0, 0.5)
+        for obs in (False, True):
+            a, b = ens.predict(Xq, obs), clone.predict(Xq, obs)
+            assert np.array_equal(a.mean, b.mean) and np.array_equal(a.var, b.var)
 
 
 class TestQueryChecks:
