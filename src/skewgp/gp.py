@@ -21,7 +21,9 @@ limited by the conditioning of K:
   column and FFT convolutions, with no n x n matrix.
 * Dense: every other group, such as the 96-month airline fit: one Cholesky
   factor of the K of :func:`~skewgp.kernels.training_covariance`, which
-  also gives the final factor's K.
+  also gives the final factor's K.  Off a grid a mixture's gradient reads
+  the lower triangle LAPACK ``dpotri`` writes over the factor; grids and
+  baselines read the whole inverse from two n-column solves.
 
 Both read a mixture's parameters as the (Q, 1 + k P) rows of the
 optimizer's vector and, on a grid, take K and every partial of a P = 1
@@ -62,7 +64,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import blas, cho_solve, cholesky, lapack, solve_triangular
 
 from .errors import DataError, DimensionMismatchError, NumericalError
 from . import kernels as kn
@@ -338,20 +340,31 @@ def nlml_value_and_grad(parts, x: np.ndarray, layout, grid):
 
 def _dense_terms(parts, kind: str, params, noise_var, grid):
     """Summed NLML and natural-coordinate gradient (noise slot last) of the
-    datasets ``parts`` on ``grid`` or None, from one Cholesky factor of
+    datasets ``parts`` on ``grid`` or None, from one Cholesky factor L of
     K~: with M = m K~^-1 - sum_e alpha_e alpha_e^T, every slot is
     0.5 tr(M dK/dtheta), K and the slots from
-    :func:`~skewgp.kernels.training_covariance`."""
+    :func:`~skewgp.kernels.training_covariance`.
+
+    A mixture off a grid is one part (:func:`objective_groups`), and its
+    slots read only M's lower triangle, so after alpha and the NLML have
+    read L, LAPACK ``dpotri`` writes K~^-1's lower triangle over L (2n^3/3
+    flops, no n x n array beside it) and ``dsyr`` subtracts alpha alpha^T
+    there in place.  A grid's slots (sums over the lag index) and a
+    baseline's (sums of M o dK) read both triangles, so they take the full
+    m K~^-1 in C order from two n-column triangular solves."""
     K, slots = kn.training_covariance(parts[0].X, kind, params, grid)
     L, _ = chol_with_jitter(K, noise_var)
     del K
-    # m K~^-1 in C order, the order of the index and the partials
-    M = np.multiply(_solve_chol(L, np.eye(L.shape[0])), len(parts), order="C")
-    f = 0.0
-    for part in parts:
-        alpha = _solve_chol(L, part.y)
-        f += nlml_from_factor(L, alpha, part.y)
-        M -= np.outer(alpha, alpha)
+    alphas = [_solve_chol(L, part.y) for part in parts]
+    f = sum(nlml_from_factor(L, alpha, part.y) for alpha, part in zip(alphas, parts))
+    if grid is None and kind in kn.MIXTURE_KERNELS:
+        (alpha,) = alphas
+        M, _ = lapack.dpotri(L, lower=1, overwrite_c=1)  # L is spent: info > 0 needs L_ii = 0
+        M = blas.dsyr(-1.0, alpha, lower=1, a=M, overwrite_a=1)
+    else:  # m K~^-1 in C order, the order of the index and the partials
+        M = np.multiply(_solve_chol(L, np.eye(L.shape[0])), len(parts), order="C")
+        for alpha in alphas:
+            M -= np.outer(alpha, alpha)
     return f, slots(M) + [0.5 * float(np.trace(M))]  # noise slot: dK/ds2 = I
 
 

@@ -546,27 +546,36 @@ def multi_component_partials(x: np.ndarray, M: np.ndarray, row: np.ndarray,
                              kind: str) -> np.ndarray:
     """The natural slots 0.5 tr(M dK/dtheta) of the component with
     parameter ``row`` at the training points ``x``: w, then mu_d, sigma_d
-    and, for ``slsm`` only, gamma_d, with M symmetric (n, n).
+    and, for ``slsm`` only, gamma_d, for the symmetric (n, n) M of which
+    only the lower triangle is read, such as the one ``dpotri`` leaves in
+    an F-order factor's memory.
 
     d/dmu_d = w g_mu tau_d, d/dsigma_d = w g_sigma sigma_d tau_d^2 and
     d/dgamma_d = w g_gamma tau_d, with g_mu, g_gamma odd and g_sigma even
     in tau = x_i - x_j, so every slot is half a sum over all pairs of a term
-    even in the pair order: the sum over the pairs below the diagonal plus
-    half the diagonal's (tau = 0 there, so only the w slot has one).  Each
-    block of rows takes the pairs left of its diagonal square once and the
-    square, which holds each of its pairs in both orders, half; its terms
-    are rebuilt from the per-point quantities (:func:`_block`) and reduced
-    at once, so no (n, n) array is made and M's upper triangle is read only
-    inside the diagonal squares."""
-    p = x.shape[1]
+    even in the pair order: the sum over the pairs off the diagonal taken
+    once plus half the diagonal's (tau = 0 there, so only the w slot has
+    one).  The lower triangle is read in C order as the upper triangle of
+    ``M.T``: each block of rows takes the pairs right of its diagonal
+    square and the square's strict upper part once, its diagonal half and
+    its strict lower part, M's upper triangle (finite), times 0.  Its
+    terms are rebuilt from the per-point quantities (:func:`_block`) and
+    reduced at once, so no (n, n) array is made."""
+    n, p = x.shape
     points = _projections(x, np.mean(x, axis=0), row)
+    upper = M.T  # C order for an F-order M
     # the sums of M o val, then per dimension of M o g tau_d for g_mu,
     # M o g_sigma tau_d^2 and M o g_gamma tau_d
     w_slot, sums = 0.0, np.zeros((3, p))
-    for rows, cols in _row_blocks(x.shape[0], x.shape[0], lower=True):
+    blocks = list(_row_blocks(n, n))
+    r = blocks[0][0].stop  # the first block's diagonal square is the largest:
+    # its strict upper part once, its diagonal half, its lower part (M's upper) 0
+    weights = np.triu(np.ones((r, r)), 1) + 0.5 * np.eye(r)
+    for rows, _ in blocks:
+        cols, r = slice(rows.start, n), rows.stop - rows.start
         val, terms = _block(_rows_of(points, rows), _rows_of(points, cols), kind)
-        m = np.negative(M[rows, cols])  # -M, so each factor below is M o g
-        m[:, rows.start:] *= 0.5  # the diagonal square
+        m = np.negative(upper[rows, cols], order="C")  # -M, so each factor below is M o g
+        m[:, :r] *= weights[:r, :r]
         w_slot -= np.einsum("ij,ij->", m, val)
         if kind == "sm":  # g_mu = -sin_p env, g_sigma = -val
             sin_p, env = terms
@@ -634,9 +643,12 @@ def training_covariance(x, kind: str, params, grid):
     ``grid`` or None, for a mixture's parameter rows or a baseline's
     ``params``: K, for a mixture off a grid only its lower triangle (all
     the Cholesky reads), and ``slots(M)``, every natural slot
-    0.5 tr(M dK/dtheta) but the noise's for M symmetric.  ``slots`` holds
-    the grid, whose index it builds, or the lags; a caller that keeps only
-    K frees them."""
+    0.5 tr(M dK/dtheta) but the noise's for M symmetric.  A mixture off a
+    grid reads only M's lower triangle (:func:`multi_component_partials`),
+    so it can take the one ``dpotri`` writes over the factor; on a grid M
+    is summed over the lag index and a baseline's slots sum M o dK, both
+    over the whole M.  ``slots`` holds the grid, whose index it builds, or
+    the lags; a caller that keeps only K frees them."""
     if grid is not None:  # the n lags |h| k, M folded into its sums over the index |i - j|
         k, G = value_and_partials(np.abs(grid.lags()), kind, params)
         # row i is k_{|i - j|}: the window at n - 1 - i of k_{n-1} .. k_1, k_0 .. k_{n-1}

@@ -23,9 +23,10 @@ d_e = t_e,0 - t_0,0, and a stationary kernel reads only
 q - t_e,j = (q - d_e) - t_0,j, so one :func:`~skewgp.gp.latent_moments`
 call solves each distinct offset q - d_e once (rbcm2000's 8 experts and
 4,500 queries: 8,000 of 36,000 rows) and dots each expert's mean only at
-the offsets it reads.  Where the shifted lags are exact, as on integer or
-half-step grids, the moments are bit for bit those of each expert
-factorized and predicted alone.
+the offsets it reads.  Where no offset repeats, as for queries off the
+grid's lattice, each expert is predicted alone.  Where the shifted lags
+are exact, as on integer or half-step grids, the moments are bit for bit
+those of each expert factorized and predicted alone.
 """
 
 from __future__ import annotations
@@ -153,30 +154,45 @@ def rbcm_fit(data: Dataset, m: int, kind: str, init_params,
                                  opt_result=res)
 
 
-def _group_moments(Xs_n, group, kind: str, params):
-    """(E, m) latent means and variances of the E experts ``group`` of one
-    :func:`_factor_groups` group: one :func:`latent_moments` call against
-    the first expert's factor at each distinct offset q - d_e of the
-    experts' shifts d_e once, each expert reading its own offsets."""
-    lead = group[0]
+def _shared_offsets(Xs_n, group):
+    """``(u, reads)`` of the E experts ``group`` of one
+    :func:`_factor_groups` group: the distinct offsets q - d_e of the
+    experts' shifts d_e from the first, as (|u|, 1) points, and the (E, m)
+    rows of ``u`` each expert reads; None for one expert, or where no
+    offset repeats (queries off the group's lattice), so that each expert
+    is predicted alone and no (E, m) offsets are held through its blocks."""
     if len(group) == 1:
-        return latent_moments(Xs_n, lead, kind, params)
+        return None
+    lead = group[0]
     shifts = np.array([e.data.X[0, 0] - lead.data.X[0, 0] for e in group])
-    u, inv = np.unique(Xs_n[:, 0] - shifts[:, None], return_inverse=True)
-    alphas = replace(lead, alpha=np.column_stack([e.alpha for e in group]))
-    return latent_moments(u[:, None], alphas, kind, params,
-                          reads=inv.reshape(shifts.size, -1))
+    offsets = Xs_n[:, 0] - shifts[:, None]
+    u = np.sort(offsets, axis=None)
+    fresh = np.concatenate([[True], u[1:] != u[:-1]])
+    if fresh.all():  # np.unique's inverse would hold three more (E, m) arrays here
+        return None
+    u = u[fresh]
+    return u[:, None], np.searchsorted(u, offsets)
 
 
 def _expert_moments(ens: ExpertEnsemble, Xs_n):
     """(M, m) latent means and variances of the experts at the normalized
-    queries, one :func:`_group_moments` call per :func:`_factor_groups`
-    group."""
+    queries: per :func:`_factor_groups` group, one :func:`latent_moments`
+    call against the first expert's factor at each distinct offset once,
+    each expert reading its own offsets, or, where nothing is shared
+    (:func:`_shared_offsets`), one call per expert."""
     means = np.empty((ens.m, len(Xs_n)))
     var = np.empty_like(means)
     for members in _factor_groups(ens.experts):
         group = [ens.experts[i] for i in members]
-        means[members], var[members] = _group_moments(Xs_n, group, ens.kind, ens.params)
+        shared = _shared_offsets(Xs_n, group)
+        if shared is None:
+            for i, e in zip(members, group):
+                means[i], var[i] = latent_moments(Xs_n, e, ens.kind, ens.params)
+            continue
+        u, reads = shared
+        alphas = replace(group[0], alpha=np.column_stack([e.alpha for e in group]))
+        means[members], var[members] = latent_moments(u, alphas, ens.kind, ens.params,
+                                                      reads=reads)
     return means, var
 
 

@@ -110,6 +110,48 @@ def test_objective_matches_the_full_array_reference(rng, kind, p, near_singular)
     assert np.max(np.abs(np.subtract(g, g_ref))) <= P_G_TOL * np.max(np.abs(g_ref))
 
 
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("kind", kn.MIXTURE_KERNELS)
+def test_off_grid_gradient_reads_the_lower_triangle_over_the_factor(rng, kind, p):
+    """On a P = 2 scattered field and a scattered 1-D series, with M's
+    lower triangle written over the factor by ``dpotri``: the NLML is the
+    final factor's (``gp.nlml``) bit for bit, and the gradient is within
+    1e-13 of its largest slot against the full-array reference, which forms
+    the full M by n-column solves."""
+    data, params = _field(rng, 300, p), _params(rng, p)
+    assert kn.Grid.of(data.X) is None
+    f, g = gp._dense_terms([data], kind, params.rows(kind), params.noise_var, None)
+    _, g_ref = ref_multi_dense_terms(data, kind, params)
+    assert f == gp.nlml(data, params, kind)
+    assert np.max(np.abs(np.subtract(g, g_ref))) <= 1e-13 * np.max(np.abs(g_ref))
+
+
+@pytest.mark.parametrize("kind", kn.MIXTURE_KERNELS)
+def test_partials_read_only_the_lower_triangle(rng, kind):
+    """The slots of a symmetric C-order M equal, bit for bit, those of its
+    F-order copy with other values strictly above the diagonal, the layout
+    ``dpotri`` leaves (zeros there)."""
+    data, params = _field(rng, 300, 2), _params(rng, 2)
+    M = rng.standard_normal((data.n, data.n))
+    M += M.T
+    lower = np.asfortranarray(M)
+    lower[np.triu_indices(data.n, 1)] = rng.standard_normal(data.n * (data.n - 1) // 2)
+    for row in params.rows(kind):
+        assert np.array_equal(kn.multi_component_partials(data.X, M, row, kind),
+                              kn.multi_component_partials(data.X, lower, row, kind))
+
+
+def test_off_grid_evaluation_holds_no_inverse_beside_the_factor(rng):
+    """M takes the factor's memory: one n = 800 P = 2 evaluation peaks below
+    2.5 n^2 doubles (K and the factor's copy of it during the Cholesky),
+    where two n-column solves for M held 3 n^2."""
+    n = 800
+    data, params = _field(rng, n, 2), _params(rng, 2)
+    peak = traced_peak(lambda: gp._dense_terms([data], "slsm", params.rows("slsm"),
+                                               params.noise_var, None))
+    assert peak < 2.5 * n * n * 8
+
+
 @pytest.mark.parametrize("kind", kn.MIXTURE_KERNELS)
 def test_rbcm_objective_matches_vector_lag_oracle(rng, kind):
     """Three P = 2 experts: one group each, summed as the rBCM fit sums them."""
@@ -159,9 +201,10 @@ def test_fit_and_predict_build_no_vector_lag_array(rng, kind):
 
 
 def test_evaluation_memory_does_not_grow_with_the_components(rng):
-    """An SLSM evaluation holds K, M and the factor, not every component's
-    (n, n) terms.  One P = 2 evaluation at n = 1000: its traced peak at
-    Q = 10 stays below 1.5 times the peak at Q = 3.  Scattered P = 1 points
+    """An SLSM evaluation holds K and the factor, over which M's lower
+    triangle is written, not every component's (n, n) terms.  One P = 2
+    evaluation at n = 1000: its traced peak at Q = 10 stays below 1.5
+    times the peak at Q = 3.  Scattered P = 1 points
     at n = 800 and Q = 10: K and every slot against a given M take less
     than 4 n^2 doubles."""
     data = _field(rng, 1000, 2)

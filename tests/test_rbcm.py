@@ -25,7 +25,7 @@ from skewgp.rbcm import (
     rbcm_predict,
 )
 
-from conftest import identity_normalization, random_params
+from conftest import identity_normalization, random_params, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -243,9 +243,8 @@ class TestGroupedPredict:
         assert np.max(np.abs(var - ref_var)) <= 1e-10 * np.max(np.abs(ref_var))
 
     def test_off_lattice_queries_share_nothing(self, rng, monkeypatch):
-        """Scattered queries: every q - d_e is distinct, so the group's
-        gram takes all M m rows, in blocks of m.  q - d_e can round where
-        q - t_e,j did not: the moments agree to 1e-12."""
+        """Scattered queries: every q - d_e is distinct, so each expert is
+        predicted alone and the grams take all M m rows, in blocks of m."""
         ens = _grid_ensemble(np.arange(2000.0), 8)
         Xq = rng.uniform(-50.0, 2050.0, 300)
         alone = _moments_alone(ens, Xq)
@@ -259,8 +258,7 @@ class TestGroupedPredict:
     def test_each_expert_dots_only_its_own_offsets(self, rng, monkeypatch):
         """M = 12 experts of 100 and 250 scattered queries: 3,000 distinct
         offsets in 12 blocks of m = 250 rows.  The means take at most two
-        row dots per (query, expert), 6,000 (the spans an expert fills at
-        least half of are dotted in place), not one per (offset, expert),
+        row dots per (query, expert), 6,000, not one per (offset, expert),
         36,000, and they are (M, m)."""
         ens = _grid_ensemble(np.arange(1200.0), 12)
         Xq = rng.uniform(-50.0, 1250.0, 250)
@@ -278,6 +276,56 @@ class TestGroupedPredict:
         for a, b in zip(grouped, alone):
             assert a.shape == (12, 250)
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_a_repeated_offset_keeps_the_group_call(self, rng, monkeypatch):
+        """M = 12 experts of 100, 250 scattered queries and two on the
+        lattice 100 apart, whose offsets repeat 11 times: one group call
+        takes the 3,013 distinct offsets in blocks of m = 252 rows, and each
+        expert, which fills a fifth of a block's span, is dotted at its own
+        rows gathered, at most twice its (query, expert) rows.  q - d_e can
+        round where q - t_e,j did not: the moments agree to 1e-12."""
+        ens = _grid_ensemble(np.arange(1200.0), 12)
+        Xq = np.concatenate([rng.uniform(-50.0, 1250.0, 250), [10.0, 110.0]])
+        alone = _moments_alone(ens, Xq)
+        rows, dots, gram, einsum = [], [], kn.gram, np.einsum
+
+        def counted(spec, *operands, **kw):
+            if spec == "ij,j->i":
+                dots.append(len(operands[0]))
+            return einsum(spec, *operands, **kw)
+
+        monkeypatch.setattr(kn, "gram", lambda xa, *args: rows.append(len(xa)) or gram(xa, *args))
+        monkeypatch.setattr(np, "einsum", counted)
+        grouped = _moments(ens, Xq)
+        assert rows == [252] * 11 + [241]
+        assert 12 * 252 <= sum(dots) <= 2 * 12 * 252
+        for a, b in zip(grouped, alone):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_unshared_offsets_are_each_expert_alone(self, rng):
+        """32 experts of 63 and 2,000 scattered queries: nothing repeats, and
+        the moments are bit for bit each expert's factorized alone."""
+        ens = _grid_ensemble(np.arange(32 * 63.0), 32)
+        Xq = rng.uniform(-50.0, 2066.0, 2000)
+        assert _group_sizes(ens) == [32]
+        for a, b in zip(_moments(ens, Xq), _moments_alone(ens, Xq)):
+            assert np.array_equal(a, b)
+
+    def test_unshared_offsets_hold_one_experts_working_set(self, rng):
+        """32 experts of 63 at 20,000 scattered queries: the traced peak is
+        the per-expert path's, the (M, m) results and one expert's block,
+        up to 64 KiB of the groups' bookkeeping; holding the group's (M, m)
+        offsets, sort and reads through its blocks took twice that."""
+        ens = _grid_ensemble(np.arange(32 * 63.0), 32)
+        Xs_n = ens.normalization.apply_queries(rng.uniform(-50.0, 2066.0, 20000))
+
+        def per_expert():
+            means, var = np.empty((32, len(Xs_n))), np.empty((32, len(Xs_n)))
+            for i, e in enumerate(ens.experts):
+                means[i], var[i] = latent_moments(Xs_n, e, ens.kind, ens.params)
+
+        peak = traced_peak(lambda: rbcm._expert_moments(ens, Xs_n))
+        assert peak <= traced_peak(per_expert) + (1 << 16)
 
     def test_group_gram_sees_the_distinct_offsets(self, monkeypatch):
         """M = 8 experts of 250 and 4000 half-step queries: 32,000 (query,
