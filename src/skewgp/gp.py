@@ -16,9 +16,9 @@ per fit, picks one of two paths; they agree to
 is at least 1e-6 of the prior variance; closer to singular, both are
 limited by the conditioning of K:
 
-* Toeplitz: grids of at least :data:`~skewgp.toeplitz.MIN_N` points, a
-  measured crossover: one Levinson--Durbin factor of K + s2 I's first
-  column and FFT convolutions, with no n x n matrix.
+* Toeplitz: grids of at least :data:`~skewgp.toeplitz.MIN_N` points: one
+  factor of K + s2 I's first column from scipy's compiled Levinson--Durbin
+  recursion and FFT convolutions, with no n x n matrix.
 * Dense: every other group, such as the 96-month airline fit: one Cholesky
   factor of the K of :func:`~skewgp.kernels.training_covariance`, which
   also gives the final factor's K.  Off a grid a mixture's gradient reads

@@ -5,11 +5,13 @@ stationary covariance K + s2 I is the symmetric Toeplitz matrix T whose
 first column is r_j = k(h j) (+ s2 at j = 0), at the grid lags h j
 (:meth:`~skewgp.kernels.Grid.lags`).  No n x n matrix is formed:
 
-* :func:`levinson` runs Levinson--Durbin on r in O(n^2) time.  Its
-  :class:`Factor` holds x = T^-1 e_1, the first column of the inverse, and
-  log|T| as the sum of the logs of the prediction-error variances
-  E_0..E_{n-1}.  It fails (None) when some E_k <= 0, i.e. when T is not
-  numerically positive definite.
+* :func:`levinson` runs scipy's compiled Levinson recursion, O(n^2), on
+  the Yule--Walker system T_{n-1} phi = (r_1..r_{n-1}) (Durbin 1960).  Its
+  reflection coefficients are the partial autocorrelations lam_k, so the
+  prediction-error variances are E_0 = r_0, E_k = E_{k-1} (1 - lam_k^2).
+  Its :class:`Factor` holds x = T^-1 e_1 = (1, -phi) / E_{n-1}, the first
+  column of the inverse, and log|T| = sum_k log E_k.  It fails (None) when
+  some E_k <= 0, i.e. when T is not numerically positive definite.
 * The Gohberg--Semencul formula writes T^-1 = (A A^T - B B^T) / x_0, with A
   and B lower-triangular Toeplitz with first columns x and
   (0, x_{n-1}, ..., x_1).  :meth:`Factor.solve` applies it to targets and
@@ -17,18 +19,20 @@ first column is r_j = k(h j) (+ s2 at j = 0), at the grid lags h j
   use FFT convolutions, O(n log n).
 
 References: Zhang, Leithead & Leith 2005; Cunningham, Shenoy & Sahani 2008;
-Gohberg & Semencul 1972; Cybenko 1980 (stability of Levinson--Durbin).
+Durbin 1960; Gohberg & Semencul 1972; Cybenko 1980 (stability of
+Levinson--Durbin).
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy import fft
+from scipy.linalg._solve_toeplitz import levinson as _levinson
 
-# Smallest n that takes this path.  Per NLML+gradient evaluation it is
-# faster than the dense path from here up at every Q measured
-# (1, 2, 10), under default and single-thread OpenBLAS; airline (n = 96)
-# stays dense.  Measurement table in CHANGES.md.
+# Smallest n that takes this path.  Not the crossover, which is at or below
+# n = 96 (ROADMAP item 10): lower, airline (n = 96) would leave Cholesky's
+# log det for the less accurate Levinson one, which waits on a conditioning
+# guard and a seed sweep (ROADMAP items 5 and 1b).
 MIN_N = 144
 
 
@@ -88,20 +92,16 @@ class Factor:
 
 def levinson(r: np.ndarray) -> Factor | None:
     """Levinson--Durbin factor of the symmetric Toeplitz matrix with first
-    column ``r``, or None when a prediction-error variance is not positive."""
+    column ``r``, or None when a prediction-error variance is not positive
+    (or a leading minor is singular)."""
     n = r.size
-    r_rev = r[::-1].copy()
-    a = np.zeros(n)
-    a[0] = 1.0
-    errs = np.empty(n)
-    err = errs[0] = r[0]
-    if not err > 0.0:
-        return None
-    for k in range(1, n):
-        lam = -(r[k] + a[1:k] @ r_rev[n - k:n - 1]) / err
-        a[1:k] += lam * a[k - 1:0:-1]
-        a[k] = lam
-        err = errs[k] = err * (1.0 - lam * lam)
-        if not err > 0.0:
+    phi = lam = np.empty(0)
+    if n > 1:  # lam[0] is scipy's placeholder 1
+        try:
+            phi, lam = _levinson(np.concatenate((r[n - 2:0:-1], r[:n - 1])), r[1:])
+        except np.linalg.LinAlgError:
             return None
-    return Factor(r, a / err, float(np.sum(np.log(errs))))
+    errs = r[0] * np.cumprod(np.concatenate(([1.0], 1.0 - lam[1:] ** 2)))
+    if not np.all(np.isfinite(errs) & (errs > 0.0)):
+        return None
+    return Factor(r, np.concatenate(([1.0], -phi)) / errs[-1], float(np.sum(np.log(errs))))

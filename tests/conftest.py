@@ -19,6 +19,7 @@ from scipy.linalg import cho_solve
 
 import skewgp.gp as gp
 import skewgp.kernels as kn
+import skewgp.toeplitz as tz
 from skewgp.gp import Dataset
 from skewgp.kernels import SlsmComponent, SlsmParams, spectral_density
 from skewgp.optimize import transform, untransform
@@ -389,6 +390,29 @@ def dense_value_and_grad(data, x, layout, tau=None):
     g = [0.5 * float(np.sum(M * dK)) for dK in direct_partials(tau, kind, params)]
     g.append(0.5 * float(np.trace(M)))
     return f, np.array(g) * np.where(layout.log_mask, np.exp(x), 1.0), jit
+
+
+def ref_levinson(r: np.ndarray):
+    """The Levinson--Durbin recursion as a Python loop over k (Durbin 1960):
+    the :class:`~skewgp.toeplitz.Factor` of the symmetric Toeplitz matrix
+    with first column ``r``, x = T^-1 e_1 and log|T| from the
+    prediction-error variances, or None when one is not positive."""
+    n = r.size
+    r_rev = r[::-1].copy()
+    a = np.zeros(n)
+    a[0] = 1.0
+    errs = np.empty(n)
+    err = errs[0] = r[0]
+    if not err > 0.0:
+        return None
+    for k in range(1, n):
+        lam = -(r[k] + a[1:k] @ r_rev[n - k:n - 1]) / err
+        a[1:k] += lam * a[k - 1:0:-1]
+        a[k] = lam
+        err = errs[k] = err * (1.0 - lam * lam)
+        if not err > 0.0:
+            return None
+    return tz.Factor(r, a / err, float(np.sum(np.log(errs))))
 
 
 def _rows(params, kind):

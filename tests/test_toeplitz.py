@@ -18,7 +18,7 @@ from skewgp.gp import Dataset
 from skewgp.kernels import BaselineKernelParams, SlsmComponent, SlsmParams
 from skewgp.optimize import OptConfig, minimize, transform
 
-from conftest import training_table
+from conftest import ref_levinson, training_table
 
 KINDS = ("slsm", "sm", "lkp", "se", "rq")
 STEPS = (1.0, 0.1, 1.0 / 12.0)
@@ -341,3 +341,73 @@ def test_levinson_factor_against_dense_inverse(rng):
     S = factor.diag_sums(alpha)
     ref = np.array([np.trace(M, -k) for k in range(n)])
     np.testing.assert_allclose(S, ref, rtol=0, atol=1e-10 * np.max(np.abs(ref)))
+
+
+class TestCompiledRecursion:
+    """``tz.levinson`` runs scipy's compiled recursion; conftest's
+    ``ref_levinson`` is Durbin's recursion as a Python loop over k."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_problems())
+    def test_matches_the_python_recursion(self, problem):
+        """x to 1e-12 of max|x| and log|T| to 1e-12 relative, or to 10 eps
+        kappa(T) where kappa(T) > ~5e2: the two recursions round differently,
+        and their difference grows with kappa.  Over 1,200 draws from this
+        distribution it reached 8.8e-10 of max|x| at kappa 3e7 (noise near
+        1e-6 of the prior variance), at most 0.5 eps kappa on x and 0.05 eps
+        kappa on log|T|."""
+        data, params, kind = problem
+        n = data.n
+        r = kn.kernel_value(kn.Grid.of(data.X).lags(), kind, params)
+        r[0] += params.noise_var
+        eig = np.linalg.eigvalsh(r[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))])
+        tol = max(1e-12, 10.0 * np.finfo(float).eps * eig[-1] / eig[0])
+        factor, ref = tz.levinson(r), ref_levinson(r)
+        assert np.max(np.abs(factor.x - ref.x)) <= tol * np.max(np.abs(ref.x))
+        assert abs(factor.logdet - ref.logdet) <= tol * abs(ref.logdet)
+
+    @pytest.mark.parametrize("r", [[2.0], [2.0, 0.5], [2.0, -1.9]])
+    def test_one_and_two_points(self, r):
+        r = np.array(r)
+        T = r[np.abs(np.subtract.outer(np.arange(r.size), np.arange(r.size)))]
+        factor, ref = tz.levinson(r), ref_levinson(r)
+        np.testing.assert_allclose(factor.x, ref.x, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(factor.x, np.linalg.inv(T)[:, 0], rtol=1e-14, atol=0)
+        assert factor.logdet == pytest.approx(ref.logdet, rel=1e-15)
+        assert factor.logdet == pytest.approx(np.linalg.slogdet(T)[1], rel=1e-14)
+
+    @pytest.mark.parametrize("head", [
+        (1.0, 3.0),        # |r_1| > r_0: E_1 < 0
+        (1.0, 0.9, 0.1),   # E_1 > 0, E_2 < 0: the leading 3 x 3 block is indefinite
+        (1.0, 0.0, 0.0, 1.5),   # E_0 = E_1 = E_2 = 1, E_3 < 0
+        (0.0,),            # a singular leading minor
+        (-1.0,),           # E_0 < 0
+    ])
+    def test_no_factor_where_the_python_recursion_has_none(self, head):
+        r = np.zeros(12)
+        r[:len(head)] = head
+        assert ref_levinson(r) is None
+        assert tz.levinson(r) is None
+        if len(head) > 2:  # the recursion fails mid-way: E_1 > 0
+            T = r[np.abs(np.subtract.outer(np.arange(len(head)), np.arange(len(head))))]
+            assert np.all(np.linalg.eigvalsh(T[:2, :2]) > 0.0)
+            assert np.linalg.eigvalsh(T)[0] < 0.0
+
+    def test_scipy_recursion_gives_partial_autocorrelations_on_yule_walker(self):
+        """The contract ``tz.levinson`` reads from the private
+        ``scipy.linalg._solve_toeplitz.levinson``: on the Yule--Walker system
+        T_(n-1) phi = r_1..r_(n-1), given as the reversed and forward column,
+        it returns phi and the reflection coefficients (1, lam_1, ...,
+        lam_(n-1)), lam_k the last coefficient of the order-k solution."""
+        from scipy.linalg._solve_toeplitz import levinson as scipy_levinson
+
+        n = 40
+        r = kn.kernel_value(0.5 * np.arange(n), "slsm",
+                            SlsmParams((SlsmComponent(1.0, 0.7, 0.3, 0.4),)))
+        r[0] += 0.05
+        T = r[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+        phi, refl = scipy_levinson(np.concatenate((r[n - 2:0:-1], r[:n - 1])), r[1:])
+        np.testing.assert_allclose(phi, np.linalg.solve(T[:-1, :-1], r[1:]), rtol=0, atol=1e-12)
+        pacf = [np.linalg.solve(T[:k, :k], r[1:k + 1])[-1] for k in range(1, n)]
+        assert refl.shape == (n,) and refl[0] == 1.0
+        np.testing.assert_allclose(refl[1:], pacf, rtol=0, atol=1e-12)
