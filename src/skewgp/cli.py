@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DataError, NumericalError, SkewGPError
 from . import gp, kernels, metrics, pruning, rbcm, spectral
 from .gp import Dataset
-from .optimize import OptConfig, trace_to_csv
+from .optimize import OptConfig
 
 KERNEL_CHOICES = kernels.KERNEL_TYPES
 
@@ -205,14 +205,20 @@ def _train(job: ForecastJob, train: Dataset, init, seed: int):
 
 def _write_csv(path, names, columns, comment: str | None = None):
     """Write a header of ``names`` (after a ``# comment`` line) and one row
-    per entry of the equal-length ``columns``, each cell a plain float's
-    repr: the shortest round-trip form."""
+    per entry of the equal-length ``columns``, each cell the repr of a plain
+    number of its column's dtype, a float's the shortest round-trip form."""
     with open(path, "w", newline="") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         fh.write(",".join(names) + "\n")
-        for row in zip(*(np.asarray(col, dtype=float).tolist() for col in columns)):
+        for row in zip(*(np.asarray(col).tolist() for col in columns)):
             fh.write(",".join(map(repr, row)) + "\n")
+
+
+def _write_trace(path, trace):
+    """One row per optimizer step: its iteration, f, max |g| and step length."""
+    _write_csv(path, ["iter", "f", "grad_norm", "step_len"],
+               list(zip(*((t.iteration, t.f, t.grad_norm, t.step_len) for t in trace))))
 
 
 def _input_names(p: int) -> list[str]:
@@ -286,7 +292,7 @@ def _single_run(job: ForecastJob, train: Dataset, test: Dataset, info: IngestInf
     else:
         model_doc = gp.model_to_dict(model)
     (out_dir / f"{prefix}model.json").write_text(json.dumps(model_doc, indent=2))
-    (out_dir / f"{prefix}trace.csv").write_text(trace_to_csv(model.opt_result.trace))
+    _write_trace(out_dir / f"{prefix}trace.csv", model.opt_result.trace)
     _write_predictions(out_dir / f"{prefix}predictions.csv", test.X, pred)
     if spec_pair is not None:
         _write_spectrum(out_dir, prefix, *spec_pair)

@@ -430,14 +430,13 @@ def _component_value(tau, kind: str, mu, sigma, gamma=0.0):
     """Unweighted P = 1 component at the lags ``tau``, (Q, n) for (Q, 1)
     parameter columns, and the terms its partials reuse: ``(env,)`` for sm,
     else cos and sin of the phase, C and the denominator (gamma 0: lkp)."""
-    # sigma^2, gamma^2 by C pow, not numpy's arr**2 (x * x): K keeps its last bits
-    tau2, sq_sigma = tau**2, np.float_power(sigma, 2)
+    tau2, sq_sigma = tau**2, sigma * sigma
     if kind == "sm":
         env = np.exp(-0.5 * sq_sigma * tau2)
         return np.cos(mu * tau) * env, (env,)
     cos_p, sin_p = np.cos(mu * tau), np.sin(mu * tau)
     cc = 1.0 + 0.5 * sq_sigma * tau2
-    den = cc * cc + np.float_power(gamma, 2) * tau2
+    den = cc * cc + (gamma * gamma) * tau2
     return (cc * cos_p - gamma * tau * sin_p) / den, (cos_p, sin_p, cc, den)
 
 

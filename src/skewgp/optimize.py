@@ -25,7 +25,6 @@ backs off from it; at a run's starting point it raises ``NumericalError``.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,14 +133,6 @@ class OptResult:
     trace: list[TraceStep] = field(default_factory=list)
     converged: bool = False
     n_evals: int = 0
-
-
-def trace_to_csv(trace) -> str:
-    buf = io.StringIO()
-    buf.write("iter,f,grad_norm,step_len\n")
-    for t in trace:
-        buf.write(f"{t.iteration},{t.f!r},{t.grad_norm!r},{t.step_len!r}\n")
-    return buf.getvalue()
 
 
 def _weak_wolfe(fun, x, f0, g0, d):

@@ -230,9 +230,9 @@ def ref_multi_dense_terms(data: Dataset, kind: str, params):
 
 
 # The scalar reference bodies of a P = 1 mixture: one component per call,
-# its parameters as Python floats squared by ``float ** 2``, written apart
-# from the library's one value expression per family.  The library's array
-# bodies, which take all Q components at once, and ``kn.kernel_value``'s
+# its parameters as Python floats squared by their product ``x * x``, written
+# apart from the library's one value expression per family.  The library's
+# array bodies, which take all Q components at once, and ``kn.kernel_value``'s
 # per-component sum must agree with them bit for bit.
 
 
@@ -241,8 +241,8 @@ def ref_slsm_partials(tau, c: SlsmComponent):
     tau = np.asarray(tau, dtype=float)
     mu, sigma, gamma = c.scalars()
     cos_p, sin_p = np.cos(mu * tau), np.sin(mu * tau)
-    cc = 1.0 + 0.5 * sigma**2 * tau**2
-    den = cc * cc + gamma**2 * tau**2
+    cc = 1.0 + 0.5 * (sigma * sigma) * tau**2
+    den = cc * cc + (gamma * gamma) * tau**2
     val = (cc * cos_p - gamma * tau * sin_p) / den
     d_mu = (-cc * tau * sin_p - gamma * tau**2 * cos_p) / den
     d_sigma = sigma * tau**2 * (cos_p - 2.0 * cc * val) / den
@@ -254,7 +254,7 @@ def ref_sm_partials(tau, c: SlsmComponent):
     """(value, d/dmu, d/dsigma) of one unweighted P = 1 Gaussian component."""
     tau = np.asarray(tau, dtype=float)
     mu, sigma, _ = c.scalars()
-    env = np.exp(-0.5 * sigma**2 * tau**2)
+    env = np.exp(-0.5 * (sigma * sigma) * tau**2)
     val = np.cos(mu * tau) * env
     d_mu = -tau * np.sin(mu * tau) * env
     d_sigma = -sigma * tau**2 * val

@@ -24,14 +24,15 @@ PATHS = {"dense": 96, "toeplitz": tz.MIN_N}
 
 
 def _pow_differs(rng, lo, hi):
-    """A draw in [lo, hi) whose square by C ``pow`` (``float ** 2``) is not
-    its square by ``x * x`` (numpy's ``arr**2``)."""
+    """A draw in [lo, hi) whose square by product, ``x * x`` (also numpy's
+    ``arr**2``), is not its square by C ``pow`` (``float ** 2``)."""
     return next(float(v) for v in rng.uniform(lo, hi, 100_000) if v * v != float(v) ** 2)
 
 
 def _draws(rng, count=12):
-    """Random mixtures of 1 to 10 components; the first has a skew and a
-    scale whose squares differ between ``pow`` and ``x * x``."""
+    """Random mixtures of 1 to 10 components; the first has a scale and a
+    skew whose squares by product differ from their squares by ``pow``, so a
+    ``pow`` on either side of a bitwise pin breaks it."""
     first = random_params(rng, q=3)
     odd = SlsmComponent(0.7, 0.9, _pow_differs(rng, 0.1, 2.0), _pow_differs(rng, -1.5, 1.5))
     yield first.with_components((odd,) + first.components[1:])
@@ -49,10 +50,14 @@ def _grid_lags(path):
 
 
 def test_a_draw_tells_pow_from_square(rng):
-    """The first draw's scale and skew really separate the two squarings."""
-    c = next(_draws(rng)).components[0]
+    """The first draw's scale and skew, as the pins read them back from the
+    optimizer's vector, separate the product that the library's array
+    bodies and the scalar reference square by from C ``pow``."""
+    params = next(_draws(rng))
+    c = untransform(*transform(params, "slsm")).components[0]
+    assert (c.sigma, c.gamma) == (params.components[0].sigma, params.components[0].gamma)
     for v in (c.sigma[0], c.gamma[0]):
-        assert np.square(np.array([v]))[0] != np.float_power(np.array([v]), 2)[0]
+        assert np.square(np.array([v]))[0] == v * v != np.float_power(np.array([v]), 2)[0]
         assert np.float_power(np.array([v]), 2)[0] == v**2
 
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import skewgp.cli as cli
 import skewgp.optimize as optimize
 from skewgp.errors import DataError, NumericalError
 from skewgp.kernels import BaselineKernelParams, SlsmComponent, SlsmParams
@@ -13,7 +14,6 @@ from skewgp.optimize import (
     WOLFE_C2,
     OptConfig,
     minimize,
-    trace_to_csv,
     transform,
     untransform,
 )
@@ -337,15 +337,17 @@ class TestMinimize:
         assert any(x[1] > 0.0 for x in calls)
         assert res.n_evals == len(calls)
 
-    def test_trace_csv_format(self):
+    def test_trace_csv_format(self, tmp_path):
+        """The trace as ``skewgp fit`` writes it: a header, one row per
+        step, the iteration as an integer and f exactly."""
         res = minimize(_quadratic, np.array([1.0, -2.0]), OptConfig(max_iters=20))
-        csv_text = trace_to_csv(res.trace)
-        lines = csv_text.strip().splitlines()
+        cli._write_trace(tmp_path / "trace.csv", res.trace)
+        lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
         assert lines[0] == "iter,f,grad_norm,step_len"
         assert len(lines) == len(res.trace) + 1
-        first = lines[1].split(",")
-        assert int(first[0]) == 0
-        assert float(first[1]) == res.trace[0].f
+        for line, step in zip(lines[1:], res.trace):
+            it, f, *_ = line.split(",")
+            assert it == str(step.iteration) and float(f) == step.f
 
     def test_invalid_config_rejected(self):
         with pytest.raises(DataError):
